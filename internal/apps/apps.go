@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/ompi"
 	"repro/internal/ompi/coll"
+	"repro/internal/ompi/pml"
 )
 
 // Factory builds a per-rank application constructor from saved
@@ -190,10 +191,12 @@ func (a *StencilApp) Step(p *ompi.Proc) (bool, error) {
 	right := (rank + 1) % n
 	left := (rank - 1 + n) % n
 	cells := a.State.Cell
-	if _, err := p.Isend(right, 1, coll.Float64sToBytes(cells[len(cells)-1:])); err != nil {
+	toRight, err := p.Isend(right, 1, coll.Float64sToBytes(cells[len(cells)-1:]))
+	if err != nil {
 		return false, err
 	}
-	if _, err := p.Isend(left, 2, coll.Float64sToBytes(cells[:1])); err != nil {
+	toLeft, err := p.Isend(left, 2, coll.Float64sToBytes(cells[:1]))
+	if err != nil {
 		return false, err
 	}
 	fromLeft, _, err := p.Recv(left, 1)
@@ -202,6 +205,11 @@ func (a *StencilApp) Step(p *ompi.Proc) (bool, error) {
 	}
 	fromRight, _, err := p.Recv(right, 2)
 	if err != nil {
+		return false, err
+	}
+	// Retire both send handles: an uncompleted request stays in the PML
+	// table and rides along in every checkpoint image.
+	if err := p.Waitall([]pml.Request{toRight, toLeft}); err != nil {
 		return false, err
 	}
 	l, err := coll.BytesToFloat64s(fromLeft)

@@ -85,6 +85,22 @@ func TestStencilRuns(t *testing.T) {
 	}
 }
 
+// Every step's halo sends are retired: after the run, no rank's PML
+// image carries a request, so checkpoint images stay the same size
+// however long the stencil runs.
+func TestStencilRetiresSendRequests(t *testing.T) {
+	job := runApp(t, "stencil", []string{"-steps", "24", "-cells", "8"}, 4)
+	for r := 0; r < 4; r++ {
+		st, err := job.Proc(r).Engine().SaveState()
+		if err != nil {
+			t.Fatalf("rank %d SaveState: %v", r, err)
+		}
+		if n := len(st.Requests); n != 0 {
+			t.Errorf("rank %d PML image holds %d requests after 24 steps, want 0", r, n)
+		}
+	}
+}
+
 func TestStencilValidation(t *testing.T) {
 	if _, err := Lookup("stencil", []string{"-cells", "1"}); err == nil {
 		t.Error("stencil accepted 1 cell")

@@ -741,6 +741,13 @@ func (s *System) superviseLoop(job *Job, appFactory func(rank int) ompi.App, opt
 		// stages are re-drained (and become restart candidates), the
 		// rest are discarded with their debris.
 		s.cluster.FlushDrains()
+		// Every restart source below is read from stable storage. While an
+		// outage has work parked, give the catch-up pass a bounded window
+		// to reconcile it rather than resolve the restart against a store
+		// that cannot be read.
+		if werr := s.cluster.Drainer().AwaitCatchup(restartOutageWait); werr != nil {
+			s.ins.Emit("core", "supervise.store-wait", "job %d: %v", current.JobID(), werr)
+		}
 		// Hold-direct restart (level engine only): when the failed
 		// lineage holds a restorable interval newer than anything it
 		// committed, relaunch straight from the sealed stages and stage
@@ -803,6 +810,11 @@ func (s *System) superviseLoop(job *Job, appFactory func(rank int) ompi.App, opt
 		current = next
 	}
 }
+
+// restartOutageWait bounds how long a supervised restart waits for a
+// stable-store outage to be reconciled before it resolves its restart
+// interval anyway.
+const restartOutageWait = 5 * time.Second
 
 // newestValid scans the snapshot lineage newest-incarnation-first and
 // returns the first interval with an intact copy anywhere — the primary

@@ -20,6 +20,7 @@ package snapshot
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path"
 	"sort"
@@ -209,8 +210,14 @@ func (j *Journal) Load() ([]JournalEntry, error) {
 }
 
 func (j *Journal) load() ([]JournalEntry, error) {
-	if !vfs.Exists(j.FS, j.path()) {
-		return nil, nil
+	// Only a journal that is not there is an empty one. Any other Stat
+	// failure (an unreachable store) is surfaced: reading it as empty
+	// would lose every entry the next rewrite does not carry.
+	if _, err := j.FS.Stat(j.path()); err != nil {
+		if errors.Is(err, vfs.ErrNotExist) {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("snapshot: stat drain journal: %w", err)
 	}
 	data, err := j.FS.ReadFile(j.path())
 	if err != nil {

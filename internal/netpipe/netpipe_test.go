@@ -1,6 +1,7 @@
 package netpipe
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -52,20 +53,38 @@ func TestAllModesProduceSaneSeries(t *testing.T) {
 	}
 }
 
+// Compare is pure arithmetic over two aligned series, so it is checked
+// on synthetic points with exact expected overheads. The live overhead
+// of the C/R-enabled stack is a wall-clock measurement; it is gated by
+// the paired probe in crbench, not asserted here.
 func TestCompareAlignsSizes(t *testing.T) {
-	base := runQuick(t, ModeDirect)
-	test := runQuick(t, ModeNone)
+	base := Series{Mode: ModeDirect, Points: []Point{
+		{Size: 1, Latency: 10 * time.Microsecond, Bandwidth: 0.1},
+		{Size: 64, Latency: 20 * time.Microsecond, Bandwidth: 3.2},
+		{Size: 4096, Latency: 40 * time.Microsecond, Bandwidth: 100},
+	}}
+	test := Series{Mode: ModeNone, Points: []Point{
+		{Size: 1, Latency: 11 * time.Microsecond, Bandwidth: 0.09},
+		{Size: 64, Latency: 20 * time.Microsecond, Bandwidth: 3.2},
+		{Size: 4096, Latency: 30 * time.Microsecond, Bandwidth: 125},
+	}}
 	ovh, err := Compare(base, test)
 	if err != nil {
 		t.Fatalf("Compare: %v", err)
 	}
-	if len(ovh) != len(quickSizes) {
-		t.Fatalf("overheads = %d", len(ovh))
+	want := []Overhead{
+		{Size: 1, BaseLatency: 10 * time.Microsecond, TestLatency: 11 * time.Microsecond, LatencyPct: 10, BandwidthPct: -10},
+		{Size: 64, BaseLatency: 20 * time.Microsecond, TestLatency: 20 * time.Microsecond, LatencyPct: 0, BandwidthPct: 0},
+		{Size: 4096, BaseLatency: 40 * time.Microsecond, TestLatency: 30 * time.Microsecond, LatencyPct: -25, BandwidthPct: 25},
 	}
-	for _, o := range ovh {
-		// Sanity only: the wrapper can't plausibly double latency.
-		if o.LatencyPct > 100 || o.LatencyPct < -50 {
-			t.Errorf("size %d latency overhead %.1f%% implausible", o.Size, o.LatencyPct)
+	if len(ovh) != len(want) {
+		t.Fatalf("overheads = %d, want %d", len(ovh), len(want))
+	}
+	for i, o := range ovh {
+		w := want[i]
+		if o.Size != w.Size || o.BaseLatency != w.BaseLatency || o.TestLatency != w.TestLatency ||
+			math.Abs(o.LatencyPct-w.LatencyPct) > 1e-9 || math.Abs(o.BandwidthPct-w.BandwidthPct) > 1e-9 {
+			t.Errorf("overhead %d = %+v, want %+v", i, o, w)
 		}
 	}
 	// Mismatched series are rejected.

@@ -88,11 +88,15 @@ func (c *Coll) Barrier() error {
 	for step := 1; step < n; step <<= 1 {
 		to := (rank + step) % n
 		from := (rank - step + n) % n
-		if _, err := c.eng.Isend(to, tag, nil); err != nil {
+		h, err := c.eng.Isend(to, tag, nil)
+		if err != nil {
 			return fmt.Errorf("coll: barrier send: %w", err)
 		}
 		if _, _, err := c.eng.Recv(from, tag); err != nil {
 			return fmt.Errorf("coll: barrier recv: %w", err)
+		}
+		if _, _, err := c.eng.Wait(h); err != nil {
+			return fmt.Errorf("coll: barrier send: %w", err)
 		}
 	}
 	return nil
@@ -272,12 +276,16 @@ func (c *Coll) Allgather(data []byte) ([][]byte, error) {
 	left := (rank - 1 + n) % n
 	sendBlock := rank
 	for step := 0; step < n-1; step++ {
-		if _, err := c.eng.Isend(right, tag, out[sendBlock]); err != nil {
+		h, err := c.eng.Isend(right, tag, out[sendBlock])
+		if err != nil {
 			return nil, fmt.Errorf("coll: allgather send: %w", err)
 		}
 		buf, _, err := c.eng.Recv(left, tag)
 		if err != nil {
 			return nil, fmt.Errorf("coll: allgather recv: %w", err)
+		}
+		if _, _, err := c.eng.Wait(h); err != nil {
+			return nil, fmt.Errorf("coll: allgather send: %w", err)
 		}
 		sendBlock = (sendBlock - 1 + n) % n
 		out[sendBlock] = buf

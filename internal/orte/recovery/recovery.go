@@ -26,9 +26,7 @@ import (
 	"repro/internal/ompi/btl"
 	"repro/internal/ompi/crcp"
 	"repro/internal/orte/filem"
-	"repro/internal/orte/names"
 	"repro/internal/orte/runtime"
-	"repro/internal/orte/snapc"
 	"repro/internal/trace"
 	"repro/internal/vfs"
 )
@@ -379,7 +377,7 @@ func (co *Coordinator) planSource(j *runtime.Job, meta snapshot.GlobalMeta, inte
 	// frontier; never for a lost rank, whose capture node is dead.)
 	if node == pe.Node && c.Alive(node) {
 		if fs, err := c.NodeFS(node); err == nil {
-			base := snapc.LocalBaseDir(names.JobID(meta.JobID), interval)
+			base := snapshot.LocalStageBase(meta.JobID, interval)
 			if vfs.Exists(fs, path.Join(base, snapshot.LocalCommittedFile)) {
 				dir := path.Join(base, snapshot.LocalDirName(rank))
 				if lm, err := snapshot.ReadLocal(snapshot.LocalRef{FS: fs, Dir: dir}); err == nil &&

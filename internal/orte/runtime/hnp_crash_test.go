@@ -47,7 +47,7 @@ func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() boo
 // stagesSealed reports whether every node hosting ranks of the job has
 // sealed its local stage for the interval (LOCAL_COMMITTED marker).
 func stagesSealed(c *Cluster, job *Job, interval int) bool {
-	base := snapc.LocalBaseDir(job.JobID(), interval)
+	base := snapshot.LocalStageBase(int(job.JobID()), interval)
 	for _, node := range job.Nodes() {
 		fsys, err := c.NodeFS(node)
 		if err != nil {

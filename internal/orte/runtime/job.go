@@ -83,7 +83,7 @@ type Job struct {
 	handler        RecoveryHandler
 	recov          *RecoverySession // active recovery session, nil otherwise
 
-	wg   sync.WaitGroup // one per live rank goroutine, respawns included
+	wg   sync.WaitGroup // one per live rank goroutine (respawns included) and rank-requested checkpoint
 	errs []error
 	done chan struct{}
 }
@@ -226,9 +226,11 @@ func (c *Cluster) launch(spec JobSpec, placementOverride map[int]string, restore
 	go func() {
 		j.wg.Wait()
 		j.closeFabric() // release transport resources (TCP connections)
-		close(j.done)
 		c.ins.Emit("hnp", "job.done", "job %d", j.id)
+		// Ledger first: once Wait returns, a cold reattach must already
+		// see the job as finished, not as live work to re-adopt.
 		c.ledgerAppend(ledger.TypeJobDone, int(j.id), nil)
+		close(j.done)
 	}()
 	return j, nil
 }
@@ -276,9 +278,13 @@ func (j *Job) newRankProc(r int, node string, fabric btl.JobFabric, gate func([]
 // syncCheckpoint serves a rank's synchronous checkpoint request. The
 // requesting rank participates in the checkpoint it triggers, so the
 // global request must run concurrently: blocking here would deadlock the
-// coordinator against the caller's own participation.
+// coordinator against the caller's own participation. The request
+// counts as live job work: the job is not done until the checkpoint it
+// asked for has committed (or failed).
 func (j *Job) syncCheckpoint() error {
+	j.wg.Add(1)
 	go func() {
+		defer j.wg.Done()
 		if _, err := j.cluster.CheckpointJob(j.id, snapc.Options{}); err != nil {
 			j.cluster.ins.Emit("hnp", "ckpt.sync-error", "job %d: %v", j.id, err)
 		}
@@ -562,7 +568,7 @@ func (c *Cluster) Restart(ref snapshot.GlobalRef, interval int, appFactory func(
 	// when drain recovery preserved it.
 	restores := make([]*ompi.RestoreSpec, meta.NumProcs)
 	sources := make(map[int]string, meta.NumProcs)
-	localBase := snapc.LocalBaseDir(names.JobID(meta.JobID), interval)
+	localBase := snapshot.LocalStageBase(meta.JobID, interval)
 	for _, pe := range meta.Procs {
 		node := placement[pe.Vpid]
 		if node == pe.Node {

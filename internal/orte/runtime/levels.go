@@ -153,7 +153,7 @@ func (c *Cluster) RestartFromHold(j *Job, appFactory func(rank int) ompi.App) (*
 		}
 		base, source := e.LocalBase, "restored:local-stage"
 		if src != origin {
-			base, source = snapc.StageReplicaBase(id, e.Interval, origin), "restored:stage-replica"
+			base, source = snapshot.StageReplicaBase(int(id), e.Interval, origin), "restored:stage-replica"
 		}
 		fsys, err := c.nodeFS(src)
 		if err != nil {

@@ -511,7 +511,7 @@ func (c *Cluster) Filem() (filem.Component, *filem.Env) { return c.filemComp, c.
 // otherwise undrained interval is never pruned — the level-aware
 // retention rule of DESIGN.md §5g.
 func (c *Cluster) PruneLocalStages(id names.JobID, keepFrom int) {
-	base := path.Dir(snapc.LocalBaseDir(id, 0)) // tmp/ckpt/job<id>
+	base := path.Dir(snapshot.LocalStageBase(int(id), 0)) // tmp/ckpt/job<id>
 	pinned := c.Drainer().Held(snapshot.GlobalDirName(int(id)))
 	ref := snapshot.GlobalRef{FS: c.stable, Dir: snapshot.GlobalDirName(int(id))}
 	if und, err := snapshot.OpenJournal(ref).Undrained(); err == nil {

@@ -8,6 +8,7 @@ package snapc
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -156,7 +157,7 @@ func TestStoreOutageDegradesParksAndCatchesUp(t *testing.T) {
 	foundReplica := false
 	for _, fsys := range h.job.nodeFS {
 		for _, origin := range h.job.Nodes() {
-			if vfs.Exists(fsys, StageReplicaBase(h.job.JobID(), 1, origin)) {
+			if vfs.Exists(fsys, snapshot.StageReplicaBase(int(h.job.JobID()), 1, origin)) {
 				foundReplica = true
 			}
 		}
@@ -187,7 +188,7 @@ func TestStoreOutageDegradesParksAndCatchesUp(t *testing.T) {
 	for _, fsys := range h.job.nodeFS {
 		for _, origin := range h.job.Nodes() {
 			for iv := 1; iv <= 2; iv++ {
-				if vfs.Exists(fsys, StageReplicaBase(h.job.JobID(), iv, origin)) {
+				if vfs.Exists(fsys, snapshot.StageReplicaBase(int(h.job.JobID()), iv, origin)) {
 					t.Errorf("stage replica of interval %d origin %s survived catch-up", iv, origin)
 				}
 			}
@@ -230,7 +231,7 @@ func TestHNPCrashDuringOutagePreservesParkedWork(t *testing.T) {
 	}
 	// The parked interval's sealed stage survived the crash on every
 	// node that captured it.
-	base := LocalBaseDir(h.job.JobID(), 0)
+	base := snapshot.LocalStageBase(int(h.job.JobID()), 0)
 	for node, fsys := range h.job.nodeFS {
 		if !vfs.Exists(fsys, base) {
 			t.Errorf("node %s lost its parked stage in the crash", node)
@@ -238,5 +239,114 @@ func TestHNPCrashDuringOutagePreservesParkedWork(t *testing.T) {
 	}
 	if got := d.Health().Parked; got != 1 {
 		t.Errorf("parked after crash = %d, want 1", got)
+	}
+}
+
+// The store goes out between a capture's journal record and its drain.
+// The journal must read as unreachable, not as empty: the drain then
+// parks the interval as a degraded success instead of failing it with
+// "no entry" and orphaning its sealed stages.
+func TestOutageBetweenRecordAndDrainParks(t *testing.T) {
+	h := newHarness(t, 4)
+	gate := gateStable(h)
+	var lock sync.Mutex
+	d := NewDrainer(h.env, drainParams(
+		"snapc_store_outage_threshold", "1",
+		"snapc_store_retry_backoff", "2ms",
+		"snapc_store_retry_max", "10ms",
+	), &lock)
+	defer d.Close()
+
+	// Hold the drain back until the store is out; the record lands first.
+	lock.Lock()
+	p, err := d.Enqueue(captureInterval(t, h, 1))
+	if err != nil {
+		lock.Unlock()
+		t.Fatalf("Enqueue: %v", err)
+	}
+	gate.setOut(true)
+	lock.Unlock()
+	if _, err := p.Wait(); !errors.Is(err, ErrStoreDegraded) {
+		t.Fatalf("ticket error = %v, want ErrStoreDegraded", err)
+	}
+	if got := d.Health().Parked; got != 1 {
+		t.Fatalf("parked = %d, want 1", got)
+	}
+
+	gate.setOut(false)
+	if err := d.AwaitCatchup(5 * time.Second); err != nil {
+		t.Fatalf("AwaitCatchup: %v", err)
+	}
+	if st := journalState(t, h, 1); st != snapshot.StateCommitted {
+		t.Errorf("interval 1 journal state = %s, want COMMITTED", st)
+	}
+}
+
+// An interval parks in an outage too short to mark the store DEGRADED;
+// once the store is back the next interval commits first. Its record
+// must reach the journal behind the older buffered one, and its commit
+// supersedes the parked interval under the one retention rule: journal
+// DISCARDED, stages and stage replicas swept, counted superseded — not
+// re-drained behind a newer commit by the catch-up pass.
+func TestCommitSupersedesOlderParkedInterval(t *testing.T) {
+	h := newHarness(t, 4)
+	gate := gateStable(h)
+	d := NewDrainer(h.env, drainParams(
+		"snapc_store_outage_threshold", "5",
+		// The catch-up pass sleeps through the whole test; Close wakes it.
+		"snapc_store_retry_backoff", "1m",
+		"snapc_store_retry_max", "1m",
+		"snapc_stage_replicas", "1",
+	), nil)
+	defer d.Close()
+
+	gate.setOut(true)
+	p1, err := d.Enqueue(captureInterval(t, h, 1))
+	if err != nil {
+		t.Fatalf("Enqueue 1: %v", err)
+	}
+	if _, err := p1.Wait(); !errors.Is(err, ErrStoreDegraded) {
+		t.Fatalf("interval 1 error = %v, want ErrStoreDegraded", err)
+	}
+	if hs := d.Health(); hs.Degraded || hs.Parked != 1 {
+		t.Fatalf("health during outage = %+v, want 1 parked, not degraded", hs)
+	}
+
+	gate.setOut(false)
+	p2, err := d.Enqueue(captureInterval(t, h, 2))
+	if err != nil {
+		t.Fatalf("Enqueue 2: %v", err)
+	}
+	if _, err := p2.Wait(); err != nil {
+		t.Fatalf("interval 2: %v", err)
+	}
+	if st := journalState(t, h, 2); st != snapshot.StateCommitted {
+		t.Fatalf("interval 2 journal state = %s, want COMMITTED", st)
+	}
+	if e := journalEntryAt(t, h, 1); e.State != snapshot.StateDiscarded ||
+		!strings.Contains(e.Cause, "superseded by stable commit of interval 2") {
+		t.Fatalf("interval 1 = state %s cause %q, want DISCARDED as superseded", e.State, e.Cause)
+	}
+	for node, fsys := range h.job.nodeFS {
+		if vfs.Exists(fsys, snapshot.LocalStageBase(int(h.job.JobID()), 1)) {
+			t.Errorf("node %s kept the superseded interval's stage", node)
+		}
+		for _, origin := range h.job.Nodes() {
+			if vfs.Exists(fsys, snapshot.StageReplicaBase(int(h.job.JobID()), 1, origin)) {
+				t.Errorf("node %s kept origin %s's stage replica of the superseded interval", node, origin)
+			}
+		}
+	}
+	if hs := d.Health(); hs.Parked != 0 || hs.JournalBacklog != 0 {
+		t.Errorf("health after commit = %+v, want nothing parked or backlogged", hs)
+	}
+	if got := h.env.Ins.Counter("ompi_ckpt_superseded_total").Value(); got != 1 {
+		t.Errorf("ompi_ckpt_superseded_total = %d, want 1", got)
+	}
+	if got := h.env.Ins.Counter("ompi_snapc_catchup_drains_total").Value(); got != 0 {
+		t.Errorf("ompi_snapc_catchup_drains_total = %d, want 0", got)
+	}
+	if n := h.env.Ins.Log.Count("drain.catchup-failed"); n != 0 {
+		t.Errorf("%d drain.catchup-failed events, want none", n)
 	}
 }

@@ -37,22 +37,26 @@
 //
 // Degraded mode (DESIGN.md §5e): stable storage can suffer a transient
 // outage ("fs.outage:stable"). Outage-classified drain failures do NOT
-// abort the interval — the sealed node-local stages are preserved, the
-// interval is parked, and after snapc_store_outage_threshold
-// consecutive outages the store is marked DEGRADED
-// (ompi_store_degraded gauge). Checkpoints keep succeeding at the
-// local-stage level: tickets resolve with ErrStoreDegraded, journal
-// records the store cannot hold are buffered in memory, and
-// snapc_stage_replicas pushes each parked stage to a second node so a
-// parked interval survives a single node loss. A catch-up pass retries
-// with exponential backoff (snapc_store_retry_backoff) and reconciles
-// — flush buffered journal records, re-drain parked intervals in
-// capture order — when the store returns.
+// abort the interval — the sealed node-local stages are preserved and
+// the interval joins the sealed set (levels.go) with the outage reason,
+// and after snapc_store_outage_threshold consecutive outages the store
+// is marked DEGRADED (ompi_store_degraded gauge). Checkpoints keep
+// succeeding at the local-stage level: tickets resolve with
+// ErrStoreDegraded, journal records the store cannot hold are buffered
+// in memory in capture order, and snapc_stage_replicas pushes each
+// parked stage to a second node so a parked interval survives a single
+// node loss. A catch-up pass retries with exponential backoff
+// (snapc_store_retry_backoff) and reconciles — flush buffered journal
+// records, re-drain the outage seals oldest-first — when the store
+// returns. A newer stable commit supersedes an older parked interval
+// under the sealed set's one retention rule, exactly as it does a
+// cadence hold.
 package snapc
 
 import (
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -61,7 +65,6 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/mca"
 	"repro/internal/ompi"
-	"repro/internal/orte/filem"
 	"repro/internal/orte/names"
 	"repro/internal/orte/sched"
 	"repro/internal/vfs"
@@ -170,44 +173,33 @@ type Drainer struct {
 	crashed   bool        // the HNP died; see Crash
 	crashHook func(error) // invoked when an hnp.crash fault fires mid-drain
 
-	degraded    bool // store marked DEGRADED (outageScore hit the threshold)
-	outageScore int  // consecutive outage-classified failures
-	parked      []*parkedInterval
+	degraded    bool                               // store marked DEGRADED (outageScore hit the threshold)
+	outageScore int                                // consecutive outage-classified failures
 	backlog     map[string][]snapshot.JournalEntry // journal records the store couldn't hold
 	catchupOn   bool
+	// stop is closed by Close or Crash; it wakes a backing-off catch-up
+	// pass so neither waits out the backoff.
+	stop chan struct{}
 
-	// held tracks the intervals sealed at a sub-stable checkpoint level
-	// (L1/L2, DESIGN.md §5g) per lineage, intervals ascending. Held
-	// intervals are journaled CAPTURED but deliberately NOT queued for
-	// drain — PromoteStable hands the newest one to the queue, and a
-	// stable commit releases the older ones it supersedes.
-	held map[string][]*heldInterval
+	// sealed holds, per lineage and intervals ascending, every interval
+	// sealed node-local but not yet stable — cadence holds and outage
+	// parks alike (levels.go).
+	sealed map[string][]*sealedInterval
 
 	workerWG  sync.WaitGroup
 	catchupWG sync.WaitGroup
-	heldWG    sync.WaitGroup
 	fmu       sync.Mutex // serializes backlog flushes (worker vs catch-up)
 
 	jmu      sync.Mutex
 	journals map[string]*snapshot.Journal
 }
 
+// drainItem is one queued interval. It carries the interval's sealed
+// state, so a promoted hold keeps its level and stage replicas through
+// the queue.
 type drainItem struct {
-	cpt     *Captured
+	si      *sealedInterval
 	pending *Pending
-}
-
-// parkedInterval is a captured interval waiting out a store outage:
-// sealed node-local, optionally stage-replicated to holder nodes.
-type parkedInterval struct {
-	cpt *Captured
-	// replicas maps an origin node to the holder of its stage replica.
-	replicas map[string]string
-	// marked reports the journal entry carries the Parked flag. The
-	// flag write usually fails at park time (the store is out — that is
-	// why the interval parked), so the catch-up pass retries it until
-	// it lands or the interval reconciles.
-	marked bool
 }
 
 // DefaultDrainQueue is the default snapc_drain_queue.
@@ -243,7 +235,8 @@ func NewDrainer(env *Env, params *mca.Params, lock sync.Locker) *Drainer {
 		weights:         make(map[string]int),
 		journals:        make(map[string]*snapshot.Journal),
 		backlog:         make(map[string][]snapshot.JournalEntry),
-		held:            make(map[string][]*heldInterval),
+		stop:            make(chan struct{}),
+		sealed:          make(map[string][]*sealedInterval),
 	}
 	if d.maxQueue < 1 {
 		d.maxQueue = 1
@@ -430,7 +423,7 @@ func journalEntry(cpt *Captured) snapshot.JournalEntry {
 		JobID: int(job.JobID()), NumProcs: job.NumProcs(),
 		AppName: job.AppName(), AppArgs: job.AppArgs(),
 		MCAParams: job.Params().Map(), Nodes: job.Nodes(),
-		LocalBase:   LocalBaseDir(job.JobID(), cpt.Interval),
+		LocalBase:   snapshot.LocalStageBase(int(job.JobID()), cpt.Interval),
 		Terminate:   cpt.Opts.Terminate,
 		StagedBytes: cpt.StagedBytes, CapturedAt: cpt.Began,
 	}
@@ -447,19 +440,33 @@ func journalEntry(cpt *Captured) snapshot.JournalEntry {
 // record journals a CAPTURED entry for the lineage, buffering it in
 // the in-memory backlog through a store outage — the capture itself is
 // sealed node-local, so the checkpoint must not fail just because the
-// store cannot hold the record right now. The catch-up pass (or
-// drainOne, whichever reaches the store first) persists the backlog.
+// store cannot hold the record right now. While the lineage has
+// buffered records the new one queues behind them, so records reach
+// the journal in capture order (the journal only accepts newer
+// intervals). The catch-up pass (or drainOne, whichever reaches the
+// store first) persists the backlog.
 func (d *Drainer) record(globalDir string, entry snapshot.JournalEntry) error {
-	if err := d.Journal(globalDir).Record(entry); err != nil {
+	d.mu.Lock()
+	queued := len(d.backlog[globalDir]) > 0
+	d.mu.Unlock()
+	cause := "behind older buffered records"
+	var err error
+	if !queued {
+		if err = d.Journal(globalDir).Record(entry); err == nil {
+			return nil
+		}
 		if !faultsim.IsOutage(err) {
 			return fmt.Errorf("snapc: journal capture of interval %d: %w", entry.Interval, err)
 		}
-		d.mu.Lock()
-		d.backlog[globalDir] = append(d.backlog[globalDir], entry)
-		d.mu.Unlock()
-		d.env.Ins.Counter("ompi_snapc_journal_backlogged_total").Inc()
-		d.env.Ins.Emit("snapc.drain", "drain.journal-backlogged",
-			"interval %d CAPTURED record buffered (store outage): %v", entry.Interval, err)
+		cause = fmt.Sprintf("store outage: %v", err)
+	}
+	d.mu.Lock()
+	d.backlog[globalDir] = append(d.backlog[globalDir], entry)
+	d.mu.Unlock()
+	d.env.Ins.Counter("ompi_snapc_journal_backlogged_total").Inc()
+	d.env.Ins.Emit("snapc.drain", "drain.journal-backlogged",
+		"interval %d CAPTURED record buffered (%s)", entry.Interval, cause)
+	if err != nil {
 		d.noteOutage(err)
 	}
 	return nil
@@ -475,14 +482,15 @@ func (d *Drainer) Enqueue(cpt *Captured) (*Pending, error) {
 		return nil, err
 	}
 	d.env.note(IntervalNote{Event: "captured", Job: cpt.Job.JobID(), Interval: cpt.Interval})
-	return d.enqueue(cpt)
+	return d.enqueue(&sealedInterval{cpt: cpt})
 }
 
 // enqueue is the admission half of Enqueue: backpressure, then the
 // weighted-fair push. The interval must already be journaled (Enqueue)
 // or held under a journal entry from an earlier Seal (PromoteStable).
-func (d *Drainer) enqueue(cpt *Captured) (*Pending, error) {
+func (d *Drainer) enqueue(si *sealedInterval) (*Pending, error) {
 	ins := d.env.Ins
+	cpt := si.cpt
 
 	d.mu.Lock()
 	key := cpt.GlobalDir
@@ -517,7 +525,7 @@ func (d *Drainer) enqueue(cpt *Captured) (*Pending, error) {
 	d.sq.Push(sched.Item{
 		Key: key, Cost: cpt.StagedBytes,
 		Weight:  d.weightFor(key, cpt.Job),
-		Payload: &drainItem{cpt: cpt, pending: p},
+		Payload: &drainItem{si: si, pending: p},
 	})
 	d.perJobQ[key]++
 	d.inflight++
@@ -546,9 +554,10 @@ func (d *Drainer) full(addBytes int64, key string) bool {
 
 // worker is one background drain loop: pop the weighted-fair queue,
 // drain, journal, deliver. While the store is DEGRADED it parks
-// intervals without touching stable storage; an outage-classified drain
-// failure parks the interval too — in both cases the ticket resolves
-// with ErrStoreDegraded, a degraded success.
+// intervals (an outage seal) without touching stable storage; an
+// outage-classified drain failure parks the interval too — in both
+// cases the ticket resolves with ErrStoreDegraded, a degraded success.
+// A successful drain sweeps the stage replicas a promoted hold carried.
 func (d *Drainer) worker() {
 	defer d.workerWG.Done()
 	for {
@@ -574,20 +583,22 @@ func (d *Drainer) worker() {
 
 		var res Result
 		var err error
+		cpt := it.si.cpt
 		switch {
 		case crashed:
-			err = fmt.Errorf("%w; interval %d not drained", ErrHNPDown, it.cpt.Interval)
+			err = fmt.Errorf("%w; interval %d not drained", ErrHNPDown, cpt.Interval)
 		case degraded:
-			d.park(it.cpt)
-			err = fmt.Errorf("interval %d: %w", it.cpt.Interval, ErrStoreDegraded)
+			d.seal(it.si, sealOutage)
+			err = fmt.Errorf("interval %d: %w", cpt.Interval, ErrStoreDegraded)
 		default:
-			res, err = d.drainOne(it.cpt)
+			res, err = d.drainOne(cpt)
 			if err != nil && faultsim.IsOutage(err) {
 				d.noteOutage(err)
-				d.park(it.cpt)
-				err = fmt.Errorf("interval %d: %w (%v)", it.cpt.Interval, ErrStoreDegraded, err)
+				d.seal(it.si, sealOutage)
+				err = fmt.Errorf("interval %d: %w (%v)", cpt.Interval, ErrStoreDegraded, err)
 			} else if err == nil {
 				d.resetOutage()
+				sweepStageReplicas(d.env, int(cpt.Job.JobID()), cpt.Interval, it.si.replicas)
 			}
 		}
 
@@ -604,9 +615,9 @@ func (d *Drainer) worker() {
 // finishLocked releases one in-flight interval's admission accounting
 // (with d.mu held) and wakes blocked enqueuers and idle workers.
 func (d *Drainer) finishLocked(it *drainItem) {
-	key := it.cpt.GlobalDir
+	key := it.si.cpt.GlobalDir
 	d.inflight--
-	d.staged -= it.cpt.StagedBytes
+	d.staged -= it.si.cpt.StagedBytes
 	if d.perJobQ[key]--; d.perJobQ[key] <= 0 {
 		delete(d.perJobQ, key)
 	}
@@ -680,21 +691,10 @@ func (d *Drainer) drainOne(cpt *Captured) (Result, error) {
 	}
 	d.env.note(IntervalNote{Event: "committed", Job: cpt.Job.JobID(), Interval: cpt.Interval})
 	env.Ins.Counter("ompi_ckpt_level3_committed_total").Inc()
-	// A stable commit subsumes every older interval still held at L1/L2:
-	// a higher level now has a strictly newer verified copy.
-	d.releaseHeldBelow(cpt.GlobalDir, cpt.Interval)
+	// A stable commit subsumes every older sealed interval: a higher
+	// level now has a strictly newer verified copy.
+	d.releaseBelow(cpt.GlobalDir, cpt.Interval)
 	return res, nil
-}
-
-// StageReplicaBase is where a holder node keeps its copy of another
-// node's held or parked interval stage: the whole LocalBase tree
-// (markers included) of origin's share of the interval. Discoverable by
-// path alone, so recovery can use it even when the journal never
-// learned of the replica (the store was out when it was pushed). The
-// convention itself lives in core/snapshot beside the other level
-// paths; this is the names.JobID-typed view.
-func StageReplicaBase(job names.JobID, interval int, origin string) string {
-	return snapshot.StageReplicaBase(int(job), interval, origin)
 }
 
 // flushBacklog persists the buffered journal records of one lineage, in
@@ -722,115 +722,19 @@ func (d *Drainer) flushBacklog(globalDir string) error {
 				"dropping buffered CAPTURED record for interval %d: %v", e.Interval, err)
 		}
 		d.mu.Lock()
-		d.backlog[globalDir] = d.backlog[globalDir][1:]
-		if len(d.backlog[globalDir]) == 0 {
-			delete(d.backlog, globalDir)
-		}
+		d.setBacklogLocked(globalDir, d.backlog[globalDir][1:])
 		d.mu.Unlock()
 	}
 }
 
-// park shelves a captured interval for the duration of a store outage:
-// the node-local stages stay sealed, and (snapc_stage_replicas > 0)
-// each origin node's stage is pushed to a second node so the parked
-// interval survives a single node loss while the store is out.
-func (d *Drainer) park(cpt *Captured) {
-	pi := &parkedInterval{cpt: cpt}
-	if d.stageReplicas > 0 {
-		pi.replicas = d.pushStageReplicas(cpt)
+// setBacklogLocked stores a lineage's buffered journal records (with
+// d.mu held), dropping the lineage when none are left.
+func (d *Drainer) setBacklogLocked(globalDir string, entries []snapshot.JournalEntry) {
+	if len(entries) == 0 {
+		delete(d.backlog, globalDir)
+	} else {
+		d.backlog[globalDir] = entries
 	}
-	pi.marked = d.markParked(cpt.GlobalDir, cpt.Interval)
-	d.mu.Lock()
-	d.parked = append(d.parked, pi)
-	n := len(d.parked)
-	d.mu.Unlock()
-	d.env.Ins.Gauge("ompi_snapc_drain_parked").Set(float64(n))
-	d.env.Ins.Counter("ompi_snapc_intervals_parked_total").Inc()
-	d.env.note(IntervalNote{Event: "parked", Job: cpt.Job.JobID(), Interval: cpt.Interval})
-	d.env.Ins.Emit("snapc.drain", "drain.parked",
-		"interval %d parked node-local (store outage), %d parked total", cpt.Interval, n)
-	d.ensureCatchup()
-}
-
-// markParked flags an interval's journal entry as degraded-mode
-// backlog, so the stats table never renders parked intervals as
-// cadence-held L1 ones (they share the CAPTURED state and the
-// LOCAL_COMMITTED stage markers). The entry may still be sitting in
-// the in-memory backlog — flag it there so the eventual Record carries
-// the flag; otherwise write through to the journal. Reports whether
-// the flag durably landed (a store outage usually defeats the write at
-// park time; the catch-up pass retries).
-func (d *Drainer) markParked(globalDir string, interval int) bool {
-	d.mu.Lock()
-	for i := range d.backlog[globalDir] {
-		if d.backlog[globalDir][i].Interval == interval {
-			d.backlog[globalDir][i].Parked = true
-			d.mu.Unlock()
-			return true
-		}
-	}
-	d.mu.Unlock()
-	if _, err := d.Journal(globalDir).SetParked(interval, true); err != nil {
-		if !faultsim.IsOutage(err) {
-			d.env.Ins.Emit("snapc.drain", "drain.journal-error",
-				"marking interval %d parked: %v", interval, err)
-		}
-		return false
-	}
-	return true
-}
-
-// pushStageReplicas copies each origin node's share of a parked
-// interval to one other node (node→node FILEM, no stable storage
-// involved). Returns origin → holder for the copies that landed.
-func (d *Drainer) pushStageReplicas(cpt *Captured) map[string]string {
-	env := d.env
-	if env.Nodes == nil {
-		return nil
-	}
-	candidates := env.Nodes()
-	if len(candidates) < 2 {
-		return nil
-	}
-	origins := make([]string, 0, len(cpt.ByNode))
-	for node := range cpt.ByNode {
-		origins = append(origins, node)
-	}
-	sort.Strings(origins)
-	src := LocalBaseDir(cpt.Job.JobID(), cpt.Interval)
-	holders := make(map[string]string)
-	for idx, node := range origins {
-		holder := ""
-		for off := 1; off <= len(candidates); off++ {
-			if c := candidates[(idx+off)%len(candidates)]; c != node {
-				holder = c
-				break
-			}
-		}
-		if holder == "" {
-			continue
-		}
-		dst := StageReplicaBase(cpt.Job.JobID(), cpt.Interval, node)
-		req := filem.Request{SrcNode: node, SrcPath: src, DstNode: holder, DstPath: dst}
-		if _, err := env.Filem.Move(env.FilemEnv, []filem.Request{req}); err != nil {
-			env.Ins.Emit("snapc.drain", "drain.stage-replica-failed",
-				"interval %d stage %s -> %s: %v", cpt.Interval, node, holder, err)
-			continue
-		}
-		holders[node] = holder
-		env.Ins.Counter("ompi_snapc_stage_replicas_total").Inc()
-	}
-	if len(holders) > 0 {
-		held := make([]string, 0, len(holders))
-		for _, h := range holders {
-			held = append(held, h)
-		}
-		sort.Strings(held)
-		env.note(IntervalNote{Event: "stage-replicas", Job: cpt.Job.JobID(), Interval: cpt.Interval, Nodes: held})
-		env.Ins.Emit("snapc.drain", "drain.stage-replicated",
-			"interval %d: %d parked stages replicated node-to-node", cpt.Interval, len(holders))
-	}
-	return holders
 }
 
 // noteOutage counts one outage-classified failure; at the threshold the
@@ -857,7 +761,8 @@ func (d *Drainer) noteOutage(err error) {
 func (d *Drainer) resetOutage() {
 	d.mu.Lock()
 	d.outageScore = 0
-	clear := d.degraded && len(d.parked) == 0 && len(d.backlog) == 0
+	_, parked := d.sealedCountsLocked()
+	clear := d.degraded && parked == 0 && len(d.backlog) == 0
 	if clear {
 		d.degraded = false
 	}
@@ -883,14 +788,16 @@ func (d *Drainer) ensureCatchup() {
 
 // catchup is the degraded-mode reconciler: retry with exponential
 // backoff until the store takes writes again, then flush the buffered
-// journal records and drain the parked intervals in capture order.
-// Exits when everything is reconciled (clearing DEGRADED) or the
-// drainer stops.
+// journal records and drain the outage seals oldest-first. Exits when
+// everything is reconciled (clearing DEGRADED) or the drainer stops.
 func (d *Drainer) catchup() {
 	defer d.catchupWG.Done()
 	backoff := d.retryBackoff
 	for {
-		time.Sleep(backoff)
+		select {
+		case <-time.After(backoff):
+		case <-d.stop:
+		}
 		d.mu.Lock()
 		if d.closed || d.crashed {
 			d.catchupOn = false
@@ -902,14 +809,13 @@ func (d *Drainer) catchup() {
 			dirs = append(dirs, dir)
 		}
 		sort.Strings(dirs)
-		var next *parkedInterval
-		if len(d.parked) > 0 {
-			next = d.parked[0]
-		}
-		var unmarked []*parkedInterval
-		for _, pi := range d.parked {
-			if !pi.marked {
-				unmarked = append(unmarked, pi)
+		next := d.oldestParkedLocked()
+		var unmarked []*sealedInterval
+		for _, ss := range d.sealed {
+			for _, si := range ss {
+				if !si.marked {
+					unmarked = append(unmarked, si)
+				}
 			}
 		}
 		if next == nil && len(dirs) == 0 {
@@ -919,7 +825,6 @@ func (d *Drainer) catchup() {
 			d.outageScore = 0
 			d.catchupOn = false
 			d.mu.Unlock()
-			d.env.Ins.Gauge("ompi_snapc_drain_parked").Set(0)
 			if wasDegraded {
 				d.env.Ins.Gauge("ompi_store_degraded").Set(0)
 				d.env.Ins.Emit("snapc.drain", "store.recovered",
@@ -936,14 +841,10 @@ func (d *Drainer) catchup() {
 				break
 			}
 		}
-		// Retry the parked flag for intervals whose park-time write the
-		// outage defeated — stats must not misread them as L1 holds.
-		for _, pi := range unmarked {
-			if d.markParked(pi.cpt.GlobalDir, pi.cpt.Interval) {
-				d.mu.Lock()
-				pi.marked = true
-				d.mu.Unlock()
-			}
+		// Retry the journal marks an outage defeated — stats must not
+		// misread a parked interval as an L1 hold, nor an L2 one as L1.
+		for _, si := range unmarked {
+			d.mark(si)
 		}
 		if progress && next != nil {
 			progress = d.catchupOne(next)
@@ -956,12 +857,26 @@ func (d *Drainer) catchup() {
 	}
 }
 
+// oldestParkedLocked returns the outage seal captured first across all
+// lineages (with d.mu held), or nil. Within a lineage that is the
+// lowest-numbered one, so catch-up commits land in capture order.
+func (d *Drainer) oldestParkedLocked() *sealedInterval {
+	var oldest *sealedInterval
+	for _, ss := range d.sealed {
+		i := slices.IndexFunc(ss, func(si *sealedInterval) bool { return si.reason == sealOutage })
+		if i >= 0 && (oldest == nil || ss[i].cpt.Began.Before(oldest.cpt.Began)) {
+			oldest = ss[i]
+		}
+	}
+	return oldest
+}
+
 // catchupOne reconciles the oldest parked interval: fast-forward when
 // it already committed on stable storage (the outage hit between the
 // commit and the journal edge), re-drain from the sealed stages
 // otherwise. Reports whether progress was made.
-func (d *Drainer) catchupOne(pi *parkedInterval) bool {
-	cpt := pi.cpt
+func (d *Drainer) catchupOne(si *sealedInterval) bool {
+	cpt := si.cpt
 	env := d.env
 	ref := snapshot.GlobalRef{FS: env.Stable, Dir: cpt.GlobalDir}
 	committed := vfs.Exists(env.Stable, path.Join(ref.IntervalDir(cpt.Interval), snapshot.CommittedFile))
@@ -980,7 +895,7 @@ func (d *Drainer) catchupOne(pi *parkedInterval) bool {
 			}
 		}
 		env.note(IntervalNote{Event: "committed", Job: cpt.Job.JobID(), Interval: cpt.Interval})
-		d.releaseHeldBelow(cpt.GlobalDir, cpt.Interval)
+		d.releaseBelow(cpt.GlobalDir, cpt.Interval)
 	} else {
 		if _, err := d.drainOne(cpt); err != nil {
 			if faultsim.IsOutage(err) {
@@ -990,39 +905,21 @@ func (d *Drainer) catchupOne(pi *parkedInterval) bool {
 			env.Ins.Emit("snapc.drain", "drain.catchup-failed", "interval %d: %v", cpt.Interval, err)
 		}
 	}
-	d.unpark(pi)
+	d.mu.Lock()
+	d.removeSealedLocked(si)
+	d.mu.Unlock()
+	sweepStageReplicas(env, int(cpt.Job.JobID()), cpt.Interval, si.replicas)
 	env.Ins.Counter("ompi_snapc_catchup_drains_total").Inc()
 	env.Ins.Emit("snapc.drain", "drain.catchup", "parked interval %d reconciled", cpt.Interval)
 	return true
 }
 
-// unpark removes a reconciled interval from the parked set and sweeps
-// its node-to-node stage replicas.
-func (d *Drainer) unpark(pi *parkedInterval) {
-	d.mu.Lock()
-	for i, p := range d.parked {
-		if p == pi {
-			d.parked = append(d.parked[:i], d.parked[i+1:]...)
-			break
-		}
-	}
-	n := len(d.parked)
-	d.mu.Unlock()
-	d.env.Ins.Gauge("ompi_snapc_drain_parked").Set(float64(n))
-	for origin, holder := range pi.replicas {
-		base := StageReplicaBase(pi.cpt.Job.JobID(), pi.cpt.Interval, origin)
-		if fsys, err := d.env.NodeFS(holder); err == nil && vfs.Exists(fsys, base) {
-			_ = d.env.Filem.Remove(d.env.FilemEnv, holder, []string{base})
-		}
-	}
-}
-
 // Crash fails the drain engine the way a dead HNP would: queued tickets
-// fail with ErrHNPDown, the worker and catch-up pass stop, and parked
-// or backlogged work stays exactly where it is — node-local stages
-// sealed, journal records buffered — for the reattach to rebuild from
-// the stage markers. Safe to call more than once; does not block on
-// the in-flight drain.
+// fail with ErrHNPDown, the worker and catch-up pass stop, and sealed
+// or backlogged work stays exactly where it is — node-local stages and
+// stage replicas sealed, journal records buffered — for the reattach
+// to rebuild from the stage markers. Safe to call more than once; does
+// not block on the in-flight drain.
 func (d *Drainer) Crash(cause error) {
 	d.mu.Lock()
 	if d.crashed || d.closed {
@@ -1030,27 +927,19 @@ func (d *Drainer) Crash(cause error) {
 		return
 	}
 	d.crashed = true
-	// Held intervals stay sealed node-local (stage replicas included);
-	// the reattach rebuilds their journal entries from the markers. Only
-	// the in-memory hold is dropped.
-	d.held = make(map[string][]*heldInterval)
+	close(d.stop)
 	items := d.sq.DrainAll()
 	dropped := make([]*drainItem, 0, len(items))
 	for _, item := range items {
 		it := item.Payload.(*drainItem)
 		dropped = append(dropped, it)
-		d.inflight--
-		d.staged -= it.cpt.StagedBytes
-		key := it.cpt.GlobalDir
-		if d.perJobQ[key]--; d.perJobQ[key] <= 0 {
-			delete(d.perJobQ, key)
-		}
+		d.finishLocked(it)
 	}
 	d.cond.Broadcast()
 	d.mu.Unlock()
 	for _, it := range dropped {
 		it.pending.err = fmt.Errorf("%w; interval %d dropped from drain queue: %v",
-			ErrHNPDown, it.cpt.Interval, cause)
+			ErrHNPDown, it.si.cpt.Interval, cause)
 		close(it.pending.done)
 	}
 	d.env.Ins.Emit("snapc.drain", "drain.hnp-crashed",
@@ -1064,10 +953,11 @@ type StoreHealth struct {
 	Degraded bool
 	// OutageScore is the consecutive outage-classified failure count.
 	OutageScore int
-	// Parked counts intervals sealed node-local awaiting catch-up.
+	// Parked counts the sealed intervals parked by a store outage,
+	// awaiting catch-up.
 	Parked int
-	// Held counts intervals held at a sub-stable checkpoint level
-	// (L1/L2) across all lineages.
+	// Held counts the sealed intervals held at a sub-stable checkpoint
+	// level (L1/L2) by the cadence, across all lineages.
 	Held int
 	// JournalBacklog counts buffered journal records the store has not
 	// yet accepted.
@@ -1080,16 +970,11 @@ type StoreHealth struct {
 func (d *Drainer) Health() StoreHealth {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	h := StoreHealth{
-		Degraded: d.degraded, OutageScore: d.outageScore,
-		Parked: len(d.parked), QueueDepth: d.inflight,
-	}
+	h := StoreHealth{Degraded: d.degraded, OutageScore: d.outageScore, QueueDepth: d.inflight}
 	for _, entries := range d.backlog {
 		h.JournalBacklog += len(entries)
 	}
-	for _, hs := range d.held {
-		h.Held += len(hs)
-	}
+	h.Held, h.Parked = d.sealedCountsLocked()
 	return h
 }
 
@@ -1123,19 +1008,14 @@ func (d *Drainer) Flush() {
 // enqueues. Safe to call more than once.
 func (d *Drainer) Close() {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		d.workerWG.Wait()
-		d.catchupWG.Wait()
-		d.heldWG.Wait()
-		return
+	if !d.closed && !d.crashed {
+		close(d.stop)
 	}
 	d.closed = true
 	d.cond.Broadcast()
 	d.mu.Unlock()
 	d.workerWG.Wait()
 	d.catchupWG.Wait()
-	d.heldWG.Wait()
 }
 
 // QueueDepth reports the in-flight interval count (queued + draining).
@@ -1272,7 +1152,7 @@ func stagePlan(env *Env, e snapshot.JournalEntry, alive func(string) bool) (map[
 		// have learned of it, the store was out when it was pushed).
 		holder := ""
 		if env.Nodes != nil {
-			base := StageReplicaBase(names.JobID(e.JobID), e.Interval, node)
+			base := snapshot.StageReplicaBase(e.JobID, e.Interval, node)
 			for _, h := range env.Nodes() {
 				if h == node || !alive(h) {
 					continue
@@ -1313,15 +1193,7 @@ func redrain(env *Env, j *snapshot.Journal, globalDir string, e snapshot.Journal
 	}
 	// Sweep the consumed stage replicas: the interval is committed on
 	// stable storage, so the node-to-node copies are debris now.
-	for origin, actual := range plan {
-		if actual == origin {
-			continue
-		}
-		base := StageReplicaBase(names.JobID(e.JobID), e.Interval, origin)
-		if fsys, err := env.NodeFS(actual); err == nil && vfs.Exists(fsys, base) {
-			_ = env.Filem.Remove(env.FilemEnv, actual, []string{base})
-		}
-	}
+	sweepStageReplicas(env, e.JobID, e.Interval, plan)
 	return nil
 }
 
@@ -1350,18 +1222,18 @@ func sweepEntry(env *Env, ref snapshot.GlobalRef, e snapshot.JournalEntry, alive
 			_ = env.Filem.Remove(env.FilemEnv, node, []string{e.LocalBase})
 		}
 	}
-	// Sweep any held or parked stage replicas of the abandoned interval.
+	// Sweep any stage replicas of the abandoned interval: the journal
+	// does not record their holders, so every surviving node is one.
 	if env.Nodes != nil {
-		for _, origin := range e.Nodes {
-			base := StageReplicaBase(names.JobID(e.JobID), e.Interval, origin)
-			for _, h := range env.Nodes() {
-				if alive != nil && !alive(h) {
-					continue
-				}
-				if fsys, err := env.NodeFS(h); err == nil && vfs.Exists(fsys, base) {
-					_ = env.Filem.Remove(env.FilemEnv, h, []string{base})
-				}
+		for _, h := range env.Nodes() {
+			if alive != nil && !alive(h) {
+				continue
 			}
+			held := make(map[string]string, len(e.Nodes))
+			for _, origin := range e.Nodes {
+				held[origin] = h
+			}
+			sweepStageReplicas(env, e.JobID, e.Interval, held)
 		}
 	}
 }
@@ -1385,7 +1257,7 @@ func capturedFromEntry(e snapshot.JournalEntry, globalDir string, plan map[strin
 		actual, dir := p.Node, p.Dir
 		if h, ok := plan[p.Node]; ok && h != p.Node {
 			actual = h
-			dir = path.Join(StageReplicaBase(names.JobID(e.JobID), e.Interval, p.Node),
+			dir = path.Join(snapshot.StageReplicaBase(e.JobID, e.Interval, p.Node),
 				snapshot.LocalDirName(p.Vpid))
 		}
 		cpt.ByNode[actual] = append(cpt.ByNode[actual], p.Vpid)

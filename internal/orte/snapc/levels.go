@@ -1,50 +1,68 @@
-// Multilevel checkpoint holds (DESIGN.md §5g): the drain engine's
-// side of the L1/L2/L3 level split.
+// The sealed-interval set (DESIGN.md §5e, §5g): every interval the
+// drain engine keeps sealed node-local under LOCAL_COMMITTED markers but
+// not yet stable, in one per-lineage, interval-ascending set.
 //
-// A synchronous checkpoint (or an Enqueue) always heads for L3 — the
-// stable commit. Seal stops short: the interval is journaled CAPTURED
-// exactly as Enqueue would, but it is *held* instead of queued — the
-// sealed node-local stages ARE the checkpoint (L1), optionally
-// replicated node-to-node (L2), and nothing touches stable storage.
-// Because a held interval is indistinguishable from a crash-interrupted
-// drain (CAPTURED entry + LOCAL_COMMITTED markers + optional stage
-// replicas), the existing Recover pass doubles as a multilevel restart
-// path: it re-drains the held interval from the stages — or a peer's
-// replica — into a stable commit before relaunch. The fast path skips
-// even that: NewestRestorableHold finds the newest fully-survivable
-// hold and the runtime relaunches straight from the stages and
-// replicas (runtime.RestartFromHold), so a restart never pays the
-// stable-store ingress for data only the restart itself will read.
+// An interval is in the set for one of two reasons. A cadence seal
+// (Seal) holds it at L1 (the sealed stages only) or L2 (plus a stage
+// replica of each origin's share on a peer node) and nothing touches
+// stable storage; the cadence tuner promotes it with PromoteReplicas and
+// PromoteStable. An outage seal parks an interval whose drain came due
+// while the stable store was out; the catch-up pass re-drains the
+// outage seals oldest-first once the store returns. The level says
+// where the copies live, the reason says why the interval waits.
 //
-// Promotion runs on the cadence tuner's schedules: PromoteReplicas
-// lifts the newest L1 hold to L2 (stage replicas pushed to peer
-// nodes); PromoteStable hands the newest hold to the ordinary drain
-// queue, which commits it at L3. The level-aware retention rule is in
-// releaseHeldBelow: a stable commit of interval N releases every older
-// hold — a higher level now has a strictly newer verified copy — and
-// never the newest, so the best restart point at each level only moves
-// forward.
+// Everything else is shared: one stage-replica push (only when the
+// interval has none yet), one journal mark, one stage-replica sweep,
+// and one retention rule, releaseBelow: a stable commit of interval N
+// supersedes every sealed interval of the lineage older than N, whatever
+// its reason, and never a newer one, so the best restart point at each
+// level only moves forward.
+//
+// On disk a sealed interval is a crash-interrupted drain (CAPTURED entry
+// + LOCAL_COMMITTED markers + optional stage replicas), so Recover
+// doubles as the multilevel restart path, re-draining the newest one
+// into a stable commit; NewestRestorableHold is the fast path that lets
+// the runtime relaunch straight from the stages and replicas
+// (runtime.RestartFromHold) without any stable-store ingress.
 package snapc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/core/snapshot"
 	"repro/internal/faultsim"
+	"repro/internal/orte/filem"
 	"repro/internal/vfs"
 )
 
-// heldInterval is one captured interval held at a sub-stable level:
-// journaled CAPTURED, sealed node-local, deliberately not queued for
-// drain.
-type heldInterval struct {
-	cpt   *Captured
+// sealReason records why a sealed interval is short of stable storage.
+type sealReason int
+
+const (
+	// sealCadence: held at L1/L2 by the checkpoint cadence (Seal).
+	sealCadence sealReason = iota
+	// sealOutage: parked because the stable store was out when its drain
+	// came due; the catch-up pass re-drains it.
+	sealOutage
+)
+
+// sealedInterval is one captured interval sealed node-local and not yet
+// stable: journaled CAPTURED, LOCAL_COMMITTED stages on its nodes.
+type sealedInterval struct {
+	cpt *Captured
+	// level is where the copies live: LevelLocal (origin stages only) or
+	// LevelReplica (plus a stage replica per origin on a peer node).
 	level int
-	// replicas maps an origin node to the holder of its stage replica
-	// (level >= LevelReplica).
+	// replicas maps an origin node to the holder of its stage replica.
 	replicas map[string]string
+	reason   sealReason
+	// marked reports the journal entry carries the reason's mark (the
+	// level, or the Parked flag). A store outage usually defeats the
+	// write; the catch-up pass retries it until it lands.
+	marked bool
 }
 
 // Seal journals a captured interval (CAPTURED, with its level) and
@@ -63,34 +81,221 @@ func (d *Drainer) Seal(cpt *Captured, level int) error {
 	if err := d.record(cpt.GlobalDir, entry); err != nil {
 		return err
 	}
-	h := &heldInterval{cpt: cpt, level: level}
-	if level >= snapshot.LevelReplica && d.stageReplicas > 0 {
-		h.replicas = d.pushStageReplicas(cpt)
-	}
 	d.mu.Lock()
+	crashed, closed := d.crashed, d.closed
+	d.mu.Unlock()
 	switch {
-	case d.crashed:
-		d.mu.Unlock()
+	case crashed:
 		return fmt.Errorf("%w; interval %d not held", ErrHNPDown, cpt.Interval)
-	case d.closed:
-		d.mu.Unlock()
+	case closed:
 		return fmt.Errorf("snapc: drainer closed; interval %d not held", cpt.Interval)
 	}
-	// Captures are strictly monotone per lineage, so append keeps the
-	// hold list intervals-ascending.
-	d.held[cpt.GlobalDir] = append(d.held[cpt.GlobalDir], h)
-	n := d.heldCountLocked()
-	d.mu.Unlock()
+	d.seal(&sealedInterval{cpt: cpt, level: level, marked: true}, sealCadence)
 	ins := d.env.Ins
-	ins.Gauge("ompi_snapc_drain_held").Set(float64(n))
 	ins.Counter(fmt.Sprintf("ompi_ckpt_level%d_captured_total", level)).Inc()
 	// The application-blocked share of a held interval is capture only —
 	// no drain backpressure ever applies.
 	ins.ObserveSeconds("ompi_snapc_blocked_seconds", time.Duration(cpt.BlockedNS))
 	d.env.note(IntervalNote{Event: "captured", Job: cpt.Job.JobID(), Interval: cpt.Interval})
-	ins.Emit("snapc.drain", "drain.held",
-		"interval %d sealed at L%d (held node-local, not drained)", cpt.Interval, level)
 	return nil
+}
+
+// seal adds an interval to the sealed set for reason. Stage replicas
+// (snapc_stage_replicas > 0) are pushed only when the interval has none
+// yet and the reason calls for them: an L2 hold, or any outage park, so
+// a parked interval survives a single node loss while the store is out.
+func (d *Drainer) seal(si *sealedInterval, reason sealReason) {
+	cpt := si.cpt
+	if len(si.replicas) == 0 && d.stageReplicas > 0 && (reason == sealOutage || si.level >= snapshot.LevelReplica) {
+		si.replicas = d.pushStageReplicas(cpt)
+	}
+	d.mu.Lock()
+	si.level = max(si.level, snapshot.LevelLocal)
+	if len(si.replicas) > 0 {
+		si.level = max(si.level, snapshot.LevelReplica)
+	}
+	si.reason = reason
+	d.mu.Unlock()
+	if reason == sealOutage {
+		d.mark(si)
+	}
+	d.mu.Lock()
+	_, parked := d.insertSealedLocked(si)
+	d.mu.Unlock()
+	ins := d.env.Ins
+	switch reason {
+	case sealCadence:
+		ins.Emit("snapc.drain", "drain.held",
+			"interval %d sealed at L%d (held node-local, not drained)", cpt.Interval, si.level)
+	case sealOutage:
+		ins.Counter("ompi_snapc_intervals_parked_total").Inc()
+		d.env.note(IntervalNote{Event: "parked", Job: cpt.Job.JobID(), Interval: cpt.Interval})
+		ins.Emit("snapc.drain", "drain.parked",
+			"interval %d parked node-local (store outage), %d parked total", cpt.Interval, parked)
+		d.ensureCatchup()
+	}
+}
+
+// insertSealedLocked adds si to its lineage's list in interval order
+// and republishes the gauges (with d.mu held), returning the counts.
+func (d *Drainer) insertSealedLocked(si *sealedInterval) (held, parked int) {
+	ss := d.sealed[si.cpt.GlobalDir]
+	i := sort.Search(len(ss), func(k int) bool { return ss[k].cpt.Interval > si.cpt.Interval })
+	d.sealed[si.cpt.GlobalDir] = slices.Insert(ss, i, si)
+	return d.publishSealedLocked()
+}
+
+// removeSealedLocked takes si out of the sealed set, if it is still
+// there, and republishes the gauges (with d.mu held).
+func (d *Drainer) removeSealedLocked(si *sealedInterval) {
+	dir := si.cpt.GlobalDir
+	if i := slices.Index(d.sealed[dir], si); i >= 0 {
+		d.sealed[dir] = slices.Delete(d.sealed[dir], i, i+1)
+		d.publishSealedLocked()
+	}
+}
+
+// sealedCountsLocked counts the sealed intervals of every lineage by
+// reason (with d.mu held).
+func (d *Drainer) sealedCountsLocked() (held, parked int) {
+	for _, ss := range d.sealed {
+		for _, si := range ss {
+			if si.reason == sealOutage {
+				parked++
+			} else {
+				held++
+			}
+		}
+	}
+	return held, parked
+}
+
+// publishSealedLocked publishes the held and parked gauges from the
+// sealed set (with d.mu held) and returns the counts.
+func (d *Drainer) publishSealedLocked() (held, parked int) {
+	held, parked = d.sealedCountsLocked()
+	d.env.Ins.Gauge("ompi_snapc_drain_held").Set(float64(held))
+	d.env.Ins.Gauge("ompi_snapc_drain_parked").Set(float64(parked))
+	return held, parked
+}
+
+// newestCadenceLocked returns the lineage's newest cadence seal that
+// keep accepts (with d.mu held), or nil.
+func (d *Drainer) newestCadenceLocked(globalDir string, keep func(*sealedInterval) bool) *sealedInterval {
+	ss := d.sealed[globalDir]
+	for i := len(ss) - 1; i >= 0; i-- {
+		if ss[i].reason == sealCadence && keep(ss[i]) {
+			return ss[i]
+		}
+	}
+	return nil
+}
+
+// mark writes the sealed interval's reason into its journal record: the
+// Parked flag for an outage seal — so the stats table never renders a
+// parked interval as a cadence-held L1 one (they share the CAPTURED
+// state and the stage markers) — or the level for a cadence seal. The
+// record may still sit in the outage backlog: amend that copy so the
+// eventual Record carries the mark; otherwise amend the journal.
+// si.marked reports whether the mark landed.
+func (d *Drainer) mark(si *sealedInterval) {
+	dir, iv := si.cpt.GlobalDir, si.cpt.Interval
+	d.mu.Lock()
+	outage, level := si.reason == sealOutage, si.level
+	for i := range d.backlog[dir] {
+		if e := &d.backlog[dir][i]; e.Interval == iv {
+			if outage {
+				e.Parked = true
+			} else {
+				e.Level = level
+			}
+			si.marked = true
+			d.mu.Unlock()
+			return
+		}
+	}
+	d.mu.Unlock()
+	var err error
+	if outage {
+		_, err = d.Journal(dir).SetParked(iv, true)
+	} else {
+		_, err = d.Journal(dir).SetLevel(iv, level)
+	}
+	if err != nil && !faultsim.IsOutage(err) {
+		d.env.Ins.Emit("snapc.drain", "drain.journal-error", "marking interval %d: %v", iv, err)
+	}
+	d.mu.Lock()
+	si.marked = err == nil
+	d.mu.Unlock()
+}
+
+// pushStageReplicas copies each origin node's share of a sealed
+// interval to one other node (node→node FILEM, no stable storage
+// involved). Returns origin → holder for the copies that landed.
+func (d *Drainer) pushStageReplicas(cpt *Captured) map[string]string {
+	env := d.env
+	if env.Nodes == nil {
+		return nil
+	}
+	candidates := env.Nodes()
+	if len(candidates) < 2 {
+		return nil
+	}
+	origins := make([]string, 0, len(cpt.ByNode))
+	for node := range cpt.ByNode {
+		origins = append(origins, node)
+	}
+	sort.Strings(origins)
+	jobID := int(cpt.Job.JobID())
+	src := snapshot.LocalStageBase(jobID, cpt.Interval)
+	holders := make(map[string]string)
+	for idx, node := range origins {
+		holder := ""
+		for off := 1; off <= len(candidates); off++ {
+			if c := candidates[(idx+off)%len(candidates)]; c != node {
+				holder = c
+				break
+			}
+		}
+		if holder == "" {
+			continue
+		}
+		dst := snapshot.StageReplicaBase(jobID, cpt.Interval, node)
+		req := filem.Request{SrcNode: node, SrcPath: src, DstNode: holder, DstPath: dst}
+		if _, err := env.Filem.Move(env.FilemEnv, []filem.Request{req}); err != nil {
+			env.Ins.Emit("snapc.drain", "drain.stage-replica-failed",
+				"interval %d stage %s -> %s: %v", cpt.Interval, node, holder, err)
+			continue
+		}
+		holders[node] = holder
+		env.Ins.Counter("ompi_snapc_stage_replicas_total").Inc()
+	}
+	if len(holders) > 0 {
+		held := make([]string, 0, len(holders))
+		for _, h := range holders {
+			held = append(held, h)
+		}
+		sort.Strings(held)
+		env.note(IntervalNote{Event: "stage-replicas", Job: cpt.Job.JobID(), Interval: cpt.Interval, Nodes: held})
+		env.Ins.Emit("snapc.drain", "drain.stage-replicated",
+			"interval %d: %d sealed stages replicated node-to-node", cpt.Interval, len(holders))
+	}
+	return holders
+}
+
+// sweepStageReplicas removes an interval's stage replicas from their
+// holders; replicas maps each origin node to the node holding its copy
+// (an origin mapped to itself holds no replica and is skipped).
+func sweepStageReplicas(env *Env, jobID, interval int, replicas map[string]string) {
+	for origin, holder := range replicas {
+		if holder == origin {
+			continue
+		}
+		base := snapshot.StageReplicaBase(jobID, interval, origin)
+		if fsys, err := env.NodeFS(holder); err == nil && vfs.Exists(fsys, base) {
+			_ = env.Filem.Remove(env.FilemEnv, holder, []string{base})
+		}
+	}
 }
 
 // PromoteReplicas lifts the lineage's newest L1 hold to L2: each origin
@@ -100,14 +305,7 @@ func (d *Drainer) Seal(cpt *Captured, level int) error {
 // replica landed).
 func (d *Drainer) PromoteReplicas(globalDir string) (int, bool) {
 	d.mu.Lock()
-	var target *heldInterval
-	hs := d.held[globalDir]
-	for i := len(hs) - 1; i >= 0; i-- {
-		if hs[i].level < snapshot.LevelReplica {
-			target = hs[i]
-			break
-		}
-	}
+	target := d.newestCadenceLocked(globalDir, func(si *sealedInterval) bool { return si.level < snapshot.LevelReplica })
 	d.mu.Unlock()
 	if target == nil {
 		return 0, false
@@ -120,7 +318,7 @@ func (d *Drainer) PromoteReplicas(globalDir string) (int, bool) {
 	target.level = snapshot.LevelReplica
 	target.replicas = holders
 	d.mu.Unlock()
-	d.markLevel(globalDir, target.cpt.Interval, snapshot.LevelReplica)
+	d.mark(target)
 	d.env.Ins.Counter("ompi_ckpt_level2_promoted_total").Inc()
 	d.env.Ins.Emit("snapc.drain", "drain.promoted",
 		"interval %d promoted L1 -> L2 (%d stage replicas)", target.cpt.Interval, len(holders))
@@ -130,93 +328,61 @@ func (d *Drainer) PromoteReplicas(globalDir string) (int, bool) {
 // PromoteStable hands the lineage's newest hold to the drain queue for
 // a stable (L3) commit, on the same ticket contract as Enqueue. The
 // older holds are NOT queued — the commit supersedes them and
-// releaseHeldBelow discards them, preserving the per-lineage rule that
-// commits land in capture order (only the newest hold ever drains).
+// releaseBelow discards them, preserving the per-lineage rule that
+// commits land in capture order (only the newest hold ever drains). The
+// interval keeps its stage replicas through the queue: a successful
+// drain sweeps them, an outage parks it without pushing them again.
 // Returns (nil, false, nil) when the lineage holds nothing.
 func (d *Drainer) PromoteStable(globalDir string) (*Pending, bool, error) {
 	d.mu.Lock()
-	hs := d.held[globalDir]
-	if len(hs) == 0 {
+	target := d.newestCadenceLocked(globalDir, func(*sealedInterval) bool { return true })
+	if target == nil {
 		d.mu.Unlock()
 		return nil, false, nil
 	}
-	target := hs[len(hs)-1]
-	if d.held[globalDir] = hs[:len(hs)-1]; len(hs) == 1 {
-		delete(d.held, globalDir)
-	}
-	n := d.heldCountLocked()
+	d.removeSealedLocked(target)
 	d.mu.Unlock()
-	d.env.Ins.Gauge("ompi_snapc_drain_held").Set(float64(n))
-	p, err := d.enqueue(target.cpt)
+	p, err := d.enqueue(target)
 	if err != nil {
 		// Admission failed (closed or crashed): put the hold back — the
 		// interval is still journaled and sealed node-local.
 		d.mu.Lock()
-		d.held[globalDir] = append(d.held[globalDir], target)
+		d.insertSealedLocked(target)
 		d.mu.Unlock()
 		return nil, true, err
-	}
-	if len(target.replicas) > 0 {
-		// Once the stable commit lands, the node-to-node stage replicas
-		// are debris (a parked drain sweeps them in unpark; the held path
-		// sweeps them here).
-		d.heldWG.Add(1)
-		go func() {
-			defer d.heldWG.Done()
-			if _, werr := p.Wait(); werr == nil {
-				d.sweepStageReplicas(target.cpt, target.replicas)
-			}
-		}()
 	}
 	return p, true, nil
 }
 
-// releaseHeldBelow discards every hold of the lineage older than a
-// just-committed interval: the stable rung now has a strictly newer
-// verified copy, so the L1/L2 copies are superseded. The newest hold —
-// and anything captured after the committed interval — stays. This is
-// the level-aware retention rule: the newest L1/L2 hold is never
-// collected by a lower-numbered commit, only by one that absorbs it.
-func (d *Drainer) releaseHeldBelow(globalDir string, below int) {
+// releaseBelow is the one retention rule of the sealed set: a stable
+// commit of interval below supersedes every sealed interval of the
+// lineage older than it — cadence hold or outage park alike — because a
+// higher level now has a strictly newer verified copy. Each is
+// discarded: its journal entry (or its still-buffered CAPTURED record)
+// and its stages and stage replicas. The newest seal, and anything
+// captured after the commit, stays.
+func (d *Drainer) releaseBelow(globalDir string, below int) {
 	d.mu.Lock()
-	hs := d.held[globalDir]
-	keep := hs[:0]
-	var drop []*heldInterval
-	for _, h := range hs {
-		if h.cpt.Interval < below {
-			drop = append(drop, h)
-		} else {
-			keep = append(keep, h)
-		}
-	}
-	if len(keep) == 0 {
-		delete(d.held, globalDir)
-	} else {
-		d.held[globalDir] = keep
-	}
-	n := d.heldCountLocked()
+	ss := d.sealed[globalDir]
+	n := sort.Search(len(ss), func(k int) bool { return ss[k].cpt.Interval >= below })
+	drop := slices.Clone(ss[:n])
+	d.sealed[globalDir] = ss[n:]
+	d.publishSealedLocked()
 	d.mu.Unlock()
-	if len(drop) == 0 {
+	if n == 0 {
 		return
 	}
-	d.env.Ins.Gauge("ompi_snapc_drain_held").Set(float64(n))
 	ref := snapshot.GlobalRef{FS: d.env.Stable, Dir: globalDir}
 	j := d.Journal(globalDir)
 	cause := fmt.Sprintf("superseded by stable commit of interval %d", below)
-	for _, h := range drop {
-		iv := h.cpt.Interval
+	for _, si := range drop {
+		iv := si.cpt.Interval
 		// The CAPTURED record may still sit in the outage backlog — drop
 		// it there so the flush never resurrects a superseded interval.
 		d.mu.Lock()
 		bl := d.backlog[globalDir]
-		for i, e := range bl {
-			if e.Interval == iv {
-				d.backlog[globalDir] = append(bl[:i], bl[i+1:]...)
-				if len(d.backlog[globalDir]) == 0 {
-					delete(d.backlog, globalDir)
-				}
-				break
-			}
+		if i := slices.IndexFunc(bl, func(e snapshot.JournalEntry) bool { return e.Interval == iv }); i >= 0 {
+			d.setBacklogLocked(globalDir, slices.Delete(bl, i, i+1))
 		}
 		d.mu.Unlock()
 		if e, ok, err := j.Entry(iv); err == nil && ok && !e.State.Terminal() {
@@ -224,84 +390,42 @@ func (d *Drainer) releaseHeldBelow(globalDir string, below int) {
 		} else {
 			// Never journaled durably (backlogged through an outage):
 			// sweep the stages from the rebuilt entry alone.
-			sweepEntry(d.env, ref, journalEntry(h.cpt), nil)
+			sweepEntry(d.env, ref, journalEntry(si.cpt), nil)
 		}
-		d.env.note(IntervalNote{Event: "discarded", Job: h.cpt.Job.JobID(), Interval: iv})
+		d.env.note(IntervalNote{Event: "discarded", Job: si.cpt.Job.JobID(), Interval: iv})
 		d.env.Ins.Counter("ompi_ckpt_superseded_total").Inc()
-		d.env.Ins.Emit("snapc.drain", "drain.superseded", "held interval %d %s", iv, cause)
+		d.env.Ins.Emit("snapc.drain", "drain.superseded", "sealed interval %d %s", iv, cause)
 	}
 }
 
-// DropHeld abandons the in-memory holds of one lineage without touching
-// the journal or the stages, returning how many were dropped. The
-// recovery pass calls this before Recover so recovery owns the CAPTURED
-// entries — it re-drains or discards them from the on-disk state alone,
-// exactly as after a crash.
+// DropHeld abandons the in-memory sealed intervals of one lineage —
+// cadence holds and outage parks alike — without touching the journal
+// or the stages, returning how many were dropped. The recovery pass
+// calls this before Recover so recovery owns the CAPTURED entries — it
+// re-drains or discards them from the on-disk state alone, exactly as
+// after a crash.
 func (d *Drainer) DropHeld(globalDir string) int {
 	d.mu.Lock()
-	n := len(d.held[globalDir])
-	delete(d.held, globalDir)
-	total := d.heldCountLocked()
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	n := len(d.sealed[globalDir])
 	if n > 0 {
-		d.env.Ins.Gauge("ompi_snapc_drain_held").Set(float64(total))
+		delete(d.sealed, globalDir)
+		d.publishSealedLocked()
 	}
 	return n
 }
 
-// Held reports the lineage's held intervals and their levels.
+// Held reports the lineage's sealed intervals and their levels — the
+// cadence holds and the outage parks, every interval whose sealed stage
+// is still its only checkpoint.
 func (d *Drainer) Held(globalDir string) map[int]int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make(map[int]int, len(d.held[globalDir]))
-	for _, h := range d.held[globalDir] {
-		out[h.cpt.Interval] = h.level
+	out := make(map[int]int, len(d.sealed[globalDir]))
+	for _, si := range d.sealed[globalDir] {
+		out[si.cpt.Interval] = si.level
 	}
 	return out
-}
-
-// heldCountLocked sums the holds across all lineages (with d.mu held).
-func (d *Drainer) heldCountLocked() int {
-	n := 0
-	for _, hs := range d.held {
-		n += len(hs)
-	}
-	return n
-}
-
-// markLevel makes an interval's journal entry carry its checkpoint
-// level. Like markParked, the entry may still be in the outage backlog
-// — mutate it there so the eventual Record carries the level; otherwise
-// write through. Reports whether the level durably landed.
-func (d *Drainer) markLevel(globalDir string, interval, level int) bool {
-	d.mu.Lock()
-	for i := range d.backlog[globalDir] {
-		if d.backlog[globalDir][i].Interval == interval {
-			d.backlog[globalDir][i].Level = level
-			d.mu.Unlock()
-			return true
-		}
-	}
-	d.mu.Unlock()
-	if _, err := d.Journal(globalDir).SetLevel(interval, level); err != nil {
-		if !faultsim.IsOutage(err) {
-			d.env.Ins.Emit("snapc.drain", "drain.journal-error",
-				"marking interval %d level %d: %v", interval, level, err)
-		}
-		return false
-	}
-	return true
-}
-
-// sweepStageReplicas removes an interval's node-to-node stage replicas
-// once a stable commit made them debris.
-func (d *Drainer) sweepStageReplicas(cpt *Captured, replicas map[string]string) {
-	for origin, holder := range replicas {
-		base := StageReplicaBase(cpt.Job.JobID(), cpt.Interval, origin)
-		if fsys, err := d.env.NodeFS(holder); err == nil && vfs.Exists(fsys, base) {
-			_ = d.env.Filem.Remove(d.env.FilemEnv, holder, []string{base})
-		}
-	}
 }
 
 // NewestRestorableHold scans a lineage's undrained journal entries,

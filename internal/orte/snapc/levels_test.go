@@ -52,7 +52,7 @@ func TestSealHoldsWithoutDrain(t *testing.T) {
 		t.Fatalf("journal entry = state %s level %d label %q", e.State, e.Level, e.LevelLabel())
 	}
 	for _, nodeFS := range h.job.nodeFS {
-		if !vfs.Exists(nodeFS, LocalBaseDir(h.job.JobID(), 0)+"/"+snapshot.LocalCommittedFile) {
+		if !vfs.Exists(nodeFS, snapshot.LocalStageBase(int(h.job.JobID()), 0)+"/"+snapshot.LocalCommittedFile) {
 			t.Fatal("sealed stage missing after Seal")
 		}
 	}
@@ -101,7 +101,7 @@ func TestPromoteReplicasThenStableReleasesOlder(t *testing.T) {
 	foundReplica := false
 	for _, fsys := range h.job.nodeFS {
 		for _, origin := range h.job.Nodes() {
-			if vfs.Exists(fsys, StageReplicaBase(h.job.JobID(), 1, origin)) {
+			if vfs.Exists(fsys, snapshot.StageReplicaBase(int(h.job.JobID()), 1, origin)) {
 				foundReplica = true
 			}
 		}
@@ -138,7 +138,7 @@ func TestPromoteReplicasThenStableReleasesOlder(t *testing.T) {
 		t.Fatalf("superseded hold state = %s, want DISCARDED", e.State)
 	}
 	for _, nodeFS := range h.job.nodeFS {
-		if vfs.Exists(nodeFS, LocalBaseDir(h.job.JobID(), 0)) {
+		if vfs.Exists(nodeFS, snapshot.LocalStageBase(int(h.job.JobID()), 0)) {
 			t.Error("superseded hold's stage survived")
 		}
 	}
@@ -154,7 +154,7 @@ func TestPromoteReplicasThenStableReleasesOlder(t *testing.T) {
 		left := false
 		for _, fsys := range h.job.nodeFS {
 			for _, origin := range h.job.Nodes() {
-				if vfs.Exists(fsys, StageReplicaBase(h.job.JobID(), 1, origin)) {
+				if vfs.Exists(fsys, snapshot.StageReplicaBase(int(h.job.JobID()), 1, origin)) {
 					left = true
 				}
 			}

@@ -114,7 +114,7 @@ func RebuildJournal(env *Env, globalDir string, job JobView, alive func(string) 
 // it), so the entry matches what Enqueue would have journaled and
 // Recover's stagePlan re-resolves the replica.
 func rebuildEntry(env *Env, job JobView, interval int, survivors []string) (snapshot.JournalEntry, bool) {
-	base := LocalBaseDir(job.JobID(), interval)
+	base := snapshot.LocalStageBase(int(job.JobID()), interval)
 	e := snapshot.JournalEntry{
 		Interval: interval, State: snapshot.StateCaptured,
 		JobID: int(job.JobID()), NumProcs: job.NumProcs(),

@@ -301,20 +301,6 @@ func (*Full) Name() string { return "full" }
 // Priority implements mca.Component.
 func (*Full) Priority() int { return 20 }
 
-// LocalBaseDir is where a node keeps its local snapshots for one
-// checkpoint interval of one job. Exported for the restart fast path,
-// which probes surviving nodes for a still-valid local stage. The
-// convention itself lives in core/snapshot beside the other level
-// paths; this is the names.JobID-typed view.
-func LocalBaseDir(job names.JobID, interval int) string {
-	return snapshot.LocalStageBase(int(job), interval)
-}
-
-// localBaseDir is the package-internal alias.
-func localBaseDir(job names.JobID, interval int) string {
-	return LocalBaseDir(job, interval)
-}
-
 // Checkpoint implements Component: one full synchronous checkpoint —
 // Capture immediately followed by Drain.
 func (f *Full) Checkpoint(env *Env, job JobView, hnp *rml.Endpoint, daemons map[string]names.Name,
@@ -354,7 +340,7 @@ func (f *Full) Capture(env *Env, job JobView, hnp *rml.Endpoint, daemons map[str
 		n := job.NodeOf(v)
 		byNode[n] = append(byNode[n], v)
 	}
-	base := localBaseDir(job.JobID(), interval)
+	base := snapshot.LocalStageBase(int(job.JobID()), interval)
 	// Resolve every node's local coordinator before ordering any, so a
 	// missing daemon fails the request with no debris to sweep, then fan
 	// the orders out as one batch: at thousand-node scale the per-node
@@ -510,7 +496,7 @@ func abortInterval(env *Env, job JobView, byNode map[string][]int, globalDir str
 	if stage := ref.StageDir(interval); vfs.Exists(env.Stable, stage) {
 		_ = env.Stable.Remove(stage)
 	}
-	base := localBaseDir(job.JobID(), interval)
+	base := snapshot.LocalStageBase(int(job.JobID()), interval)
 	for node := range byNode {
 		if fsys, err := env.NodeFS(node); err == nil && vfs.Exists(fsys, base) {
 			_ = env.Filem.Remove(env.FilemEnv, node, []string{base})
@@ -754,7 +740,7 @@ func finishGlobal(env *Env, cpt *Captured) (Result, error) {
 	// warning — stale temporaries are garbage, not corruption, and must
 	// not fail an otherwise-good checkpoint.
 	if !opts.KeepLocal {
-		base := localBaseDir(job.JobID(), interval)
+		base := snapshot.LocalStageBase(int(job.JobID()), interval)
 		for node := range byNode {
 			if err := env.Filem.Remove(env.FilemEnv, node, []string{base}); err != nil {
 				log.Emit("snapc.global", "ckpt.cleanup-failed", "node %q: %v", node, err)

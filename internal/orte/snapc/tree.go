@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core/snapshot"
 	"repro/internal/orte/names"
 	"repro/internal/orte/rml"
 	"repro/internal/trace"
@@ -100,7 +101,7 @@ func (t *Tree) Capture(env *Env, job JobView, hnp *rml.Endpoint, daemons map[str
 	nodes := job.Nodes()
 	req := treeRequest{
 		Job: int(job.JobID()), Interval: interval,
-		BaseDir: localBaseDir(job.JobID(), interval), Terminate: opts.Terminate,
+		BaseDir: snapshot.LocalStageBase(int(job.JobID()), interval), Terminate: opts.Terminate,
 		Nodes: nodes, Vpids: byNode,
 		Daemons: make(map[string]treeDaemon, len(nodes)),
 	}
