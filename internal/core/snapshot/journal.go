@@ -22,8 +22,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"path"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -170,12 +173,31 @@ func (e JournalEntry) LevelLabel() string {
 }
 
 // Journal is the drain journal of one global snapshot lineage.
+//
+// A handle keeps a copy of the journal file it last read or wrote,
+// stamped with that file's size and modification time. While Stat
+// still reports the stamp, the copy is the journal and the file is
+// neither read nor parsed; any other stamp (another handle rewrote the
+// file, or it was replaced or damaged) makes the next operation read it
+// again. The copy also holds each entry's encoding, so a rewrite
+// re-encodes only the entry that changed.
 type Journal struct {
 	FS  vfs.FS
 	Dir string // the global snapshot lineage directory
 
 	mu          sync.Mutex
-	quarantined int // corrupt journal files moved aside by load()
+	quarantined int          // corrupt journal files moved aside by load()
+	cached      *journalCopy // nil: the next load reads the file
+}
+
+// journalCopy is the journal file as one handle last read or wrote it.
+// Its slices are never mutated in place and never handed to callers:
+// an edit builds new slices, and a rewrite that lands replaces the copy.
+type journalCopy struct {
+	size    int64
+	modTime time.Time
+	entries []JournalEntry // intervals ascending
+	enc     [][]byte       // enc[i] is entries[i]'s JSON; nil until first stored
 }
 
 // Quarantined reports how many corrupt journal files this handle has
@@ -201,24 +223,51 @@ type journalDoc struct {
 func (j *Journal) path() string    { return path.Join(j.Dir, JournalFile) }
 func (j *Journal) tmpPath() string { return path.Join(j.Dir, journalTmp) }
 
+// clone returns a deep copy of e, so that what a caller holds and what
+// the handle caches never share a slice or map.
+func (e JournalEntry) clone() JournalEntry {
+	e.AppArgs = slices.Clone(e.AppArgs)
+	e.MCAParams = maps.Clone(e.MCAParams)
+	e.Nodes = slices.Clone(e.Nodes)
+	e.Procs = slices.Clone(e.Procs)
+	return e
+}
+
 // Load returns every journal entry, intervals ascending. A missing
 // journal is an empty one.
 func (j *Journal) Load() ([]JournalEntry, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.load()
+	c, err := j.load()
+	if err != nil {
+		return nil, err
+	}
+	var out []JournalEntry
+	for _, e := range c.entries {
+		out = append(out, e.clone())
+	}
+	return out, nil
 }
 
-func (j *Journal) load() ([]JournalEntry, error) {
+// load returns the current journal: the handle's copy while the file
+// still carries its stamp, else the file read and parsed afresh. The
+// result is shared with the handle; callers must not modify it.
+func (j *Journal) load() (*journalCopy, error) {
 	// Only a journal that is not there is an empty one. Any other Stat
 	// failure (an unreachable store) is surfaced: reading it as empty
 	// would lose every entry the next rewrite does not carry.
-	if _, err := j.FS.Stat(j.path()); err != nil {
+	fi, err := j.FS.Stat(j.path())
+	if err != nil {
+		j.cached = nil
 		if errors.Is(err, vfs.ErrNotExist) {
-			return nil, nil
+			return &journalCopy{}, nil
 		}
 		return nil, fmt.Errorf("snapshot: stat drain journal: %w", err)
 	}
+	if c := j.cached; c != nil && c.size == fi.Size && c.modTime.Equal(fi.ModTime) {
+		return c, nil
+	}
+	j.cached = nil
 	data, err := j.FS.ReadFile(j.path())
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: read drain journal: %w", err)
@@ -235,7 +284,12 @@ func (j *Journal) load() ([]JournalEntry, error) {
 		return j.quarantine(fmt.Sprintf("version %d, want %d", doc.Version, FormatVersion))
 	}
 	sort.Slice(doc.Entries, func(a, b int) bool { return doc.Entries[a].Interval < doc.Entries[b].Interval })
-	return doc.Entries, nil
+	// Stamped with the Stat taken before the read: if another handle
+	// rewrote the file in between, the next Stat differs and the file
+	// is read again.
+	j.cached = &journalCopy{size: fi.Size, modTime: fi.ModTime,
+		entries: doc.Entries, enc: make([][]byte, len(doc.Entries))}
+	return j.cached, nil
 }
 
 // quarantine moves a corrupt journal aside (JournalCorruptFile, plus a
@@ -243,58 +297,84 @@ func (j *Journal) load() ([]JournalEntry, error) {
 // the store itself is failing — is surfaced instead: pretending the
 // journal is empty while the corrupt file stays in place would let a
 // later load read the damage again as if it were fresh.
-func (j *Journal) quarantine(cause string) ([]JournalEntry, error) {
+func (j *Journal) quarantine(cause string) (*journalCopy, error) {
 	dst := path.Join(j.Dir, JournalCorruptFile)
 	if err := j.FS.Rename(j.path(), dst); err != nil {
 		return nil, fmt.Errorf("snapshot: quarantine corrupt drain journal (%s): %w", cause, err)
 	}
 	_ = j.FS.WriteFile(dst+".cause", []byte(cause+"\n"))
 	j.quarantined++
-	return nil, nil
+	return &journalCopy{}, nil
 }
 
-// store rewrites the journal atomically: marshal, write a temp file in
-// the same directory, rename over the real name (rename(2) replaces
-// files atomically on both vfs backends).
-func (j *Journal) store(entries []JournalEntry) error {
+// store rewrites the journal atomically: write a temp file in the same
+// directory, rename over the real name (rename(2) replaces files
+// atomically on both vfs backends). entries and enc are parallel and
+// owned by store; a nil enc[i] is encoded here, the others are reused.
+// The output is byte for byte json.Marshal of the journalDoc (store is
+// never handed an empty journal). The handle's copy becomes entries
+// only once the rename has landed.
+func (j *Journal) store(entries []JournalEntry, enc [][]byte) error {
+	j.cached = nil
 	// Bound growth: drop the oldest terminal entries once over the cap.
-	if len(entries) > maxJournalEntries {
-		trimmed := make([]JournalEntry, 0, len(entries))
-		excess := len(entries) - maxJournalEntries
-		for _, e := range entries {
+	if excess := len(entries) - maxJournalEntries; excess > 0 {
+		keptE, keptB := entries[:0:0], enc[:0:0]
+		for i, e := range entries {
 			if excess > 0 && e.State.Terminal() {
 				excess--
 				continue
 			}
-			trimmed = append(trimmed, e)
+			keptE, keptB = append(keptE, e), append(keptB, enc[i])
 		}
-		entries = trimmed
+		entries, enc = keptE, keptB
 	}
 	// Compact encoding: the journal is rewritten on every lifecycle
 	// transition of every interval, so its byte size is a recurring
 	// store-bandwidth cost, not a one-off (pipe through jq to inspect).
-	data, err := json.Marshal(&journalDoc{Version: FormatVersion, Entries: entries})
-	if err != nil {
-		return fmt.Errorf("snapshot: marshal drain journal: %w", err)
+	size := 0
+	for i := range entries {
+		if enc[i] == nil {
+			b, err := json.Marshal(&entries[i])
+			if err != nil {
+				return fmt.Errorf("snapshot: marshal drain journal: %w", err)
+			}
+			enc[i] = b
+		}
+		size += len(enc[i]) + 1
 	}
+	data := []byte(`{"version":` + strconv.Itoa(FormatVersion) + `,"entries":[`)
+	data = slices.Grow(data, size+2)
+	for i, b := range enc {
+		if i > 0 {
+			data = append(data, ',')
+		}
+		data = append(data, b...)
+	}
+	data = append(data, "]}"...)
 	if err := j.FS.WriteFile(j.tmpPath(), data); err != nil {
 		return fmt.Errorf("snapshot: stage drain journal: %w", err)
 	}
 	if err := j.FS.Rename(j.tmpPath(), j.path()); err != nil {
 		return fmt.Errorf("snapshot: commit drain journal: %w", err)
 	}
+	// The rewrite has landed; without a stamp the next load reads it back.
+	if fi, err := j.FS.Stat(j.path()); err == nil {
+		j.cached = &journalCopy{size: fi.Size, modTime: fi.ModTime, entries: entries, enc: enc}
+	}
 	return nil
 }
 
 // Entry returns the journal entry for one interval.
 func (j *Journal) Entry(interval int) (JournalEntry, bool, error) {
-	entries, err := j.Load()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	c, err := j.load()
 	if err != nil {
 		return JournalEntry{}, false, err
 	}
-	for _, e := range entries {
+	for _, e := range c.entries {
 		if e.Interval == interval {
-			return e, true, nil
+			return e.clone(), true, nil
 		}
 	}
 	return JournalEntry{}, false, nil
@@ -308,22 +388,23 @@ func (j *Journal) Record(e JournalEntry) error {
 	if e.State != StateCaptured {
 		return fmt.Errorf("snapshot: new journal entries start CAPTURED, got %s", e.State)
 	}
-	entries, err := j.load()
+	c, err := j.load()
 	if err != nil {
 		return err
 	}
-	for _, old := range entries {
+	for _, old := range c.entries {
 		if old.Interval >= e.Interval {
 			return fmt.Errorf("snapshot: drain journal interval %d not beyond recorded interval %d (journal progress is monotone)",
 				e.Interval, old.Interval)
 		}
 	}
+	e = e.clone()
 	now := time.Now()
 	if e.CapturedAt.IsZero() {
 		e.CapturedAt = now
 	}
 	e.UpdatedAt = now
-	return j.store(append(entries, e))
+	return j.store(append(slices.Clip(c.entries), e), append(slices.Clip(c.enc), nil))
 }
 
 // Transition moves one interval to a new state, validating the edge.
@@ -331,59 +412,50 @@ func (j *Journal) Record(e JournalEntry) error {
 // entry is an error except to COMMITTED-from-nothing, which is also an
 // error: every interval must be Recorded first.
 func (j *Journal) Transition(interval int, to IntervalState, cause string) (JournalEntry, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	entries, err := j.load()
-	if err != nil {
-		return JournalEntry{}, err
-	}
-	for i, e := range entries {
-		if e.Interval != interval {
-			continue
-		}
+	return j.amend(interval, func(e *JournalEntry) error {
 		if !ValidTransition(e.State, to) {
-			return JournalEntry{}, fmt.Errorf("snapshot: drain journal interval %d: illegal transition %s -> %s",
+			return fmt.Errorf("snapshot: drain journal interval %d: illegal transition %s -> %s",
 				interval, e.State, to)
 		}
-		entries[i].State = to
-		entries[i].UpdatedAt = time.Now()
+		e.State = to
 		if to == StateDiscarded {
-			entries[i].Cause = cause
+			e.Cause = cause
 		}
 		if to.Terminal() {
 			// Whatever rung held it, the lifecycle is over: a committed
 			// interval is stable (L3), a discarded one is gone.
-			entries[i].Parked = false
+			e.Parked = false
 		}
-		if err := j.store(entries); err != nil {
-			return JournalEntry{}, err
-		}
-		return entries[i], nil
-	}
-	return JournalEntry{}, fmt.Errorf("snapshot: drain journal has no entry for interval %d", interval)
+		return nil
+	})
 }
 
-// amend rewrites one interval's entry in place via fn — the journal's
-// metadata edit path for fields orthogonal to the lifecycle state
-// machine (level, parked flag). Missing intervals are an error: amend
+// amend rewrites one interval's entry via fn — the one edit path for
+// the lifecycle state machine and for the fields orthogonal to it
+// (level, parked flag). fn edits a shallow copy of the entry, so it
+// may set scalar fields only. Missing intervals are an error: amend
 // never creates entries.
-func (j *Journal) amend(interval int, fn func(*JournalEntry)) (JournalEntry, error) {
+func (j *Journal) amend(interval int, fn func(*JournalEntry) error) (JournalEntry, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	entries, err := j.load()
+	c, err := j.load()
 	if err != nil {
 		return JournalEntry{}, err
 	}
-	for i := range entries {
-		if entries[i].Interval != interval {
+	for i, e := range c.entries {
+		if e.Interval != interval {
 			continue
 		}
-		fn(&entries[i])
-		entries[i].UpdatedAt = time.Now()
-		if err := j.store(entries); err != nil {
+		if err := fn(&e); err != nil {
 			return JournalEntry{}, err
 		}
-		return entries[i], nil
+		e.UpdatedAt = time.Now()
+		entries, enc := slices.Clone(c.entries), slices.Clone(c.enc)
+		entries[i], enc[i] = e, nil
+		if err := j.store(entries, enc); err != nil {
+			return JournalEntry{}, err
+		}
+		return e.clone(), nil
 	}
 	return JournalEntry{}, fmt.Errorf("snapshot: drain journal has no entry for interval %d", interval)
 }
@@ -391,26 +463,28 @@ func (j *Journal) amend(interval int, fn func(*JournalEntry)) (JournalEntry, err
 // SetLevel records an interval's held checkpoint level (1 or 2) — the
 // durable record of an L1→L2 promotion. Lifecycle state is untouched.
 func (j *Journal) SetLevel(interval, level int) (JournalEntry, error) {
-	return j.amend(interval, func(e *JournalEntry) { e.Level = level })
+	return j.amend(interval, func(e *JournalEntry) error { e.Level = level; return nil })
 }
 
 // SetParked flags (or unflags) an interval as degraded-mode backlog so
 // stats can tell parked intervals from cadence-held L1/L2 ones.
 func (j *Journal) SetParked(interval int, parked bool) (JournalEntry, error) {
-	return j.amend(interval, func(e *JournalEntry) { e.Parked = parked })
+	return j.amend(interval, func(e *JournalEntry) error { e.Parked = parked; return nil })
 }
 
 // Undrained returns the entries still mid-lifecycle (CAPTURED or
 // DRAINING), intervals ascending — what a recovery pass must resolve.
 func (j *Journal) Undrained() ([]JournalEntry, error) {
-	entries, err := j.Load()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	c, err := j.load()
 	if err != nil {
 		return nil, err
 	}
 	var out []JournalEntry
-	for _, e := range entries {
+	for _, e := range c.entries {
 		if !e.State.Terminal() {
-			out = append(out, e)
+			out = append(out, e.clone())
 		}
 	}
 	return out, nil
@@ -436,12 +510,14 @@ func (j *Journal) DiscardUndrained(cause string) (int, error) {
 // HighestCommitted returns the newest interval the journal records as
 // fully drained, and whether any exists.
 func (j *Journal) HighestCommitted() (int, bool, error) {
-	entries, err := j.Load()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	c, err := j.load()
 	if err != nil {
 		return 0, false, err
 	}
 	best, ok := 0, false
-	for _, e := range entries {
+	for _, e := range c.entries {
 		if e.State == StateCommitted && (!ok || e.Interval > best) {
 			best, ok = e.Interval, true
 		}

@@ -1,8 +1,15 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/faultsim"
 	"repro/internal/vfs"
 )
 
@@ -494,5 +501,426 @@ func TestJournalTruncationAtEveryByte(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// wideEntry is a CAPTURED entry of the shape a 32-rank job records:
+// every field set, including the slices and map a caller could mutate
+// and text that JSON escapes.
+func wideEntry(interval, procs int) JournalEntry {
+	e := JournalEntry{
+		Interval: interval, State: StateCaptured,
+		JobID: 1, NumProcs: procs, AppName: "stencil",
+		AppArgs:   []string{"-steps", "0", "-note", "<a&b>"},
+		MCAParams: map[string]string{"snapc": "tree", "filter": "<x>&y"},
+		LocalBase: fmt.Sprintf("tmp/ckpt/job1/%d", interval),
+		Terminate: interval%5 == 0, StagedBytes: int64(512 * procs),
+	}
+	for v := 0; v < procs; v++ {
+		node := fmt.Sprintf("node%d", v%8)
+		if v < 8 {
+			e.Nodes = append(e.Nodes, node)
+		}
+		e.Procs = append(e.Procs, JournalProc{Vpid: v, Node: node, Component: "self",
+			Dir: fmt.Sprintf("%s/%d", e.LocalBase, v), QuiesceNS: int64(1000 + v), CaptureNS: int64(2000 + v)})
+	}
+	return e
+}
+
+// readCounter counts ReadFile calls: each one is a journal the handle
+// read and parsed instead of serving from its copy.
+type readCounter struct {
+	vfs.FS
+	reads int
+}
+
+func (r *readCounter) ReadFile(name string) ([]byte, error) {
+	r.reads++
+	return r.FS.ReadFile(name)
+}
+
+// While the file keeps the stamp of the handle's own last rewrite, every
+// operation is served from the handle's copy: the journal is neither
+// read back nor parsed.
+func TestJournalCopyServesUnchangedFile(t *testing.T) {
+	rc := &readCounter{FS: vfs.NewMem()}
+	j := OpenJournal(GlobalRef{FS: rc, Dir: "lineage"})
+	for iv := 1; iv <= 3; iv++ {
+		if err := j.Record(wideEntry(iv, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Transition(iv, StateDraining, ""); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.SetLevel(iv, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := j.Transition(1, StateCommitted, ""); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := j.Load(); err != nil || len(entries) != 3 {
+		t.Fatalf("Load: %d entries, err %v", len(entries), err)
+	}
+	if _, ok, err := j.Entry(2); err != nil || !ok {
+		t.Fatalf("Entry(2): %v %v", ok, err)
+	}
+	if und, err := j.Undrained(); err != nil || len(und) != 2 {
+		t.Fatalf("Undrained: %d, err %v", len(und), err)
+	}
+	if hc, ok, err := j.HighestCommitted(); err != nil || !ok || hc != 1 {
+		t.Fatalf("HighestCommitted = %d %v %v", hc, ok, err)
+	}
+	if rc.reads != 0 {
+		t.Fatalf("journal read back %d times; the handle's copy should serve every operation", rc.reads)
+	}
+}
+
+// Another handle on the same lineage (snapc.Recover, RebuildJournal,
+// runtime recovery, the cmd tools) may rewrite the journal between two
+// operations of this one. The changed stamp makes this handle read the
+// file again, so none of the other handle's updates is lost.
+func TestJournalSeesOtherHandlesWrites(t *testing.T) {
+	ref := GlobalRef{FS: vfs.NewMem(), Dir: "lineage"}
+	a, b := OpenJournal(ref), OpenJournal(ref)
+	steps := []func() error{
+		func() error { return a.Record(captured(1)) },
+		func() error { _, err := a.Transition(1, StateDraining, ""); return err },
+		func() error { _, err := b.Transition(1, StateCommitted, ""); return err },
+		func() error { return b.Record(captured(2)) },
+		// A stale copy in a would accept interval 3 without interval 2
+		// and write interval 1 back as DRAINING.
+		func() error { return a.Record(captured(3)) },
+		func() error { _, err := b.SetLevel(3, 2); return err },
+		// A stale copy in a would not know interval 2 at all.
+		func() error { _, err := a.Transition(2, StateDiscarded, "superseded"); return err },
+		func() error { _, err := b.SetParked(3, true); return err },
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	want := map[int]string{1: "COMMITTED/L3", 2: "DISCARDED/-", 3: "CAPTURED/parked"}
+	for name, j := range map[string]*Journal{"a": a, "b": b, "fresh": OpenJournal(ref)} {
+		entries, err := j.Load()
+		if err != nil {
+			t.Fatalf("%s: Load: %v", name, err)
+		}
+		got := map[int]string{}
+		for _, e := range entries {
+			got[e.Interval] = string(e.State) + "/" + e.LevelLabel()
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s sees %v, want %v", name, got, want)
+		}
+	}
+	if e, _, _ := a.Entry(3); e.Level != 2 {
+		t.Errorf("interval 3 level = %d, want 2 (set through the other handle)", e.Level)
+	}
+}
+
+// A rewrite that fails partway leaves the handle without a copy: the
+// next operation reads the file, which still holds the state before the
+// failed edit, and never a copy the failed edit changed. A rewrite that
+// lands but cannot be stamped is read back the same way.
+func TestJournalStoreFailureDropsCopy(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		after  int // store operations of the Transition let through
+		landed bool
+	}{
+		{"temp write", 1, false},
+		{"rename", 2, false},
+		{"stamp", 3, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			inj := faultsim.New(1)
+			rc := &readCounter{FS: faultsim.WrapFS(vfs.NewMem(), inj, "stable")}
+			j := OpenJournal(GlobalRef{FS: rc, Dir: "lineage"})
+			if err := j.Record(captured(1)); err != nil {
+				t.Fatal(err)
+			}
+			// Transition takes Stat, temp write, rename, Stat: fail one.
+			inj.AddRule(faultsim.Rule{Point: "fs.outage:stable", After: c.after, Times: 1})
+			_, err := j.Transition(1, StateDraining, "")
+			if c.landed != (err == nil) {
+				t.Fatalf("Transition under outage: err %v, want landed=%v", err, c.landed)
+			}
+			if err != nil && !faultsim.IsOutage(err) {
+				t.Fatalf("Transition error %v is not an outage", err)
+			}
+			before := rc.reads
+			e, ok, err := j.Entry(1)
+			if err != nil || !ok {
+				t.Fatalf("Entry after outage: %v %v", ok, err)
+			}
+			if rc.reads != before+1 {
+				t.Fatalf("Entry after outage read the file %d times, want 1", rc.reads-before)
+			}
+			want := StateCaptured
+			if c.landed {
+				want = StateDraining
+			}
+			if e.State != want {
+				t.Fatalf("interval 1 is %s after the outage, want %s as on disk", e.State, want)
+			}
+			if _, err := j.Transition(1, StateDraining, ""); err != nil {
+				t.Fatalf("Transition after the outage: %v", err)
+			}
+		})
+	}
+}
+
+// What the journal hands out, and what it is handed, never aliases the
+// handle's copy: a caller mutating the slices or the map of an entry
+// does not change the next Load.
+func TestJournalReturnedEntriesDoNotAliasCopy(t *testing.T) {
+	j := testJournal(t)
+	mutate := func(e JournalEntry) {
+		e.Procs[0].Node = "mutated"
+		e.Nodes[0] = "mutated"
+		e.AppArgs[0] = "mutated"
+		e.MCAParams["snapc"] = "mutated"
+		e.MCAParams["added"] = "mutated"
+	}
+	in := wideEntry(1, 4)
+	if err := j.Record(in); err != nil {
+		t.Fatal(err)
+	}
+	mutate(in)
+	loaded, err := j.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(loaded[0])
+	e, _, err := j.Entry(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(e)
+	und, err := j.Undrained()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(und[0])
+	tr, err := j.Transition(1, StateDraining, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(tr)
+	lv, err := j.SetLevel(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(lv)
+
+	got, err := j.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wideEntry(1, 4)
+	g := got[0]
+	if !reflect.DeepEqual(g.Procs, want.Procs) || !reflect.DeepEqual(g.Nodes, want.Nodes) ||
+		!reflect.DeepEqual(g.AppArgs, want.AppArgs) || !reflect.DeepEqual(g.MCAParams, want.MCAParams) {
+		t.Fatalf("a caller's mutation reached the journal:\n got %+v\nwant %+v", g, want)
+	}
+}
+
+// The rewrite reuses the encodings of unchanged entries, yet its output
+// is byte for byte json.Marshal of the whole document — including after
+// the cap trims old entries and when a handle starts from a file it
+// parsed rather than wrote.
+func TestJournalStoreMatchesMarshal(t *testing.T) {
+	fs := vfs.NewMem()
+	ref := GlobalRef{FS: fs, Dir: "lineage"}
+	check := func(j *Journal) {
+		t.Helper()
+		data, err := fs.ReadFile("lineage/" + JournalFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := j.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(&journalDoc{Version: FormatVersion, Entries: entries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Fatalf("journal file differs from json.Marshal of its entries:\n got %s\nwant %s", data, want)
+		}
+		var gotDoc, wantDoc journalDoc
+		if err := json.Unmarshal(data, &gotDoc); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(want, &wantDoc); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotDoc, wantDoc) {
+			t.Fatal("journal file decodes differently from json.Marshal of its entries")
+		}
+	}
+	j := OpenJournal(ref)
+	for iv := 1; iv <= maxJournalEntries+4; iv++ {
+		if err := j.Record(wideEntry(iv, 3)); err != nil {
+			t.Fatal(err)
+		}
+		check(j)
+		if _, err := j.Transition(iv, StateDraining, ""); err != nil {
+			t.Fatal(err)
+		}
+		to, cause := StateCommitted, ""
+		if iv%3 == 0 {
+			to, cause = StateDiscarded, "drain failed: <store> & co"
+		}
+		if _, err := j.Transition(iv, to, cause); err != nil {
+			t.Fatal(err)
+		}
+		check(j)
+	}
+	fresh := OpenJournal(ref)
+	if err := fresh.Record(wideEntry(100, 3)); err != nil {
+		t.Fatal(err)
+	}
+	check(fresh)
+	if _, err := fresh.SetParked(100, true); err != nil {
+		t.Fatal(err)
+	}
+	check(fresh)
+}
+
+// One handle is shared by the drain worker, the capture path and the
+// stats readers; its copy is reached from all of them at once.
+func TestJournalConcurrentHandleUse(t *testing.T) {
+	j := testJournal(t)
+	const intervals = 40
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for iv := 1; iv <= intervals; iv++ {
+			if err := j.Record(wideEntry(iv, 4)); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := j.Transition(iv, StateDraining, ""); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := j.Transition(iv, StateCommitted, ""); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < intervals; i++ {
+				entries, err := j.Load()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, e := range entries {
+					e.Procs[0].Node = "reader"
+				}
+				if _, err := j.Undrained(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	hc, ok, err := j.HighestCommitted()
+	if err != nil || !ok || hc != intervals {
+		t.Fatalf("HighestCommitted = %d %v %v, want %d", hc, ok, err, intervals)
+	}
+	if e, _, _ := j.Entry(intervals); e.Procs[0].Node != "node0" {
+		t.Fatalf("a reader's mutation reached the journal: node %q", e.Procs[0].Node)
+	}
+}
+
+// FuzzJournalLoad feeds arbitrary bytes to a handle as the journal file.
+// Load either parses it or quarantines it, and never fails on a healthy
+// store; the next Record lands; and what the handle then holds agrees
+// with a fresh read of the file it wrote.
+func FuzzJournalLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs := vfs.NewMem()
+		ref := GlobalRef{FS: fs, Dir: "lineage"}
+		if err := fs.WriteFile("lineage/"+JournalFile, data); err != nil {
+			t.Fatal(err)
+		}
+		j := OpenJournal(ref)
+		entries, err := j.Load()
+		if err != nil {
+			t.Fatalf("Load on a healthy store: %v", err)
+		}
+		switch j.Quarantined() {
+		case 0:
+		case 1:
+			if len(entries) != 0 || !vfs.Exists(fs, "lineage/"+JournalCorruptFile) || vfs.Exists(fs, "lineage/"+JournalFile) {
+				t.Fatalf("quarantine left %d entries, corrupt file %v, journal %v", len(entries),
+					vfs.Exists(fs, "lineage/"+JournalCorruptFile), vfs.Exists(fs, "lineage/"+JournalFile))
+			}
+		default:
+			t.Fatalf("Quarantined() = %d after one Load", j.Quarantined())
+		}
+		next := 0
+		for _, e := range entries {
+			if e.Interval == math.MaxInt {
+				return // no interval can follow
+			}
+			next = max(next, e.Interval+1)
+		}
+		if err := j.Record(captured(next)); err != nil {
+			t.Fatalf("Record(%d) after Load: %v", next, err)
+		}
+		held, err := j.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		read, err := OpenJournal(ref).Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hb, _ := json.Marshal(held)
+		rb, _ := json.Marshal(read)
+		if !bytes.Equal(hb, rb) {
+			t.Fatalf("handle holds\n%s\nbut the file reads\n%s", hb, rb)
+		}
+	})
+}
+
+// BenchmarkJournalLifecycle times one interval's journal edges —
+// Record, DRAINING, COMMITTED — on a full journal of 32-rank entries,
+// the drain worker's bookkeeping per checkpoint.
+func BenchmarkJournalLifecycle(b *testing.B) {
+	j := OpenJournal(GlobalRef{FS: vfs.NewMem(), Dir: "lineage"})
+	iv := 0
+	edges := func() {
+		iv++
+		if err := j.Record(wideEntry(iv, 32)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := j.Transition(iv, StateDraining, ""); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := j.Transition(iv, StateCommitted, ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < maxJournalEntries; i++ {
+		edges()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edges()
 	}
 }

@@ -1,7 +1,9 @@
 package crcp
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -41,12 +43,31 @@ func (*BkmrkComponent) Wrap(eng *pml.Engine, params *mca.Params, ins *trace.Inst
 
 var _ Component = (*BkmrkComponent)(nil)
 
-// marker is the bookmark control message: "I have sent you Count
-// application messages before this point". Because the BTL delivers
-// per-pair FIFO, the marker doubles as the in-band cut marker: fragments
-// from a peer after its marker are past the cut.
-type marker struct {
-	Count uint64 `json:"count"`
+// The bookmark marker is the control message "I have sent you count
+// application messages before this point", encoded as one unsigned
+// varint. Because the BTL delivers per-pair FIFO, the marker doubles as
+// the in-band cut marker: fragments from a peer after its marker are
+// past the cut. Markers live only on the wire, never in an image.
+
+// encodeMarker returns the marker payload announcing count.
+func encodeMarker(count uint64) []byte {
+	return binary.AppendUvarint(nil, count)
+}
+
+// decodeMarker returns the count a marker payload announces. It accepts
+// exactly encodeMarker's output: one varint in its shortest form and
+// nothing after it.
+func decodeMarker(b []byte) (uint64, error) {
+	count, n := binary.Uvarint(b)
+	switch {
+	case n <= 0:
+		return 0, errors.New("truncated or overflowing varint")
+	case n != len(b):
+		return 0, fmt.Errorf("%d trailing bytes", len(b)-n)
+	case n != len(encodeMarker(count)):
+		return 0, errors.New("non-canonical varint")
+	}
+	return count, nil
 }
 
 // bkmrkState is the serializable protocol state.
@@ -67,6 +88,9 @@ type bkmrkProto struct {
 
 	quiescing  bool
 	markerFrom map[int]uint64 // peer -> announced count (presence = marker seen)
+
+	src     string // trace source name, built for srcRank
+	srcRank int
 }
 
 // MessageSent implements pml.Hooks: count at channel entry (eager or RTS).
@@ -81,8 +105,8 @@ func (p *bkmrkProto) MessageArrived(src, tag, size int) {
 
 // CtrlFrag implements pml.Hooks: record a peer's bookmark marker.
 func (p *bkmrkProto) CtrlFrag(fr btl.Frag) error {
-	var m marker
-	if err := json.Unmarshal(fr.Payload, &m); err != nil {
+	count, err := decodeMarker(fr.Payload)
+	if err != nil {
 		return fmt.Errorf("crcp bkmrk: bad marker from rank %d: %w", fr.Src, err)
 	}
 	if p.markerFrom == nil {
@@ -91,8 +115,8 @@ func (p *bkmrkProto) CtrlFrag(fr btl.Frag) error {
 	if _, dup := p.markerFrom[fr.Src]; dup {
 		return fmt.Errorf("crcp bkmrk: duplicate marker from rank %d", fr.Src)
 	}
-	p.markerFrom[fr.Src] = m.Count
-	p.ins.Emit(p.source(), "crcp.marker", "from %d count %d", fr.Src, m.Count)
+	p.markerFrom[fr.Src] = count
+	p.ins.Emit(p.source(), "crcp.marker", "from %d count %d", fr.Src, count)
 	return nil
 }
 
@@ -104,8 +128,13 @@ func (p *bkmrkProto) HoldFrag(fr btl.Frag) bool {
 	return seen
 }
 
+// source names this rank in trace events. It is built once per rank
+// (a restored image may carry a different rank than the engine had).
 func (p *bkmrkProto) source() string {
-	return fmt.Sprintf("crcp.bkmrk[%d]", p.eng.Rank())
+	if r := p.eng.Rank(); p.src == "" || r != p.srcRank {
+		p.src, p.srcRank = fmt.Sprintf("crcp.bkmrk[%d]", r), r
+	}
+	return p.src
 }
 
 // FTEvent implements Protocol.
@@ -188,11 +217,7 @@ func (p *bkmrkProto) drainToCut() error {
 		if peer == self {
 			continue
 		}
-		data, err := json.Marshal(marker{Count: p.sent[peer]})
-		if err != nil {
-			return fmt.Errorf("crcp bkmrk: marshal marker: %w", err)
-		}
-		if err := p.eng.SendCtrl(peer, data); err != nil {
+		if err := p.eng.SendCtrl(peer, encodeMarker(p.sent[peer])); err != nil {
 			return fmt.Errorf("crcp bkmrk: send marker to %d: %w", peer, err)
 		}
 	}

@@ -2,7 +2,6 @@ package crcp
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -19,7 +18,7 @@ import (
 
 // mkWorld builds n engines wrapped by fresh protocol instances from the
 // named component.
-func mkWorld(t *testing.T, n int, component string, params *mca.Params) ([]*pml.Engine, []Protocol) {
+func mkWorld(t testing.TB, n int, component string, params *mca.Params) ([]*pml.Engine, []Protocol) {
 	t.Helper()
 	f := NewFramework()
 	comp, err := f.Lookup(component)
@@ -42,7 +41,7 @@ func mkWorld(t *testing.T, n int, component string, params *mca.Params) ([]*pml.
 }
 
 // parallel runs fn per rank concurrently and fails on any error.
-func parallel(t *testing.T, n int, fn func(rank int) error) {
+func parallel(t testing.TB, n int, fn func(rank int) error) {
 	t.Helper()
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -365,10 +364,20 @@ func TestSaveRestoreCounters(t *testing.T) {
 func TestCtrlFragErrors(t *testing.T) {
 	engines, protos := mkWorld(t, 2, "bkmrk", nil)
 	p := protos[1].(*bkmrkProto)
-	if err := p.CtrlFrag(btl.Frag{Src: 0, Payload: []byte("{nope")}); err == nil {
-		t.Error("CtrlFrag accepted malformed marker")
+	for _, bad := range [][]byte{
+		[]byte("{nope"),                 // malformed
+		nil,                             // empty
+		{0x80},                          // truncated varint
+		{0x81, 0x80},                    // truncated varint, two bytes
+		append(encodeMarker(1), 0x00),   // trailing byte
+		append(encodeMarker(300), 0x01), // trailing byte after a two-byte varint
+		{0x81, 0x00},                    // non-canonical encoding of 1
+	} {
+		if err := p.CtrlFrag(btl.Frag{Src: 0, Payload: bad}); err == nil {
+			t.Errorf("CtrlFrag accepted malformed marker %x", bad)
+		}
 	}
-	good, _ := json.Marshal(marker{Count: 1})
+	good := encodeMarker(1)
 	if err := p.CtrlFrag(btl.Frag{Src: 0, Payload: good}); err != nil {
 		t.Fatalf("CtrlFrag: %v", err)
 	}
@@ -564,5 +573,32 @@ func TestQuickQuiesceConsistency(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// FuzzBkmrkMarker checks the marker codec: decoding accepts exactly the
+// payloads encodeMarker produces, and every count survives the trip.
+func FuzzBkmrkMarker(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte, count uint64) {
+		if got, err := decodeMarker(encodeMarker(count)); err != nil || got != count {
+			t.Fatalf("marker for %d decodes to %d, err %v", count, got, err)
+		}
+		if got, err := decodeMarker(payload); err == nil && !bytes.Equal(encodeMarker(got), payload) {
+			t.Fatalf("decodeMarker accepted %x as %d, which encodes as %x", payload, got, encodeMarker(got))
+		}
+	})
+}
+
+// BenchmarkBkmrkQuiesce times one bookmark exchange across 32 in-process
+// ranks: every rank quiesces concurrently (31 markers out, 31 in), then
+// every rank releases.
+func BenchmarkBkmrkQuiesce(b *testing.B) {
+	const np = 32
+	_, protos := mkWorld(b, np, "bkmrk", nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		parallel(b, np, func(rank int) error { return protos[rank].FTEvent(inc.StateCheckpoint) })
+		parallel(b, np, func(rank int) error { return protos[rank].FTEvent(inc.StateContinue) })
 	}
 }

@@ -336,10 +336,13 @@ func containsStr(xs []string, x string) bool {
 // write-through with a single nil check at construction
 // (`hnp_ledger=off`).
 type Ledger struct {
-	mu        sync.Mutex
-	fs        vfs.FS
-	dir       string
-	recs      []Record
+	mu  sync.Mutex
+	fs  vfs.FS
+	dir string
+	// lines is the log: each record's JSON encoding, made once when the
+	// record is appended (or replayed at Open) and reused by every
+	// rewrite of the file.
+	lines     [][]byte
 	state     *State
 	nextSeq   int
 	compactAt int
@@ -387,7 +390,9 @@ func Open(fsys vfs.FS, dir string, opt Options) (*Ledger, *State, error) {
 			return nil, nil, err
 		}
 	}
-	l.recs = recs
+	if l.lines, err = encodeAll(recs); err != nil {
+		return nil, nil, err
+	}
 	l.durable = len(recs)
 	l.droppedOnLoad = dropped
 	if dropped > 0 {
@@ -472,7 +477,11 @@ func load(fsys vfs.FS, dir string) ([]Record, int, error) {
 			return nil, 0, fmt.Errorf("ledger: quarantine %s: %w", name, err)
 		}
 		if len(recs) > 0 {
-			if err := writeAll(fsys, dir, recs); err != nil {
+			lines, err := encodeAll(recs)
+			if err == nil {
+				err = writeAll(fsys, dir, lines)
+			}
+			if err != nil {
 				return nil, 0, fmt.Errorf("ledger: rewrite intact prefix: %w", err)
 			}
 		}
@@ -481,24 +490,37 @@ func load(fsys vfs.FS, dir string) ([]Record, int, error) {
 	return recs, 0, nil
 }
 
-// writeAll rewrites the whole log atomically: marshal every record,
-// write a temp file, rename into place.
-func writeAll(fsys vfs.FS, dir string, recs []Record) error {
-	var b strings.Builder
-	for _, r := range recs {
+// encodeAll returns each record's log line, without the newline.
+func encodeAll(recs []Record) ([][]byte, error) {
+	lines := make([][]byte, len(recs))
+	for i, r := range recs {
 		line, err := json.Marshal(r)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("ledger: marshal record %d: %w", r.Seq, err)
 		}
-		b.Write(line)
-		b.WriteByte('\n')
+		lines[i] = line
+	}
+	return lines, nil
+}
+
+// writeAll rewrites the whole log atomically: join the encoded records
+// one per line, write a temp file, rename into place.
+func writeAll(fsys vfs.FS, dir string, lines [][]byte) error {
+	size := 0
+	for _, line := range lines {
+		size += len(line) + 1
+	}
+	data := make([]byte, 0, size)
+	for _, line := range lines {
+		data = append(data, line...)
+		data = append(data, '\n')
 	}
 	if err := fsys.MkdirAll(dir); err != nil {
 		return err
 	}
 	name := path.Join(dir, File)
 	tmp := name + ".tmp"
-	if err := fsys.WriteFile(tmp, []byte(b.String())); err != nil {
+	if err := fsys.WriteFile(tmp, data); err != nil {
 		return err
 	}
 	return fsys.Rename(tmp, name)
@@ -525,11 +547,15 @@ func (l *Ledger) Append(typ string, job int, payload any) error {
 	defer l.mu.Unlock()
 	r := Record{Seq: l.nextSeq, Type: typ, Job: job, Data: data}
 	r.Sum = r.checksum()
+	line, err := json.Marshal(r)
+	if err != nil {
+		return fmt.Errorf("ledger: marshal %s record: %w", typ, err)
+	}
 	if err := l.state.apply(r); err != nil {
 		return err
 	}
 	l.nextSeq++
-	l.recs = append(l.recs, r)
+	l.lines = append(l.lines, line)
 	l.maybeCompactLocked()
 	if err := l.flushLocked(); err != nil {
 		l.flushErrs++
@@ -541,7 +567,7 @@ func (l *Ledger) Append(typ string, job int, payload any) error {
 // maybeCompactLocked folds the log into a snapshot record when it
 // outgrows the cap, bounding rewrite cost. Caller holds l.mu.
 func (l *Ledger) maybeCompactLocked() {
-	if len(l.recs) < l.compactAt {
+	if len(l.lines) < l.compactAt {
 		return
 	}
 	snap, err := json.Marshal(l.state)
@@ -550,21 +576,25 @@ func (l *Ledger) maybeCompactLocked() {
 	}
 	r := Record{Seq: l.nextSeq, Type: TypeSnapshot, Data: snap}
 	r.Sum = r.checksum()
+	line, err := json.Marshal(r)
+	if err != nil {
+		return
+	}
 	l.nextSeq++
-	l.recs = []Record{r}
+	l.lines = [][]byte{line}
 	l.durable = 0
 }
 
 // flushLocked rewrites the log if any records are not yet durable.
 // Caller holds l.mu.
 func (l *Ledger) flushLocked() error {
-	if l.durable == len(l.recs) {
+	if l.durable == len(l.lines) {
 		return nil
 	}
-	if err := writeAll(l.fs, l.dir, l.recs); err != nil {
+	if err := writeAll(l.fs, l.dir, l.lines); err != nil {
 		return err
 	}
-	l.durable = len(l.recs)
+	l.durable = len(l.lines)
 	return nil
 }
 
@@ -591,7 +621,7 @@ func (l *Ledger) Lag() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.recs) - l.durable
+	return len(l.lines) - l.durable
 }
 
 // Len reports the current in-memory log length (post-compaction).
@@ -601,7 +631,7 @@ func (l *Ledger) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.recs)
+	return len(l.lines)
 }
 
 // Seq reports the highest sequence number applied.

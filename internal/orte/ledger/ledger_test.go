@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -450,5 +451,191 @@ func TestQuarantineFileNamedBySeq(t *testing.T) {
 	}
 	if !vfs.Exists(fs, name+".quarantine-0") {
 		t.Fatal("quarantine file missing")
+	}
+}
+
+// legacyFile is the ledger file writeAll produced before records were
+// encoded once: every record marshalled afresh, one per line.
+func legacyFile(t *testing.T, recs []Record) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	for _, r := range recs {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
+}
+
+// fileRecords decodes every non-blank line of ledger text.
+func fileRecords(t *testing.T, data []byte) []Record {
+	t.Helper()
+	var recs []Record
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.TrimSpace(line) == "" {
+			continue
+		}
+		var r Record
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("decode %q: %v", line, err)
+		}
+		recs = append(recs, r)
+	}
+	return recs
+}
+
+// Each record is encoded once, yet after appends, a compaction and a
+// reopen the file is byte for byte what marshalling every record on
+// every rewrite produced, and it replays to the live state.
+func TestAppendEncodesOnce(t *testing.T) {
+	fs := vfs.NewMem()
+	name := "hnp/" + File
+	check := func(l *Ledger) {
+		t.Helper()
+		data, err := fs.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := fileRecords(t, data)
+		if len(recs) != l.Len() {
+			t.Fatalf("file holds %d records, ledger %d", len(recs), l.Len())
+		}
+		if want := legacyFile(t, recs); !bytes.Equal(data, want) {
+			t.Fatalf("ledger file differs from marshalling every record:\n got %s\nwant %s", data, want)
+		}
+		_, st, err := Open(fs, "hnp", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := json.Marshal(st)
+		want, _ := json.Marshal(l.State())
+		if !bytes.Equal(got, want) {
+			t.Fatalf("replayed state\n%s\nwant live state\n%s", got, want)
+		}
+	}
+	l, _, err := Open(fs, "hnp", Options{CompactAt: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribe(t, l)
+	check(l)
+	scribe(t, l) // 24 appends, cap 16: one compaction, then 8 more records
+	if l.Len() != 9 {
+		t.Fatalf("len = %d after one compaction, want 9", l.Len())
+	}
+	check(l)
+	l2, _, err := Open(fs, "hnp", Options{CompactAt: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Append(TypeJobDone, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	check(l2)
+}
+
+// FuzzLedgerLoad feeds arbitrary bytes to Open as the ledger file. Open
+// keeps the intact prefix of records and quarantines the original file
+// when anything follows it; what survives replays clean to the same
+// state and keeps accepting appends.
+func FuzzLedgerLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs := vfs.NewMem()
+		name := "hnp/" + File
+		if err := fs.WriteFile(name, data); err != nil {
+			t.Fatal(err)
+		}
+		l, st, err := Open(fs, "hnp", Options{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		var lines [][]byte
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.TrimSpace(line) != "" {
+				lines = append(lines, []byte(line))
+			}
+		}
+		kept, dropped := l.Len(), l.DroppedOnLoad()
+		if kept+dropped != len(lines) {
+			t.Fatalf("kept %d + dropped %d records of %d lines", kept, dropped, len(lines))
+		}
+		live, err := fs.ReadFile(name)
+		switch {
+		case dropped == 0:
+			if !bytes.Equal(live, data) {
+				t.Fatalf("intact ledger rewritten: err %v", err)
+			}
+		default:
+			q, qerr := fs.ReadFile(fmt.Sprintf("%s.quarantine-%d", name, st.Seq))
+			if qerr != nil || !bytes.Equal(q, data) {
+				t.Fatalf("damaged ledger not quarantined intact: %v", qerr)
+			}
+			if kept == 0 {
+				if !errors.Is(err, vfs.ErrNotExist) {
+					t.Fatalf("no record survived, yet the live ledger reads err %v", err)
+				}
+				break
+			}
+			prefix := fileRecords(t, bytes.Join(lines[:kept], []byte("\n")))
+			if err != nil || !bytes.Equal(live, legacyFile(t, prefix)) {
+				t.Fatalf("live ledger is not the intact prefix: err %v\n got %s", err, live)
+			}
+		}
+		st2, d2, err := Replay(fs, "hnp")
+		if err != nil || d2 != 0 {
+			t.Fatalf("replay of the survivor: dropped %d, err %v", d2, err)
+		}
+		a, _ := json.Marshal(st)
+		b, _ := json.Marshal(st2)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("survivor replays to\n%s\nwant\n%s", b, a)
+		}
+		if err := l.Append(TypeJobDone, 1, nil); err != nil {
+			t.Fatalf("append after Open: %v", err)
+		}
+		if st3, _, err := Replay(fs, "hnp"); err != nil || st3.Seq != st.Seq+1 {
+			t.Fatalf("replay after append: err %v", err)
+		}
+	})
+}
+
+// BenchmarkLedgerAppend times one capture-path append to a ledger of
+// 256 records. The ledger is reloaded from its 256-record file every 16
+// appends, outside the timer, so each append rewrites 257–272 records.
+func BenchmarkLedgerAppend(b *testing.B) {
+	fs := vfs.NewMem()
+	l, _, err := Open(fs, "hnp", Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 256; i++ {
+		if err := l.Append(TypeIntervalCaptured, 1, IntervalEvent{Interval: i}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	base, err := fs.ReadFile("hnp/" + File)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%16 == 0 {
+			b.StopTimer()
+			fs = vfs.NewMem()
+			if err := fs.WriteFile("hnp/"+File, base); err != nil {
+				b.Fatal(err)
+			}
+			if l, _, err = Open(fs, "hnp", Options{}); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if err := l.Append(TypeIntervalCaptured, 1, IntervalEvent{Interval: 256 + i}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
