@@ -86,10 +86,6 @@ func BenchmarkScaleTopology(b *testing.B) {
 					params.Set("snapc_tree_fanout", fmt.Sprint(tc.fanout))
 				}
 				params.Set("filem_dedup", "0") // measure full gathers (see bench_test.go header)
-				// The ring at -iters 0 sends no application messages, so
-				// the bookmark exchange would be pure O(np²) noise drowning
-				// the coordination cost under study; drop to crcp none.
-				params.Set("crcp", "none")
 				sys, err := core.NewSystem(core.Options{
 					Nodes: nodes, SlotsPerNode: 1, Params: params, Ins: trace.New(),
 				})

@@ -58,7 +58,11 @@ func (k Kind) String() string {
 
 // Frag is one fragment on the wire.
 type Frag struct {
-	Kind    Kind
+	Kind Kind
+	// Colour is the sender's checkpoint-cut colour, stamped by the PML
+	// on every application fragment: the CRCP protocol tells pre-cut
+	// traffic from post-cut traffic by comparing it with its own.
+	Colour  uint8
 	Src     int    // sender rank
 	Dst     int    // receiver rank
 	Tag     int    // MPI tag (EAGER/RTS only)
@@ -96,7 +100,7 @@ func (f *Fabric) Attach(rank int) (*Endpoint, error) {
 		return nil, fmt.Errorf("btl: rank %d already attached", rank)
 	}
 	e := &Endpoint{fabric: f, rank: rank, seqOut: make(map[int]uint64)}
-	e.cond = sync.NewCond(&e.mu)
+	e.inbox.init()
 	f.eps[rank] = e
 	return e, nil
 }
@@ -137,25 +141,14 @@ func (f *Fabric) lookup(rank int) (*Endpoint, error) {
 
 // Endpoint is one rank's attachment to the fabric.
 type Endpoint struct {
+	inbox
 	fabric *Fabric
 	rank   int
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Frag
-	closed bool
-	seqOut map[int]uint64 // next sequence number per destination
+	seqOut map[int]uint64 // next sequence number per destination (inbox.mu)
 }
 
 // Rank returns the endpoint's rank.
 func (e *Endpoint) Rank() int { return e.rank }
-
-func (e *Endpoint) close() {
-	e.mu.Lock()
-	e.closed = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
-}
 
 // Send delivers fr to fr.Dst. It never blocks: the fabric is an
 // asynchronous, unbounded channel, like a TCP socket with a well-sized
@@ -175,52 +168,8 @@ func (e *Endpoint) Send(fr Frag) error {
 	if err != nil {
 		return err
 	}
-	dst.mu.Lock()
-	defer dst.mu.Unlock()
-	if dst.closed {
-		return fmt.Errorf("btl: send to rank %d: %w", fr.Dst, ErrDetached)
+	if err := dst.push(fr); err != nil {
+		return fmt.Errorf("btl: send to rank %d: %w", fr.Dst, err)
 	}
-	dst.queue = append(dst.queue, fr)
-	dst.cond.Broadcast()
 	return nil
-}
-
-// Recv blocks until a fragment arrives.
-func (e *Endpoint) Recv() (Frag, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for {
-		if len(e.queue) > 0 {
-			fr := e.queue[0]
-			e.queue = e.queue[1:]
-			return fr, nil
-		}
-		if e.closed {
-			return Frag{}, ErrDetached
-		}
-		e.cond.Wait()
-	}
-}
-
-// TryRecv returns the next fragment without blocking; ok reports whether
-// one was available.
-func (e *Endpoint) TryRecv() (Frag, bool, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.queue) > 0 {
-		fr := e.queue[0]
-		e.queue = e.queue[1:]
-		return fr, true, nil
-	}
-	if e.closed {
-		return Frag{}, false, ErrDetached
-	}
-	return Frag{}, false, nil
-}
-
-// Pending returns the number of queued fragments.
-func (e *Endpoint) Pending() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.queue)
 }

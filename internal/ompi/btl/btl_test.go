@@ -111,17 +111,18 @@ func TestConcurrentSendersInterleave(t *testing.T) {
 	wg.Wait()
 }
 
+// TestTryRecv: RecvUntil with a past deadline polls without blocking.
 func TestTryRecv(t *testing.T) {
 	_, a, b := fabric2(t)
-	if _, ok, err := b.TryRecv(); ok || err != nil {
-		t.Errorf("TryRecv on empty = ok:%v err:%v", ok, err)
+	if _, ok, err := b.RecvUntil(time.Time{}); ok || err != nil {
+		t.Errorf("poll on empty = ok:%v err:%v", ok, err)
 	}
 	if err := a.Send(Frag{Kind: KindCtrl, Dst: 1}); err != nil {
 		t.Fatal(err)
 	}
-	fr, ok, err := b.TryRecv()
+	fr, ok, err := b.RecvUntil(time.Time{})
 	if !ok || err != nil {
-		t.Fatalf("TryRecv = ok:%v err:%v", ok, err)
+		t.Fatalf("poll = ok:%v err:%v", ok, err)
 	}
 	if fr.Kind != KindCtrl {
 		t.Errorf("Kind = %v", fr.Kind)

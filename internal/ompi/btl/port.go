@@ -1,6 +1,11 @@
 package btl
 
-import "repro/internal/mca"
+import (
+	"sync"
+	"time"
+
+	"repro/internal/mca"
+)
 
 // Port is one rank's attachment to a transport, the surface the PML
 // drives. Both the in-process fabric (sm) and the TCP fabric implement
@@ -14,11 +19,98 @@ type Port interface {
 	Send(fr Frag) error
 	// Recv blocks until a fragment arrives or the port closes.
 	Recv() (Frag, error)
-	// TryRecv returns a fragment without blocking; ok reports whether
-	// one was available.
-	TryRecv() (Frag, bool, error)
+	// RecvUntil waits for a fragment no later than deadline; ok is false
+	// when the deadline passed first. A past deadline polls.
+	RecvUntil(deadline time.Time) (fr Frag, ok bool, err error)
 	// Pending returns the number of queued incoming fragments.
 	Pending() int
+}
+
+// inbox is the receive side both transports share: senders push, the
+// owning rank pops in arrival order, close fails every waiter.
+type inbox struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  []Frag
+	closed bool
+}
+
+func (q *inbox) init() { q.cond = sync.NewCond(&q.mu) }
+
+// push queues fr, failing with ErrDetached once the inbox is closed.
+func (q *inbox) push(fr Frag) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return ErrDetached
+	}
+	q.queue = append(q.queue, fr)
+	q.cond.Broadcast()
+	return nil
+}
+
+func (q *inbox) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.cond.Broadcast()
+	q.mu.Unlock()
+}
+
+// pop takes the oldest fragment; q.mu must be held. ok is false when
+// the queue is empty, and err is ErrDetached once it is also closed.
+func (q *inbox) pop() (fr Frag, ok bool, err error) {
+	if len(q.queue) == 0 {
+		if q.closed {
+			return Frag{}, false, ErrDetached
+		}
+		return Frag{}, false, nil
+	}
+	fr = q.queue[0]
+	q.queue[0] = Frag{} // the queue must not pin a delivered payload
+	q.queue = q.queue[1:]
+	return fr, true, nil
+}
+
+// Recv implements Port.
+func (q *inbox) Recv() (Frag, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
+		if fr, ok, err := q.pop(); ok || err != nil {
+			return fr, err
+		}
+		q.cond.Wait()
+	}
+}
+
+// RecvUntil implements Port. A wait arms a timer that wakes the waiters
+// at the deadline and is stopped on return.
+func (q *inbox) RecvUntil(deadline time.Time) (Frag, bool, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	fr, ok, err := q.pop()
+	if ok || err != nil || !time.Now().Before(deadline) {
+		return fr, ok, err
+	}
+	timer := time.AfterFunc(time.Until(deadline), func() {
+		q.mu.Lock()
+		q.cond.Broadcast()
+		q.mu.Unlock()
+	})
+	defer timer.Stop()
+	for {
+		q.cond.Wait()
+		if fr, ok, err := q.pop(); ok || err != nil || !time.Now().Before(deadline) {
+			return fr, ok, err
+		}
+	}
+}
+
+// Pending implements Port.
+func (q *inbox) Pending() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.queue)
 }
 
 // JobFabric is a per-job transport instance: the set of ports a job's

@@ -33,8 +33,8 @@ var _ Component = (*TCP)(nil)
 // connection per directed pair, created eagerly at construction. Wire
 // format per fragment:
 //
-//	u8 kind | varint-free fixed header (src,dst,tag int64; msgID u64;
-//	size int64; seq u64) | u32 payload length | payload bytes
+//	u8 kind | u8 colour | fixed header (src,dst int32; tag int64;
+//	msgID u64; size int64; seq u64) | u32 payload length | payload bytes
 type tcpFabric struct {
 	n int
 
@@ -159,7 +159,7 @@ func (f *tcpFabric) Attach(rank int) (Port, error) {
 		return nil, fmt.Errorf("btl tcp: rank %d already attached", rank)
 	}
 	p := &tcpPort{fabric: f, rank: rank, seqOut: make(map[int]uint64)}
-	p.cond = sync.NewCond(&p.mu)
+	p.inbox.init()
 	f.ports[rank] = p
 	for src := 0; src < f.n; src++ {
 		if src == rank {
@@ -236,14 +236,10 @@ func (f *tcpFabric) writeConn(src, dst int) (net.Conn, error) {
 
 // tcpPort is one rank's TCP attachment.
 type tcpPort struct {
-	fabric *tcpFabric
-	rank   int
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []Frag
-	closed  bool
-	seqOut  map[int]uint64
+	inbox
+	fabric  *tcpFabric
+	rank    int
+	seqOut  map[int]uint64 // inbox.mu
 	readers sync.WaitGroup
 	wmu     sync.Mutex // serializes writes per port (one writer goroutine model)
 }
@@ -251,16 +247,9 @@ type tcpPort struct {
 // Rank implements Port.
 func (p *tcpPort) Rank() int { return p.rank }
 
-func (p *tcpPort) close() {
-	p.mu.Lock()
-	p.closed = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// fragHeaderLen is the fixed wire header: kind(1) src(4) dst(4) tag(8)
-// msgID(8) size(8) seq(8) paylen(4).
-const fragHeaderLen = 1 + 4 + 4 + 8 + 8 + 8 + 8 + 4
+// fragHeaderLen is the fixed wire header: kind(1) colour(1) src(4)
+// dst(4) tag(8) msgID(8) size(8) seq(8) paylen(4).
+const fragHeaderLen = 1 + 1 + 4 + 4 + 8 + 8 + 8 + 8 + 4
 
 // Send implements Port: frame and write on the (src,dst) connection.
 func (p *tcpPort) Send(fr Frag) error {
@@ -275,10 +264,8 @@ func (p *tcpPort) Send(fr Frag) error {
 	if fr.Dst == p.rank {
 		// Self-sends loop back locally, like the sm fabric (MPI permits
 		// a rank to message itself).
-		p.queue = append(p.queue, fr)
-		p.cond.Broadcast()
 		p.mu.Unlock()
-		return nil
+		return p.push(fr)
 	}
 	p.mu.Unlock()
 	conn, err := p.fabric.writeConn(p.rank, fr.Dst)
@@ -287,13 +274,14 @@ func (p *tcpPort) Send(fr Frag) error {
 	}
 	buf := make([]byte, fragHeaderLen+len(fr.Payload))
 	buf[0] = byte(fr.Kind)
-	binary.BigEndian.PutUint32(buf[1:], uint32(fr.Src))
-	binary.BigEndian.PutUint32(buf[5:], uint32(fr.Dst))
-	binary.BigEndian.PutUint64(buf[9:], uint64(int64(fr.Tag)))
-	binary.BigEndian.PutUint64(buf[17:], fr.MsgID)
-	binary.BigEndian.PutUint64(buf[25:], uint64(int64(fr.Size)))
-	binary.BigEndian.PutUint64(buf[33:], fr.Seq)
-	binary.BigEndian.PutUint32(buf[41:], uint32(len(fr.Payload)))
+	buf[1] = fr.Colour
+	binary.BigEndian.PutUint32(buf[2:], uint32(fr.Src))
+	binary.BigEndian.PutUint32(buf[6:], uint32(fr.Dst))
+	binary.BigEndian.PutUint64(buf[10:], uint64(int64(fr.Tag)))
+	binary.BigEndian.PutUint64(buf[18:], fr.MsgID)
+	binary.BigEndian.PutUint64(buf[26:], uint64(int64(fr.Size)))
+	binary.BigEndian.PutUint64(buf[34:], fr.Seq)
+	binary.BigEndian.PutUint32(buf[42:], uint32(len(fr.Payload)))
 	copy(buf[fragHeaderLen:], fr.Payload)
 	p.wmu.Lock()
 	_, err = conn.Write(buf)
@@ -314,69 +302,26 @@ func (p *tcpPort) readLoop(conn net.Conn) {
 			return // closed
 		}
 		fr := Frag{
-			Kind:  Kind(hdr[0]),
-			Src:   int(int32(binary.BigEndian.Uint32(hdr[1:]))),
-			Dst:   int(int32(binary.BigEndian.Uint32(hdr[5:]))),
-			Tag:   int(int64(binary.BigEndian.Uint64(hdr[9:]))),
-			MsgID: binary.BigEndian.Uint64(hdr[17:]),
-			Size:  int(int64(binary.BigEndian.Uint64(hdr[25:]))),
-			Seq:   binary.BigEndian.Uint64(hdr[33:]),
+			Kind:   Kind(hdr[0]),
+			Colour: hdr[1],
+			Src:    int(int32(binary.BigEndian.Uint32(hdr[2:]))),
+			Dst:    int(int32(binary.BigEndian.Uint32(hdr[6:]))),
+			Tag:    int(int64(binary.BigEndian.Uint64(hdr[10:]))),
+			MsgID:  binary.BigEndian.Uint64(hdr[18:]),
+			Size:   int(int64(binary.BigEndian.Uint64(hdr[26:]))),
+			Seq:    binary.BigEndian.Uint64(hdr[34:]),
 		}
-		plen := binary.BigEndian.Uint32(hdr[41:])
+		plen := binary.BigEndian.Uint32(hdr[42:])
 		if plen > 0 {
 			fr.Payload = make([]byte, plen)
 			if _, err := io.ReadFull(conn, fr.Payload); err != nil {
 				return
 			}
 		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
+		if p.push(fr) != nil {
 			return
 		}
-		p.queue = append(p.queue, fr)
-		p.cond.Broadcast()
-		p.mu.Unlock()
 	}
-}
-
-// Recv implements Port.
-func (p *tcpPort) Recv() (Frag, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if len(p.queue) > 0 {
-			fr := p.queue[0]
-			p.queue = p.queue[1:]
-			return fr, nil
-		}
-		if p.closed {
-			return Frag{}, ErrDetached
-		}
-		p.cond.Wait()
-	}
-}
-
-// TryRecv implements Port.
-func (p *tcpPort) TryRecv() (Frag, bool, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.queue) > 0 {
-		fr := p.queue[0]
-		p.queue = p.queue[1:]
-		return fr, true, nil
-	}
-	if p.closed {
-		return Frag{}, false, ErrDetached
-	}
-	return Frag{}, false, nil
-}
-
-// Pending implements Port.
-func (p *tcpPort) Pending() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
 }
 
 var _ Port = (*tcpPort)(nil)

@@ -172,34 +172,33 @@ func TestPortConformanceSelfSend(t *testing.T) {
 	}
 }
 
+// TestPortConformanceTryRecv: RecvUntil polls at a past deadline, gives
+// up at a future one, and returns a fragment as soon as it lands.
 func TestPortConformanceTryRecv(t *testing.T) {
 	for name, fab := range fabrics(t, 2) {
 		t.Run(name, func(t *testing.T) {
 			a, _ := fab.Attach(0)
 			b, _ := fab.Attach(1)
-			if _, ok, err := b.TryRecv(); ok || err != nil {
-				t.Errorf("TryRecv empty = %v %v", ok, err)
+			if _, ok, err := b.RecvUntil(time.Now().Add(-time.Second)); ok || err != nil {
+				t.Errorf("poll empty = %v %v", ok, err)
 			}
-			if err := a.Send(Frag{Kind: KindCtrl, Dst: 1, Payload: []byte("x")}); err != nil {
+			start := time.Now()
+			if _, ok, err := b.RecvUntil(start.Add(20 * time.Millisecond)); ok || err != nil {
+				t.Errorf("wait empty = %v %v", ok, err)
+			}
+			if waited := time.Since(start); waited < 20*time.Millisecond {
+				t.Errorf("wait empty returned after %v, before its deadline", waited)
+			}
+			if err := a.Send(Frag{Kind: KindCtrl, Colour: 3, Dst: 1, Payload: []byte("x")}); err != nil {
 				t.Fatal(err)
 			}
-			// TCP delivery is asynchronous: poll briefly.
-			deadline := time.Now().Add(2 * time.Second)
-			for {
-				fr, ok, err := b.TryRecv()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ok {
-					if fr.Kind != KindCtrl {
-						t.Errorf("kind = %v", fr.Kind)
-					}
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("fragment never arrived")
-				}
-				time.Sleep(time.Millisecond)
+			// TCP delivery is asynchronous: the wait covers it.
+			fr, ok, err := b.RecvUntil(time.Now().Add(2 * time.Second))
+			if err != nil || !ok {
+				t.Fatalf("fragment never arrived: %v %v", ok, err)
+			}
+			if fr.Kind != KindCtrl || fr.Colour != 3 {
+				t.Errorf("kind = %v colour = %d", fr.Kind, fr.Colour)
 			}
 		})
 	}

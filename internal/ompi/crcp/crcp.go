@@ -23,10 +23,14 @@
 package crcp
 
 import (
+	"encoding/binary"
+	"slices"
+
 	"repro/internal/mca"
 	"repro/internal/ompi/btl"
 	"repro/internal/ompi/pml"
 	"repro/internal/opal/inc"
+	"repro/internal/opal/wire"
 	"repro/internal/trace"
 )
 
@@ -48,6 +52,54 @@ type Protocol interface {
 	Save() ([]byte, error)
 	// Restore re-instates protocol state from a process image.
 	Restore(data []byte) error
+}
+
+// EncodeBookmarks is the image form of a protocol's channel bookmarks,
+// the per-peer counts of whole messages sent and fully received at the
+// quiesced cut: a uvarint count, then one (peer, sent, recvd) uvarint
+// triple per peer with a non-zero count, peers ascending. The recovery
+// coordinator reads it back with DecodeBookmarks to re-knit channels.
+func EncodeBookmarks(sent, recvd map[int]uint64) []byte {
+	peers := make([]int, 0, len(sent)+len(recvd))
+	for q, c := range sent {
+		if c != 0 {
+			peers = append(peers, q)
+		}
+	}
+	for q, c := range recvd {
+		if c != 0 && sent[q] == 0 {
+			peers = append(peers, q)
+		}
+	}
+	slices.Sort(peers)
+	b := binary.AppendUvarint(make([]byte, 0, 1+6*len(peers)), uint64(len(peers)))
+	for _, q := range peers {
+		b = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, uint64(q)), sent[q]), recvd[q])
+	}
+	return b
+}
+
+// DecodeBookmarks accepts exactly EncodeBookmarks' output. Empty data
+// (the none protocol saves no state) decodes to no counts.
+func DecodeBookmarks(data []byte) (sent, recvd map[int]uint64, err error) {
+	r, n := wire.NewReader(data), 0
+	if len(data) > 0 {
+		n = r.Count(3)
+	}
+	sent, recvd = make(map[int]uint64, n), make(map[int]uint64, n)
+	for i, prev := 0, -1; i < n && r.Err() == nil; i++ {
+		q, s, c := r.Uvarint(), r.Uvarint(), r.Uvarint()
+		if r.Err() == nil && (q > 1<<31 || int(q) <= prev || s == 0 && c == 0) {
+			r.Failf("triple %d (peer %d) out of order or empty", i, q)
+		}
+		if prev = int(q); s != 0 {
+			sent[prev] = s
+		}
+		if c != 0 {
+			recvd[prev] = c
+		}
+	}
+	return sent, recvd, r.Close()
 }
 
 // Component is a CRCP implementation: a factory for per-process

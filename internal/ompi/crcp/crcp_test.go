@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -361,37 +363,149 @@ func TestSaveRestoreCounters(t *testing.T) {
 	}
 }
 
-func TestCtrlFragErrors(t *testing.T) {
-	engines, protos := mkWorld(t, 2, "bkmrk", nil)
-	p := protos[1].(*bkmrkProto)
-	for _, bad := range [][]byte{
-		[]byte("{nope"),                 // malformed
-		nil,                             // empty
-		{0x80},                          // truncated varint
-		{0x81, 0x80},                    // truncated varint, two bytes
-		append(encodeMarker(1), 0x00),   // trailing byte
-		append(encodeMarker(300), 0x01), // trailing byte after a two-byte varint
-		{0x81, 0x00},                    // non-canonical encoding of 1
-	} {
-		if err := p.CtrlFrag(btl.Frag{Src: 0, Payload: bad}); err == nil {
-			t.Errorf("CtrlFrag accepted malformed marker %x", bad)
+// TestBookmarksCodec: the image form of the counters round-trips, drops
+// zero counts, and refuses anything EncodeBookmarks would not write.
+func TestBookmarksCodec(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 50; i++ {
+		sent, recvd := map[int]uint64{}, map[int]uint64{}
+		for j := rng.Intn(6); j > 0; j-- {
+			sent[rng.Intn(40)] = 1 + uint64(rng.Int63n(1<<40))
+			recvd[rng.Intn(40)] = 1 + uint64(rng.Intn(300))
+		}
+		gotS, gotR, err := DecodeBookmarks(EncodeBookmarks(sent, recvd))
+		if err != nil || !reflect.DeepEqual(gotS, sent) || !reflect.DeepEqual(gotR, recvd) {
+			t.Fatalf("round trip of %v / %v = %v / %v, %v", sent, recvd, gotS, gotR, err)
 		}
 	}
-	good := encodeMarker(1)
-	if err := p.CtrlFrag(btl.Frag{Src: 0, Payload: good}); err != nil {
-		t.Fatalf("CtrlFrag: %v", err)
+	if got := EncodeBookmarks(map[int]uint64{3: 0}, map[int]uint64{3: 0}); !bytes.Equal(got, []byte{0}) {
+		t.Errorf("zero counts encode as %x, want an empty table", got)
 	}
-	if err := p.CtrlFrag(btl.Frag{Src: 0, Payload: good}); err == nil {
-		t.Error("CtrlFrag accepted duplicate marker")
+	for _, bad := range [][]byte{
+		{0x01, 0x05, 0x00, 0x00},                   // all-zero triple
+		{0x02, 0x05, 0x01, 0x01, 0x03, 0x01, 0x01}, // peers descending
+		{0x01, 0x05, 0x01, 0x01, 0x00},             // trailing byte
+		{0x02, 0x05, 0x01, 0x01},                   // truncated
+		[]byte("{\"sent\":{}}"),                    // an older JSON form
+	} {
+		if _, _, err := DecodeBookmarks(bad); err == nil {
+			t.Errorf("DecodeBookmarks accepted %x", bad)
+		}
 	}
-	_ = engines
+}
+
+// TestCtrlFragErrors: the control codec refuses malformed, truncated,
+// trailing and non-canonical payloads, and the tree refuses a duplicate
+// child vector, a vector from a non-child and totals from a non-parent.
+func TestCtrlFragErrors(t *testing.T) {
+	_, protos := mkWorld(t, 8, "bkmrk", nil)
+	p := func(r int) *bkmrkProto { return protos[r].(*bkmrkProto) }
+	for _, bad := range [][]byte{
+		nil,                                    // empty
+		[]byte("{nope"),                        // unknown kind
+		{ctrlUp},                               // truncated count
+		{ctrlUp, 0x01, 0x05},                   // truncated entry
+		{ctrlUp, 0x80},                         // truncated varint
+		{ctrlUp, 0x00, 0x00},                   // trailing byte
+		{ctrlUp, 0x01, 0x05, 0x01, 0x07},       // trailing byte after an entry
+		{ctrlUp, 0x01, 0x85, 0x00, 0x01},       // non-canonical rank
+		{ctrlUp, 0x01, 0x05, 0x81, 0x00},       // non-canonical count
+		{ctrlUp, 0x01, 0x08, 0x01},             // rank outside the job
+		{ctrlUp, 0x01, 0x05, 0x00},             // zero count
+		{ctrlUp, 0x02, 0x05, 0x01, 0x03, 0x01}, // ranks descending
+		{ctrlUp, 0x02, 0x05, 0x01, 0x05, 0x01}, // rank repeated
+		{ctrlUp, 0xff, 0xff, 0xff, 0xff, 0x0f}, // count beyond the payload
+	} {
+		if err := p(0).CtrlFrag(btl.Frag{Src: 1, Payload: bad}); err == nil {
+			t.Errorf("CtrlFrag accepted malformed payload %x", bad)
+		}
+	}
+	vec := encodeCtrl(ctrlUp, []entry{{3, 2}, {7, 1}})
+	if err := p(0).CtrlFrag(btl.Frag{Src: 4, Payload: vec}); err != nil {
+		t.Fatalf("child vector: %v", err)
+	}
+	if err := p(0).CtrlFrag(btl.Frag{Src: 4, Payload: vec}); err == nil {
+		t.Error("duplicate child vector accepted")
+	}
+	if err := p(0).CtrlFrag(btl.Frag{Src: 3, Payload: vec}); err == nil {
+		t.Error("vector from rank 3 (a child of 2) accepted by rank 0")
+	}
+	if got := p(0).up; got[3] != 2 || got[7] != 1 || len(got) != 2 {
+		t.Errorf("merged vector = %v", got)
+	}
+	totals := encodeCtrl(ctrlDown, []entry{{6, 4}, {7, 1}})
+	for _, src := range []int{0, 4, 5, 7} { // rank 6's parent is 4
+		if src != 4 {
+			if err := p(6).CtrlFrag(btl.Frag{Src: src, Payload: totals}); err == nil {
+				t.Errorf("rank 6 accepted totals from rank %d, not its parent", src)
+			}
+		}
+	}
+	if err := p(0).CtrlFrag(btl.Frag{Src: 1, Payload: totals}); err == nil {
+		t.Error("the root accepted totals")
+	}
+	if err := p(6).CtrlFrag(btl.Frag{Src: 4, Payload: encodeCtrl(ctrlDown, []entry{{5, 1}})}); err == nil {
+		t.Error("totals outside the subtree accepted")
+	}
+	if err := p(6).CtrlFrag(btl.Frag{Src: 4, Payload: totals}); err != nil {
+		t.Fatalf("totals from the parent: %v", err)
+	}
+	if err := p(6).CtrlFrag(btl.Frag{Src: 4, Payload: totals}); err == nil {
+		t.Error("duplicate totals accepted")
+	}
+}
+
+// countingPort counts the control fragments a rank sends.
+type countingPort struct {
+	btl.Port
+	ctrl *atomic.Int64
+}
+
+func (c countingPort) Send(fr btl.Frag) error {
+	if fr.Kind == btl.KindCtrl {
+		c.ctrl.Add(1)
+	}
+	return c.Port.Send(fr)
+}
+
+// TestQuiesceSendsTwoCtrlFragsPerNonRoot: at np = 32 a cut costs exactly
+// 2(n−1) control fragments, whatever the traffic before it.
+func TestQuiesceSendsTwoCtrlFragsPerNonRoot(t *testing.T) {
+	const n = 32
+	fabric := btl.NewFabric()
+	var ctrl atomic.Int64
+	engines := make([]*pml.Engine, n)
+	protos := make([]Protocol, n)
+	for r := 0; r < n; r++ {
+		ep, err := fabric.Attach(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[r] = pml.New(pml.Config{Rank: r, Size: n, Endpoint: countingPort{ep, &ctrl}})
+		protos[r] = (&BkmrkComponent{}).Wrap(engines[r], nil, nil)
+		engines[r].SetHooks(protos[r])
+	}
+	rng := rand.New(rand.NewSource(7))
+	for cut := 0; cut < 3; cut++ {
+		for i := 0; i < 40*cut; i++ {
+			src, dst := rng.Intn(n), rng.Intn(n)
+			if err := engines[src].Send(dst, 1, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctrl.Store(0)
+		checkpointAll(t, engines, protos)
+		if got := ctrl.Load(); got != 2*(n-1) {
+			t.Errorf("cut %d sent %d control fragments, want %d", cut, got, 2*(n-1))
+		}
+	}
 }
 
 func TestDrainTimeoutWhenPeerSilent(t *testing.T) {
 	params := mca.NewParams()
 	params.Set("crcp_bkmrk_timeout", "50ms")
 	_, protos := mkWorld(t, 2, "bkmrk", params)
-	// Only rank 0 checkpoints; rank 1 never sends its marker.
+	// Only rank 0 checkpoints; rank 1 never sends its count vector.
 	err := protos[0].FTEvent(inc.StateCheckpoint)
 	if !errors.Is(err, pml.ErrTimeout) {
 		t.Errorf("err = %v, want wrapped pml.ErrTimeout", err)
@@ -405,7 +519,7 @@ func TestDrainTimeoutSelfReleases(t *testing.T) {
 	params := mca.NewParams()
 	params.Set("crcp_bkmrk_timeout", "50ms")
 	engines, protos := mkWorld(t, 2, "bkmrk", params)
-	// Only rank 0 checkpoints; rank 1 never sends its marker.
+	// Only rank 0 checkpoints; rank 1 never sends its count vector.
 	if err := protos[0].FTEvent(inc.StateCheckpoint); !errors.Is(err, pml.ErrTimeout) {
 		t.Fatalf("quiesce with silent peer = %v, want wrapped pml.ErrTimeout", err)
 	}
@@ -432,7 +546,7 @@ func TestDrainTimeoutSelfReleases(t *testing.T) {
 		return nil
 	})
 	// The INC reports the failed checkpoint as a continue; rank 1 drops
-	// the stale marker it received from the aborted quiesce, so the next
+	// the stale tree state of the aborted quiesce, so the next
 	// full checkpoint succeeds on both ranks.
 	parallel(t, 2, func(rank int) error {
 		return protos[rank].FTEvent(inc.StateContinue)
@@ -471,6 +585,43 @@ func TestDoubleQuiesceRejected(t *testing.T) {
 		return protos[rank].FTEvent(inc.StateContinue)
 	})
 	_ = engines
+}
+
+// TestRestartResetsColour: after cuts have advanced every colour, a
+// survivor's StateRestart and a respawned rank (a fresh engine) meet at
+// colour zero, so pre-cut traffic between them is drained, not held.
+func TestRestartResetsColour(t *testing.T) {
+	params := mca.NewParams()
+	params.Set("crcp_bkmrk_timeout", "2s")
+	engines, protos := mkWorld(t, 2, "bkmrk", params)
+	for i := 0; i < 3; i++ {
+		checkpointAll(t, engines, protos)
+	}
+	if c := engines[0].Colour(); c != 3 {
+		t.Fatalf("colour after three cuts = %d, want 3", c)
+	}
+	// Rank 1 is respawned on a rebuilt fabric; rank 0 survives and rolls
+	// back in place.
+	fabric := btl.NewFabric()
+	ep0, _ := fabric.Attach(0)
+	ep1, _ := fabric.Attach(1)
+	engines[0].Rebind(ep0)
+	if err := protos[0].FTEvent(inc.StateRestart); err != nil {
+		t.Fatal(err)
+	}
+	engines[1] = pml.New(pml.Config{Rank: 1, Size: 2, Endpoint: ep1})
+	protos[1] = (&BkmrkComponent{}).Wrap(engines[1], params, nil)
+	engines[1].SetHooks(protos[1])
+	if err := protos[1].FTEvent(inc.StateRestart); err != nil {
+		t.Fatal(err)
+	}
+	if err := engines[0].Send(1, 4, []byte("after restart")); err != nil {
+		t.Fatal(err)
+	}
+	saved, _ := checkpointAll(t, engines, protos)
+	if len(saved[1].Unexpected) != 1 {
+		t.Fatalf("rank 1 captured %d messages, want the one pre-cut message", len(saved[1].Unexpected))
+	}
 }
 
 func TestRepeatedCheckpointIntervals(t *testing.T) {
@@ -576,22 +727,185 @@ func TestQuickQuiesceConsistency(t *testing.T) {
 	}
 }
 
-// FuzzBkmrkMarker checks the marker codec: decoding accepts exactly the
-// payloads encodeMarker produces, and every count survives the trip.
-func FuzzBkmrkMarker(f *testing.F) {
-	f.Fuzz(func(t *testing.T, payload []byte, count uint64) {
-		if got, err := decodeMarker(encodeMarker(count)); err != nil || got != count {
-			t.Fatalf("marker for %d decodes to %d, err %v", count, got, err)
+// slowLink withholds the application fragments rank from sends until
+// its rank has pulled a fragment rank 0 sent past the first cut, so the
+// rank is still draining when post-cut traffic reaches it. Per-pair
+// FIFO holds: withheld fragments are returned first, in order.
+type slowLink struct {
+	btl.Port
+	from  int
+	stash []btl.Frag
+	open  bool
+}
+
+func (l *slowLink) RecvUntil(deadline time.Time) (btl.Frag, bool, error) {
+	for {
+		if l.open && len(l.stash) > 0 {
+			fr := l.stash[0]
+			l.stash = l.stash[1:]
+			return fr, true, nil
 		}
-		if got, err := decodeMarker(payload); err == nil && !bytes.Equal(encodeMarker(got), payload) {
-			t.Fatalf("decodeMarker accepted %x as %d, which encodes as %x", payload, got, encodeMarker(got))
+		fr, ok, err := l.Port.RecvUntil(deadline)
+		switch {
+		case !ok || err != nil || fr.Kind == btl.KindCtrl:
+		case fr.Src == 0 && fr.Colour != 0:
+			l.open = true
+		case fr.Src == l.from && !l.open:
+			l.stash = append(l.stash, fr)
+			continue
+		}
+		return fr, ok, err
+	}
+}
+
+// TestQuickPostCutTrafficHeldNotCounted: the root finishes its cut,
+// releases and sends post-cut eager and rendezvous traffic to a peer
+// that is still draining (a slow link holds back pre-cut traffic it
+// must wait for). The peer holds those fragments out of its
+// image and its counters, completes the same cut, and receives them
+// after release in order.
+func TestQuickPostCutTrafficHeldNotCounted(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(5)
+		slow := 1 + rng.Intn(n-1)
+		from := 1 + (slow+rng.Intn(n-2))%(n-1) // neither 0 nor slow
+		if from == slow {
+			from = 1 + slow%(n-1)
+		}
+		fabric := btl.NewFabric()
+		engines := make([]*pml.Engine, n)
+		protos := make([]Protocol, n)
+		for r := 0; r < n; r++ {
+			ep, err := fabric.Attach(r)
+			if err != nil {
+				return false
+			}
+			var port btl.Port = ep
+			if r == slow {
+				port = &slowLink{Port: ep, from: from}
+			}
+			engines[r] = pml.New(pml.Config{Rank: r, Size: n, Endpoint: port})
+			protos[r] = (&BkmrkComponent{}).Wrap(engines[r], nil, nil)
+			engines[r].SetHooks(protos[r])
+		}
+		preCut := 0
+		for r := 0; r < n; r++ {
+			k := rng.Intn(4)
+			if r == from {
+				k++
+			}
+			for i := 0; i < k; i++ {
+				if err := engines[r].Send(slow, 1, []byte{byte(i)}); err != nil {
+					return false
+				}
+				preCut++
+			}
+		}
+		post := make([][]byte, 1+rng.Intn(4))
+		for i := range post {
+			post[i] = bytes.Repeat([]byte{byte(i)}, 1+rng.Intn(2*pml.DefaultEagerLimit))
+		}
+		var slowImage pml.SavedState
+		var slowHeld int
+		var slowGot uint64
+		var mu sync.Mutex
+		failed := false
+		fail := func(r int, err error) {
+			mu.Lock()
+			defer mu.Unlock()
+			t.Logf("seed %d: rank %d: %v", seed, r, err)
+			failed = true
+		}
+		var wg sync.WaitGroup
+		for r := 0; r < n; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				if err := protos[r].FTEvent(inc.StateCheckpoint); err != nil {
+					fail(r, err)
+					return
+				}
+				if r == 0 {
+					if err := protos[0].FTEvent(inc.StateContinue); err != nil {
+						fail(r, err)
+						return
+					}
+					for _, m := range post {
+						if _, err := engines[0].Isend(slow, 2, m); err != nil {
+							fail(r, err)
+						}
+					}
+					return
+				}
+				if r == slow {
+					st, err := engines[r].SaveState()
+					if err != nil {
+						fail(r, err)
+						return
+					}
+					slowImage, slowHeld = st, engines[r].HeldBack()
+					slowGot = protos[r].(*bkmrkProto).got
+				}
+				if err := protos[r].FTEvent(inc.StateContinue); err != nil {
+					fail(r, err)
+				}
+			}(r)
+		}
+		wg.Wait()
+		if failed {
+			return false
+		}
+		if len(slowImage.Unexpected) != preCut || slowGot != uint64(preCut) {
+			t.Logf("seed %d: slow rank %d captured %d messages, counted %d, want %d pre-cut",
+				seed, slow, len(slowImage.Unexpected), slowGot, preCut)
+			return false
+		}
+		if slowHeld == 0 {
+			t.Logf("seed %d: no post-cut fragment was held", seed)
+			return false
+		}
+		done := make(chan error, 1)
+		go func() { // the root completes its rendezvous sends
+			done <- engines[0].ProgressUntil(func() bool { return engines[0].PendingOutgoingRendezvous() == 0 }, 5*time.Second)
+		}()
+		for i, want := range post {
+			data, _, err := engines[slow].Recv(0, 2)
+			if err != nil || !bytes.Equal(data, want) {
+				t.Logf("seed %d: post-cut message %d: %v", seed, i, err)
+				return false
+			}
+		}
+		return <-done == nil
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzBkmrkMarker checks the bookmark control codec: decoding accepts
+// exactly the payloads encodeCtrl produces, and every count survives the
+// trip.
+func FuzzBkmrkMarker(f *testing.F) {
+	const n = 64
+	f.Fuzz(func(t *testing.T, payload []byte, count uint64) {
+		es := []entry{}
+		if count != 0 {
+			es = append(es, entry{int(count % n), count})
+		}
+		if kind, got, err := decodeCtrl(encodeCtrl(ctrlDown, es), n); err != nil || kind != ctrlDown || !reflect.DeepEqual(got, es) {
+			t.Fatalf("totals %v decode to %c %v, err %v", es, kind, got, err)
+		}
+		if kind, got, err := decodeCtrl(payload, n); err == nil && !bytes.Equal(encodeCtrl(kind, got), payload) {
+			t.Fatalf("decodeCtrl accepted %x as %c %v, which encodes as %x", payload, kind, got, encodeCtrl(kind, got))
 		}
 	})
 }
 
 // BenchmarkBkmrkQuiesce times one bookmark exchange across 32 in-process
-// ranks: every rank quiesces concurrently (31 markers out, 31 in), then
-// every rank releases.
+// ranks: every rank quiesces concurrently (the up and down tree waves,
+// 62 control fragments in all), then every rank releases. The image
+// codec's counterpart is BenchmarkImageRoundTrip in package ompi.
 func BenchmarkBkmrkQuiesce(b *testing.B) {
 	const np = 32
 	_, protos := mkWorld(b, np, "bkmrk", nil)

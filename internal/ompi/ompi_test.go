@@ -21,7 +21,7 @@ import (
 
 // testWorld builds n Procs on a fresh fabric, each with its own
 // node-local memory filesystem for snapshots.
-func testWorld(t *testing.T, n int, params *mca.Params, crsComp crs.Component) ([]*Proc, []*vfs.Mem) {
+func testWorld(t testing.TB, n int, params *mca.Params, crsComp crs.Component) ([]*Proc, []*vfs.Mem) {
 	t.Helper()
 	fabric := btl.AdaptFabric(btl.NewFabric())
 	procs := make([]*Proc, n)

@@ -23,14 +23,14 @@
 package pml
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/ompi/btl"
+	"repro/internal/opal/wire"
 )
 
 // Wildcards for receive matching.
@@ -140,6 +140,7 @@ type Engine struct {
 
 	draining bool
 	holdback []btl.Frag // post-cut fragments excluded from the image
+	colour   uint8      // cut colour stamped on every outgoing fragment
 }
 
 // Config assembles an Engine.
@@ -191,9 +192,22 @@ func (e *Engine) SetHooks(h Hooks) { e.hooks = h }
 // new process topologies".
 func (e *Engine) Rebind(ep btl.Port) { e.ep = ep }
 
+// SetColour sets the cut colour stamped on every fragment this engine
+// sends from now on; the CRCP protocol advances it at each cut.
+func (e *Engine) SetColour(c uint8) { e.colour = c }
+
+// Colour returns the engine's current cut colour.
+func (e *Engine) Colour() uint8 { return e.colour }
+
+// send stamps the cut colour on fr and hands it to the BTL.
+func (e *Engine) send(fr btl.Frag) error {
+	fr.Colour = e.colour
+	return e.ep.Send(fr)
+}
+
 // SendCtrl emits a coordination-protocol control fragment to dst.
 func (e *Engine) SendCtrl(dst int, payload []byte) error {
-	return e.ep.Send(btl.Frag{Kind: btl.KindCtrl, Dst: dst, Payload: payload})
+	return e.send(btl.Frag{Kind: btl.KindCtrl, Dst: dst, Payload: payload})
 }
 
 // newRequest allocates a request handle.
@@ -218,7 +232,7 @@ func (e *Engine) Isend(dst, tag int, data []byte) (Request, error) {
 		if e.hooks != nil {
 			e.hooks.MessageSent(dst, tag, len(buf))
 		}
-		if err := e.ep.Send(btl.Frag{Kind: btl.KindEager, Dst: dst, Tag: tag, Size: len(buf), Payload: buf}); err != nil {
+		if err := e.send(btl.Frag{Kind: btl.KindEager, Dst: dst, Tag: tag, Size: len(buf), Payload: buf}); err != nil {
 			delete(e.reqs, h)
 			return NoRequest, err
 		}
@@ -233,7 +247,7 @@ func (e *Engine) Isend(dst, tag int, data []byte) (Request, error) {
 	if e.hooks != nil {
 		e.hooks.MessageSent(dst, tag, len(buf))
 	}
-	if err := e.ep.Send(btl.Frag{Kind: btl.KindRTS, Dst: dst, Tag: tag, MsgID: id, Size: len(buf)}); err != nil {
+	if err := e.send(btl.Frag{Kind: btl.KindRTS, Dst: dst, Tag: tag, MsgID: id, Size: len(buf)}); err != nil {
 		delete(e.reqs, h)
 		delete(e.sendPending, id)
 		return NoRequest, err
@@ -289,7 +303,7 @@ func (e *Engine) claim(m *inMsg, h Request) {
 		m.ctsSent = true
 		// Error ignored deliberately: a vanished peer surfaces as a
 		// stuck request, which ProgressUntil timeouts diagnose.
-		_ = e.ep.Send(btl.Frag{Kind: btl.KindCTS, Dst: m.src, MsgID: m.msgID})
+		_ = e.send(btl.Frag{Kind: btl.KindCTS, Dst: m.src, MsgID: m.msgID})
 	}
 }
 
@@ -401,31 +415,19 @@ func (e *Engine) peek(src, tag int) (Status, bool) {
 func (e *Engine) Progress() error { return e.progress(false) }
 
 // ProgressUntil drives the engine until pred returns true or the
-// timeout expires. The coordination protocol's drain loop runs here.
-// Polling backs off gradually: spin-yield while traffic is likely hot
-// (the common case mid-drain), then sleep briefly so an idle wait does
-// not burn a core.
+// timeout expires. The coordination protocol's drain loop runs here. An
+// idle wait blocks on the port until the next fragment or the deadline,
+// so it neither burns a core nor oversleeps a fragment's arrival.
 func (e *Engine) ProgressUntil(pred func() bool, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	emptyPolls := 0
 	for !pred() {
-		fr, ok, err := e.ep.TryRecv()
+		fr, ok, err := e.ep.RecvUntil(deadline)
 		if err != nil {
 			return err
 		}
 		if !ok {
-			emptyPolls++
-			if emptyPolls < 256 {
-				runtime.Gosched()
-			} else {
-				if time.Now().After(deadline) {
-					return fmt.Errorf("%w after %v", ErrTimeout, timeout)
-				}
-				time.Sleep(10 * time.Microsecond)
-			}
-			continue
+			return fmt.Errorf("%w after %v", ErrTimeout, timeout)
 		}
-		emptyPolls = 0
 		if err := e.handleFrag(fr); err != nil {
 			return err
 		}
@@ -445,7 +447,7 @@ func (e *Engine) progress(block bool) error {
 	} else {
 		var ok bool
 		var err error
-		fr, ok, err = e.ep.TryRecv()
+		fr, ok, err = e.ep.RecvUntil(time.Time{}) // a past deadline polls
 		if err != nil {
 			return err
 		}
@@ -494,7 +496,7 @@ func (e *Engine) handleFrag(fr btl.Frag) error {
 			// Quiesce: force completion so the cut never captures a
 			// half-delivered message.
 			m.ctsSent = true
-			if err := e.ep.Send(btl.Frag{Kind: btl.KindCTS, Dst: m.src, MsgID: m.msgID}); err != nil {
+			if err := e.send(btl.Frag{Kind: btl.KindCTS, Dst: m.src, MsgID: m.msgID}); err != nil {
 				return err
 			}
 		}
@@ -506,7 +508,7 @@ func (e *Engine) handleFrag(fr btl.Frag) error {
 		delete(e.sendPending, fr.MsgID)
 		payload := r.payload
 		r.payload = nil
-		if err := e.ep.Send(btl.Frag{Kind: btl.KindData, Dst: fr.Src, MsgID: fr.MsgID, Payload: payload}); err != nil {
+		if err := e.send(btl.Frag{Kind: btl.KindData, Dst: fr.Src, MsgID: fr.MsgID, Payload: payload}); err != nil {
 			return err
 		}
 		r.done = true
@@ -587,7 +589,7 @@ func (e *Engine) SetDraining(on bool) error {
 		for _, m := range e.arrivals {
 			if !m.complete && !m.ctsSent {
 				m.ctsSent = true
-				if err := e.ep.Send(btl.Frag{Kind: btl.KindCTS, Dst: m.src, MsgID: m.msgID}); err != nil {
+				if err := e.send(btl.Frag{Kind: btl.KindCTS, Dst: m.src, MsgID: m.msgID}); err != nil {
 					return err
 				}
 			}
@@ -749,20 +751,85 @@ func (e *Engine) RestoreState(s SavedState) error {
 	return nil
 }
 
-// EncodeState gob-encodes a SavedState for inclusion in the image.
-func EncodeState(s SavedState) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
-		return nil, fmt.Errorf("pml: encode state: %w", err)
+// The image section of a SavedState, in order (ints are zigzag
+// varints, counts and NextMsg uvarints, payloads length-prefixed):
+//
+//	Rank Size EagerLimit NextReq NextMsg
+//	count × unexpected (Src Tag Size Payload)
+//	count × posted handle
+//	count × request, handle-ascending (Handle Kind Done Src Tag Size Payload)
+//
+// Kind and Done are single bytes. AppendState and ReadState are the only
+// encoding of a SavedState.
+
+// AppendState appends the image encoding of s to b.
+func AppendState(b []byte, s SavedState) []byte {
+	for _, v := range []int{s.Rank, s.Size, s.EagerLimit, int(s.NextReq)} {
+		b = wire.AppendInt(b, v)
 	}
-	return buf.Bytes(), nil
+	b = binary.AppendUvarint(b, s.NextMsg)
+	b = binary.AppendUvarint(b, uint64(len(s.Unexpected)))
+	for _, m := range s.Unexpected {
+		b = wire.AppendInt(wire.AppendInt(wire.AppendInt(b, m.Src), m.Tag), m.Size)
+		b = wire.AppendBytes(b, m.Payload)
+	}
+	b = binary.AppendUvarint(b, uint64(len(s.Posted)))
+	for _, h := range s.Posted {
+		b = wire.AppendInt(b, int(h))
+	}
+	hs := make([]Request, 0, len(s.Requests))
+	for h := range s.Requests {
+		hs = append(hs, h)
+	}
+	slices.Sort(hs)
+	b = binary.AppendUvarint(b, uint64(len(hs)))
+	for _, h := range hs {
+		r := s.Requests[h]
+		done := byte(0)
+		if r.Done {
+			done = 1
+		}
+		b = append(wire.AppendInt(b, int(h)), r.Kind, done)
+		b = wire.AppendInt(wire.AppendInt(wire.AppendInt(b, r.Src), r.Tag), r.Size)
+		b = wire.AppendBytes(b, r.Payload)
+	}
+	return b
 }
 
-// DecodeState decodes a SavedState produced by EncodeState.
-func DecodeState(data []byte) (SavedState, error) {
-	var s SavedState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
-		return SavedState{}, fmt.Errorf("pml: decode state: %w", err)
+// ReadState decodes the section AppendState wrote. Payloads are copied
+// out of the image; errors (including an unknown request kind or a
+// repeated handle) are left in r.
+func ReadState(r *wire.Reader) SavedState {
+	s := SavedState{Rank: r.Int(), Size: r.Int(), EagerLimit: r.Int(), NextReq: Request(r.Int()), NextMsg: r.Uvarint()}
+	if n := r.Count(4); n > 0 {
+		s.Unexpected = make([]SavedMsg, n)
+		for i := range s.Unexpected {
+			s.Unexpected[i] = SavedMsg{Src: r.Int(), Tag: r.Int(), Size: r.Int(), Payload: clone(r.Bytes())}
+		}
 	}
-	return s, nil
+	if n := r.Count(1); n > 0 {
+		s.Posted = make([]Request, n)
+		for i := range s.Posted {
+			s.Posted[i] = Request(r.Int())
+		}
+	}
+	n := r.Count(7)
+	s.Requests = make(map[Request]SavedReq, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		h := Request(r.Int())
+		q := SavedReq{Kind: r.Byte(), Done: r.Bool(), Src: r.Int(), Tag: r.Int(), Size: r.Int(), Payload: clone(r.Bytes())}
+		if _, dup := s.Requests[h]; dup || (q.Kind != uint8(reqSend) && q.Kind != uint8(reqRecv)) {
+			r.Failf("request %d: duplicate handle or unknown kind %d", h, q.Kind)
+		}
+		s.Requests[h] = q
+	}
+	return s
+}
+
+// clone copies a payload out of the image buffer; empty stays nil.
+func clone(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return append([]byte(nil), b...)
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/ompi/btl"
+	"repro/internal/opal/wire"
 )
 
 // world builds n engines on one fabric, with optional hooks per rank.
@@ -534,13 +535,9 @@ func TestSaveRestoreAcrossFabric(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SaveState: %v", err)
 	}
-	blob, err := EncodeState(saved)
+	decoded, err := roundTrip(saved)
 	if err != nil {
-		t.Fatalf("EncodeState: %v", err)
-	}
-	decoded, err := DecodeState(blob)
-	if err != nil {
-		t.Fatalf("DecodeState: %v", err)
+		t.Fatalf("state codec: %v", err)
 	}
 
 	// "Restart" rank 1 on a brand-new fabric with both ranks fresh.
@@ -618,39 +615,102 @@ func TestProgressUntilTimeout(t *testing.T) {
 	}
 }
 
-// TestQuickStateCodec: any saved state round-trips through the gob codec.
-func TestQuickStateCodec(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := SavedState{
-			Rank: rng.Intn(4), Size: 4, EagerLimit: 1 + rng.Intn(10000),
-			NextReq: Request(rng.Intn(1000) + 1), NextMsg: rng.Uint64() % 1e6,
-			Requests: map[Request]SavedReq{},
+// roundTrip passes s through the image section codec.
+func roundTrip(s SavedState) (SavedState, error) {
+	r := wire.NewReader(AppendState(nil, s))
+	got := ReadState(r)
+	return got, r.Close()
+}
+
+// randomState builds a saved state with unexpected messages, posted
+// receives, done and pending requests of both kinds, negative tags and
+// ints, and (often) empty tables.
+func randomState(rng *rand.Rand) SavedState {
+	payload := func() []byte {
+		if rng.Intn(3) == 0 {
+			return nil
 		}
-		for i := 0; i < rng.Intn(5); i++ {
-			p := make([]byte, rng.Intn(64))
-			rng.Read(p)
-			s.Unexpected = append(s.Unexpected, SavedMsg{Src: rng.Intn(4), Tag: rng.Intn(10), Size: len(p), Payload: p})
-		}
-		for i := 0; i < rng.Intn(4); i++ {
-			h := Request(i + 1)
-			s.Requests[h] = SavedReq{Kind: uint8(reqRecv), Src: rng.Intn(4), Tag: rng.Intn(8)}
+		p := make([]byte, 1+rng.Intn(64))
+		rng.Read(p)
+		return p
+	}
+	s := SavedState{
+		Rank: rng.Intn(4), Size: 4, EagerLimit: 1 + rng.Intn(10000),
+		NextReq: Request(rng.Intn(1000) + 1), NextMsg: rng.Uint64(),
+		Requests: map[Request]SavedReq{},
+	}
+	for i := rng.Intn(5); i > 0; i-- {
+		p := payload()
+		s.Unexpected = append(s.Unexpected, SavedMsg{Src: rng.Intn(4), Tag: rng.Intn(20) - 10, Size: len(p), Payload: p})
+	}
+	for i := rng.Intn(6); i > 0; i-- {
+		h := Request(rng.Intn(1 << 20))
+		q := SavedReq{Kind: uint8(reqSend + reqKind(rng.Intn(2))), Done: rng.Intn(2) == 0, Src: rng.Intn(5) - 1, Tag: rng.Intn(9) - 1}
+		if q.Done {
+			q.Payload = payload()
+			q.Size = len(q.Payload)
+		} else if q.Kind == uint8(reqRecv) {
 			s.Posted = append(s.Posted, h)
 		}
-		blob, err := EncodeState(s)
-		if err != nil {
-			return false
-		}
-		got, err := DecodeState(blob)
-		if err != nil {
-			return false
-		}
-		return reflect.DeepEqual(got.Posted, s.Posted) &&
-			got.Rank == s.Rank && got.NextMsg == s.NextMsg &&
-			len(got.Unexpected) == len(s.Unexpected)
+		s.Requests[h] = q
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	return s
+}
+
+// TestQuickStateCodec: any saved state survives the image section codec
+// exactly, and every strict prefix of its encoding is rejected.
+func TestQuickStateCodec(t *testing.T) {
+	prop := func(seed int64) bool {
+		s := randomState(rand.New(rand.NewSource(seed)))
+		got, err := roundTrip(s)
+		if err != nil || !reflect.DeepEqual(got, s) {
+			t.Logf("seed %d: %v\n got %+v\nwant %+v", seed, err, got, s)
+			return false
+		}
+		blob := AppendState(nil, s)
+		for n := 0; n < len(blob); n++ {
+			r := wire.NewReader(blob[:n])
+			if ReadState(r); r.Close() == nil {
+				t.Logf("seed %d: %d-byte prefix of %d decoded", seed, n, len(blob))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStateCodecRejects: an unknown request kind, a repeated handle and
+// an oversized count fail the section instead of being restored.
+func TestStateCodecRejects(t *testing.T) {
+	decodeErr := func(b []byte) error {
+		r := wire.NewReader(b)
+		ReadState(r)
+		return r.Close()
+	}
+	base := SavedState{Rank: 0, Size: 2, Requests: map[Request]SavedReq{1: {Kind: uint8(reqRecv)}}}
+	if _, err := roundTrip(base); err != nil {
+		t.Fatalf("valid state: %v", err)
+	}
+	bad := base
+	bad.Requests = map[Request]SavedReq{1: {Kind: 9}}
+	if _, err := roundTrip(bad); err == nil {
+		t.Error("unknown request kind accepted")
+	}
+	// Two entries under one handle: splice the first entry in twice.
+	blob := AppendState(nil, base)
+	entry := blob[len(blob)-7:]
+	dup := append(append(append([]byte(nil), blob[:len(blob)-8]...), 2), entry...)
+	dup = append(dup, entry...)
+	if decodeErr(dup) == nil {
+		t.Error("duplicate request handle accepted")
+	}
+	// A huge unexpected-message count must fail before it allocates.
+	huge := append(AppendState(nil, SavedState{Size: 1})[:5], 0xff, 0xff, 0xff, 0xff, 0x0f)
+	if decodeErr(huge) == nil {
+		t.Error("oversized count accepted")
 	}
 }
 

@@ -632,8 +632,8 @@ func (co *Coordinator) verify(reports map[int]report) error {
 	sent := make(map[int]map[int]uint64, len(reports))
 	recvd := make(map[int]map[int]uint64, len(reports))
 	for r, rep := range reports {
-		s, rcv, ok := crcp.DecodeBookmarks(rep.bookmarks)
-		if !ok {
+		s, rcv, err := crcp.DecodeBookmarks(rep.bookmarks)
+		if len(rep.bookmarks) == 0 || err != nil {
 			continue
 		}
 		sent[r], recvd[r] = s, rcv

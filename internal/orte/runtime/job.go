@@ -259,13 +259,16 @@ func (j *Job) newRankProc(r int, node string, fabric btl.JobFabric, gate func([]
 	if err != nil {
 		return nil, fmt.Errorf("runtime: rank %d CRS: %w", r, err)
 	}
+	j.mu.Lock()
+	epoch := j.epochs[r]
+	j.mu.Unlock()
 	proc, err := ompi.NewProc(ompi.Config{
 		JobID: int(j.id), Rank: r, Size: j.spec.NP,
 		Node: node, PID: 1000*int(j.id) + r,
 		Fabric: fabric, Params: j.params,
 		CRS: crsComp, CRCP: j.crcpComp, Ins: j.cluster.ins,
 		SyncCheckpoint:       j.syncCheckpoint,
-		NotifyCheckpointable: func(ok bool) { j.setCheckpointable(r, ok) },
+		NotifyCheckpointable: func(ok bool) { j.setCheckpointable(r, epoch, ok) },
 		Recover:              func(cause error) (*ompi.RecoverOrder, error) { return j.awaitRecovery(r, cause) },
 		RecoveryGate:         gate,
 	})
@@ -317,7 +320,7 @@ func (j *Job) runRank(r, epoch int, proc *ompi.Proc, app ompi.App, rs *ompi.Rest
 		// parallel job when one process dies: closing the fabric fails
 		// every peer blocked in communication. Suppressed while a
 		// recovery session owns the job: survivors are parked, not dead.
-		j.setCheckpointable(r, false)
+		j.setCheckpointable(r, epoch, false)
 		fab.Close()
 	}
 }
@@ -381,13 +384,15 @@ func (j *Job) Proc(rank int) *ompi.Proc {
 	return j.procs[rank]
 }
 
-func (j *Job) setCheckpointable(rank int, ok bool) {
+func (j *Job) setCheckpointable(rank, epoch int, ok bool) {
 	st := ckptNo
 	if ok {
 		st = ckptYes
 	}
 	j.mu.Lock()
-	j.checkpointable[rank] = st
+	if epoch == j.epochs[rank] { // a superseded incarnation no longer speaks for the slot
+		j.checkpointable[rank] = st
+	}
 	j.mu.Unlock()
 }
 
