@@ -3,9 +3,9 @@ package ompi
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"math/rand"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -111,7 +111,7 @@ func TestQuickImageRoundTrip(t *testing.T) {
 			}
 			// Image reads the restored engine and registered values, so
 			// equal bytes mean every table and value came back.
-			if st.Iter != procs[r].states["grid"].(*imageState).Iter || len(*xs) != len(*procs[r].states["a-list"].(*[]int)) {
+			if !reflect.DeepEqual(st, procs[r].states["grid"].ptr.Interface()) || !reflect.DeepEqual(xs, procs[r].states["a-list"].ptr.Interface()) {
 				t.Logf("seed %d rank %d: registered state not restored", seed, r)
 				return false
 			}
@@ -124,8 +124,9 @@ func TestQuickImageRoundTrip(t *testing.T) {
 }
 
 // TestImageDecodeRejects: every strict prefix, trailing bytes, an
-// oversized count, a wrong version and an image from before format 1
-// are refused, and a refused image leaves the process untouched.
+// oversized count, an unknown version, a format-1 image and an image
+// from before format 1 are refused, and a refused image leaves the
+// process untouched.
 func TestImageDecodeRejects(t *testing.T) {
 	procs, _ := testWorld(t, 2, nil, nil)
 	img := randomImage(t, rand.New(rand.NewSource(3)), procs)[0]
@@ -141,10 +142,10 @@ func TestImageDecodeRejects(t *testing.T) {
 	}
 	for name, bad := range map[string][]byte{
 		"trailing": append(append([]byte(nil), img...), 0),
-		"version":  append([]byte(imageMagic+"\x02"), img[len(imageMagic)+1:]...),
+		"version":  append([]byte(imageMagic+"\x03"), img[len(imageMagic)+1:]...),
 		// header, then a PML section whose unexpected-message count
 		// claims 2^40 entries
-		"oversized": binary.AppendUvarint([]byte(imageMagic+"\x01\x02\x00\x04\x00"+"\x00\x04\x00\x02\x00"), 1<<40),
+		"oversized": binary.AppendUvarint([]byte(imageMagic+"\x02\x02\x00\x04\x00"+"\x00\x04\x00\x02\x00"), 1<<40),
 	} {
 		if err := fresh[0].RestoreImage(bad); err == nil {
 			t.Errorf("%s image restored", name)
@@ -157,11 +158,14 @@ func TestImageDecodeRejects(t *testing.T) {
 		b = wire.AppendBytes(pml.AppendState(binary.AppendUvarint(b, 0), pml.SavedState{Size: 2}), nil)
 		b = binary.AppendUvarint(b, uint64(len(names)))
 		for _, name := range names {
-			var v bytes.Buffer
-			if err := gob.NewEncoder(&v).Encode(map[string]any{"grid": imageState{Iter: 1}, "a-list": []int{1}}[name]); err != nil {
+			v := reflect.ValueOf(map[string]any{"grid": imageState{Iter: 1}, "a-list": []int{1}}[name])
+			c, err := wire.CodecFor(v.Type())
+			if err != nil {
 				t.Fatal(err)
 			}
-			b = wire.AppendBytes(wire.AppendBytes(b, []byte(name)), v.Bytes())
+			if b, err = c.Append(wire.AppendBytes(b, []byte(name)), v); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return b
 	}
@@ -174,12 +178,113 @@ func TestImageDecodeRejects(t *testing.T) {
 	if err := fresh[0].RestoreImage(table("a-list", "grid")); err != nil || st.Iter != 1 {
 		t.Errorf("hand-built image in name order: %v (Iter %d)", err, st.Iter)
 	}
-	old, err := oldGobImage()
+	for file, want := range map[string]string{
+		"gob-before-format-1": "gob-encoded image from before format 1",
+		"format-1":            "image format 1: this build reads format 2",
+	} {
+		old, err := corpusEntry(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh[0].RestoreImage(old); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one containing %q", file, err, want)
+		}
+	}
+}
+
+// exactState holds each thing a merging decoder gets wrong: a zero
+// field, a map and a slice.
+type exactState struct {
+	Iter int
+	Tags map[string]int
+	Cell []float64
+	Next *exactState
+}
+
+// TestRestoreIsExact: a restore sets each registered value to exactly
+// what was captured — a zero field overwrites a live one, a map loses
+// keys added since, and a slice that was nil comes back nil — including
+// in a process whose live state has moved on (in-job rollback).
+func TestRestoreIsExact(t *testing.T) {
+	procs, _ := testWorld(t, 1, nil, nil)
+	st := &exactState{Tags: map[string]int{"a": 1}}
+	if err := procs[0].RegisterState("s", st); err != nil {
+		t.Fatal(err)
+	}
+	img, err := procs[0].Image()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh[0].RestoreImage(old); err == nil || !strings.Contains(err.Error(), "gob-encoded image") {
-		t.Errorf("image from before format 1: err = %v, want one naming its gob format", err)
+	want := &exactState{Tags: map[string]int{"a": 1}}
+	*st = exactState{Iter: 42, Tags: map[string]int{"stale": 9}, Cell: []float64{7, 7}, Next: &exactState{Iter: 1}}
+	if err := procs[0].RestoreImage(img); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st, want) {
+		t.Errorf("restored %+v, want %+v", *st, *want)
+	}
+}
+
+// TestCorruptImageChangesNothing: an image whose last application value
+// is corrupt is refused, and the PML tables, the CRCP counters, the
+// collective sequence and every registered value stay as they were.
+func TestCorruptImageChangesNothing(t *testing.T) {
+	procs, _ := testWorld(t, 2, nil, nil)
+	img := randomImage(t, rand.New(rand.NewSource(5)), procs)[0]
+	// The state table ends with "grid", whose last field is the Tags map
+	// and whose last byte is the final map value: 0x80 truncates it.
+	bad := append(append([]byte(nil), img[:len(img)-1]...), 0x80)
+
+	live, _ := testWorld(t, 2, nil, nil)
+	randomImage(t, rand.New(rand.NewSource(6)), live)
+	before, err := live[0].Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm, err := live[0].prot.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live[0].RestoreImage(bad); err == nil {
+		t.Fatal("corrupt image restored")
+	}
+	after, err := live[0].Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm2, err := live[0].prot.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) || !bytes.Equal(bm, bm2) {
+		t.Error("a refused image changed the process")
+	}
+}
+
+// TestImageDeterministic: capturing an unchanged process twice gives the
+// same bytes, map-bearing state included, so content-addressed dedup can
+// match them.
+func TestImageDeterministic(t *testing.T) {
+	procs, _ := testWorld(t, 1, nil, nil)
+	st := &imageState{Iter: 3, Tags: map[string]int{}}
+	for i := 0; i < 64; i++ {
+		st.Tags[strconv.Itoa(i*7919)] = i
+	}
+	if err := procs[0].RegisterState("grid", st); err != nil {
+		t.Fatal(err)
+	}
+	first, err := procs[0].Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		again, err := procs[0].Image()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, again) {
+			t.Fatalf("capture %d differs from the first", i+2)
+		}
 	}
 }
 
@@ -204,54 +309,86 @@ func FuzzImageDecode(f *testing.F) {
 	})
 }
 
-// BenchmarkImageRoundTrip times one capture and one restore of a rank
-// holding 512 B or 1 MiB of registered state, a few unexpected messages
-// and posted receives.
+// BenchmarkImageRoundTrip times the capture and the restore of a rank
+// holding a few unexpected messages and posted receives plus registered
+// state: 512 B or 1 MiB of bytes, or a stencil rank's 131,072 float64
+// cells (1 MiB) from a Jacobi-smoothed ramp, which takes the per-element
+// path. It reports the image size as image-B.
 func BenchmarkImageRoundTrip(b *testing.B) {
+	type bytesState struct{ Cells []byte }
+	type stencilState struct {
+		Iter int
+		Cell []float64
+	}
+	stencil := func() any {
+		st := &stencilState{Iter: 8, Cell: make([]float64, 1<<17)}
+		for i := range st.Cell {
+			st.Cell[i] = float64(i)
+		}
+		next := make([]float64, len(st.Cell))
+		for step := 0; step < st.Iter; step++ { // periodic, like one stencil rank
+			n := len(st.Cell)
+			for i := range next {
+				next[i] = (st.Cell[(i+n-1)%n] + st.Cell[i] + st.Cell[(i+1)%n]) / 3
+			}
+			st.Cell, next = next, st.Cell
+		}
+		return st
+	}
 	for _, tc := range []struct {
-		name string
-		size int
-	}{{"512B", 512}, {"1MiB", 1 << 20}} {
-		size := tc.size
-		b.Run(tc.name, func(b *testing.B) {
-			procs, _ := testWorld(b, 2, nil, nil)
-			fresh, _ := testWorld(b, 2, nil, nil)
-			state := struct{ Cells []byte }{make([]byte, size)}
-			restored := state
-			if procs[0].RegisterState("cells", &state) != nil || fresh[0].RegisterState("cells", &restored) != nil {
-				b.Fatal("register")
-			}
-			for i := 0; i < 4; i++ {
-				if _, err := procs[1].Isend(0, i, make([]byte, 64)); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := procs[0].Irecv(1, 100+i); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := procs[0].Engine().ProgressUntil(func() bool { return procs[0].ep.Pending() == 0 }, time.Second); err != nil {
+		name  string
+		state func() any
+	}{
+		{"512B", func() any { return &bytesState{make([]byte, 512)} }},
+		{"1MiB", func() any { return &bytesState{make([]byte, 1<<20)} }},
+		{"stencil", stencil},
+	} {
+		procs, _ := testWorld(b, 2, nil, nil)
+		fresh, _ := testWorld(b, 2, nil, nil)
+		state := tc.state()
+		if procs[0].RegisterState("cells", state) != nil ||
+			fresh[0].RegisterState("cells", reflect.New(reflect.TypeOf(state).Elem()).Interface()) != nil {
+			b.Fatal("register")
+		}
+		for i := 0; i < 4; i++ {
+			if _, err := procs[1].Isend(0, i, make([]byte, 64)); err != nil {
 				b.Fatal(err)
 			}
+			if _, err := procs[0].Irecv(1, 100+i); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := procs[0].Engine().ProgressUntil(func() bool { return procs[0].ep.Pending() == 0 }, time.Second); err != nil {
+			b.Fatal(err)
+		}
+		img, err := procs[0].Image()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name+"/capture", func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(int64(size))
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				img, err := procs[0].Image()
-				if err != nil {
+				if img, err = procs[0].Image(); err != nil {
 					b.Fatal(err)
 				}
+			}
+			b.ReportMetric(float64(len(img)), "image-B")
+		})
+		b.Run(tc.name+"/restore", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
 				if err := fresh[0].RestoreImage(img); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(len(img)), "image-B")
 		})
 	}
 }
 
-// oldGobImage returns the FuzzImageDecode seed captured by a build from
-// before image format 1, when images were one gob stream.
-func oldGobImage() ([]byte, error) {
-	raw, err := os.ReadFile("testdata/fuzz/FuzzImageDecode/gob-before-format-1")
+// corpusEntry returns a FuzzImageDecode seed from testdata.
+func corpusEntry(name string) ([]byte, error) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzImageDecode/" + name)
 	if err != nil {
 		return nil, err
 	}

@@ -624,6 +624,36 @@ func TestRegisterStateValidation(t *testing.T) {
 	if err := p.RegisterState("x", &v); err == nil {
 		t.Error("duplicate RegisterState succeeded")
 	}
+	if err := p.RegisterState("y", v); err == nil {
+		t.Error("RegisterState of a non-pointer succeeded")
+	}
+	// Types the image codec cannot carry are refused here, not at the
+	// first checkpoint, and the error names the field.
+	type inner struct {
+		When time.Time
+	}
+	for field, ptr := range map[string]any{
+		"Any":                &struct{ Any any }{},
+		"Ch":                 &struct{ Ch chan int }{},
+		"Fn":                 &struct{ Fn func() }{},
+		"Z":                  &struct{ Z complex128 }{},
+		"Deep[value][].When": &struct{ Deep map[string][]inner }{},
+		"Ptr":                &struct{ Ptr *chan int }{},
+	} {
+		err := p.RegisterState("bad-"+field, ptr)
+		if err == nil || !strings.Contains(err.Error(), "."+field+":") {
+			t.Errorf("RegisterState with a bad %s field: err = %v, want one naming the field", field, err)
+		}
+	}
+	if err := p.RegisterState("time", &time.Time{}); err == nil || !strings.Contains(err.Error(), "no exported fields") {
+		t.Errorf("RegisterState(*time.Time): err = %v, want no exported fields", err)
+	}
+	if err := p.RegisterState("quiet", &struct {
+		Fine  int
+		quiet chan int
+	}{}); err != nil {
+		t.Errorf("unexported chan field refused: %v", err)
+	}
 }
 
 func TestImageRestoreValidation(t *testing.T) {

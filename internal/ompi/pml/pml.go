@@ -706,10 +706,11 @@ func (e *Engine) SaveState() (SavedState, error) {
 
 // RestoreState rebuilds the engine from a saved image. The engine keeps
 // its current BTL endpoint (restart attaches a fresh one via Rebind);
-// rank and size come from the restored state.
+// rank and size come from the restored state. It checks the state
+// before it changes anything.
 func (e *Engine) RestoreState(s SavedState) error {
-	if s.Size <= 0 || s.Rank < 0 || s.Rank >= s.Size {
-		return fmt.Errorf("pml: restore: invalid rank %d / size %d", s.Rank, s.Size)
+	if err := s.check(); err != nil {
+		return fmt.Errorf("pml: restore: %w", err)
 	}
 	e.rank = s.Rank
 	e.size = s.Size
@@ -741,12 +742,20 @@ func (e *Engine) RestoreState(s SavedState) error {
 		}
 		e.reqs[h] = r
 	}
-	// Re-validate posted handles against the request table.
+	e.posted = append(e.posted, s.Posted...)
+	return nil
+}
+
+// check validates what RestoreState relies on: a rank inside the job and
+// every posted handle in the request table.
+func (s SavedState) check() error {
+	if s.Size <= 0 || s.Rank < 0 || s.Rank >= s.Size {
+		return fmt.Errorf("invalid rank %d / size %d", s.Rank, s.Size)
+	}
 	for _, h := range s.Posted {
-		if _, ok := e.reqs[h]; !ok {
-			return fmt.Errorf("pml: restore: posted receive %d missing from request table", h)
+		if _, ok := s.Requests[h]; !ok {
+			return fmt.Errorf("posted receive %d missing from request table", h)
 		}
-		e.posted = append(e.posted, h)
 	}
 	return nil
 }
@@ -797,8 +806,9 @@ func AppendState(b []byte, s SavedState) []byte {
 }
 
 // ReadState decodes the section AppendState wrote. Payloads are copied
-// out of the image; errors (including an unknown request kind or a
-// repeated handle) are left in r.
+// out of the image; errors (including an unknown request kind, a
+// repeated handle, and anything RestoreState would refuse) are left in
+// r.
 func ReadState(r *wire.Reader) SavedState {
 	s := SavedState{Rank: r.Int(), Size: r.Int(), EagerLimit: r.Int(), NextReq: Request(r.Int()), NextMsg: r.Uvarint()}
 	if n := r.Count(4); n > 0 {
@@ -822,6 +832,9 @@ func ReadState(r *wire.Reader) SavedState {
 			r.Failf("request %d: duplicate handle or unknown kind %d", h, q.Kind)
 		}
 		s.Requests[h] = q
+	}
+	if err := s.check(); err != nil && r.Err() == nil {
+		r.Failf("%v", err)
 	}
 	return s
 }

@@ -597,13 +597,22 @@ func TestSaveStateRejectsInFlightRendezvous(t *testing.T) {
 	}
 }
 
+// TestRestoreStateValidation: RestoreState refuses, and ReadState fails
+// to decode, a state with a rank outside the job or a dangling posted
+// handle, so an image that decodes always restores.
 func TestRestoreStateValidation(t *testing.T) {
 	es := world(t, 2, nil)
-	if err := es[0].RestoreState(SavedState{Rank: 5, Size: 2}); err == nil {
-		t.Error("RestoreState accepted out-of-range rank")
-	}
-	if err := es[0].RestoreState(SavedState{Rank: 0, Size: 2, Posted: []Request{9}, Requests: map[Request]SavedReq{}}); err == nil {
-		t.Error("RestoreState accepted dangling posted handle")
+	for name, s := range map[string]SavedState{
+		"out-of-range rank":      {Rank: 5, Size: 2},
+		"dangling posted handle": {Rank: 0, Size: 2, Posted: []Request{9}, Requests: map[Request]SavedReq{}},
+	} {
+		if err := es[0].RestoreState(s); err == nil {
+			t.Errorf("RestoreState accepted a %s", name)
+		}
+		r := wire.NewReader(AppendState(nil, s))
+		if ReadState(r); r.Close() == nil {
+			t.Errorf("ReadState accepted a %s", name)
+		}
 	}
 }
 

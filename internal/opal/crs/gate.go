@@ -14,15 +14,17 @@ import (
 //
 // Application threads bracket protected operations with Enter/Exit; the
 // checkpoint notification thread brackets a checkpoint with Begin/End.
-// Begin waits for in-flight protected operations to drain, and Enter
-// blocks while a checkpoint is active, giving checkpoint-exclusion
-// without stopping threads that never touch the library.
+// Begin claims the gate, so Enter blocks from then on, and waits for
+// in-flight protected operations to drain before the checkpoint owns the
+// window. That gives checkpoint-exclusion without stopping threads that
+// never touch the library.
 type Gate struct {
-	mu         sync.Mutex
-	cond       *sync.Cond
-	enabled    bool
-	inProgress bool
-	active     int // protected operations currently executing
+	mu      sync.Mutex
+	cond    *sync.Cond
+	enabled bool
+	claimed bool // Begin has run and End has not: Enter blocks
+	owned   bool // claimed and drained: the checkpoint owns the window
+	active  int  // protected operations currently executing
 }
 
 // Errors returned by Gate operations.
@@ -55,7 +57,7 @@ func (g *Gate) Enable() {
 // tears the library down under a running snapshot.
 func (g *Gate) Disable() {
 	g.mu.Lock()
-	for g.inProgress {
+	for g.claimed {
 		g.cond.Wait()
 	}
 	g.enabled = false
@@ -70,10 +72,10 @@ func (g *Gate) Enabled() bool {
 }
 
 // Enter marks the start of a protected library operation, blocking while
-// a checkpoint is in progress.
+// a checkpoint has claimed the gate.
 func (g *Gate) Enter() {
 	g.mu.Lock()
-	for g.inProgress {
+	for g.claimed {
 		g.cond.Wait()
 	}
 	g.active++
@@ -102,31 +104,34 @@ func (g *Gate) Begin() error {
 	if !g.enabled {
 		return ErrCheckpointDisabled
 	}
-	if g.inProgress {
+	if g.claimed {
 		return ErrCheckpointActive
 	}
-	g.inProgress = true
+	g.claimed = true
 	for g.active > 0 {
 		g.cond.Wait()
 	}
+	g.owned = true
 	return nil
 }
 
 // End releases the checkpoint window and wakes blocked threads.
 func (g *Gate) End() {
 	g.mu.Lock()
-	if !g.inProgress {
+	if !g.owned {
 		g.mu.Unlock()
 		panic("crs: Gate.End without matching Begin")
 	}
-	g.inProgress = false
+	g.claimed, g.owned = false, false
 	g.cond.Broadcast()
 	g.mu.Unlock()
 }
 
-// InProgress reports whether a checkpoint currently owns the gate.
+// InProgress reports whether a checkpoint currently owns the window: it
+// has claimed the gate and every protected operation has drained. An
+// operation between Enter and Exit therefore never sees it true.
 func (g *Gate) InProgress() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.inProgress
+	return g.owned
 }

@@ -4,7 +4,8 @@
 // bytes left, and no trailing bytes. Encoding is plain append-style
 // (binary.AppendUvarint and friends plus AppendBytes); decoding goes
 // through a Reader that remembers its first error, so a decoder reads a
-// whole layout and checks once at the end.
+// whole layout and checks once at the end. A Codec (value.go) writes
+// and reads whole Go values of one type in the same style.
 package wire
 
 import (
@@ -24,9 +25,10 @@ func AppendBytes(b, blob []byte) []byte {
 // Reader decodes a byte slice front to back. After the first error every
 // read returns a zero value and Err reports that error.
 type Reader struct {
-	buf []byte
-	off int
-	err error
+	buf   []byte
+	off   int
+	err   error
+	depth int // nesting of the value being decoded (value.go)
 }
 
 // NewReader returns a Reader over b.
@@ -73,8 +75,7 @@ func (r *Reader) Uvarint() uint64 {
 
 // Int reads a zigzag varint that must fit an int.
 func (r *Reader) Int() int {
-	u := r.Uvarint()
-	v := int64(u>>1) ^ -int64(u&1)
+	v := r.Varint()
 	if int64(int(v)) != v {
 		r.Failf("integer %d overflows int", v)
 		return 0
