@@ -106,7 +106,7 @@ func BenchmarkScaleTopology(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					// Latency: one blocking end-to-end checkpoint.
-					res, err := sys.Checkpoint(job.JobID(), false)
+					res, err := job.Checkpoint(false)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -132,7 +132,7 @@ func BenchmarkScaleTopology(b *testing.B) {
 				b.StopTimer()
 				reportPhases(b, &phases)
 				b.ReportMetric(float64(burst*b.N)/drainWindow.Seconds(), "drain-ckpt/s")
-				if _, err := sys.Checkpoint(job.JobID(), true); err != nil {
+				if _, err := job.Checkpoint(true); err != nil {
 					b.Fatal(err)
 				}
 				if err := job.Wait(); err != nil {
@@ -274,7 +274,7 @@ func BenchmarkMultiJobQoS(b *testing.B) {
 			b.ReportMetric(pctl(e2eMS, 0.99), "p99-e2e-ms")
 			b.ReportMetric(float64(committed)/stormDur.Seconds(), "drain-ckpt/s")
 			for _, j := range append([]*core.Job{prio}, storm...) {
-				if _, err := sys.Checkpoint(j.JobID(), true); err != nil {
+				if _, err := j.Checkpoint(true); err != nil {
 					b.Fatal(err)
 				}
 				if err := j.Wait(); err != nil {

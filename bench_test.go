@@ -205,7 +205,7 @@ func BenchmarkCheckpointScale(b *testing.B) {
 			var phases snapshot.PhaseBreakdown
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := sys.Checkpoint(job.JobID(), false)
+				res, err := job.Checkpoint(false)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -214,7 +214,7 @@ func BenchmarkCheckpointScale(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(clock.Elapsed().Seconds()*1e3/float64(b.N), "sim-ms/ckpt")
 			reportPhases(b, &phases)
-			if _, err := sys.Checkpoint(job.JobID(), true); err != nil {
+			if _, err := job.Checkpoint(true); err != nil {
 				b.Fatal(err)
 			}
 			if err := job.Wait(); err != nil {
@@ -358,7 +358,7 @@ func BenchmarkRestartTopology(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ckpt, err := prep.Checkpoint(job.JobID(), true)
+	ckpt, err := job.Checkpoint(true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func BenchmarkSnapcTopology(b *testing.B) {
 			var phases snapshot.PhaseBreakdown
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := sys.Checkpoint(job.JobID(), false)
+				res, err := job.Checkpoint(false)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -462,7 +462,7 @@ func BenchmarkSnapcTopology(b *testing.B) {
 			}
 			b.StopTimer()
 			reportPhases(b, &phases)
-			if _, err := sys.Checkpoint(job.JobID(), true); err != nil {
+			if _, err := job.Checkpoint(true); err != nil {
 				b.Fatal(err)
 			}
 			if err := job.Wait(); err != nil {
@@ -511,7 +511,7 @@ func BenchmarkFaultRetryAblation(b *testing.B) {
 				var phases snapshot.PhaseBreakdown
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if res, err := sys.Checkpoint(job.JobID(), false); err == nil {
+					if res, err := job.Checkpoint(false); err == nil {
 						committed++
 						phases.Accumulate(res.Meta.Phases)
 					}
@@ -524,7 +524,7 @@ func BenchmarkFaultRetryAblation(b *testing.B) {
 				// when its gather aborts, so stop retrying once the job is
 				// down regardless of whether the final interval committed.
 				for tries := 0; ; tries++ {
-					if _, err := sys.Checkpoint(job.JobID(), true); err == nil || job.Done() {
+					if _, err := job.Checkpoint(true); err == nil || job.Done() {
 						break
 					}
 					// The terminate directive may have landed even though the
@@ -831,7 +831,7 @@ func BenchmarkAsyncDrainPipeline(b *testing.B) {
 				start := time.Now()
 				if mode == "sync" {
 					for k := 0; k < K; k++ {
-						res, err := sys.Checkpoint(job.JobID(), false)
+						res, err := job.Checkpoint(false)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -841,7 +841,7 @@ func BenchmarkAsyncDrainPipeline(b *testing.B) {
 				} else {
 					pendings := make([]*core.PendingCheckpoint, 0, K)
 					for k := 0; k < K; k++ {
-						p, err := sys.CheckpointAsync(job.JobID(), false)
+						p, err := job.CheckpointAsync(false)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -866,7 +866,7 @@ func BenchmarkAsyncDrainPipeline(b *testing.B) {
 			b.ReportMetric(float64(phases.QuiesceWallNS+phases.CaptureWallNS)/1e6/n, "capture-ms/ckpt")
 			b.ReportMetric(total.Seconds()*1e3/n, "e2e-ms/ckpt")
 			b.ReportMetric(n/captureWindow.Seconds(), "cadence-ckpt/s")
-			if _, err := sys.Checkpoint(job.JobID(), true); err != nil {
+			if _, err := job.Checkpoint(true); err != nil {
 				b.Fatal(err)
 			}
 			if err := job.Wait(); err != nil {
@@ -946,7 +946,7 @@ func BenchmarkRecoveryVsRestart(b *testing.B) {
 					// Released ranks re-arm checkpointability as they resume;
 					// give the terminate checkpoint a few tries.
 					for tries := 0; ; tries++ {
-						if _, err = sys.Checkpoint(live.JobID(), true); err == nil {
+						if _, err = live.Checkpoint(true); err == nil {
 							break
 						}
 						if tries > 100 {
@@ -1002,7 +1002,7 @@ func BenchmarkLedgerOverhead(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			if _, err := sys.Checkpoint(job.JobID(), true); err != nil {
+			if _, err := job.Checkpoint(true); err != nil {
 				b.Fatal(err)
 			}
 			if err := job.Wait(); err != nil {
@@ -1154,7 +1154,7 @@ func BenchmarkHNPReattachMTTR(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if _, err := sys.Checkpoint(job.JobID(), true); err != nil {
+	if _, err := job.Checkpoint(true); err != nil {
 		b.Fatal(err)
 	}
 	if err := job.Wait(); err != nil {

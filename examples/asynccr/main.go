@@ -105,7 +105,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// Let it run a little, then terminate it cleanly via the API.
-	if _, err := sys.Checkpoint(job2.JobID(), true); err != nil {
+	if _, err := job2.Checkpoint(true); err != nil {
 		log.Fatal(err)
 	}
 	if err := job2.Wait(); err != nil {

@@ -41,7 +41,7 @@ func main() {
 	}
 	fmt.Printf("migration: cluster A: job on nodes %v\n", job.Nodes())
 
-	ckpt, err := sysA.Checkpoint(job.JobID(), true)
+	ckpt, err := job.Checkpoint(true)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("migration: cluster B: restarted job on nodes %v\n", job2.Nodes())
-	if _, err := sysB.Checkpoint(job2.JobID(), true); err != nil {
+	if _, err := job2.Checkpoint(true); err != nil {
 		log.Fatal(err)
 	}
 	if err := job2.Wait(); err != nil {

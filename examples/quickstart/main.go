@@ -72,7 +72,7 @@ func main() {
 
 	// Asynchronous path: checkpoint-and-terminate the running job, as
 	// ompi-checkpoint --term would.
-	ckpt, err := sys.Checkpoint(job.JobID(), true)
+	ckpt, err := job.Checkpoint(true)
 	if err != nil {
 		log.Fatal(err)
 	}

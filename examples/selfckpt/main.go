@@ -106,7 +106,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ckpt, err := sys.Checkpoint(job.JobID(), true)
+	ckpt, err := job.Checkpoint(true)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -77,11 +77,11 @@ func TestIncrementalCheckpointAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res0, err := sys.Checkpoint(job.JobID(), false)
+	res0, err := job.Checkpoint(false)
 	if err != nil {
 		t.Fatalf("interval 0: %v", err)
 	}
-	res1, err := sys.Checkpoint(job.JobID(), true)
+	res1, err := job.Checkpoint(true)
 	if err != nil {
 		t.Fatalf("interval 1: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestIncrementalCheckpointAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart from deduped interval: %v", err)
 	}
-	if _, err := sys.Checkpoint(job2.JobID(), true); err != nil {
+	if _, err := job2.Checkpoint(true); err != nil {
 		t.Fatal(err)
 	}
 	if err := job2.Wait(); err != nil {

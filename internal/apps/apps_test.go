@@ -143,7 +143,7 @@ func TestAppsSurviveCheckpointRestart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ckpt, err := sys.Checkpoint(job.JobID(), true)
+			ckpt, err := job.Checkpoint(true)
 			if err != nil {
 				t.Fatalf("checkpoint: %v", err)
 			}
@@ -159,7 +159,7 @@ func TestAppsSurviveCheckpointRestart(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restart: %v", err)
 			}
-			if _, err := sys.Checkpoint(job2.JobID(), true); err != nil {
+			if _, err := job2.Checkpoint(true); err != nil {
 				t.Fatalf("second checkpoint: %v", err)
 			}
 			if err := job2.Wait(); err != nil {

@@ -5,7 +5,7 @@
 //
 //	sys, _ := core.NewSystem(core.Options{Nodes: 4, SlotsPerNode: 2})
 //	job, _ := sys.Launch(core.JobSpec{Name: "ring", NP: 8, AppFactory: f})
-//	ckpt, _ := sys.Checkpoint(job.JobID(), false)   // global snapshot ref
+//	ckpt, _ := job.Checkpoint(false)   // global snapshot ref
 //	...
 //	job2, _ := sys.Restart(ckpt.Ref, ckpt.Interval, f2)
 //
@@ -82,8 +82,7 @@ type JobSpec = runtime.JobSpec
 // observation methods — JobID, Wait, Done, Nodes, NodeOf, Params,
 // RankTable — promote through) plus the per-job verbs. Every operation
 // a tool performs on one job of a multi-job cluster hangs off this
-// handle; the System-level verbs taking a names.JobID remain as thin
-// deprecated wrappers.
+// handle.
 type Job struct {
 	*runtime.Job
 	sys *System
@@ -233,27 +232,19 @@ func (s *System) Job(id names.JobID) (*Job, error) {
 // JobIDs lists known jobs.
 func (s *System) JobIDs() []names.JobID { return s.cluster.JobIDs() }
 
-// Checkpoint takes a global checkpoint of the job (optionally
-// terminating it) and returns the global snapshot reference — the one
-// name the user must preserve (paper §4).
-//
-// Deprecated: use the job-scoped handle, Job.Checkpoint.
-func (s *System) Checkpoint(id names.JobID, terminate bool) (CheckpointResult, error) {
-	return s.checkpoint(id, snapc.Options{Terminate: terminate})
+// checkpoint takes a global checkpoint of the job and returns the
+// global snapshot reference — the one name the user must preserve
+// (paper §4). Job.Checkpoint is the public face.
+func (s *System) checkpoint(id names.JobID, copts snapc.Options) (CheckpointResult, error) {
+	return result(s.cluster.CheckpointJob(id, copts))
 }
 
-// checkpoint is Checkpoint with full SNAPC options (KeepLocal etc.).
-func (s *System) checkpoint(id names.JobID, copts snapc.Options) (CheckpointResult, error) {
-	res, err := s.cluster.CheckpointJob(id, copts)
+// result converts a committed drain's outcome into the public form.
+func result(res snapc.Result, err error) (CheckpointResult, error) {
 	if err != nil {
 		return CheckpointResult{}, err
 	}
-	return CheckpointResult{
-		Ref:      res.Ref,
-		Dir:      res.Ref.Dir,
-		Interval: res.Interval,
-		Meta:     res.Meta,
-	}, nil
+	return CheckpointResult{Ref: res.Ref, Dir: res.Ref.Dir, Interval: res.Interval, Meta: res.Meta}, nil
 }
 
 // PendingCheckpoint is a ticket for an interval whose capture phase
@@ -271,30 +262,13 @@ func (p *PendingCheckpoint) Done() bool { return p.p.Done() }
 
 // Wait blocks until the background drain finishes and returns the
 // committed checkpoint (or the drain's failure).
-func (p *PendingCheckpoint) Wait() (CheckpointResult, error) {
-	res, err := p.p.Wait()
-	if err != nil {
-		return CheckpointResult{}, err
-	}
-	return CheckpointResult{
-		Ref:      res.Ref,
-		Dir:      res.Ref.Dir,
-		Interval: res.Interval,
-		Meta:     res.Meta,
-	}, nil
-}
+func (p *PendingCheckpoint) Wait() (CheckpointResult, error) { return result(p.p.Wait()) }
 
-// CheckpointAsync runs only the synchronous capture phase of a global
+// checkpointAsync runs only the synchronous capture phase of a global
 // checkpoint — the application blocks for quiesce + capture, then
 // resumes — and queues the interval for the background drain engine.
 // The returned ticket's Wait yields the committed snapshot reference.
-//
-// Deprecated: use the job-scoped handle, Job.CheckpointAsync.
-func (s *System) CheckpointAsync(id names.JobID, terminate bool) (*PendingCheckpoint, error) {
-	return s.checkpointAsync(id, snapc.Options{Terminate: terminate})
-}
-
-// checkpointAsync is CheckpointAsync with full SNAPC options.
+// Job.CheckpointAsync is the public face.
 func (s *System) checkpointAsync(id names.JobID, copts snapc.Options) (*PendingCheckpoint, error) {
 	p, err := s.cluster.CheckpointJobAsync(id, copts)
 	if err != nil {
@@ -346,14 +320,7 @@ func (s *System) OpenGlobalSnapshot(dir string) (snapshot.GlobalRef, error) {
 // Resolver builds a replica-aware snapshot resolver over this system's
 // stable storage and surviving nodes: the quorum-restart view of one
 // global snapshot lineage directory.
-func (s *System) Resolver(dir string) *snapshot.Resolver {
-	return &snapshot.Resolver{
-		Ref:    snapshot.GlobalRef{FS: s.cluster.Stable(), Dir: dir},
-		Nodes:  s.cluster.AliveNodes(),
-		NodeFS: s.cluster.NodeFS,
-		Ins:    s.ins,
-	}
-}
+func (s *System) Resolver(dir string) *snapshot.Resolver { return s.cluster.Resolver(dir) }
 
 // Scrub runs one scrub/repair pass over a global snapshot directory:
 // every copy of every interval is re-hashed against its manifest, a
@@ -654,49 +621,10 @@ func (s *System) superviseLoop(job *Job, appFactory func(rank int) ompi.App, opt
 				defer tickers.Done()
 				t := time.NewTicker(opts.CheckpointEvery)
 				defer t.Stop()
-				for {
-					select {
-					case <-stop:
-						return
-					case <-t.C:
-					}
-					if j.Done() {
-						return
-					}
-					if opts.Drain.Async {
-						// Pay only the capture phase on the ticker; a
-						// collector goroutine (joined with the tickers)
-						// accounts for the drain when it lands.
-						p, err := s.checkpointAsync(j.JobID(), copts)
-						if err != nil {
-							s.noteCkptErr(j.JobID(), err, &rep, &mu, opts)
-							continue
-						}
-						tickers.Add(1)
-						go func() {
-							defer tickers.Done()
-							res, err := p.Wait()
-							if err != nil {
-								s.noteCkptErr(j.JobID(), err, &rep, &mu, opts)
-								return
-							}
-							mu.Lock()
-							rep.Checkpoints++
-							rep.Phases.Accumulate(res.Meta.Phases)
-							mu.Unlock()
-							if co != nil {
-								s.cluster.PruneLocalStages(j.JobID(), res.Interval)
-							}
-							if opts.Progress != nil {
-								opts.Progress(res)
-							}
-						}()
-						continue
-					}
-					res, err := s.checkpoint(j.JobID(), copts)
+				settle := func(res CheckpointResult, err error) {
 					if err != nil {
 						s.noteCkptErr(j.JobID(), err, &rep, &mu, opts)
-						continue
+						return
 					}
 					mu.Lock()
 					rep.Checkpoints++
@@ -708,6 +636,33 @@ func (s *System) superviseLoop(job *Job, appFactory func(rank int) ompi.App, opt
 					if opts.Progress != nil {
 						opts.Progress(res)
 					}
+				}
+				for {
+					select {
+					case <-stop:
+						return
+					case <-t.C:
+					}
+					if j.Done() {
+						return
+					}
+					if !opts.Drain.Async {
+						settle(s.checkpoint(j.JobID(), copts))
+						continue
+					}
+					// Pay only the capture phase on the ticker; a collector
+					// goroutine (joined with the tickers) accounts for the
+					// drain when it lands.
+					p, err := s.checkpointAsync(j.JobID(), copts)
+					if err != nil {
+						s.noteCkptErr(j.JobID(), err, &rep, &mu, opts)
+						continue
+					}
+					tickers.Add(1)
+					go func() {
+						defer tickers.Done()
+						settle(p.Wait())
+					}()
 				}
 			}(current)
 		}
@@ -752,82 +707,75 @@ func (s *System) superviseLoop(job *Job, appFactory func(rank int) ompi.App, opt
 		// lineage holds a restorable interval newer than anything it
 		// committed, relaunch straight from the sealed stages and stage
 		// replicas, skipping the stable round trip on the MTTR path.
-		// Any miss falls through to the drain-recovery path below.
+		// Any miss falls through to the whole-job path.
+		var next *Job
+		var src RestartSource
 		if lsup != nil {
-			if next, interval, cp, ok := s.holdRestart(current, appFactory); ok {
-				rep.Restarts++
-				rep.Recovered = true
-				s.ins.Counter("ompi_supervise_restarts_total").Inc()
-				dir := snapshot.GlobalDirName(int(current.JobID()))
-				rep.Sources = append(rep.Sources, RestartSource{Dir: dir, Interval: interval, Copy: cp})
-				s.ins.Emit("core", "supervise.restart", "job %d failed (%v); restarted as job %d from %s interval %d (%s)",
-					current.JobID(), err, next.JobID(), dir, interval, cp)
-				dirs = append(dirs, snapshot.GlobalDirName(int(next.JobID())))
-				current = next
-				continue
-			}
+			next, src = s.holdRestart(current, appFactory)
 		}
-		for _, dir := range dirs {
-			rr, rerr := s.cluster.RecoverDrains(dir)
-			if rerr != nil {
-				s.ins.Emit("core", "supervise.drain-recover-failed", "%s: %v", dir, rerr)
-				continue
+		if next == nil {
+			var rerr error
+			if next, src, rerr = s.lineageRestart(dirs, appFactory, &rep.DrainRecovery); rerr != nil {
+				return rep, errors.Join(err, rerr)
 			}
-			rep.DrainRecovery.FastForwarded += rr.FastForwarded
-			rep.DrainRecovery.Redrained += rr.Redrained
-			rep.DrainRecovery.Discarded += rr.Discarded
-			rep.DrainRecovery.Superseded += rr.Superseded
-			if rr.FastForwarded+rr.Redrained+rr.Discarded+rr.Superseded > 0 {
-				s.ins.Emit("core", "supervise.drain-recovered",
-					"%s: %d fast-forwarded, %d re-drained, %d discarded, %d superseded",
-					dir, rr.FastForwarded, rr.Redrained, rr.Discarded, rr.Superseded)
-			}
-		}
-		res, interval, cp, verr := s.newestValid(dirs)
-		if verr != nil {
-			return rep, errors.Join(err, fmt.Errorf("core: no valid snapshot to restart from: %w", verr))
-		}
-		// Quorum restart: a replica copy repairs the primary before the
-		// relaunch, so the restart path always reads a verified primary.
-		if !cp.Primary() {
-			if perr := res.Repair(interval, cp); perr != nil {
-				return rep, errors.Join(err, fmt.Errorf("core: repair primary from %s: %w", cp, perr))
-			}
-		}
-		next, rerr := s.Restart(res.Ref, interval, appFactory)
-		if rerr != nil {
-			return rep, errors.Join(err, fmt.Errorf("core: auto-restart: %w", rerr))
 		}
 		rep.Restarts++
 		rep.Recovered = true
 		s.ins.Counter("ompi_supervise_restarts_total").Inc()
-		rep.Sources = append(rep.Sources, RestartSource{
-			Dir: res.Ref.Dir, Interval: interval, Copy: cp.String(), Repaired: !cp.Primary(),
-		})
+		rep.Sources = append(rep.Sources, src)
 		s.ins.Emit("core", "supervise.restart", "job %d failed (%v); restarted as job %d from %s interval %d (%s)",
-			current.JobID(), err, next.JobID(), res.Ref.Dir, interval, cp)
+			current.JobID(), err, next.JobID(), src.Dir, src.Interval, src.Copy)
 		dirs = append(dirs, snapshot.GlobalDirName(int(next.JobID())))
 		current = next
 	}
+}
+
+// lineageRestart is the whole-job restart path: resolve every
+// lineage's drain journal (fast-forward what committed, re-drain what
+// survives in sealed local stages, discard the rest), then relaunch
+// from the newest interval with an intact copy anywhere, repairing the
+// primary from a replica copy first.
+func (s *System) lineageRestart(dirs []string, appFactory func(rank int) ompi.App, drained *snapc.RecoverReport) (*Job, RestartSource, error) {
+	for _, dir := range dirs {
+		rr, err := s.cluster.RecoverDrains(dir)
+		if err != nil {
+			s.ins.Emit("core", "supervise.drain-recover-failed", "%s: %v", dir, err)
+			continue
+		}
+		drained.FastForwarded += rr.FastForwarded
+		drained.Redrained += rr.Redrained
+		drained.Discarded += rr.Discarded
+		drained.Superseded += rr.Superseded
+		if rr.FastForwarded+rr.Redrained+rr.Discarded+rr.Superseded > 0 {
+			s.ins.Emit("core", "supervise.drain-recovered",
+				"%s: %d fast-forwarded, %d re-drained, %d discarded, %d superseded",
+				dir, rr.FastForwarded, rr.Redrained, rr.Discarded, rr.Superseded)
+		}
+	}
+	// Scan the lineage newest-incarnation-first.
+	lastErr := fmt.Errorf("core: no snapshots were taken")
+	for i := len(dirs) - 1; i >= 0; i-- {
+		res := s.Resolver(dirs[i])
+		interval, _, cp, err := res.LatestValid()
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		if !cp.Primary() {
+			if err := res.Repair(interval, cp); err != nil {
+				return nil, RestartSource{}, fmt.Errorf("core: repair primary from %s: %w", cp, err)
+			}
+		}
+		next, err := s.Restart(res.Ref, interval, appFactory)
+		if err != nil {
+			return nil, RestartSource{}, fmt.Errorf("core: auto-restart: %w", err)
+		}
+		return next, RestartSource{Dir: res.Ref.Dir, Interval: interval, Copy: cp.String(), Repaired: !cp.Primary()}, nil
+	}
+	return nil, RestartSource{}, fmt.Errorf("core: no valid snapshot to restart from: %w", lastErr)
 }
 
 // restartOutageWait bounds how long a supervised restart waits for a
 // stable-store outage to be reconciled before it resolves its restart
 // interval anyway.
 const restartOutageWait = 5 * time.Second
-
-// newestValid scans the snapshot lineage newest-incarnation-first and
-// returns the first interval with an intact copy anywhere — the primary
-// on stable storage or a replica on a surviving node.
-func (s *System) newestValid(dirs []string) (*snapshot.Resolver, int, snapshot.Copy, error) {
-	lastErr := fmt.Errorf("core: no snapshots were taken")
-	for i := len(dirs) - 1; i >= 0; i-- {
-		res := s.Resolver(dirs[i])
-		iv, _, cp, err := res.LatestValid()
-		if err == nil {
-			return res, iv, cp, nil
-		}
-		lastErr = err
-	}
-	return nil, 0, snapshot.Copy{}, lastErr
-}

@@ -83,7 +83,7 @@ func TestLaunchCheckpointRestartFacade(t *testing.T) {
 	if _, err := sys.Job(job.JobID()); err != nil {
 		t.Errorf("Job: %v", err)
 	}
-	ckpt, err := sys.Checkpoint(job.JobID(), true)
+	ckpt, err := job.Checkpoint(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestLaunchCheckpointRestartFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Checkpoint(job2.JobID(), true); err != nil {
+	if _, err := job2.Checkpoint(true); err != nil {
 		t.Fatal(err)
 	}
 	if err := job2.Wait(); err != nil {
@@ -179,7 +179,7 @@ func TestHeterogeneousCRSInOneGlobalSnapshot(t *testing.T) {
 			},
 		}
 	}
-	job, err := sys.Cluster().Launch(runtime.JobSpec{
+	job, err := sys.Launch(runtime.JobSpec{
 		Name: "hetero", NP: 4, AppFactory: factory,
 		CRSByRank: func(rank int) string {
 			if rank%2 == 0 {
@@ -191,7 +191,7 @@ func TestHeterogeneousCRSInOneGlobalSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err := sys.Checkpoint(job.JobID(), true)
+	ckpt, err := job.Checkpoint(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestHeterogeneousCRSInOneGlobalSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Checkpoint(job2.JobID(), true); err != nil {
+	if _, err := job2.Checkpoint(true); err != nil {
 		t.Fatal(err)
 	}
 	if err := job2.Wait(); err != nil {
@@ -287,7 +287,7 @@ func TestRestartRejectsCorruptGlobalMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err := sys.Checkpoint(job.JobID(), true)
+	ckpt, err := job.Checkpoint(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestRestartRejectsCorruptImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err := sys.Checkpoint(job.JobID(), true)
+	ckpt, err := job.Checkpoint(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestRestartMissingLocalSnapshotFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err := sys.Checkpoint(job.JobID(), true)
+	ckpt, err := job.Checkpoint(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestNodeLossAfterCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err := sys.Checkpoint(job.JobID(), true)
+	ckpt, err := job.Checkpoint(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestNodeLossAfterCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restart after node loss: %v", err)
 	}
-	if _, err := sys2.Checkpoint(job2.JobID(), true); err != nil {
+	if _, err := job2.Checkpoint(true); err != nil {
 		t.Fatal(err)
 	}
 	if err := job2.Wait(); err != nil {
@@ -440,7 +440,7 @@ func TestMultipleIntervalsRestartEach(t *testing.T) {
 	var last CheckpointResult
 	for i := 0; i < 3; i++ {
 		term := i == 2
-		ckpt, err := sys.Checkpoint(job.JobID(), term)
+		ckpt, err := job.Checkpoint(term)
 		if err != nil {
 			t.Fatalf("interval %d: %v", i, err)
 		}
@@ -469,7 +469,7 @@ func TestMultipleIntervalsRestartEach(t *testing.T) {
 		if err != nil {
 			t.Fatalf("restart interval %d: %v", iv, err)
 		}
-		if _, err := sys.Checkpoint(job2.JobID(), true); err != nil {
+		if _, err := job2.Checkpoint(true); err != nil {
 			t.Fatal(err)
 		}
 		if err := job2.Wait(); err != nil {
@@ -497,7 +497,7 @@ func TestParamsFlowIntoMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err := sys.Checkpoint(job.JobID(), true)
+	ckpt, err := job.Checkpoint(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestRestartChainMatchesFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err := sys.Checkpoint(job.JobID(), true)
+	ckpt, err := job.Checkpoint(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func TestRestartChainMatchesFaultFree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("incarnation %d restart: %v", i, err)
 		}
-		ckpt, err = sys.Checkpoint(job.JobID(), true)
+		ckpt, err = job.Checkpoint(true)
 		if err != nil {
 			t.Fatalf("incarnation %d checkpoint: %v", i, err)
 		}
@@ -564,7 +564,7 @@ func TestRestartChainMatchesFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Checkpoint(job.JobID(), true); err != nil {
+	if _, err := job.Checkpoint(true); err != nil {
 		t.Fatal(err)
 	}
 	if err := job.Wait(); err != nil {
@@ -619,7 +619,7 @@ func TestRestartChainStencilUniform(t *testing.T) {
 	}
 	var ckpt CheckpointResult
 	for i := 0; i < 3; i++ {
-		ckpt, err = sys.Checkpoint(job.JobID(), true)
+		ckpt, err = job.Checkpoint(true)
 		if err != nil {
 			t.Fatalf("incarnation %d: %v", i, err)
 		}
@@ -642,7 +642,7 @@ func TestRestartChainStencilUniform(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := sys.Checkpoint(job.JobID(), true); err != nil {
+	if _, err := job.Checkpoint(true); err != nil {
 		t.Fatal(err)
 	}
 	if err := job.Wait(); err != nil {

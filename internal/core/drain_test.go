@@ -59,20 +59,20 @@ func TestCheckpointAsyncLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0, err := sys.CheckpointAsync(job.JobID(), false)
+	p0, err := job.CheckpointAsync(false)
 	if err != nil {
 		t.Fatalf("CheckpointAsync: %v", err)
 	}
 	if p0.Interval() != 0 {
 		t.Errorf("first async interval = %d", p0.Interval())
 	}
-	p1, err := sys.CheckpointAsync(job.JobID(), false)
+	p1, err := job.CheckpointAsync(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Terminate rides the drain of the final interval, like the sync
 	// checkpoint-and-terminate path.
-	p2, err := sys.CheckpointAsync(job.JobID(), true)
+	p2, err := job.CheckpointAsync(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestAsyncCrashRecoveryAndFastPathRestart(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond) // accumulate some state to restore
 
-	p, err := sys.CheckpointAsync(job.JobID(), false)
+	p, err := job.CheckpointAsync(false)
 	if err != nil {
 		t.Fatalf("CheckpointAsync: %v", err)
 	}
@@ -254,7 +254,7 @@ func TestAsyncCrashRecoveryAndFastPathRestart(t *testing.T) {
 	}
 
 	// End the job cleanly (a second interval drains fine: times1 fired).
-	if _, err := sys.Checkpoint(job.JobID(), true); err != nil {
+	if _, err := job.Checkpoint(true); err != nil {
 		t.Fatalf("terminate checkpoint: %v", err)
 	}
 	if err := job.Wait(); err != nil {

@@ -214,18 +214,13 @@ func (ls *levelSup) promoteStable(job *Job) {
 	}
 	var res CheckpointResult
 	if held {
-		r, werr := p.Wait()
-		if werr != nil {
-			ls.sys.noteCkptErr(job.JobID(), werr, ls.rep, ls.mu, ls.opts)
-			return
-		}
-		res = CheckpointResult{Ref: r.Ref, Dir: r.Ref.Dir, Interval: r.Interval, Meta: r.Meta}
+		res, err = result(p.Wait())
 	} else {
 		res, err = ls.sys.checkpoint(job.JobID(), ls.copts)
-		if err != nil {
-			ls.sys.noteCkptErr(job.JobID(), err, ls.rep, ls.mu, ls.opts)
-			return
-		}
+	}
+	if err != nil {
+		ls.sys.noteCkptErr(job.JobID(), err, ls.rep, ls.mu, ls.opts)
+		return
 	}
 	ls.tuner.ObserveCost(cadence.L3, time.Since(t0))
 	ls.mu.Lock()
@@ -241,27 +236,17 @@ func (ls *levelSup) promoteStable(job *Job) {
 	}
 }
 
-// holdRestart is the hold-direct restart path: when the failed
-// lineage's newest restorable held interval is newer than anything
-// committed on stable storage, relaunch straight from the sealed
-// stages and stage replicas — the MTTR path never pays the stable
-// store's ingress for data only the restart itself will read. Returns
-// false on any miss (nothing held, every hold already dominated by a
-// stable commit, or a stage read failing mid-build); the caller falls
-// through to the drain-recovery path, which is strictly more general.
-func (s *System) holdRestart(current *Job, appFactory func(rank int) ompi.App) (*Job, int, string, bool) {
-	e, ok, err := s.cluster.RestorableHold(current.JobID())
-	if err != nil || !ok {
-		return nil, 0, "", false
+// holdRestart is the hold-direct restart path (Cluster.RestartFromHold):
+// the MTTR path never pays the stable store's ingress for data only the
+// restart itself will read. Returns a nil job on any miss; the caller
+// falls through to the whole-job path, which is strictly more general.
+func (s *System) holdRestart(current *Job, appFactory func(rank int) ompi.App) (*Job, RestartSource) {
+	next, e, ok, err := s.cluster.RestartFromHold(current.Job, appFactory)
+	if err != nil {
+		s.ins.Emit("core", "supervise.hold-restart-failed", "%s: %v", current.GlobalDir(), err)
 	}
-	gd := snapshot.GlobalDirName(int(current.JobID()))
-	if iv, _, _, verr := s.Resolver(gd).LatestValid(); verr == nil && iv >= e.Interval {
-		return nil, 0, "", false
+	if !ok {
+		return nil, RestartSource{}
 	}
-	next, iv, rerr := s.cluster.RestartFromHold(current.Job, appFactory)
-	if rerr != nil {
-		s.ins.Emit("core", "supervise.hold-restart-failed", "%s: %v", gd, rerr)
-		return nil, 0, "", false
-	}
-	return s.wrap(next), iv, "held:" + e.LevelLabel(), true
+	return s.wrap(next), RestartSource{Dir: current.GlobalDir(), Interval: e.Interval, Copy: "held:" + e.LevelLabel()}
 }

@@ -58,7 +58,7 @@ func TestObservabilityUnderFaultInjection(t *testing.T) {
 	var metas []snapshot.GlobalMeta
 	for i := 0; i < intervals; i++ {
 		term := i == intervals-1
-		res, err := sys.Checkpoint(job.JobID(), term)
+		res, err := job.Checkpoint(term)
 		if err != nil {
 			if term {
 				t.Fatalf("terminating checkpoint aborted: %v", err)

@@ -175,19 +175,20 @@ func TestLatestValidIntervalSkipsDamagedNewest(t *testing.T) {
 	if err := fsys.WriteFile(path.Join(ref.IntervalDir(1), LocalDirName(0), "image.bin"), []byte("zap")); err != nil {
 		t.Fatal(err)
 	}
-	iv, meta, err := LatestValidInterval(ref)
+	res := &Resolver{Ref: ref} // primary-only resolution
+	iv, meta, _, err := res.LatestValid()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if iv != 0 || meta.Interval != 0 {
-		t.Errorf("LatestValidInterval = %d (meta %d), want 0", iv, meta.Interval)
+		t.Errorf("LatestValid = %d (meta %d), want 0", iv, meta.Interval)
 	}
 	// With every interval damaged, the error says so.
 	if err := fsys.Remove(path.Join(ref.IntervalDir(0), GlobalMetaFile)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LatestValidInterval(ref); err == nil {
-		t.Error("LatestValidInterval found a valid interval in a fully damaged reference")
+	if _, _, _, err := res.LatestValid(); err == nil {
+		t.Error("LatestValid found a valid interval in a fully damaged reference")
 	}
 }
 

@@ -119,8 +119,7 @@ func (c Copy) String() string {
 
 // Resolver finds restartable interval copies across the primary store
 // and the surviving nodes' replica trees. With no Nodes (or a nil
-// NodeFS) it degrades to primary-only resolution — exactly the old
-// LatestValidInterval behavior.
+// NodeFS) it degrades to primary-only resolution.
 type Resolver struct {
 	// Ref is the primary global snapshot on stable storage.
 	Ref GlobalRef
@@ -155,24 +154,10 @@ func (r *Resolver) Candidates() []int {
 		}
 	}
 	for _, node := range r.Nodes {
-		fsys, err := r.nodeFS(node)
-		if err != nil {
-			continue
-		}
-		entries, err := fsys.ReadDir(ReplicaRoot(r.Ref.Dir))
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			if !e.IsDir {
-				continue
-			}
-			var n int
-			if _, err := fmt.Sscanf(e.Name, "%d", &n); err != nil || fmt.Sprintf("%d", n) != e.Name || n < 0 {
-				continue
-			}
-			if vfs.Exists(fsys, path.Join(ReplicaRoot(r.Ref.Dir), e.Name, CommittedFile)) {
-				seen[n] = true
+		if fsys, err := r.nodeFS(node); err == nil {
+			ivs, _ := committedIntervals(fsys, ReplicaRoot(r.Ref.Dir))
+			for _, iv := range ivs {
+				seen[iv] = true
 			}
 		}
 	}
@@ -193,30 +178,51 @@ func (r *Resolver) Resolve(interval int) (GlobalMeta, Copy, error) {
 		return meta, Copy{FS: r.Ref.FS, Dir: r.Ref.IntervalDir(interval)}, nil
 	}
 	lastErr := perr
-	for _, node := range r.Nodes {
-		fsys, err := r.nodeFS(node)
-		if err != nil {
-			continue // dead or unreachable node
-		}
-		dir := ReplicaDir(r.Ref.Dir, interval)
-		if !vfs.Exists(fsys, dir) {
+	for _, rc := range r.replicas(interval, intact) {
+		if rc.err != nil {
+			r.Ins.Emit("snapshot", "replica.corrupt", "interval %d replica on %s failed verification: %v", interval, rc.Node, rc.err)
+			lastErr = rc.err
 			continue
 		}
-		meta, err := VerifyDir(fsys, dir)
-		if err != nil {
-			r.Ins.Emit("snapshot", "replica.corrupt", "interval %d replica on %s failed verification: %v", interval, node, err)
-			lastErr = err
-			continue
-		}
-		if meta.Interval != interval {
-			lastErr = fmt.Errorf("%w: replica %q on %s claims interval %d, want %d",
-				ErrCorrupt, dir, node, meta.Interval, interval)
-			continue
-		}
-		r.Ins.Emit("snapshot", "replica.fallback", "interval %d: primary unusable (%v); using replica on %s", interval, perr, node)
-		return meta, Copy{Node: node, FS: fsys, Dir: dir}, nil
+		r.Ins.Emit("snapshot", "replica.fallback", "interval %d: primary unusable (%v); using replica on %s", interval, perr, rc.Node)
+		return rc.meta, rc.Copy, nil
 	}
 	return GlobalMeta{}, Copy{}, fmt.Errorf("snapshot: interval %d has no intact copy: %w", interval, lastErr)
+}
+
+// replica is one node's replica of an interval as verified: err is nil
+// when the copy is intact.
+type replica struct {
+	Copy
+	meta GlobalMeta
+	err  error
+}
+
+// intact stops a replica survey at the first copy that verifies.
+func intact(rc replica) bool { return rc.err == nil }
+
+// replicas fully verifies the reachable nodes' replicas of interval, in
+// r.Nodes order, stopping after the first for which stop (when non-nil)
+// reports true.
+func (r *Resolver) replicas(interval int, stop func(replica) bool) []replica {
+	var out []replica
+	dir := ReplicaDir(r.Ref.Dir, interval)
+	for _, node := range r.Nodes {
+		fsys, err := r.nodeFS(node)
+		if err != nil || !vfs.Exists(fsys, dir) {
+			continue // dead or unreachable node, or no replica
+		}
+		meta, err := VerifyDir(fsys, dir)
+		if err == nil && meta.Interval != interval {
+			err = fmt.Errorf("%w: replica %q on %s claims interval %d, want %d",
+				ErrCorrupt, dir, node, meta.Interval, interval)
+		}
+		out = append(out, replica{Copy{Node: node, FS: fsys, Dir: dir}, meta, err})
+		if stop != nil && stop(out[len(out)-1]) {
+			break
+		}
+	}
+	return out
 }
 
 // LatestValid returns the newest interval with at least one intact
@@ -332,31 +338,11 @@ func (r *Resolver) scrubInterval(iv, k int, rep *ScrubReport) IntervalHealth {
 
 	// Survey the replicas before any healing, so the ledger records what
 	// the scrub actually found.
-	type replica struct {
-		node string
-		fsys vfs.FS
-		dir  string
-		meta GlobalMeta
-		err  error
-	}
-	var found []replica
-	for _, node := range r.Nodes {
-		fsys, err := r.nodeFS(node)
-		if err != nil {
-			continue
+	found := r.replicas(iv, nil)
+	for _, rc := range found {
+		if rc.err != nil {
+			r.Ins.Emit("snapshot", "scrub.corrupt", "interval %d replica on %s: %v", iv, rc.Node, rc.err)
 		}
-		dir := ReplicaDir(r.Ref.Dir, iv)
-		if !vfs.Exists(fsys, dir) {
-			continue
-		}
-		rm, err := VerifyDir(fsys, dir)
-		if err == nil && rm.Interval != iv {
-			err = fmt.Errorf("%w: replica claims interval %d, want %d", ErrCorrupt, rm.Interval, iv)
-		}
-		if err != nil {
-			r.Ins.Emit("snapshot", "scrub.corrupt", "interval %d replica on %s: %v", iv, node, err)
-		}
-		found = append(found, replica{node: node, fsys: fsys, dir: dir, meta: rm, err: err})
 	}
 
 	// Heal the primary first: every re-replication below copies from it.
@@ -365,7 +351,7 @@ func (r *Resolver) scrubInterval(iv, k int, rep *ScrubReport) IntervalHealth {
 			if rc.err != nil {
 				continue
 			}
-			if err := r.Repair(iv, Copy{Node: rc.node, FS: rc.fsys, Dir: rc.dir}); err != nil {
+			if err := r.Repair(iv, rc.Copy); err != nil {
 				r.Ins.Emit("snapshot", "scrub.repair-failed", "interval %d: %v", iv, err)
 				continue
 			}
@@ -373,7 +359,7 @@ func (r *Resolver) scrubInterval(iv, k int, rep *ScrubReport) IntervalHealth {
 			primary.OK, primary.Repaired = true, true
 			rep.Repaired++
 			r.Ins.Counter("ompi_scrub_repairs_total").Inc()
-			h.Actions = append(h.Actions, fmt.Sprintf("primary rebuilt from replica:%s", rc.node))
+			h.Actions = append(h.Actions, "primary rebuilt from "+rc.String())
 			break
 		}
 	}
@@ -382,14 +368,14 @@ func (r *Resolver) scrubInterval(iv, k int, rep *ScrubReport) IntervalHealth {
 	intactNodes := make(map[string]bool)
 	health := make(map[string]*CopyHealth, len(found))
 	for _, rc := range found {
-		ch := CopyHealth{Copy: "replica:" + rc.node, OK: rc.err == nil}
+		ch := CopyHealth{Copy: rc.String(), OK: rc.err == nil}
 		if rc.err != nil {
 			ch.Err = rc.err.Error()
 		} else {
-			intactNodes[rc.node] = true
+			intactNodes[rc.Node] = true
 		}
 		h.Copies = append(h.Copies, ch)
-		health[rc.node] = &h.Copies[len(h.Copies)-1]
+		health[rc.Node] = &h.Copies[len(h.Copies)-1]
 	}
 
 	// Re-replicate from the (now intact) primary: restore damaged
@@ -498,19 +484,11 @@ func (r *Resolver) Prune(keep, k int) (PruneReport, error) {
 		if _, err := VerifyInterval(r.Ref, iv); err == nil {
 			st.primaryOK = true
 		}
-		for _, node := range r.Nodes {
-			fsys, err := r.nodeFS(node)
-			if err != nil {
-				continue
-			}
-			dir := ReplicaDir(r.Ref.Dir, iv)
-			if !vfs.Exists(fsys, dir) {
-				continue
-			}
-			if m, err := VerifyDir(fsys, dir); err == nil && m.Interval == iv {
-				st.intact = append(st.intact, node)
+		for _, rc := range r.replicas(iv, nil) {
+			if rc.err == nil {
+				st.intact = append(st.intact, rc.Node)
 			} else {
-				st.damaged = append(st.damaged, node)
+				st.damaged = append(st.damaged, rc.Node)
 			}
 		}
 		states[iv] = st

@@ -21,6 +21,7 @@ func writeInterval(t *testing.T, ref GlobalRef, iv, nprocs int, fill byte) Globa
 	stage := ref.StageDir(iv)
 	for _, pe := range m.Procs {
 		lm := validLocalMeta()
+		lm.JobID = m.JobID
 		lm.Vpid = pe.Vpid
 		lm.Interval = iv
 		lm.Node = pe.Node
@@ -422,6 +423,7 @@ func TestWriteGlobalStampsReplicaManifests(t *testing.T) {
 	stage := ref.StageDir(0)
 	for _, pe := range m.Procs {
 		lm := validLocalMeta()
+		lm.JobID = m.JobID
 		lm.Vpid = pe.Vpid
 		if _, err := WriteLocal(ref.FS, path.Join(stage, pe.LocalDir), lm); err != nil {
 			t.Fatal(err)

@@ -22,8 +22,6 @@ import (
 	"fmt"
 	"path"
 	"sort"
-
-	"repro/internal/vfs"
 )
 
 // Checkpoint levels, ordered by durability.
@@ -37,11 +35,23 @@ const (
 	LevelStable = 3
 )
 
+// LocalStageRoot is the directory under which a node keeps its local
+// snapshot stages of one job's intervals.
+func LocalStageRoot(jobID int) string {
+	return fmt.Sprintf("tmp/ckpt/job%d", jobID)
+}
+
 // LocalStageBase is where a node keeps its local snapshot stages for
 // one checkpoint interval of one job. A complete share is sealed with a
 // LocalCommittedFile marker directly under this directory.
 func LocalStageBase(jobID, interval int) string {
-	return fmt.Sprintf("tmp/ckpt/job%d/%d", jobID, interval)
+	return path.Join(LocalStageRoot(jobID), IntervalDirName(interval))
+}
+
+// StageReplicaRoot is the directory under which a holder node keeps its
+// copies of other nodes' stage shares of one job's intervals.
+func StageReplicaRoot(jobID int) string {
+	return fmt.Sprintf("tmp/ckpt_stage_replicas/job%d", jobID)
 }
 
 // StageReplicaBase is where a holder node keeps its copy of another
@@ -50,7 +60,7 @@ func LocalStageBase(jobID, interval int) string {
 // recovery and the level survey can use it even when the journal never
 // learned of the copy.
 func StageReplicaBase(jobID, interval int, origin string) string {
-	return fmt.Sprintf("tmp/ckpt_stage_replicas/job%d/%d/%s", jobID, interval, origin)
+	return path.Join(StageReplicaRoot(jobID), IntervalDirName(interval), origin)
 }
 
 // LevelInfo is one interval's presence across the checkpoint levels —
@@ -91,31 +101,14 @@ func (r *Resolver) surveyEntry(jobID int, e JournalEntry) LevelInfo {
 	}
 	covered := 0
 	for _, origin := range e.Nodes {
-		ownOK := false
-		if fsys, err := r.nodeFS(origin); err == nil {
-			base := e.LocalBase
-			if base == "" {
-				base = LocalStageBase(jobID, e.Interval)
-			}
-			ownOK = vfs.Exists(fsys, path.Join(base, LocalCommittedFile))
-		}
-		if ownOK {
+		own, holder := r.ProbeShare(jobID, e.Interval, e.LocalBase, origin)
+		if own {
 			info.L1Nodes = append(info.L1Nodes, origin)
 		}
-		heldOK := false
-		replicaBase := StageReplicaBase(jobID, e.Interval, origin)
-		for _, holder := range r.Nodes {
-			if holder == origin {
-				continue
-			}
-			if fsys, err := r.nodeFS(holder); err == nil &&
-				vfs.Exists(fsys, path.Join(replicaBase, LocalCommittedFile)) {
-				info.L2Held[origin] = holder
-				heldOK = true
-				break
-			}
+		if holder != "" {
+			info.L2Held[origin] = holder
 		}
-		if ownOK || heldOK {
+		if own || holder != "" {
 			covered++
 		}
 	}

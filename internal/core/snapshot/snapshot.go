@@ -18,6 +18,8 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -484,30 +486,35 @@ func truncate(s string, n int) string {
 // and stage leftovers are skipped: callers only ever see snapshots that
 // finished their atomic commit.
 func Intervals(ref GlobalRef) ([]int, error) {
-	entries, err := ref.FS.ReadDir(ref.Dir)
+	out, err := committedIntervals(ref.FS, ref.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: list intervals: %w", err)
 	}
+	return out, nil
+}
+
+// committedIntervals lists the interval directories under dir (the
+// primary global snapshot or a node's replica tree) that carry a
+// COMMITTED marker, in ascending order.
+func committedIntervals(fsys vfs.FS, dir string) ([]int, error) {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
 	var out []int
 	for _, e := range entries {
-		if !e.IsDir {
-			continue
-		}
-		var n int
-		if _, err := fmt.Sscanf(e.Name, "%d", &n); err == nil && fmt.Sprintf("%d", n) == e.Name && n >= 0 {
-			if !vfs.Exists(ref.FS, path.Join(ref.Dir, e.Name, CommittedFile)) {
-				continue
-			}
+		if n, ok := intervalName(e); ok && vfs.Exists(fsys, path.Join(dir, e.Name, CommittedFile)) {
 			out = append(out, n)
 		}
 	}
-	// ReadDir sorts by name; resort numerically ("10" < "9" by name).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Ints(out) // ReadDir sorts by name: "10" < "9"
 	return out, nil
+}
+
+// intervalName parses an interval directory's name (IntervalDirName).
+func intervalName(e vfs.FileInfo) (int, bool) {
+	n, err := strconv.Atoi(e.Name)
+	return n, e.IsDir && err == nil && n >= 0 && IntervalDirName(n) == e.Name
 }
 
 // Uncommitted lists the debris a crash or aborted checkpoint can leave
@@ -528,11 +535,8 @@ func Uncommitted(ref GlobalRef) ([]string, error) {
 			out = append(out, e.Name)
 			continue
 		}
-		var n int
-		if _, err := fmt.Sscanf(e.Name, "%d", &n); err == nil && fmt.Sprintf("%d", n) == e.Name && n >= 0 {
-			if !vfs.Exists(ref.FS, path.Join(ref.Dir, e.Name, CommittedFile)) {
-				out = append(out, e.Name)
-			}
+		if _, ok := intervalName(e); ok && !vfs.Exists(ref.FS, path.Join(ref.Dir, e.Name, CommittedFile)) {
+			out = append(out, e.Name)
 		}
 	}
 	return out, nil
@@ -571,28 +575,6 @@ func VerifyDir(fsys vfs.FS, dir string) (GlobalMeta, error) {
 		}
 	}
 	return meta, nil
-}
-
-// LatestValidInterval returns the newest interval in ref that passes
-// full verification, scanning downward past corrupt or uncommitted
-// newer ones. This is what automatic recovery restarts from.
-func LatestValidInterval(ref GlobalRef) (int, GlobalMeta, error) {
-	ivs, err := Intervals(ref)
-	if err != nil {
-		return 0, GlobalMeta{}, err
-	}
-	var lastErr error
-	for i := len(ivs) - 1; i >= 0; i-- {
-		meta, err := VerifyInterval(ref, ivs[i])
-		if err == nil {
-			return ivs[i], meta, nil
-		}
-		lastErr = err
-	}
-	if lastErr != nil {
-		return 0, GlobalMeta{}, fmt.Errorf("snapshot: %q has no valid interval: %w", ref.Dir, lastErr)
-	}
-	return 0, GlobalMeta{}, fmt.Errorf("snapshot: %q contains no committed checkpoint intervals", ref.Dir)
 }
 
 // LatestInterval returns the highest interval present in ref, or an

@@ -151,7 +151,7 @@ func TestCheckpointRetriesTransientFilemFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err := sys.Checkpoint(job.JobID(), true)
+	ckpt, err := job.Checkpoint(true)
 	if err != nil {
 		t.Fatalf("Checkpoint under transient faults: %v", err)
 	}
@@ -187,7 +187,7 @@ func TestCheckpointAbortsAtomicallyWhenRetriesExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Checkpoint(job.JobID(), false); err == nil {
+	if _, err := job.Checkpoint(false); err == nil {
 		t.Fatal("checkpoint succeeded with retries exhausted")
 	}
 	if log.Count("ckpt.aborted") == 0 {
@@ -204,7 +204,7 @@ func TestCheckpointAbortsAtomicallyWhenRetriesExhausted(t *testing.T) {
 		t.Errorf("aborted interval appears committed: %v", ivs)
 	}
 	// The fault budget is spent; the next checkpoint commits cleanly.
-	ckpt, err := sys.Checkpoint(job.JobID(), true)
+	ckpt, err := job.Checkpoint(true)
 	if err != nil {
 		t.Fatalf("checkpoint after aborted interval: %v", err)
 	}
@@ -234,10 +234,10 @@ func TestRestartRefusesDamagedMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Checkpoint(job.JobID(), false); err != nil {
+	if _, err := job.Checkpoint(false); err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err := sys.Checkpoint(job.JobID(), true)
+	ckpt, err := job.Checkpoint(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,20 +268,20 @@ func TestRestartRefusesDamagedMetadata(t *testing.T) {
 		t.Errorf("Restart of tampered interval = %v, want ErrCorrupt", err)
 	}
 	// Restore interval 0 and damage stays confined: it validates again
-	// and is exactly what LatestValidInterval falls back to.
+	// and is exactly what primary-only resolution falls back to.
 	if err := ref.FS.WriteFile(metaPath, data); err != nil {
 		t.Fatal(err)
 	}
-	iv, _, err := snapshot.LatestValidInterval(ref)
+	iv, _, _, err := (&snapshot.Resolver{Ref: ref}).LatestValid()
 	if err != nil || iv != 0 {
-		t.Fatalf("LatestValidInterval = %d, %v; want 0", iv, err)
+		t.Fatalf("LatestValid = %d, %v; want 0", iv, err)
 	}
 	factory2, apps2 := counterFactory(0)
 	job2, err := sys.Restart(ref, iv, factory2)
 	if err != nil {
 		t.Fatalf("Restart from surviving interval: %v", err)
 	}
-	if _, err := sys.Checkpoint(job2.JobID(), true); err != nil {
+	if _, err := job2.Checkpoint(true); err != nil {
 		t.Fatal(err)
 	}
 	if err := job2.Wait(); err != nil {

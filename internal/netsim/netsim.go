@@ -120,25 +120,11 @@ func (t *Topology) Ingress() Link {
 	return t.ingress
 }
 
-// SetStorageLocal overrides the storage-internal copy link.
-func (t *Topology) SetStorageLocal(l Link) {
-	t.mu.Lock()
-	t.storageLocal = l
-	t.mu.Unlock()
-}
-
 // StorageLocal returns the storage-internal copy link.
 func (t *Topology) StorageLocal() Link {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.storageLocal
-}
-
-// SetLocalScan overrides the node-local scan (read+hash) link.
-func (t *Topology) SetLocalScan(l Link) {
-	t.mu.Lock()
-	t.localScan = l
-	t.mu.Unlock()
 }
 
 // LocalScan returns the node-local scan (read+hash) link.

@@ -179,7 +179,7 @@ func TestImageDecodeRejects(t *testing.T) {
 		t.Errorf("hand-built image in name order: %v (Iter %d)", err, st.Iter)
 	}
 	for file, want := range map[string]string{
-		"gob-before-format-1": "gob-encoded image from before format 1",
+		"gob-before-format-1": "not a process image",
 		"format-1":            "image format 1: this build reads format 2",
 	} {
 		old, err := corpusEntry(file)

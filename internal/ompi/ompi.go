@@ -116,6 +116,9 @@ type RestoreSpec struct {
 	FS    vfs.FS
 	Dir   string
 	Files []string
+	// Release, when set, drops a copy staged for this restore alone; the
+	// process calls it once the restore has read the snapshot.
+	Release func()
 }
 
 // Errors returned by Proc operations.
@@ -581,16 +584,21 @@ func (p *Proc) FenceDirectives(iv int) {
 	if int64(iv) > p.fence {
 		p.fence = int64(iv)
 	}
+	p.refuseQueued()
+	p.deadMu.Unlock()
+}
+
+// refuseQueued refuses every directive already queued. The caller
+// holds deadMu.
+func (p *Proc) refuseQueued() {
 	for {
 		select {
 		case d := <-p.directives:
 			p.refuse(d)
-			continue
 		default:
+			return
 		}
-		break
 	}
-	p.deadMu.Unlock()
 }
 
 // refuse answers a directive on behalf of a dead process.
@@ -609,15 +617,7 @@ func (p *Proc) refuse(d *Directive) {
 func (p *Proc) markDead() {
 	p.deadMu.Lock()
 	p.dead = true
-	for {
-		select {
-		case d := <-p.directives:
-			p.refuse(d)
-			continue
-		default:
-		}
-		break
-	}
+	p.refuseQueued()
 	p.deadMu.Unlock()
 }
 
@@ -929,9 +929,6 @@ func (p *Proc) RestoreImage(data []byte) error {
 
 func (p *Proc) restoreImage(data []byte) error {
 	if !bytes.HasPrefix(data, []byte(imageMagic)) {
-		if gobStream(data) {
-			return fmt.Errorf("gob-encoded image from before format 1: not readable by this build")
-		}
 		return fmt.Errorf("not a process image (no %q magic)", imageMagic)
 	}
 	r := wire.NewReader(data[len(imageMagic):])
@@ -993,40 +990,3 @@ func (p *Proc) restoreImage(data []byte) error {
 	}
 	return nil
 }
-
-// gobStream reports whether data opens like a gob stream, the format
-// of images before format 1: a message length, then a type definition
-// (a negative type id).
-func gobStream(data []byte) bool {
-	n, rest, ok := gobUint(data)
-	if !ok || n == 0 || n > uint64(len(rest)) {
-		return false
-	}
-	id, _, ok := gobUint(rest)
-	return ok && id&1 == 1
-}
-
-// gobUint decodes gob's unsigned integer: one byte below 0x80, else a
-// negated byte count followed by that many big-endian bytes.
-func gobUint(b []byte) (uint64, []byte, bool) {
-	if len(b) == 0 {
-		return 0, nil, false
-	}
-	if b[0] < 0x80 {
-		return uint64(b[0]), b[1:], true
-	}
-	k := int(-int8(b[0]))
-	if k < 1 || k > 8 || len(b) < 1+k {
-		return 0, nil, false
-	}
-	var v uint64
-	for _, c := range b[1 : 1+k] {
-		v = v<<8 | uint64(c)
-	}
-	return v, b[1+k:], true
-}
-
-var _ crs.Process = (*Proc)(nil)
-
-// ensure parameter type usage for documentation builds.
-var _ = mca.NewParams

@@ -606,9 +606,6 @@ func (e *Engine) SetDraining(on bool) error {
 	return nil
 }
 
-// Draining reports whether quiesce mode is active.
-func (e *Engine) Draining() bool { return e.draining }
-
 // PendingIncomingRendezvous counts arrivals still awaiting payload.
 func (e *Engine) PendingIncomingRendezvous() int {
 	n := 0

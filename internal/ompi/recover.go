@@ -95,7 +95,11 @@ func (p *Proc) bookmarksNow() []byte {
 // the StateRestart INC sweep. Shared by the whole-job restart path in
 // Run and the in-job rollback in tryRecover.
 func (p *Proc) restoreFrom(restore *RestoreSpec) error {
-	if err := p.cfg.CRS.Restart(p, restore.FS, restore.Dir, restore.Files); err != nil {
+	err := p.cfg.CRS.Restart(p, restore.FS, restore.Dir, restore.Files)
+	if restore.Release != nil {
+		restore.Release()
+	}
+	if err != nil {
 		return err
 	}
 	p.lastBookmarks = p.bookmarksNow()

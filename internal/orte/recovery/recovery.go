@@ -1,10 +1,11 @@
 // Package recovery is the policy half of in-job rank recovery and live
 // migration: the coordinator the runtime hands a frozen job to when the
 // HNP's failure detector declares a node dead (or an operator requests a
-// planned move). It picks replacement nodes, restores only the lost
-// ranks from the best available source — intact node-local stage, then
-// replica on a surviving node, then the primary on stable storage —
-// respawns them through the job's launch stack, and re-knits the job:
+// planned move). It picks replacement nodes, restores every rank from
+// the first copy the snapshot restore-source ladder finds — intact
+// node-local stage, then replica on a surviving node, then the verified
+// stable copy — respawns the lost ranks through the job's launch
+// stack, and re-knits the job:
 // every rank rolls back to the same committed interval, reports its
 // restored CRCP channel bookmarks, and resumes only after the pairwise
 // sent/received counts verify. Recovery is itself crash-safe: failures
@@ -17,7 +18,6 @@ package recovery
 import (
 	"errors"
 	"fmt"
-	"path"
 	"sync"
 	"time"
 
@@ -25,10 +25,8 @@ import (
 	"repro/internal/ompi"
 	"repro/internal/ompi/btl"
 	"repro/internal/ompi/crcp"
-	"repro/internal/orte/filem"
 	"repro/internal/orte/runtime"
 	"repro/internal/trace"
-	"repro/internal/vfs"
 )
 
 // Stats summarizes a coordinator's lifetime activity; Supervise folds it
@@ -73,6 +71,14 @@ func (co *Coordinator) Stats() Stats {
 	return co.stats
 }
 
+// note adds n to one of the coordinator's Stats and to its metric.
+func note[T int | int64](co *Coordinator, field *T, metric string, n T) {
+	co.mu.Lock()
+	*field += n
+	co.mu.Unlock()
+	co.ins.Counter(metric).Add(int64(n))
+}
+
 // stageError marks a failure attributable to a replacement node, the
 // retryable class: the next attempt excludes the node and picks another.
 type stageError struct {
@@ -83,15 +89,34 @@ type stageError struct {
 func (e *stageError) Error() string { return fmt.Sprintf("replacement node %q: %v", e.node, e.err) }
 func (e *stageError) Unwrap() error { return e.err }
 
-// rankPlan is one rank's recovery assignment: where it runs, what it
-// restores from, and how the restore is labeled in the per-rank view.
+// rankPlan is one rank's recovery assignment: where it runs, the
+// ladder source it restores from, and the restore built on its node.
 type rankPlan struct {
 	rank    int
 	node    string
+	src     snapshot.Source
 	restore *ompi.RestoreSpec
-	source  string // "local", "replica:<node>", "stable"
-	inPlace bool   // restore directly from the sealed local stage
-	bytes   int64  // payload staged over FILEM (0 for in-place)
+}
+
+// kind names the plan's rung as recovery counts it: "local",
+// "replica" or "stable".
+func (p rankPlan) kind() string {
+	switch p.src.Kind {
+	case snapshot.FromStage:
+		return "local"
+	case snapshot.FromReplica, snapshot.FromStageReplica:
+		return "replica"
+	}
+	return "stable"
+}
+
+// label names the plan's source in the per-rank view: "local",
+// "replica:<node>" or "stable".
+func (p rankPlan) label() string {
+	if k := p.kind(); k != "replica" {
+		return k
+	}
+	return "replica:" + p.src.Node
 }
 
 // HandleFailure implements runtime.RecoveryHandler: the runtime has
@@ -99,23 +124,16 @@ type rankPlan struct {
 // and this goroutine owns the session until CompleteRecovery or
 // AbortRecovery.
 func (co *Coordinator) HandleFailure(j *runtime.Job, node string, lost []int, detectedAt time.Time) {
+	note(co, &co.stats.Sessions, "ompi_recovery_sessions_total", 1)
 	s := j.Recovery()
 	if s == nil {
 		// A second node death aborted the session before this goroutine
 		// started: the runtime already tore it down and the parked ranks
-		// are failing out. Record the session and the fallback so the
-		// report explains why the whole-job ladder ran.
-		co.mu.Lock()
-		co.stats.Sessions++
-		co.mu.Unlock()
-		co.ins.Counter("ompi_recovery_sessions_total").Inc()
+		// are failing out. Record the fallback so the report explains
+		// why the whole-job ladder ran.
 		co.fallback(j, fmt.Errorf("recovery: session for node %q aborted before coordination began", node))
 		return
 	}
-	co.mu.Lock()
-	co.stats.Sessions++
-	co.mu.Unlock()
-	co.ins.Counter("ompi_recovery_sessions_total").Inc()
 	co.ins.Counter("ompi_recovery_detect_ns_total").Add(time.Since(detectedAt).Nanoseconds())
 
 	// Fault point: the HNP dies just as recovery coordination begins.
@@ -134,10 +152,7 @@ func (co *Coordinator) HandleFailure(j *runtime.Job, node string, lost []int, de
 		co.fallback(j, err)
 		return
 	}
-	co.mu.Lock()
-	co.stats.RecoveredRanks += len(lost)
-	co.mu.Unlock()
-	co.ins.Counter("ompi_recovery_recovered_ranks_total").Add(int64(len(lost)))
+	note(co, &co.stats.RecoveredRanks, "ompi_recovery_recovered_ranks_total", len(lost))
 }
 
 // HandleMigration implements runtime.RecoveryHandler: a planned move of
@@ -150,10 +165,7 @@ func (co *Coordinator) HandleMigration(j *runtime.Job, rank int, target string) 
 	if err != nil {
 		return err
 	}
-	co.mu.Lock()
-	co.stats.Sessions++
-	co.mu.Unlock()
-	co.ins.Counter("ompi_recovery_sessions_total").Inc()
+	note(co, &co.stats.Sessions, "ompi_recovery_sessions_total", 1)
 
 	sp := co.ins.Span("recovery.migrate", trace.WithSource("recovery"), trace.WithRank(rank))
 	err = co.runAttempts(j, s, nil, map[int]string{rank: target})
@@ -162,20 +174,14 @@ func (co *Coordinator) HandleMigration(j *runtime.Job, rank int, target string) 
 		co.fallback(j, err)
 		return fmt.Errorf("recovery: migrate rank %d to %q: %w", rank, target, err)
 	}
-	co.mu.Lock()
-	co.stats.Migrations++
-	co.mu.Unlock()
-	co.ins.Counter("ompi_recovery_migrations_total").Inc()
+	note(co, &co.stats.Migrations, "ompi_recovery_migrations_total", 1)
 	return nil
 }
 
 // fallback aborts the session so the parked ranks die and the job's
 // supervisor (if any) runs a whole-job restart.
 func (co *Coordinator) fallback(j *runtime.Job, cause error) {
-	co.mu.Lock()
-	co.stats.Fallbacks++
-	co.mu.Unlock()
-	co.ins.Counter("ompi_recovery_fallbacks_total").Inc()
+	note(co, &co.stats.Fallbacks, "ompi_recovery_fallbacks_total", 1)
 	j.AbortRecovery(fmt.Errorf("recovery: falling back to whole-job restart: %w", cause))
 }
 
@@ -191,10 +197,7 @@ func (co *Coordinator) runAttempts(j *runtime.Job, s *runtime.RecoverySession, e
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			co.mu.Lock()
-			co.stats.Retries++
-			co.mu.Unlock()
-			co.ins.Counter("ompi_recovery_retries_total").Inc()
+			note(co, &co.stats.Retries, "ompi_recovery_retries_total", 1)
 			co.ins.Emit("recovery", "recovery.retry",
 				"job %d attempt %d/%d (excluding %d nodes)", j.JobID(), attempt+1, attempts, len(exclude))
 		}
@@ -218,7 +221,7 @@ func (co *Coordinator) runAttempts(j *runtime.Job, s *runtime.RecoverySession, e
 // drain queue, resolve the recovery frontier, stage per-rank restore
 // sources, respawn lost ranks on a rebuilt fabric, deliver recovery
 // orders, and verify the re-knit before releasing anyone.
-func (co *Coordinator) runSession(j *runtime.Job, s *runtime.RecoverySession, attempt int, exclude map[string]bool, forced map[int]string) error {
+func (co *Coordinator) runSession(j *runtime.Job, s *runtime.RecoverySession, attempt int, exclude map[string]bool, forced map[int]string) (err error) {
 	c := co.cluster
 	np := j.NumProcs()
 	lost := s.Lost()
@@ -249,16 +252,24 @@ func (co *Coordinator) runSession(j *runtime.Job, s *runtime.RecoverySession, at
 		co.ins.Emit("recovery", "recovery.drain-recover-error", "job %d: %v", j.JobID(), err)
 	}
 
-	ref := snapshot.GlobalRef{FS: c.Stable(), Dir: j.GlobalDir()}
-	resolver := &snapshot.Resolver{Ref: ref, Nodes: c.AliveNodes(), NodeFS: c.NodeFS, Ins: co.ins}
+	resolver := c.Resolver(j.GlobalDir())
 	interval, meta, cp, err := resolver.LatestValid()
 	if err != nil {
 		resolveSp.End(err)
 		return fmt.Errorf("recovery: no recovery frontier: %w", err)
 	}
 
-	placement := j.Placement()
-	plans, err := co.buildPlans(j, meta, interval, cp, placement, lostSet, forced, exclude)
+	// An abandoned attempt drops whatever it staged; a rank that
+	// restored has dropped its own copy already.
+	var plans []rankPlan
+	defer func() {
+		for _, p := range plans {
+			if err != nil && p.restore != nil && p.restore.Release != nil {
+				p.restore.Release()
+			}
+		}
+	}()
+	plans, err = co.buildPlans(j, resolver.CommittedLadder(meta, cp), meta, j.Placement(), lostSet, forced, exclude)
 	if err == nil {
 		err = co.stagePlans(j, s, attempt, interval, plans)
 	}
@@ -276,10 +287,12 @@ func (co *Coordinator) runSession(j *runtime.Job, s *runtime.RecoverySession, at
 	fab, ports, err := co.respawn(j, s, rv, plans, lostSet)
 	co.ins.Counter("ompi_recovery_respawn_ns_total").Add(time.Since(start).Nanoseconds())
 	respawnSp.End(err)
-	if err != nil {
-		if fab != nil {
+	defer func() {
+		if err != nil && fab != nil {
 			fab.Close()
 		}
+	}()
+	if err != nil {
 		return err
 	}
 
@@ -289,19 +302,13 @@ func (co *Coordinator) runSession(j *runtime.Job, s *runtime.RecoverySession, at
 	err = co.reknit(j, s, rv, plans, lostSet, interval, fab, ports)
 	co.ins.Counter("ompi_recovery_reknit_ns_total").Add(time.Since(start).Nanoseconds())
 	reknitSp.End(err)
-	if err != nil {
-		fab.Close()
-		return err
-	}
-	return nil
+	return err
 }
 
-// buildPlans assigns every rank a node and a restore source at the
-// recovery frontier, walking the ladder: sealed local stage in place,
-// else a replica on a surviving node, else the primary on stable
-// storage (or, when the primary itself failed verification, the intact
-// copy the resolver found).
-func (co *Coordinator) buildPlans(j *runtime.Job, meta snapshot.GlobalMeta, interval int, cp snapshot.Copy, placement map[int]string, lostSet map[int]bool, forced map[int]string, exclude map[string]bool) ([]rankPlan, error) {
+// buildPlans assigns every rank a node at the recovery frontier —
+// survivors stay in place, lost ranks go to replacement nodes — and the
+// source the restore-source ladder finds for it there.
+func (co *Coordinator) buildPlans(j *runtime.Job, ladder *snapshot.Ladder, meta snapshot.GlobalMeta, placement map[int]string, lostSet map[int]bool, forced map[int]string, exclude map[string]bool) ([]rankPlan, error) {
 	np := j.NumProcs()
 	procs := make(map[int]snapshot.ProcEntry, len(meta.Procs))
 	for _, pe := range meta.Procs {
@@ -319,7 +326,7 @@ func (co *Coordinator) buildPlans(j *runtime.Job, meta snapshot.GlobalMeta, inte
 	for r := 0; r < np; r++ {
 		pe, ok := procs[r]
 		if !ok {
-			return nil, fmt.Errorf("recovery: interval %d metadata has no entry for rank %d", interval, r)
+			return nil, fmt.Errorf("recovery: interval %d metadata has no entry for rank %d", meta.Interval, r)
 		}
 		node := placement[r]
 		if lostSet[r] {
@@ -334,11 +341,11 @@ func (co *Coordinator) buildPlans(j *runtime.Job, meta snapshot.GlobalMeta, inte
 			}
 			load[node]++
 		}
-		plan, err := co.planSource(j, meta, interval, cp, pe, r, node)
+		src, err := ladder.Source(r, pe.Node, node)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("recovery: %w", err)
 		}
-		plans = append(plans, plan)
+		plans = append(plans, rankPlan{rank: r, node: node, src: src})
 	}
 	return plans, nil
 }
@@ -366,116 +373,28 @@ func (co *Coordinator) pickReplacement(load map[string]int, exclude map[string]b
 	return best, nil
 }
 
-// planSource walks the source ladder for one rank. The returned plan's
-// RestoreSpec points at the source location; stagePlans rewrites it to
-// the staged copy for the two FILEM rungs.
-func (co *Coordinator) planSource(j *runtime.Job, meta snapshot.GlobalMeta, interval int, cp snapshot.Copy, pe snapshot.ProcEntry, rank int, node string) (rankPlan, error) {
-	c := co.cluster
-	// Rung 1: the rank lands on the node that captured its state at this
-	// interval, and the sealed local stage is still there — restore in
-	// place, zero bytes moved. (True for every survivor of a KeepLocal
-	// frontier; never for a lost rank, whose capture node is dead.)
-	if node == pe.Node && c.Alive(node) {
-		if fs, err := c.NodeFS(node); err == nil {
-			base := snapshot.LocalStageBase(meta.JobID, interval)
-			if vfs.Exists(fs, path.Join(base, snapshot.LocalCommittedFile)) {
-				dir := path.Join(base, snapshot.LocalDirName(rank))
-				if lm, err := snapshot.ReadLocal(snapshot.LocalRef{FS: fs, Dir: dir}); err == nil &&
-					lm.Interval == interval && lm.JobID == meta.JobID && lm.Vpid == rank {
-					return rankPlan{rank: rank, node: node, inPlace: true, source: "local",
-						restore: &ompi.RestoreSpec{FS: fs, Dir: dir, Files: lm.Files}}, nil
-				}
-			}
-		}
-	}
-	// Rung 2: a surviving node holds an intact replica of the interval;
-	// the rank's local snapshot is staged node-to-node from it.
-	replRoot := snapshot.ReplicaDir(j.GlobalDir(), interval)
-	for _, holder := range c.AliveNodes() {
-		fs, err := c.NodeFS(holder)
-		if err != nil {
-			continue
-		}
-		dir := path.Join(replRoot, pe.LocalDir)
-		lm, err := snapshot.ReadLocal(snapshot.LocalRef{FS: fs, Dir: dir})
-		if err != nil || lm.Interval != interval || lm.JobID != meta.JobID || lm.Vpid != rank {
-			continue
-		}
-		return rankPlan{rank: rank, node: node, source: "replica:" + holder,
-			restore: &ompi.RestoreSpec{Dir: dir, Files: lm.Files}}, nil
-	}
-	// Rung 3: the primary on stable storage — or, when the primary is the
-	// copy that failed verification, the intact copy the resolver found.
-	var lref snapshot.LocalRef
-	if cp.Primary() {
-		lref = snapshot.LocalRefIn(snapshot.GlobalRef{FS: c.Stable(), Dir: j.GlobalDir()}, interval, pe)
-	} else {
-		lref = snapshot.LocalRef{FS: cp.FS, Dir: path.Join(cp.Dir, pe.LocalDir)}
-	}
-	lm, err := snapshot.ReadLocal(lref)
-	if err != nil {
-		return rankPlan{}, fmt.Errorf("recovery: rank %d has no restorable copy at interval %d: %w", rank, interval, err)
-	}
-	return rankPlan{rank: rank, node: node, source: "stable",
-		restore: &ompi.RestoreSpec{Dir: lref.Dir, Files: lm.Files}}, nil
-}
-
-// stagePlans executes the FILEM transfers the plans require: replica
-// and stable sources are staged onto the target node's scratch space,
-// and each plan's RestoreSpec is rewritten to point at the staged copy.
-// In-place plans move nothing.
+// stagePlans builds each plan's restore through the runtime's shared
+// restore tail: a copy on the rank's own node is read in place, any
+// other is FILEM-staged onto the rank's node first.
 func (co *Coordinator) stagePlans(j *runtime.Job, s *runtime.RecoverySession, attempt, interval int, plans []rankPlan) error {
 	c := co.cluster
-	fcomp, fenv := c.Filem()
+	root := c.StageRoot(fmt.Sprintf("recover/job%d-iv%d-a%d", j.JobID(), interval, attempt))
 	for i := range plans {
 		p := &plans[i]
-		if p.inPlace {
-			co.ins.Counter("ompi_recovery_source_local_total").Inc()
-			continue
-		}
 		select {
 		case <-s.Aborted():
 			return s.AbortErr()
 		default:
 		}
-		srcNode := filem.StableNode
-		srcCounter := "ompi_recovery_source_stable_total"
-		if holder, ok := replicaHolder(p.source); ok {
-			srcNode = holder
-			srcCounter = "ompi_recovery_source_replica_total"
-		}
-		dst := fmt.Sprintf("tmp/recover/job%d/iv%d-a%d/%s",
-			j.JobID(), interval, attempt, snapshot.LocalDirName(p.rank))
-		st, err := fcomp.Move(fenv, []filem.Request{{
-			SrcNode: srcNode, SrcPath: p.restore.Dir,
-			DstNode: p.node, DstPath: dst,
-		}})
+		rs, n, err := c.RestoreOn(p.src, p.node, root, p.rank)
 		if err != nil {
-			return &stageError{node: p.node, err: fmt.Errorf("stage rank %d from %s: %w", p.rank, p.source, err)}
+			return &stageError{node: p.node, err: fmt.Errorf("stage rank %d from %s: %w", p.rank, p.label(), err)}
 		}
-		fs, err := c.NodeFS(p.node)
-		if err != nil {
-			return &stageError{node: p.node, err: err}
-		}
-		p.restore.FS = fs
-		p.restore.Dir = dst
-		p.bytes = st.Bytes
-		co.ins.Counter("ompi_recovery_restored_bytes_total").Add(st.Bytes)
-		co.ins.Counter(srcCounter).Inc()
-		co.mu.Lock()
-		co.stats.RestoredBytes += st.Bytes
-		co.mu.Unlock()
+		p.restore = rs
+		co.ins.Counter("ompi_recovery_source_" + p.kind() + "_total").Inc()
+		note(co, &co.stats.RestoredBytes, "ompi_recovery_restored_bytes_total", n)
 	}
 	return nil
-}
-
-// replicaHolder extracts the holder node from a "replica:<node>" source.
-func replicaHolder(source string) (string, bool) {
-	const pfx = "replica:"
-	if len(source) > len(pfx) && source[:len(pfx)] == pfx {
-		return source[len(pfx):], true
-	}
-	return "", false
 }
 
 // report is one rank's arrival at the re-knit rendezvous.
@@ -546,7 +465,7 @@ func (co *Coordinator) respawn(j *runtime.Job, s *runtime.RecoverySession, rv *r
 			return fab, nil, &stageError{node: p.node, err: fmt.Errorf("respawn rank %d: %w", p.rank, err)}
 		}
 		co.ins.Emit("recovery", "recovery.respawn",
-			"job %d rank %d on %q from %s", j.JobID(), p.rank, p.node, p.source)
+			"job %d rank %d on %q from %s", j.JobID(), p.rank, p.node, p.label())
 	}
 	return fab, ports, nil
 }
@@ -594,9 +513,9 @@ func (co *Coordinator) reknit(j *runtime.Job, s *runtime.RecoverySession, rv *re
 
 	sources := make(map[int]string, np)
 	for _, p := range plans {
-		label := "recovered:" + p.source
+		label := "recovered:" + p.label()
 		if s.Planned() && lostSet[p.rank] {
-			label = "migrated:" + p.source
+			label = "migrated:" + p.label()
 		}
 		sources[p.rank] = label
 	}

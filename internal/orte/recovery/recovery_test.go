@@ -3,6 +3,7 @@ package recovery_test
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -541,4 +542,121 @@ func waitForCounter(t *testing.T, ins *trace.Instrumentation, name string, want 
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestStagedRestoreCopiesAreRemoved: every copy FILEM stages for a
+// restore is dropped once its rank has restored from it, and an
+// abandoned recovery attempt drops what it staged. The first attempt
+// stages the survivors from stable storage (no KeepLocal), then fails
+// staging the lost rank onto its first-choice replacement; the retry
+// converges (the fault fires exactly FILEM's four tries). A whole-job
+// restart then preloads every rank again.
+// Afterwards no node holds a staged restore tree.
+func TestStagedRestoreCopiesAreRemoved(t *testing.T) {
+	const np, steps = 3, 1500
+	inj := faultsim.New(3,
+		faultsim.Rule{Point: "filem.transfer:#stable>node3", Times: 4, Prob: 1},
+	)
+	sys := newSystem(t, np+2, 1, nil, inj)
+	factory := slowStencil(t, steps, 100*time.Microsecond)
+	j, err := sys.Launch(core.JobSpec{Name: "stencil", NP: np, AppFactory: factory})
+	if err != nil {
+		t.Fatalf("Launch: %v", err)
+	}
+	co := sys.Recovery()
+	j.SetRecoveryHandler(co)
+	res, err := j.Checkpoint(false)
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if err := sys.Cluster().KillNode(j.NodeOf(np - 1)); err != nil {
+		t.Fatalf("KillNode: %v", err)
+	}
+	if err := j.Wait(); err != nil {
+		t.Fatalf("job did not survive node loss: %v", err)
+	}
+	if st := co.Stats(); st.Retries == 0 || st.RecoveredRanks != 1 || st.Fallbacks != 0 {
+		t.Fatalf("stats = %+v, want one retried, recovered session", st)
+	}
+
+	j2, err := sys.Restart(res.Ref, res.Interval, factory)
+	if err != nil {
+		t.Fatalf("Restart: %v", err)
+	}
+	if err := j2.Wait(); err != nil {
+		t.Fatalf("restarted job: %v", err)
+	}
+	if got := sys.Ins().Counter("ompi_restart_restored_bytes_total").Value(); got <= 0 {
+		t.Fatalf("whole-job restart staged %d bytes, want a preload", got)
+	}
+	assertNoStagedCopies(t, sys)
+}
+
+// assertNoStagedCopies fails when any live node still holds a staging
+// root under tmp/restart or tmp/recover.
+func assertNoStagedCopies(t *testing.T, sys *core.System) {
+	t.Helper()
+	for _, node := range sys.Cluster().AliveNodes() {
+		fsys, err := sys.Cluster().NodeFS(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range []string{"tmp/restart", "tmp/recover"} {
+			ents, _ := fsys.ReadDir(dir)
+			for _, e := range ents {
+				t.Errorf("node %s still holds staged restore tree %s/%s", node, dir, e.Name)
+			}
+		}
+	}
+}
+
+// TestConcurrentRestartsOntoOneNode: two jobs restart at the same time
+// onto the same node, each preloading every rank from stable storage.
+// A rank drops only its own staged copy and its own restart's staging
+// root, so neither restart removes a copy the other has yet to read.
+func TestConcurrentRestartsOntoOneNode(t *testing.T) {
+	const np, steps, rounds = 2, 2000, 3
+	sys := newSystem(t, 1, 2*np, nil, nil)
+	factory := slowStencil(t, steps, 50*time.Microsecond)
+	var refs [2]core.CheckpointResult
+	for i := range refs {
+		j, err := sys.Launch(core.JobSpec{Name: "stencil", NP: np, AppFactory: factory})
+		if err != nil {
+			t.Fatalf("Launch: %v", err)
+		}
+		if refs[i], err = j.Checkpoint(true); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+		if err := j.Wait(); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		errs := make([]error, len(refs))
+		for i := range refs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				j, err := sys.Restart(refs[i].Ref, refs[i].Interval, factory)
+				if err == nil {
+					refs[i], err = j.Checkpoint(true)
+				}
+				if err == nil {
+					err = j.Wait()
+				}
+				errs[i] = err
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: restarted job %d: %v", round, i, err)
+			}
+		}
+	}
+	if got := sys.Ins().Counter("ompi_restart_restored_bytes_total").Value(); got <= 0 {
+		t.Fatalf("restarts staged %d bytes, want preloads", got)
+	}
+	assertNoStagedCopies(t, sys)
 }

@@ -417,11 +417,6 @@ func (e *Endpoint) RecvFrom(from names.Name, tag Tag) (Message, error) {
 	return e.recv(tag, func(m Message) bool { return m.From == from }, 0)
 }
 
-// RecvFromTimeout is RecvFrom with an upper bound on the wait.
-func (e *Endpoint) RecvFromTimeout(from names.Name, tag Tag, timeout time.Duration) (Message, error) {
-	return e.recv(tag, func(m Message) bool { return m.From == from }, timeout)
-}
-
 // RecvWhere blocks for the next message with the given tag satisfying
 // pred, leaving non-matching messages queued for other receivers. This
 // is how concurrent coordinators share one mailbox: when several jobs'

@@ -39,9 +39,8 @@ const DefaultControlTimeout = 30 * time.Second
 // the job exactly as the paper's tools do.
 
 // ControlVersion is the control protocol version spoken by this build.
-// Version 1 frames every exchange in a controlEnvelope; unversioned
-// (pre-envelope) requests are still accepted and answered in kind, so
-// old tools keep working against a new mpirun and vice versa.
+// Version 1 frames every exchange in a controlEnvelope; a request
+// without a version is refused.
 const ControlVersion = 1
 
 // controlEnvelope is the versioned request frame: the op travels in the
@@ -286,53 +285,34 @@ func (s *ControlServer) acceptLoop() {
 // The handler itself (a synchronous checkpoint, say) is not bounded —
 // only the wire I/O is.
 //
-// Both wire dialects are served: a versioned controlEnvelope gets a
-// controlReply, a bare (pre-envelope) ControlRequest gets a bare
-// ControlResponse. The dialect is sniffed off the "v" field so old
-// tools and new mpiruns interoperate in either direction.
+// Every request is a versioned controlEnvelope and every reply a
+// controlReply.
 func (s *ControlServer) serveConn(conn net.Conn) {
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	enc := json.NewEncoder(conn)
-	var raw json.RawMessage
-	_ = conn.SetReadDeadline(time.Now().Add(s.timeout))
-	if err := dec.Decode(&raw); err != nil {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.timeout))
-		_ = enc.Encode(ControlResponse{Err: fmt.Sprintf("bad request: %v", err)})
-		return
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-
 	var env controlEnvelope
-	versioned := json.Unmarshal(raw, &env) == nil && env.V > 0
+	_ = conn.SetReadDeadline(time.Now().Add(s.timeout))
+	err := json.NewDecoder(bufio.NewReader(conn)).Decode(&env)
+	_ = conn.SetReadDeadline(time.Time{})
 	var req ControlRequest
-	var decodeErr error
-	if versioned {
-		if env.V > ControlVersion {
-			decodeErr = fmt.Errorf("control version %d not supported (max %d)", env.V, ControlVersion)
-		} else if len(env.Args) > 0 {
-			decodeErr = json.Unmarshal(env.Args, &req)
-		}
-		req.Op = env.Op
-	} else {
-		decodeErr = json.Unmarshal(raw, &req)
+	switch {
+	case err != nil:
+	case env.V <= 0:
+		err = fmt.Errorf("no control version (this build speaks %d)", ControlVersion)
+	case env.V > ControlVersion:
+		err = fmt.Errorf("control version %d not supported (max %d)", env.V, ControlVersion)
+	case len(env.Args) > 0:
+		err = json.Unmarshal(env.Args, &req)
 	}
+	req.Op = env.Op
 
 	var resp ControlResponse
-	if decodeErr != nil {
-		resp = ControlResponse{Err: fmt.Sprintf("bad request: %v", decodeErr)}
+	if err != nil {
+		resp = ControlResponse{Err: fmt.Sprintf("bad request: %v", err)}
 	} else {
 		resp = s.handle(req)
 	}
 	_ = conn.SetWriteDeadline(time.Now().Add(s.timeout))
-	if !versioned {
-		_ = enc.Encode(resp)
-		return
-	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		body = nil
-	}
-	_ = enc.Encode(controlReply{V: ControlVersion, OK: resp.OK, Err: resp.Err, Body: body})
+	body, _ := json.Marshal(resp) // nil on failure: the frame still carries OK and Err
+	_ = json.NewEncoder(conn).Encode(controlReply{V: ControlVersion, OK: resp.OK, Err: resp.Err, Body: body})
 }
 
 func (s *ControlServer) handle(req ControlRequest) ControlResponse {
@@ -489,37 +469,21 @@ func (s *ControlServer) handle(req ControlRequest) ControlResponse {
 		if err != nil {
 			return ControlResponse{Err: err.Error()}
 		}
-		if req.Async {
-			p, err := s.cluster.CheckpointJobAsync(id, snapc.Options{Terminate: req.Terminate})
-			if err != nil {
-				return ControlResponse{Err: err.Error()}
-			}
-			if !req.Wait {
-				// Capture done, drain queued: the tool returns while the
-				// gather/commit proceeds in the background.
-				return ControlResponse{OK: true, Interval: p.Interval, State: "queued"}
-			}
-			res, err := p.Wait()
-			if err != nil {
-				return ControlResponse{Err: err.Error(), Interval: p.Interval}
-			}
-			return ControlResponse{
-				OK:        true,
-				GlobalRef: res.Ref.Dir,
-				Interval:  res.Interval,
-				State:     "committed",
-			}
-		}
-		res, err := s.cluster.CheckpointJob(id, snapc.Options{Terminate: req.Terminate})
+		// A synchronous request is the asynchronous one awaited.
+		p, err := s.cluster.CheckpointJobAsync(id, snapc.Options{Terminate: req.Terminate})
 		if err != nil {
 			return ControlResponse{Err: err.Error()}
 		}
-		return ControlResponse{
-			OK:        true,
-			GlobalRef: res.Ref.Dir,
-			Interval:  res.Interval,
-			State:     "committed",
+		if req.Async && !req.Wait {
+			// Capture done, drain queued: the tool returns while the
+			// gather/commit proceeds in the background.
+			return ControlResponse{OK: true, Interval: p.Interval, State: "queued"}
 		}
+		res, err := p.Wait()
+		if err != nil {
+			return ControlResponse{Err: err.Error(), Interval: p.Interval}
+		}
+		return ControlResponse{OK: true, GlobalRef: res.Ref.Dir, Interval: res.Interval, State: "committed"}
 	default:
 		return ControlResponse{Err: fmt.Sprintf("unknown op %q", req.Op)}
 	}
@@ -554,9 +518,8 @@ func ControlDial(addr string, req ControlRequest) (ControlResponse, error) {
 // mpirun fails the call instead of hanging the tool. timeout <= 0 means
 // unbounded (connect still uses DefaultControlTimeout).
 //
-// The request goes out framed in the versioned envelope; a reply
-// without a version is accepted as the pre-envelope flat form, so new
-// tools still talk to an old mpirun.
+// The request goes out framed in the versioned envelope, and the reply
+// must come back framed the same way.
 func ControlDialTimeout(addr string, req ControlRequest, timeout time.Duration) (ControlResponse, error) {
 	connectTO := timeout
 	if connectTO <= 0 {
@@ -578,25 +541,20 @@ func ControlDialTimeout(addr string, req ControlRequest, timeout time.Duration) 
 	if err := json.NewEncoder(conn).Encode(env); err != nil {
 		return ControlResponse{}, fmt.Errorf("runtime: send control request: %w", err)
 	}
-	var raw json.RawMessage
-	if err := json.NewDecoder(conn).Decode(&raw); err != nil {
+	var reply controlReply
+	if err := json.NewDecoder(conn).Decode(&reply); err != nil {
 		return ControlResponse{}, fmt.Errorf("runtime: read control response: %w", err)
 	}
-	var reply controlReply
-	if json.Unmarshal(raw, &reply) == nil && reply.V > 0 {
-		var resp ControlResponse
-		if len(reply.Body) > 0 {
-			if err := json.Unmarshal(reply.Body, &resp); err != nil {
-				return ControlResponse{}, fmt.Errorf("runtime: decode control reply body: %w", err)
-			}
-		}
-		resp.OK, resp.Err = reply.OK, reply.Err
-		return resp, nil
+	if reply.V <= 0 {
+		return ControlResponse{}, fmt.Errorf("runtime: control reply carries no version")
 	}
 	var resp ControlResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return ControlResponse{}, fmt.Errorf("runtime: decode control response: %w", err)
+	if len(reply.Body) > 0 {
+		if err := json.Unmarshal(reply.Body, &resp); err != nil {
+			return ControlResponse{}, fmt.Errorf("runtime: decode control reply body: %w", err)
+		}
 	}
+	resp.OK, resp.Err = reply.OK, reply.Err
 	return resp, nil
 }
 

@@ -366,8 +366,8 @@ func TestScanSessionsStaleFileFailsProbe(t *testing.T) {
 var _ = ompi.FuncApp{}
 
 // TestControlLegacyUnversionedRequest speaks the pre-envelope dialect
-// raw over the socket: a bare ControlRequest must still get a bare
-// ControlResponse, so tools built before the envelope keep working.
+// raw over the socket: a bare ControlRequest carries no version and
+// must be refused with a versioned "bad request" reply, not served.
 func TestControlLegacyUnversionedRequest(t *testing.T) {
 	_, srv, _ := controlFixture(t)
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -383,11 +383,9 @@ func TestControlLegacyUnversionedRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := string(buf)
-	if strings.Contains(body, `"v":`) {
-		t.Fatalf("legacy request answered with versioned reply: %s", body)
-	}
-	if !strings.Contains(body, `"ok":true`) || !strings.Contains(body, "stencil") {
-		t.Fatalf("legacy ps reply = %s", body)
+	if !strings.Contains(body, `"v":1`) || !strings.Contains(body, "bad request") ||
+		strings.Contains(body, `"ok":true`) || strings.Contains(body, "stencil") {
+		t.Fatalf("unversioned request was not refused: %s", body)
 	}
 }
 

@@ -235,14 +235,12 @@ func (c *Cluster) launch(spec JobSpec, placementOverride map[int]string, restore
 	return j, nil
 }
 
-// fenceStaleDirectives fences every checkpoint interval allocated so
-// far on every rank: after an HNP crash, a directive from the dead
-// coordinator parked in a survivor's mailbox would force ranks to a
-// step frontier nobody coordinates (see CompleteRecovery for the same
-// fence at session close).
-func (j *Job) fenceStaleDirectives() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// fenceStaleDirectivesLocked fences every checkpoint interval
+// allocated so far on every rank (j.mu held): after an HNP crash or a
+// recovery session, a directive from a coordinator that is gone, parked
+// in a survivor's mailbox, would force ranks to a step frontier nobody
+// coordinates.
+func (j *Job) fenceStaleDirectivesLocked() {
 	fence := j.nextInterval - 1
 	for r := 0; r < j.spec.NP; r++ {
 		if p := j.procs[r]; p != nil {
@@ -564,61 +562,30 @@ func (c *Cluster) Restart(ref snapshot.GlobalRef, interval int, appFactory func(
 		return nil, fmt.Errorf("runtime: place restarted job: %w", err)
 	}
 
-	// FILEM broadcast: preload each local snapshot from stable storage
-	// onto the node that will host the restarted rank — unless the rank
-	// lands back on the node that captured it and that node still holds
-	// the interval's sealed local stage, in which case the restart
-	// restores straight from it (no stable-storage round-trip). The
-	// local stage outlives the job when checkpoints keep local copies or
-	// when drain recovery preserved it.
-	restores := make([]*ompi.RestoreSpec, meta.NumProcs)
-	sources := make(map[int]string, meta.NumProcs)
-	localBase := snapshot.LocalStageBase(meta.JobID, interval)
+	// FILEM broadcast: each rank restores from the first copy the
+	// restore-source ladder finds, preloaded onto its new node unless it
+	// already lives there. A snapshot on another store has no copies on
+	// this cluster's nodes (job ids and intervals restart on every
+	// cluster, so a node copy of the same name is another job's): only
+	// the stable rung applies.
+	res := c.Resolver(ref.Dir)
+	if ref.FS != c.stable {
+		res = &snapshot.Resolver{Ref: ref, Ins: c.ins}
+	}
+	ladder := res.CommittedLadder(meta, snapshot.Copy{FS: ref.FS, Dir: ref.IntervalDir(interval)})
+	sources := make([]snapshot.Source, meta.NumProcs)
 	for _, pe := range meta.Procs {
 		node := placement[pe.Vpid]
-		if node == pe.Node {
-			if nodeFS, err := c.nodeFS(node); err == nil &&
-				vfs.Exists(nodeFS, path.Join(localBase, snapshot.LocalCommittedFile)) {
-				localDir := path.Join(localBase, snapshot.LocalDirName(pe.Vpid))
-				if lmeta, err := snapshot.ReadLocal(snapshot.LocalRef{FS: nodeFS, Dir: localDir}); err == nil &&
-					lmeta.Interval == interval && lmeta.JobID == meta.JobID && lmeta.Vpid == pe.Vpid {
-					restores[pe.Vpid] = &ompi.RestoreSpec{FS: nodeFS, Dir: localDir, Files: lmeta.Files}
-					sources[pe.Vpid] = "restored:local-stage"
-					c.ins.Counter("ompi_restart_local_fast_path_total").Inc()
-					c.ins.Emit("hnp", "restart.local-fast-path",
-						"rank %d restored from node %q local stage (interval %d)", pe.Vpid, node, interval)
-					continue
-				}
-			}
-		}
-		lref := snapshot.LocalRefIn(ref, interval, pe)
-		lmeta, err := snapshot.ReadLocal(lref)
+		src, err := ladder.Source(pe.Vpid, pe.Node, node)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: restart rank %d: %w", pe.Vpid, err)
 		}
-		dstDir := fmt.Sprintf("tmp/restart/job%d/%d/%s", meta.JobID, interval, snapshot.LocalDirName(pe.Vpid))
-		st, err := c.filemComp.Move(c.filemEnv, []filem.Request{{
-			SrcNode: filem.StableNode, SrcPath: lref.Dir,
-			DstNode: node, DstPath: dstDir,
-		}})
-		if err != nil {
-			return nil, fmt.Errorf("runtime: preload rank %d on %q: %w", pe.Vpid, node, err)
+		if src.Kind == snapshot.FromStage {
+			c.ins.Counter("ompi_restart_local_fast_path_total").Inc()
+			c.ins.Emit("hnp", "restart.local-fast-path",
+				"rank %d restored from node %q local stage (interval %d)", pe.Vpid, node, interval)
 		}
-		c.ins.Counter("ompi_restart_restored_bytes_total").Add(st.Bytes)
-		nodeFS, err := c.nodeFS(node)
-		if err != nil {
-			return nil, err
-		}
-		restores[pe.Vpid] = &ompi.RestoreSpec{FS: nodeFS, Dir: dstDir, Files: lmeta.Files}
-		sources[pe.Vpid] = "restored:stable"
-	}
-
-	// Per-process CRS components may differ (heterogeneous snapshots):
-	// each local snapshot's metadata records the checkpointer that
-	// produced it, and the restarted rank must use the same one.
-	crsNames := make([]string, meta.NumProcs)
-	for _, pe := range meta.Procs {
-		crsNames[pe.Vpid] = pe.Component
+		sources[pe.Vpid] = src
 	}
 	spec := JobSpec{
 		Name:       meta.AppName,
@@ -626,18 +593,124 @@ func (c *Cluster) Restart(ref snapshot.GlobalRef, interval int, appFactory func(
 		NP:         meta.NumProcs,
 		AppFactory: appFactory,
 		Params:     params,
-		CRSByRank:  func(rank int) string { return crsNames[rank] },
 	}
 	c.ins.Emit("hnp", "job.restart", "from %s interval %d np=%d", ref.Dir, interval, meta.NumProcs)
+	return c.relaunch(spec, placement, sources, interval)
+}
+
+// Resolver builds the replica-aware resolver of one snapshot lineage
+// over this cluster's stable storage and live nodes.
+func (c *Cluster) Resolver(dir string) *snapshot.Resolver {
+	return &snapshot.Resolver{
+		Ref:    snapshot.GlobalRef{FS: c.stable, Dir: dir},
+		Nodes:  c.AliveNodes(),
+		NodeFS: c.NodeFS,
+		Ins:    c.ins,
+	}
+}
+
+// StageRoot returns a fresh staging directory for one restart or
+// recovery attempt, tmp/<name>-<seq>: FILEM stages each rank's copy in
+// a subdirectory, and nothing else ever writes under it.
+func (c *Cluster) StageRoot(name string) string {
+	return fmt.Sprintf("tmp/%s-%d", name, c.stageSeq.Add(1))
+}
+
+// RestoreOn is the restore tail every restart path shares: a rank on
+// node restores from src in place when the copy lives on node (or on a
+// store FILEM does not serve: another cluster's stable storage), and
+// otherwise from a copy FILEM stages under root (a StageRoot) there.
+// The rank drops its staged copy once it has restored from it
+// (RestoreSpec.Release; a caller abandoning the restore calls it too).
+// Every rank of root must be staged before any releases. Returns the
+// bytes staged.
+func (c *Cluster) RestoreOn(src snapshot.Source, node, root string, rank int) (*ompi.RestoreSpec, int64, error) {
+	if src.Node == node || (src.Node == "" && src.FS != c.stable) {
+		return &ompi.RestoreSpec{FS: src.FS, Dir: src.Dir, Files: src.Meta.Files}, 0, nil
+	}
+	fsys, err := c.nodeFS(node)
+	if err != nil {
+		return nil, 0, err
+	}
+	from := src.Node
+	if from == "" {
+		from = filem.StableNode
+	}
+	dir := path.Join(root, snapshot.LocalDirName(rank))
+	release := func() { dropStaged(fsys, root, dir) }
+	st, err := c.filemComp.Move(c.filemEnv, []filem.Request{{
+		SrcNode: from, SrcPath: src.Dir, DstNode: node, DstPath: dir,
+	}})
+	if err != nil {
+		release()
+		return nil, 0, err
+	}
+	return &ompi.RestoreSpec{FS: fsys, Dir: dir, Files: src.Meta.Files, Release: release}, st.Bytes, nil
+}
+
+// dropStaged removes one rank's staged restore copy, then its staging
+// root once that is empty. The root belongs to one attempt, which has
+// staged every rank before any releases, so nothing lands in it between
+// the check and the removal. Removing a copy already gone is a no-op.
+func dropStaged(fsys vfs.FS, root, dir string) {
+	if fsys.Remove(dir) != nil {
+		return
+	}
+	if ents, err := fsys.ReadDir(root); err == nil && len(ents) == 0 {
+		_ = fsys.Remove(root)
+	}
+}
+
+// relaunch is the tail whole-job and hold-direct restart share: every
+// rank restores from its ladder source on its placed node (staged under
+// tmp/restart/ when the copy lives elsewhere), the job launches, and
+// the rank table records each source.
+func (c *Cluster) relaunch(spec JobSpec, placement map[int]string, sources []snapshot.Source, interval int) (*Job, error) {
+	restores := make([]*ompi.RestoreSpec, spec.NP)
+	abandon := func() {
+		for _, rs := range restores {
+			if rs != nil && rs.Release != nil {
+				rs.Release()
+			}
+		}
+	}
+	root := c.StageRoot(fmt.Sprintf("restart/job%d-iv%d", sources[0].Meta.JobID, interval))
+	for r, src := range sources {
+		rs, n, err := c.RestoreOn(src, placement[r], root, r)
+		if err != nil {
+			abandon()
+			return nil, fmt.Errorf("runtime: preload rank %d on %q: %w", r, placement[r], err)
+		}
+		c.ins.Counter("ompi_restart_restored_bytes_total").Add(n)
+		restores[r] = rs
+	}
+	// Per-process CRS components may differ (heterogeneous snapshots):
+	// each local snapshot's metadata records the checkpointer that
+	// produced it, and the restarted rank must use the same one.
+	spec.CRSByRank = func(rank int) string { return sources[rank].Meta.Component }
 	j, err := c.launch(spec, placement, restores)
 	if err != nil {
+		abandon()
 		return nil, err
 	}
 	j.mu.Lock()
 	for r, src := range sources {
-		j.rankMeta[r].Source = src
+		j.rankMeta[r].Source = restoredLabel(src)
 		j.rankMeta[r].Interval = interval
 	}
 	j.mu.Unlock()
 	return j, nil
+}
+
+// restoredLabel names a restarted rank's source in the rank table.
+func restoredLabel(src snapshot.Source) string {
+	switch src.Kind {
+	case snapshot.FromStage:
+		return "restored:local-stage"
+	case snapshot.FromStageReplica:
+		return "restored:stage-replica"
+	case snapshot.FromReplica:
+		return "restored:replica:" + src.Node
+	}
+	return "restored:stable"
 }

@@ -10,8 +10,7 @@
 package runtime
 
 import (
-	"fmt"
-	"path"
+	"sort"
 
 	"repro/internal/core/snapshot"
 	"repro/internal/ompi"
@@ -93,44 +92,24 @@ func (c *Cluster) TunerState(id names.JobID) (cadence.State, bool) {
 	return st, ok
 }
 
-// ClearTunerState drops a job's published tuner snapshot (supervision
-// ended).
-func (c *Cluster) ClearTunerState(id names.JobID) {
-	c.tunerMu.Lock()
-	defer c.tunerMu.Unlock()
-	delete(c.tuners, id)
-}
-
-// RestorableHold reports the newest held interval of the job's lineage
-// that a hold-direct restart could restore: every captured share
-// survives on its origin node's sealed stage or a peer's stage
-// replica. Read-only — asking costs nothing.
-func (c *Cluster) RestorableHold(id names.JobID) (snapshot.JournalEntry, bool, error) {
-	e, _, ok, err := snapc.NewestRestorableHold(c.snapcEnv, snapshot.GlobalDirName(int(id)), c.Alive)
-	return e, ok, err
-}
-
-// RestartFromHold relaunches a failed job straight from its newest
-// restorable held interval: each rank restores from the sealed local
-// stage on its original node, or — when that node died — from the peer
-// node holding its stage replica, and is placed where that surviving
-// copy lives. Nothing crosses stable storage: this is the L1/L2
-// restart path, and it is what makes sub-stable checkpoint levels
-// durable enough to be worth holding. The drain queue must be idle
-// (flush first) so an in-flight commit cannot race the stage reads.
-func (c *Cluster) RestartFromHold(j *Job, appFactory func(rank int) ompi.App) (*Job, int, error) {
+// RestartFromHold relaunches a failed job straight from its newest held
+// interval that every rank can restore from and that is newer than
+// anything committed to stable storage. Each rank walks the held rungs
+// of the restore-source ladder from its original node and is placed
+// where its surviving copy lives: nothing crosses stable storage (the
+// L1/L2 restart path). Flush the drain queue first. Reports false, with
+// nothing changed, when no hold qualifies.
+func (c *Cluster) RestartFromHold(j *Job, appFactory func(rank int) ompi.App) (*Job, snapshot.JournalEntry, bool, error) {
+	var none snapshot.JournalEntry
 	if err := c.headlessErr(); err != nil {
-		return nil, 0, err
+		return nil, none, false, err
 	}
-	id := j.JobID()
-	gd := snapshot.GlobalDirName(int(id))
-	e, plan, ok, err := snapc.NewestRestorableHold(c.snapcEnv, gd, c.Alive)
+	gd := snapshot.GlobalDirName(int(j.JobID()))
+	und, err := snapshot.OpenJournal(snapshot.GlobalRef{FS: c.stable, Dir: gd}).Undrained()
 	if err != nil {
-		return nil, 0, err
+		return nil, none, false, err
 	}
-	if !ok {
-		return nil, 0, fmt.Errorf("runtime: job %d holds no restorable interval", id)
-	}
+	sort.Slice(und, func(a, b int) bool { return und[a].Interval > und[b].Interval })
 
 	j.mu.Lock()
 	origins := make(map[int]string, len(j.placement))
@@ -141,56 +120,34 @@ func (c *Cluster) RestartFromHold(j *Job, appFactory func(rank int) ompi.App) (*
 	j.mu.Unlock()
 	spec.AppFactory = appFactory
 
-	placement := make(map[int]string, spec.NP)
-	restores := make([]*ompi.RestoreSpec, spec.NP)
-	sources := make(map[int]string, spec.NP)
-	crsNames := make([]string, spec.NP)
-	for r := 0; r < spec.NP; r++ {
-		origin := origins[r]
-		src, ok := plan[origin]
-		if !ok {
-			return nil, 0, fmt.Errorf("runtime: hold restart: rank %d origin %q has no surviving stage", r, origin)
+	res := c.Resolver(gd)
+next:
+	for _, e := range und {
+		ladder := res.HeldLadder(e)
+		sources := make([]snapshot.Source, spec.NP)
+		placement := make(map[int]string, spec.NP)
+		for r := 0; r < spec.NP; r++ {
+			src, err := ladder.Source(r, origins[r], origins[r])
+			if err != nil {
+				continue next
+			}
+			sources[r], placement[r] = src, src.Node // restart where the surviving copy lives
 		}
-		base, source := e.LocalBase, "restored:local-stage"
-		if src != origin {
-			base, source = snapshot.StageReplicaBase(int(id), e.Interval, origin), "restored:stage-replica"
+		if iv, _, _, verr := res.LatestValid(); verr == nil && iv >= e.Interval {
+			return nil, none, false, nil // a stable commit dominates every older hold
 		}
-		fsys, err := c.nodeFS(src)
+		c.ins.Counter("ompi_restart_from_hold_total").Inc()
+		c.ins.Emit("hnp", "job.restart-held", "from %s held interval %d (%s) np=%d",
+			gd, e.Interval, e.LevelLabel(), spec.NP)
+		next, err := c.relaunch(spec, placement, sources, e.Interval)
 		if err != nil {
-			return nil, 0, err
+			return nil, none, false, err
 		}
-		dir := path.Join(base, snapshot.LocalDirName(r))
-		lmeta, err := snapshot.ReadLocal(snapshot.LocalRef{FS: fsys, Dir: dir})
-		if err != nil {
-			return nil, 0, fmt.Errorf("runtime: hold restart rank %d: %w", r, err)
-		}
-		if lmeta.Interval != e.Interval || lmeta.JobID != int(id) || lmeta.Vpid != r {
-			return nil, 0, fmt.Errorf("runtime: hold restart rank %d: stage %q holds job %d rank %d interval %d",
-				r, dir, lmeta.JobID, lmeta.Vpid, lmeta.Interval)
-		}
-		placement[r] = src // restart where the surviving copy lives
-		restores[r] = &ompi.RestoreSpec{FS: fsys, Dir: dir, Files: lmeta.Files}
-		crsNames[r] = lmeta.Component
-		sources[r] = source
+		// The new incarnation owns protection from here; abandon the old
+		// lineage's in-memory holds (the on-disk stages the restores read
+		// are untouched — only the accounting is dropped).
+		c.Drainer().DropHeld(gd)
+		return next, e, true, nil
 	}
-	spec.CRSByRank = func(rank int) string { return crsNames[rank] }
-
-	c.ins.Counter("ompi_restart_from_hold_total").Inc()
-	c.ins.Emit("hnp", "job.restart-held", "from %s held interval %d (%s) np=%d",
-		gd, e.Interval, e.LevelLabel(), spec.NP)
-	next, err := c.launch(spec, placement, restores)
-	if err != nil {
-		return nil, 0, err
-	}
-	next.mu.Lock()
-	for r, src := range sources {
-		next.rankMeta[r].Source = src
-		next.rankMeta[r].Interval = e.Interval
-	}
-	next.mu.Unlock()
-	// The new incarnation owns protection from here; abandon the old
-	// lineage's in-memory holds (the on-disk stages the restores read
-	// are untouched — only the accounting is dropped).
-	c.Drainer().DropHeld(gd)
-	return next, e.Interval, nil
+	return nil, none, false, nil
 }

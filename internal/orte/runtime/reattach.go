@@ -153,7 +153,9 @@ func (c *Cluster) Reattach() (ReattachReport, error) {
 			continue
 		}
 		if !j.Done() {
-			j.fenceStaleDirectives()
+			j.mu.Lock()
+			j.fenceStaleDirectivesLocked()
+			j.mu.Unlock()
 		}
 		globalDir := snapshot.GlobalDirName(int(id))
 		c.ckptMu.Lock()

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core/snapshot"
 	"repro/internal/ompi"
 	"repro/internal/ompi/btl"
-	"repro/internal/orte/filem"
 	"repro/internal/orte/ledger"
 	"repro/internal/orte/names"
 	"repro/internal/orte/snapc"
@@ -360,12 +359,7 @@ func (j *Job) CompleteRecovery(fab btl.JobFabric, interval int, sources map[int]
 	// timeout and killing the rebuilt job. Intervals are never reused
 	// and none allocated so far can still pass the checkpointable
 	// precheck, so the fence cannot swallow a legitimate order.
-	fence := j.nextInterval - 1
-	for r := 0; r < j.spec.NP; r++ {
-		if p := j.procs[r]; p != nil {
-			p.FenceDirectives(fence)
-		}
-	}
+	j.fenceStaleDirectivesLocked()
 	seen := make(map[string]bool)
 	j.nodes = nil
 	for r := 0; r < j.spec.NP; r++ {
@@ -417,13 +411,6 @@ func (j *Job) RankTable() []RankInfo {
 	out := make([]RankInfo, len(j.rankMeta))
 	copy(out, j.rankMeta)
 	return out
-}
-
-// setRankSource records where a rank's current incarnation got its state.
-func (j *Job) setRankSource(rank int, source string) {
-	j.mu.Lock()
-	j.rankMeta[rank].Source = source
-	j.mu.Unlock()
 }
 
 // noteCheckpoint stamps a completed capture's interval on every rank. A
@@ -495,11 +482,6 @@ func (c *Cluster) MigrateRank(id names.JobID, rank int, node string) error {
 	return h.HandleMigration(j, rank, node)
 }
 
-// Filem exposes the selected FILEM component and its environment so the
-// recovery coordinator stages restore sources over the same modeled
-// links (and counters) every other transfer uses.
-func (c *Cluster) Filem() (filem.Component, *filem.Env) { return c.filemComp, c.filemEnv }
-
 // PruneLocalStages removes a job's node-local checkpoint stages older
 // than keepFrom on every live node. Supervising with KeepLocal retention
 // accumulates one sealed stage per interval; only the newest committed
@@ -511,7 +493,7 @@ func (c *Cluster) Filem() (filem.Component, *filem.Env) { return c.filemComp, c.
 // otherwise undrained interval is never pruned — the level-aware
 // retention rule of DESIGN.md §5g.
 func (c *Cluster) PruneLocalStages(id names.JobID, keepFrom int) {
-	base := path.Dir(snapshot.LocalStageBase(int(id), 0)) // tmp/ckpt/job<id>
+	base := snapshot.LocalStageRoot(int(id))
 	pinned := c.Drainer().Held(snapshot.GlobalDirName(int(id)))
 	ref := snapshot.GlobalRef{FS: c.stable, Dir: snapshot.GlobalDirName(int(id))}
 	if und, err := snapshot.OpenJournal(ref).Undrained(); err == nil {

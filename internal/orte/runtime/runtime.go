@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core/snapshot"
@@ -82,6 +83,8 @@ type Cluster struct {
 	clock  *netsim.Clock
 	stable vfs.FS
 	faults *faultsim.Injector
+	// stageSeq numbers restore staging roots (StageRoot).
+	stageSeq atomic.Int64
 
 	router *rml.Router
 	hnpEP  *rml.Endpoint
@@ -939,11 +942,9 @@ func (c *Cluster) nodeFS(node string) (vfs.FS, error) {
 }
 
 func (c *Cluster) resolveJob(id names.JobID) (snapc.JobView, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("runtime: unknown job %d", id)
+	j, err := c.Job(id)
+	if err != nil {
+		return nil, err // not a typed-nil JobView
 	}
 	return j, nil
 }

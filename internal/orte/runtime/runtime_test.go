@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"path"
 	"testing"
 	"time"
 
@@ -575,5 +576,43 @@ func TestStaleIncarnationCannotClearCheckpointable(t *testing.T) {
 	j.setCheckpointable(1, 1, false)
 	if j.Checkpointable(1) {
 		t.Error("the live incarnation's notification was ignored")
+	}
+}
+
+// removeLog records every Remove on the wrapped filesystem.
+type removeLog struct {
+	vfs.FS
+	removed []string
+}
+
+func (f *removeLog) Remove(name string) error {
+	f.removed = append(f.removed, name)
+	return f.FS.Remove(name)
+}
+
+// TestDropStagedRemovesOnlyItsOwnRoot: a rank's release removes its
+// staged copy and, once empty, its attempt's staging root, and never a
+// shared parent such as tmp/restart. A recursive removal there could
+// delete a copy another restart stages onto the node concurrently.
+func TestDropStagedRemovesOnlyItsOwnRoot(t *testing.T) {
+	c := &Cluster{}
+	mem := vfs.NewMem()
+	root, other := c.StageRoot("restart/job1-iv0"), c.StageRoot("restart/job2-iv0")
+	dirs := []string{path.Join(root, snapshot.LocalDirName(0)), path.Join(root, snapshot.LocalDirName(1))}
+	for _, d := range append(dirs, path.Join(other, snapshot.LocalDirName(0))) {
+		if err := mem.WriteFile(path.Join(d, "image"), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fsys := &removeLog{FS: mem}
+	dropStaged(fsys, root, dirs[0])
+	dropStaged(fsys, root, dirs[0]) // a second release is a no-op
+	dropStaged(fsys, root, dirs[1])
+	want := []string{dirs[0], dirs[0], dirs[1], root}
+	if fmt.Sprint(fsys.removed) != fmt.Sprint(want) {
+		t.Errorf("removed %v, want %v", fsys.removed, want)
+	}
+	if !vfs.Exists(mem, path.Join(other, snapshot.LocalDirName(0), "image")) {
+		t.Errorf("the other restart's staged copy under %s is gone", other)
 	}
 }

@@ -123,19 +123,7 @@ func (q *Queue) Pop() (Item, bool) {
 			best, bestKey = f, key
 		}
 	}
-	if best == nil {
-		return Item{}, false
-	}
-	it := best.items[0]
-	best.items = best.items[1:]
-	best.busy = true
-	best.served += it.Cost
-	best.queuedCost -= it.Cost
-	q.size--
-	if it.start > q.virt {
-		q.virt = it.start
-	}
-	return *it, true
+	return q.dispatch(best)
 }
 
 // ExpressPop dispatches the eligible head item whose weight strictly
@@ -163,6 +151,12 @@ func (q *Queue) ExpressPop(minWeight int) (Item, bool) {
 			best, bestKey = f, key
 		}
 	}
+	return q.dispatch(best)
+}
+
+// dispatch serves the head item of best (nil: nothing eligible): the
+// flow turns busy and the virtual clock advances to the item's start.
+func (q *Queue) dispatch(best *flow) (Item, bool) {
 	if best == nil {
 		return Item{}, false
 	}

@@ -1130,41 +1130,31 @@ func fastForward(j *snapshot.Journal, e snapshot.JournalEntry) error {
 }
 
 // stagePlan maps each node that captured the entry's interval to where
-// its share of the stage survives: the node itself (alive, marker
-// intact), or a survivor holding its parked stage replica (pushed by
-// the degraded-mode drain while the store was out). Reports false when
-// any node's share is gone both ways — the interval is unrecoverable.
+// its share of the stage survives (the snapshot share probe): the node
+// itself (alive, marker intact), or a survivor holding its stage
+// replica — pushed by a level-2 hold or by the degraded-mode drain
+// while the store was out, so the journal may never have learned of
+// it. Reports false when any node's share is gone both ways — the
+// interval is unrecoverable.
 func stagePlan(env *Env, e snapshot.JournalEntry, alive func(string) bool) (map[string]string, bool) {
 	if alive == nil || len(e.Nodes) == 0 {
 		return nil, false
 	}
+	res := &snapshot.Resolver{NodeFS: func(node string) (vfs.FS, error) {
+		if !alive(node) {
+			return nil, fmt.Errorf("snapc: node %q is down", node)
+		}
+		return env.NodeFS(node)
+	}}
+	if env.Nodes != nil {
+		res.Nodes = env.Nodes()
+	}
 	plan := make(map[string]string, len(e.Nodes))
 	for _, node := range e.Nodes {
-		if alive(node) {
-			if fsys, err := env.NodeFS(node); err == nil &&
-				vfs.Exists(fsys, path.Join(e.LocalBase, snapshot.LocalCommittedFile)) {
-				plan[node] = node
-				continue
-			}
-		}
-		// The origin's stage is gone: scan the survivors for its parked
-		// stage replica (discoverable by path — the journal may never
-		// have learned of it, the store was out when it was pushed).
-		holder := ""
-		if env.Nodes != nil {
-			base := snapshot.StageReplicaBase(e.JobID, e.Interval, node)
-			for _, h := range env.Nodes() {
-				if h == node || !alive(h) {
-					continue
-				}
-				if fsys, err := env.NodeFS(h); err == nil &&
-					vfs.Exists(fsys, path.Join(base, snapshot.LocalCommittedFile)) {
-					holder = h
-					break
-				}
-			}
-		}
-		if holder == "" {
+		own, holder := res.ProbeShare(e.JobID, e.Interval, e.LocalBase, node)
+		if own {
+			holder = node
+		} else if holder == "" {
 			return nil, false
 		}
 		plan[node] = holder
@@ -1225,15 +1215,11 @@ func sweepEntry(env *Env, ref snapshot.GlobalRef, e snapshot.JournalEntry, alive
 	// Sweep any stage replicas of the abandoned interval: the journal
 	// does not record their holders, so every surviving node is one.
 	if env.Nodes != nil {
+		dir := path.Join(snapshot.StageReplicaRoot(e.JobID), snapshot.IntervalDirName(e.Interval))
 		for _, h := range env.Nodes() {
-			if alive != nil && !alive(h) {
-				continue
+			if fsys, err := env.NodeFS(h); err == nil && (alive == nil || alive(h)) && vfs.Exists(fsys, dir) {
+				_ = env.Filem.Remove(env.FilemEnv, h, []string{dir})
 			}
-			held := make(map[string]string, len(e.Nodes))
-			for _, origin := range e.Nodes {
-				held[origin] = h
-			}
-			sweepStageReplicas(env, e.JobID, e.Interval, held)
 		}
 	}
 }

@@ -21,9 +21,9 @@
 // On disk a sealed interval is a crash-interrupted drain (CAPTURED entry
 // + LOCAL_COMMITTED markers + optional stage replicas), so Recover
 // doubles as the multilevel restart path, re-draining the newest one
-// into a stable commit; NewestRestorableHold is the fast path that lets
-// the runtime relaunch straight from the stages and replicas
-// (runtime.RestartFromHold) without any stable-store ingress.
+// into a stable commit; the fast path is runtime.RestartFromHold, which
+// relaunches straight from the stages and replicas through the snapshot
+// restore-source ladder without any stable-store ingress.
 package snapc
 
 import (
@@ -426,26 +426,4 @@ func (d *Drainer) Held(globalDir string) map[int]int {
 		out[si.cpt.Interval] = si.level
 	}
 	return out
-}
-
-// NewestRestorableHold scans a lineage's undrained journal entries,
-// newest first, for an interval whose every captured share survives —
-// on its origin node's sealed stage, or on a peer node's stage replica
-// when the origin died — and returns the entry plus the origin→source
-// plan. It is the read-only half of a hold-direct restart: no journal
-// transition, no stable-store write, so a caller that cannot use the
-// hold has lost nothing by asking.
-func NewestRestorableHold(env *Env, globalDir string, alive func(node string) bool) (snapshot.JournalEntry, map[string]string, bool, error) {
-	ref := snapshot.GlobalRef{FS: env.Stable, Dir: globalDir}
-	und, err := snapshot.OpenJournal(ref).Undrained()
-	if err != nil {
-		return snapshot.JournalEntry{}, nil, false, err
-	}
-	sort.Slice(und, func(i, k int) bool { return und[i].Interval > und[k].Interval })
-	for _, e := range und {
-		if plan, ok := stagePlan(env, e, alive); ok {
-			return e, plan, true, nil
-		}
-	}
-	return snapshot.JournalEntry{}, nil, false, nil
 }

@@ -12,7 +12,6 @@
 package snapc
 
 import (
-	"fmt"
 	"path"
 	"sort"
 	"strconv"
@@ -54,14 +53,13 @@ func RebuildJournal(env *Env, globalDir string, job JobView, alive func(string) 
 	// Candidate intervals: every sealed stage (or stage replica) of this
 	// job on any survivor whose interval the journal does not know.
 	candidates := make(map[int]bool)
-	jobBase := fmt.Sprintf("tmp/ckpt/job%d", job.JobID())
-	replicaBase := fmt.Sprintf("tmp/ckpt_stage_replicas/job%d", job.JobID())
+	jobID := int(job.JobID())
 	for _, node := range survivors {
 		fsys, err := env.NodeFS(node)
 		if err != nil {
 			continue
 		}
-		for _, root := range []string{jobBase, replicaBase} {
+		for _, root := range []string{snapshot.LocalStageRoot(jobID), snapshot.StageReplicaRoot(jobID)} {
 			infos, err := fsys.ReadDir(root)
 			if err != nil {
 				continue
@@ -163,7 +161,7 @@ func rebuildEntry(env *Env, job JobView, interval int, survivors []string) (snap
 		addStage(fsys, base, node)
 		// ...and any stage replicas it holds for other (possibly dead)
 		// origin nodes.
-		repRoot := fmt.Sprintf("tmp/ckpt_stage_replicas/job%d/%d", job.JobID(), interval)
+		repRoot := path.Join(snapshot.StageReplicaRoot(int(job.JobID())), snapshot.IntervalDirName(interval))
 		if infos, err := fsys.ReadDir(repRoot); err == nil {
 			for _, info := range infos {
 				origin := path.Base(info.Name)

@@ -312,6 +312,19 @@ func (f *Full) Checkpoint(env *Env, job JobView, hnp *rml.Endpoint, daemons map[
 	return Drain(env, cap)
 }
 
+// ranksByNode groups the job's ranks by node after checking that every
+// rank is checkpointable (§5.1: verify every target before touching any).
+func ranksByNode(job JobView) (map[string][]int, error) {
+	byNode := make(map[string][]int)
+	for v := 0; v < job.NumProcs(); v++ {
+		if !job.Checkpointable(v) {
+			return nil, fmt.Errorf("%w: job %d rank %d", ErrNotCheckpointable, job.JobID(), v)
+		}
+		byNode[job.NodeOf(v)] = append(byNode[job.NodeOf(v)], v)
+	}
+	return byNode, nil
+}
+
 // Capture implements Component: the synchronous phase of the global
 // coordinator — checkpointability check, fan-out to the local
 // coordinators, ack collection. When it returns, every rank has already
@@ -324,21 +337,12 @@ func (f *Full) Capture(env *Env, job JobView, hnp *rml.Endpoint, daemons map[str
 	csp := env.Ins.Span("snapc.capture", trace.WithInterval(interval), trace.WithSource("snapc.global"))
 	log.Emit("snapc.global", "ckpt.request", "job %d interval %d terminate=%v", job.JobID(), interval, opts.Terminate)
 
-	// §5.1: verify every target is checkpointable before touching any.
-	for v := 0; v < job.NumProcs(); v++ {
-		if !job.Checkpointable(v) {
-			err := fmt.Errorf("%w: job %d rank %d", ErrNotCheckpointable, job.JobID(), v)
-			csp.End(err)
-			return nil, err
-		}
-	}
-
-	// Group ranks by node and order each node's local coordinator to
-	// checkpoint them (Fig. 1-B).
-	byNode := make(map[string][]int)
-	for v := 0; v < job.NumProcs(); v++ {
-		n := job.NodeOf(v)
-		byNode[n] = append(byNode[n], v)
+	// Order each node's local coordinator to checkpoint its ranks
+	// (Fig. 1-B).
+	byNode, err := ranksByNode(job)
+	if err != nil {
+		csp.End(err)
+		return nil, err
 	}
 	base := snapshot.LocalStageBase(int(job.JobID()), interval)
 	// Resolve every node's local coordinator before ordering any, so a

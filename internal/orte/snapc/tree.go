@@ -85,17 +85,10 @@ func (t *Tree) Capture(env *Env, job JobView, hnp *rml.Endpoint, daemons map[str
 	csp := env.Ins.Span("snapc.capture", trace.WithInterval(interval), trace.WithSource("snapc.global"))
 	log.Emit("snapc.global", "ckpt.request", "job %d interval %d terminate=%v (tree)", job.JobID(), interval, opts.Terminate)
 
-	// §5.1 atomic checkpointability check, same as full.
-	for v := 0; v < job.NumProcs(); v++ {
-		if !job.Checkpointable(v) {
-			err := fmt.Errorf("%w: job %d rank %d", ErrNotCheckpointable, job.JobID(), v)
-			csp.End(err)
-			return nil, err
-		}
-	}
-	byNode := make(map[string][]int)
-	for v := 0; v < job.NumProcs(); v++ {
-		byNode[job.NodeOf(v)] = append(byNode[job.NodeOf(v)], v)
+	byNode, err := ranksByNode(job)
+	if err != nil {
+		csp.End(err)
+		return nil, err
 	}
 	// Deterministic vertex numbering: the job's stable node order.
 	nodes := job.Nodes()
