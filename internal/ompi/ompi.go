@@ -19,6 +19,10 @@
 //   - MPI_FINALIZE (the end of Run) marks the process non-checkpointable
 //     and disables the gate.
 //
+// The process's place in this lifecycle is one Phase, written only by
+// transition on the Run goroutine; the runtime reads it (Status, Watch)
+// and keeps no copy.
+//
 // Applications are step-structured (the App interface): checkpoint
 // directives are honored at step boundaries, which is where a restarted
 // process resumes. This is the Go substitution for BLCR's ability to
@@ -149,9 +153,6 @@ type Config struct {
 	// SyncCheckpoint asks the runtime's global coordinator for a
 	// job-wide checkpoint (the synchronous API path). Optional.
 	SyncCheckpoint func() error
-	// NotifyCheckpointable informs the runtime when this process
-	// toggles its checkpointability. Optional.
-	NotifyCheckpointable func(ok bool)
 	// Recover, when set, is consulted after a communication failure ends
 	// the step loop: it blocks until the runtime's recovery coordinator
 	// issues a RecoverOrder (roll back in place and resume) or returns an
@@ -183,16 +184,37 @@ type Proc struct {
 	imageSize     int // length of the last image, to size the next one
 	selfCbs       *crs.SelfCallbacks
 	restarted     bool
-	finalized     bool
 	ckpts         int  // completed checkpoint participations this run
 	termRequested bool // a terminate directive was honored mid-step
 	errhandler    func(*RankFailedError)
 	lastBookmarks []byte // CRCP counters at the most recent restored cut
 
 	directives chan *Directive
-	deadMu     sync.Mutex
-	dead       bool  // Run has returned; directives must fail fast
-	fence      int64 // directives with Interval <= fence are refused (deadMu)
+	mu         sync.Mutex
+	status     Status        // written only by transition (mu)
+	changed    chan struct{} // closed and replaced by each transition (mu)
+	fence      int64         // directives with Interval <= fence are refused (mu)
+}
+
+// Phase is where a process is in its lifecycle: launching → stepping ⇄
+// recovering → finalizing → exited (a failed finalize barrier may also
+// enter recovering). Only a stepping process has the gate open, so only
+// it is checkpointable.
+type Phase int8
+
+const (
+	PhaseLaunching  Phase = iota // Setup and any restore; MPI_INIT not complete
+	PhaseStepping                // between MPI_INIT and MPI_FINALIZE
+	PhaseRecovering              // a communication failure stopped the step loop
+	PhaseFinalizing              // MPI_FINALIZE has begun
+	PhaseExited                  // Run has returned; Status.Err holds its result
+)
+
+// Status is a process's lifecycle state: its phase and, once exited,
+// the error Run returned.
+type Status struct {
+	Phase Phase
+	Err   error
 }
 
 // NewProc attaches a process to the fabric and wires the INC stack.
@@ -222,6 +244,7 @@ func NewProc(cfg Config) (*Proc, error) {
 		log:        cfg.Ins.TraceLog(),
 		states:     make(map[string]*appState),
 		directives: make(chan *Directive, 4),
+		changed:    make(chan struct{}),
 		fence:      -1,
 	}
 	p.eng = pml.New(pml.Config{
@@ -354,10 +377,11 @@ func (p *Proc) RegisterINC(cb inc.Callback) inc.Callback {
 }
 
 // guarded wraps an MPI operation in the OPAL gate so it cannot overlap a
-// checkpoint window.
+// checkpoint window. It reads the phase without the lock: MPI calls run
+// on the application goroutine, the only one that writes it.
 func guarded[T any](p *Proc, op func() (T, error)) (T, error) {
 	var zero T
-	if p.finalized {
+	if p.status.Phase >= PhaseFinalizing {
 		return zero, ErrFinalized
 	}
 	p.gate.Enter()
@@ -535,38 +559,33 @@ func (p *Proc) Checkpoint() error {
 // --- Runtime-facing API ------------------------------------------------------
 
 // Deliver hands the process a checkpoint directive. Safe to call from
-// the application coordinator goroutine. Once the process has exited
-// (failed, finalized, or killed with its node), the directive is
+// the application coordinator goroutine. Once the process can no longer
+// honour one (recovering, finalizing or exited), the directive is
 // answered immediately with an error instead of queueing forever: a
-// local coordinator must never hang on a dead process.
+// local coordinator must never hang on it.
 func (p *Proc) Deliver(d *Directive) {
 	for {
-		p.deadMu.Lock()
-		if p.dead {
+		p.mu.Lock()
+		// A directive at or below the fence belongs to an interval
+		// allocated before an in-job recovery completed: its global
+		// coordinator has abandoned it. Refusing it (rather than queueing
+		// it) keeps a late-arriving order from dragging the rebuilt job
+		// into a checkpoint nobody is collecting.
+		if p.status.Phase >= PhaseRecovering || int64(d.Interval) <= p.fence {
 			p.refuse(d)
-			p.deadMu.Unlock()
-			return
-		}
-		if int64(d.Interval) <= p.fence {
-			// The directive belongs to an interval allocated before an
-			// in-job recovery completed: its global coordinator has
-			// abandoned it. Answering it with a refusal (rather than
-			// queueing it) keeps a late-arriving order from dragging the
-			// rebuilt job into a checkpoint nobody is collecting.
-			p.refuse(d)
-			p.deadMu.Unlock()
+			p.mu.Unlock()
 			return
 		}
 		// Enqueue without blocking under the lock: if the queue is
-		// momentarily full, release and retry so markDead can never
+		// momentarily full, release and retry so a transition can never
 		// deadlock against a blocked sender.
 		select {
 		case p.directives <- d:
-			p.deadMu.Unlock()
+			p.mu.Unlock()
 			return
 		default:
 		}
-		p.deadMu.Unlock()
+		p.mu.Unlock()
 		runtime.Gosched()
 	}
 }
@@ -580,16 +599,16 @@ func (p *Proc) Deliver(d *Directive) {
 // abandoned by the failure — none of their directives may reach the
 // rebuilt job's step boundaries.
 func (p *Proc) FenceDirectives(iv int) {
-	p.deadMu.Lock()
+	p.mu.Lock()
 	if int64(iv) > p.fence {
 		p.fence = int64(iv)
 	}
 	p.refuseQueued()
-	p.deadMu.Unlock()
+	p.mu.Unlock()
 }
 
 // refuseQueued refuses every directive already queued. The caller
-// holds deadMu.
+// holds mu.
 func (p *Proc) refuseQueued() {
 	for {
 		select {
@@ -601,7 +620,7 @@ func (p *Proc) refuseQueued() {
 	}
 }
 
-// refuse answers a directive on behalf of a dead process.
+// refuse answers a directive the process will not honour.
 func (p *Proc) refuse(d *Directive) {
 	if d.Result != nil {
 		d.Result <- ParticipationResult{
@@ -611,14 +630,38 @@ func (p *Proc) refuse(d *Directive) {
 	}
 }
 
-// markDead flips the process into the dead state and drains any
-// directives that raced the transition, refusing each. Called exactly
-// once, when Run returns.
-func (p *Proc) markDead() {
-	p.deadMu.Lock()
-	p.dead = true
-	p.refuseQueued()
-	p.deadMu.Unlock()
+// Status returns the process's lifecycle state.
+func (p *Proc) Status() Status { st, _ := p.Watch(); return st }
+
+// Watch returns the lifecycle state and a channel closed at the next
+// transition, so a caller can wait for a phase without polling.
+func (p *Proc) Watch() (Status, <-chan struct{}) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.status, p.changed
+}
+
+// transition is the lifecycle's only writer, called on the application
+// goroutine. Entering stepping opens the checkpoint gate, leaving it
+// closes the gate (no checkpoint is in flight then: participation runs
+// on this goroutine). Entering a phase that cannot honour directives
+// refuses the queued ones. Waiters wake on every transition.
+func (p *Proc) transition(to Phase, err error) {
+	if to == PhaseStepping {
+		p.gate.Enable()
+	}
+	p.mu.Lock()
+	from := p.status.Phase
+	p.status = Status{Phase: to, Err: err}
+	if to >= PhaseRecovering {
+		p.refuseQueued()
+	}
+	close(p.changed)
+	p.changed = make(chan struct{})
+	p.mu.Unlock()
+	if from == PhaseStepping {
+		p.gate.Disable()
+	}
 }
 
 // Engine exposes the PML engine (benchmark harness use).
@@ -630,8 +673,8 @@ func (p *Proc) Engine() *pml.Engine { return p.eng }
 // wired, a communication failure does not end the process: it enters an
 // in-job recovery session (tryRecover) and, on success, resumes stepping
 // at the restored frontier.
-func (p *Proc) Run(app App, restore *RestoreSpec) error {
-	defer p.markDead()
+func (p *Proc) Run(app App, restore *RestoreSpec) (err error) {
+	defer func() { p.transition(PhaseExited, err) }()
 	if err := app.Setup(p); err != nil {
 		return fmt.Errorf("ompi: rank %d setup: %w", p.cfg.Rank, err)
 	}
@@ -655,14 +698,12 @@ func (p *Proc) Run(app App, restore *RestoreSpec) error {
 		}
 	}
 	// MPI_INIT complete: checkpointing becomes possible.
-	p.gate.Enable()
-	p.setCheckpointable(true)
+	p.transition(PhaseStepping, nil)
 	p.log.Emit(p.source(), "proc.init", "restarted=%v", p.restarted)
 
 	for {
 		err := p.stepLoop(app)
 		if err == nil {
-			p.finalized = true
 			return nil
 		}
 		if rerr := p.tryRecover(err); rerr != nil {
@@ -675,14 +716,14 @@ func (p *Proc) Run(app App, restore *RestoreSpec) error {
 
 // stepLoop drives the application from one MPI_INIT-equivalent point to
 // finalize: checkpoint boundaries between steps, then the finalize
-// barrier. A non-nil return leaves the process non-checkpointable with
-// the gate closed; Run decides whether that is fatal or recoverable.
+// barrier. A non-nil return leaves the process in the phase it failed
+// in, stepping or finalizing; Run either moves it to recovering
+// (tryRecover) or lets it exit.
 func (p *Proc) stepLoop(app App) error {
 	terminate := false
 	for {
 		term, err := p.boundarySync()
 		if err != nil {
-			p.setCheckpointable(false)
 			return fmt.Errorf("ompi: rank %d boundary: %w", p.cfg.Rank, err)
 		}
 		if term {
@@ -691,7 +732,6 @@ func (p *Proc) stepLoop(app App) error {
 		}
 		done, err := app.Step(p)
 		if err != nil {
-			p.setCheckpointable(false)
 			return fmt.Errorf("ompi: rank %d step: %w", p.cfg.Rank, err)
 		}
 		if p.termRequested {
@@ -703,8 +743,7 @@ func (p *Proc) stepLoop(app App) error {
 		}
 	}
 	// MPI_FINALIZE entry: no further checkpoints of this process.
-	p.setCheckpointable(false)
-	p.gate.Disable()
+	p.transition(PhaseFinalizing, nil)
 	if !terminate {
 		// Finalize synchronizes, like MPI_Finalize commonly does.
 		if err := p.coll.Barrier(); err != nil {
@@ -782,12 +821,6 @@ func (p *Proc) boundarySync() (terminate bool, err error) {
 	}
 	p.participate(d)
 	return d.Terminate, nil
-}
-
-func (p *Proc) setCheckpointable(ok bool) {
-	if p.cfg.NotifyCheckpointable != nil {
-		p.cfg.NotifyCheckpointable(ok)
-	}
 }
 
 // Checkpoints reports how many checkpoint participations this process

@@ -152,7 +152,7 @@ func TestPlainRunCompletes(t *testing.T) {
 		if ras[r].state.Sum != want[r] {
 			t.Errorf("rank %d sum = %d, want %d", r, ras[r].state.Sum, want[r])
 		}
-		if !procs[r].finalized {
+		if st := procs[r].Status(); st.Phase != PhaseExited || st.Err != nil {
 			t.Errorf("rank %d not finalized", r)
 		}
 	}

@@ -125,16 +125,10 @@ func (p *Proc) tryRecover(cause error) error {
 	if p.cfg.Recover == nil || !IsCommFailure(cause) {
 		return cause
 	}
-	// Refuse any checkpoint directives that raced the failure: this
-	// process cannot participate while its fabric is gone, and a local
-	// coordinator must never hang on it.
-	for {
-		d := p.pendingDirective()
-		if d == nil {
-			break
-		}
-		p.refuse(d)
-	}
+	// The process cannot participate while its fabric is gone: entering
+	// recovering closes the gate and refuses every directive, queued or
+	// late, so no local coordinator hangs on it.
+	p.transition(PhaseRecovering, nil)
 	ord, err := p.cfg.Recover(cause)
 	if err != nil {
 		if p.errhandler != nil {
@@ -169,12 +163,11 @@ func (p *Proc) tryRecover(cause error) error {
 	if rerr != nil {
 		return fmt.Errorf("ompi: rank %d recovery restore: %w", p.cfg.Rank, rerr)
 	}
-	// Back in business: re-open the gate the failed step loop closed and
-	// resume at the restored frontier. Directives from pre-recovery
+	// Back in business: stepping re-opens the gate, and the process
+	// resumes at the restored frontier. Directives from pre-recovery
 	// intervals were fenced off when the session completed
 	// (FenceDirectives), so the mailbox holds no stale orders.
-	p.gate.Enable()
-	p.setCheckpointable(true)
+	p.transition(PhaseStepping, nil)
 	p.termRequested = false
 	p.ins.Counter("ompi_rank_recoveries_total").Inc()
 	p.log.Emit(p.source(), "proc.recovered", "resumed at interval %d after %v", ord.Interval, cause)

@@ -120,9 +120,8 @@ func (p rankPlan) label() string {
 }
 
 // HandleFailure implements runtime.RecoveryHandler: the runtime has
-// frozen the job (survivors parked, lost epochs bumped, fabric closed)
-// and this goroutine owns the session until CompleteRecovery or
-// AbortRecovery.
+// frozen the job (lost incarnations detached, fabric closed) and this
+// goroutine owns the session until CompleteRecovery or AbortRecovery.
 func (co *Coordinator) HandleFailure(j *runtime.Job, node string, lost []int, detectedAt time.Time) {
 	note(co, &co.stats.Sessions, "ompi_recovery_sessions_total", 1)
 	s := j.Recovery()
@@ -515,7 +514,7 @@ func (co *Coordinator) reknit(j *runtime.Job, s *runtime.RecoverySession, rv *re
 	for _, p := range plans {
 		label := "recovered:" + p.label()
 		if s.Planned() && lostSet[p.rank] {
-			label = "migrated:" + p.label()
+			label = runtime.MigratedSource + p.label()
 		}
 		sources[p.rank] = label
 	}

@@ -1,9 +1,11 @@
 package recovery_test
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/mca"
 	"repro/internal/ompi"
+	"repro/internal/orte/recovery"
 	"repro/internal/orte/runtime"
 	"repro/internal/orte/snapc"
 	"repro/internal/trace"
@@ -175,6 +178,206 @@ func TestInJobRecoveryAfterNodeLoss(t *testing.T) {
 	ins := sys.Ins()
 	if n := ins.Counter("ompi_recovery_source_local_total").Value(); n != int64(np-1) {
 		t.Fatalf("local-source restores = %d, want %d", n, np-1)
+	}
+}
+
+// observedHandler is the recovery coordinator with the rank table
+// captured at the start of each failure session (the job is frozen
+// then) and a signal once the session has ended.
+type observedHandler struct {
+	*recovery.Coordinator
+	frozen chan []runtime.RankInfo
+	ended  chan struct{}
+}
+
+func newObservedHandler(co *recovery.Coordinator) *observedHandler {
+	return &observedHandler{Coordinator: co, frozen: make(chan []runtime.RankInfo, 1), ended: make(chan struct{}, 1)}
+}
+
+func (h *observedHandler) HandleFailure(j *runtime.Job, node string, lost []int, at time.Time) {
+	h.frozen <- j.RankTable()
+	h.Coordinator.HandleFailure(j, node, lost, at)
+	h.ended <- struct{}{}
+}
+
+// await receives from ch or fails the test after a bound.
+func await[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(20 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+		panic("unreachable")
+	}
+}
+
+// awaitCheckpointable waits on the ranks' lifecycle transitions, not on
+// a clock, until the runtime reports every rank of j checkpointable.
+func awaitCheckpointable(t *testing.T, j *core.Job) {
+	t.Helper()
+	deadline := time.After(20 * time.Second)
+	for r := 0; r < j.NumProcs(); r++ {
+		for !j.Checkpointable(r) {
+			p := j.Proc(r)
+			if p == nil {
+				t.Fatalf("rank %d has no incarnation", r)
+			}
+			st, next := p.Watch()
+			switch st.Phase {
+			case ompi.PhaseStepping:
+				continue
+			case ompi.PhaseExited:
+				t.Fatalf("rank %d exited (%v) instead of re-arming", r, st.Err)
+			}
+			select {
+			case <-next:
+			case <-deadline:
+				t.Fatalf("rank %d still %v, not checkpointable", r, st.Phase)
+			}
+		}
+	}
+}
+
+// TestRecoveredJobCheckpoints: after an in-job recovery every rank
+// re-arms, a checkpoint of the recovered job commits, and a restart
+// from that checkpoint converges to the fault-free oracle.
+func TestRecoveredJobCheckpoints(t *testing.T) {
+	const np, steps = 4, 6000
+	want := oracleState(t, np, steps)
+
+	sys := newSystem(t, np+1, 1, nil, nil)
+	j, err := sys.Launch(core.JobSpec{Name: "stencil", NP: np, AppFactory: slowStencil(t, steps, 100*time.Microsecond)})
+	if err != nil {
+		t.Fatalf("Launch: %v", err)
+	}
+	h := newObservedHandler(sys.Recovery())
+	j.SetRecoveryHandler(h)
+	if _, err := sys.Cluster().CheckpointJob(j.JobID(), snapc.Options{KeepLocal: true}); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	const victim = 2
+	if err := sys.Cluster().KillNode(j.NodeOf(victim)); err != nil {
+		t.Fatalf("KillNode: %v", err)
+	}
+	for _, ri := range await(t, h.frozen, "the recovery session") {
+		wantState := runtime.RankRecovering
+		if ri.Rank == victim {
+			wantState = runtime.RankFailed
+		}
+		if ri.State != wantState {
+			t.Errorf("during the session rank %d is %q, want %q", ri.Rank, ri.State, wantState)
+		}
+	}
+	await(t, h.ended, "the end of the recovery session")
+	if st := sys.Recovery().Stats(); st.RecoveredRanks != 1 || st.Fallbacks != 0 {
+		t.Fatalf("stats = %+v, want one recovered rank and no fallback", st)
+	}
+
+	awaitCheckpointable(t, j)
+	for _, ri := range j.RankTable() {
+		if ri.State != runtime.RankRunning {
+			t.Errorf("after re-arming rank %d is %q, want running", ri.Rank, ri.State)
+		}
+	}
+	res, err := j.Checkpoint(true)
+	if err != nil {
+		t.Fatalf("checkpoint of the recovered job: %v", err)
+	}
+	if err := j.Wait(); err != nil {
+		t.Fatalf("recovered job after its terminate checkpoint: %v", err)
+	}
+	j2, err := sys.Restart(res.Ref, res.Interval, slowStencil(t, steps, 0))
+	if err != nil {
+		t.Fatalf("restart from the recovered job's checkpoint: %v", err)
+	}
+	if err := j2.Wait(); err != nil {
+		t.Fatalf("restarted job: %v", err)
+	}
+	requireStencilEqual(t, j2, want)
+}
+
+// lateFailApp is a rank's first incarnation that parks in a step until
+// released, then fails with an application error: the lost incarnation
+// of a rank exiting only after its respawn took over the slot.
+type lateFailApp struct {
+	ompi.App
+	hold    *atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (a *lateFailApp) Step(p *ompi.Proc) (bool, error) {
+	if !a.hold.Load() {
+		return a.App.Step(p)
+	}
+	close(a.parked)
+	<-a.release
+	return false, errors.New("lost incarnation fails late")
+}
+
+// TestStaleIncarnationCannotClearCheckpointable: the lost incarnation
+// of a rank exits with an error after the rank was respawned. The exit
+// speaks for nobody: the respawned rank stays checkpointable and
+// running, and the job finishes cleanly.
+func TestStaleIncarnationCannotClearCheckpointable(t *testing.T) {
+	const np, rank = 3, 1
+	stencil := slowStencil(t, 0, 100*time.Microsecond)
+	stale := &lateFailApp{hold: new(atomic.Bool), parked: make(chan struct{}), release: make(chan struct{})}
+	var built atomic.Int32
+	factory := func(r int) ompi.App {
+		app := stencil(r)
+		if r == rank && built.Add(1) == 1 {
+			stale.App = app
+			return stale
+		}
+		return app
+	}
+	sys := newSystem(t, np+1, 1, nil, nil)
+	j, err := sys.Launch(core.JobSpec{Name: "stencil", NP: np, AppFactory: factory})
+	if err != nil {
+		t.Fatalf("Launch: %v", err)
+	}
+	h := newObservedHandler(sys.Recovery())
+	j.SetRecoveryHandler(h)
+	if _, err := sys.Cluster().CheckpointJob(j.JobID(), snapc.Options{KeepLocal: true}); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	lost := j.Proc(rank)
+	stale.hold.Store(true)
+	await(t, stale.parked, "the first incarnation to park")
+	if err := sys.Cluster().KillNode(j.NodeOf(rank)); err != nil {
+		t.Fatalf("KillNode: %v", err)
+	}
+	await(t, h.frozen, "the recovery session")
+	await(t, h.ended, "the end of the recovery session")
+	awaitCheckpointable(t, j)
+	if j.Proc(rank) == lost {
+		t.Fatal("the slot still holds the lost incarnation")
+	}
+
+	close(stale.release)
+	for st, next := lost.Watch(); st.Phase != ompi.PhaseExited; st, next = lost.Watch() {
+		await(t, next, "the lost incarnation's exit")
+	}
+	if err := lost.Status().Err; err == nil {
+		t.Fatal("the lost incarnation exited cleanly; want its late error")
+	}
+	if !j.Checkpointable(rank) {
+		t.Error("the lost incarnation's exit made the respawned rank not checkpointable")
+	}
+	row := j.RankTable()[rank]
+	if row.State != runtime.RankRunning || !strings.HasPrefix(row.Source, "recovered:") {
+		t.Errorf("rank %d row = %+v, want running from a recovered source", rank, row)
+	}
+	if _, err := j.Checkpoint(true); err != nil {
+		t.Fatalf("terminate checkpoint: %v", err)
+	}
+	if err := j.Wait(); err != nil {
+		t.Fatalf("Wait = %v; the lost incarnation's error leaked into the job", err)
+	}
+	if got := j.RankTable()[rank].State; got != runtime.RankDone {
+		t.Errorf("rank %d state = %q after the job finished, want done", rank, got)
 	}
 }
 

@@ -319,32 +319,19 @@ func (s *ControlServer) handle(req ControlRequest) ControlResponse {
 	switch req.Op {
 	case "ping":
 		return ControlResponse{OK: true}
-	case "ps":
-		var out []ControlJobInfo
-		for _, id := range s.cluster.JobIDs() {
-			j, err := s.cluster.Job(id)
-			if err != nil {
-				continue
-			}
-			j.mu.Lock()
-			interval := j.nextInterval
-			j.mu.Unlock()
-			out = append(out, ControlJobInfo{
-				Job: int(id), App: j.spec.Name, NP: j.spec.NP,
-				Nodes: j.Nodes(), Done: j.Done(), Ckpts: interval,
-			})
-		}
-		return ControlResponse{OK: true, Jobs: out}
-	case "jobs":
-		// The job-scoped view: "ps" columns joined with the drain
-		// scheduler's per-lineage state. --job filters to one job.
+	case "ps", "jobs":
+		// "jobs" is the job-scoped view: "ps" columns joined with the
+		// drain scheduler's per-lineage state. --job filters to one job.
+		scoped := req.Op == "jobs"
 		flows := make(map[string]sched.FlowState)
-		for _, f := range s.cluster.SchedFlows() {
-			flows[f.Key] = f
+		if scoped {
+			for _, f := range s.cluster.SchedFlows() {
+				flows[f.Key] = f
+			}
 		}
 		var out []ControlJobInfo
 		for _, id := range s.cluster.JobIDs() {
-			if req.Job != 0 && int(id) != req.Job {
+			if scoped && req.Job != 0 && int(id) != req.Job {
 				continue
 			}
 			j, err := s.cluster.Job(id)
@@ -364,7 +351,7 @@ func (s *ControlServer) handle(req ControlRequest) ControlResponse {
 			}
 			out = append(out, info)
 		}
-		if req.Job != 0 && len(out) == 0 {
+		if scoped && req.Job != 0 && len(out) == 0 {
 			return ControlResponse{Err: fmt.Sprintf("no job %d", req.Job)}
 		}
 		return ControlResponse{OK: true, Jobs: out}

@@ -40,16 +40,19 @@ type JobSpec struct {
 	CRSByRank func(rank int) string
 }
 
-// ckptState tracks one rank's checkpointability: unknown until the rank
-// completes MPI_INIT, yes between init and finalize, no after finalize
-// entry or when the application opted out.
-type ckptState int8
-
-const (
-	ckptUnknown ckptState = iota
-	ckptYes
-	ckptNo
-)
+// rankSlot is one rank of a job: its current incarnation and what the
+// rank table shows beside it. The proc pointer is the incarnation: the
+// freeze detaches a lost proc (nil until the respawn fills the slot), so
+// a superseded incarnation is told apart by identity, and every
+// lifecycle question (checkpointable, initialized, done, failed) is
+// asked of the current proc rather than of a copy.
+type rankSlot struct {
+	proc     *ompi.Proc // current incarnation; nil between freeze and respawn
+	app      ompi.App
+	node     string
+	interval int    // last checkpoint interval the rank took part in, -1 before
+	source   string // where the incarnation's state came from (RankInfo.Source)
+}
 
 // Job is one launched parallel application.
 type Job struct {
@@ -64,27 +67,21 @@ type Job struct {
 	crcpComp crcp.Component
 	crsFor   func(rank int) (crs.Component, error)
 
-	placement map[int]string // rank -> node; guarded by mu after launch
-	nodes     []string       // distinct nodes, stable order; guarded by mu
-	procs     []*ompi.Proc   // rank slots; entries replaced on respawn (mu)
-	apps      []ompi.App     // rank slots; entries replaced on respawn (mu)
-	fabric    btl.JobFabric  // job transport; Close aborts the job (mu)
+	slots  []rankSlot    // one per rank (mu)
+	fabric btl.JobFabric // job transport; Close aborts the job (mu)
 
 	// capMu serializes this job's capture phases: one interval of a job
 	// captures at a time, but different jobs capture concurrently —
 	// their coordinators share the HNP mailbox via job-matched receives.
 	capMu sync.Mutex
 
-	mu             sync.Mutex
-	checkpointable []ckptState
-	nextInterval   int
-	epochs         []int      // per-rank incarnation counter (mu)
-	rankMeta       []RankInfo // per-rank observability (mu)
-	handler        RecoveryHandler
-	recov          *RecoverySession // active recovery session, nil otherwise
+	mu           sync.Mutex
+	nextInterval int
+	handler      RecoveryHandler
+	recov        *RecoverySession // active recovery session, nil otherwise
+	frozen       chan struct{}    // closed and replaced when a session begins (mu)
 
 	wg   sync.WaitGroup // one per live rank goroutine (respawns included) and rank-requested checkpoint
-	errs []error
 	done chan struct{}
 }
 
@@ -151,24 +148,17 @@ func (c *Cluster) launch(spec JobSpec, placementOverride map[int]string, restore
 	}
 
 	j := &Job{
-		cluster:        c,
-		id:             c.ns.AllocateJob(),
-		spec:           spec,
-		params:         params,
-		btlComp:        btlComp,
-		crcpComp:       crcpComp,
-		crsFor:         crsFor,
-		placement:      placement,
-		checkpointable: make([]ckptState, spec.NP),
-		epochs:         make([]int, spec.NP),
-		rankMeta:       make([]RankInfo, spec.NP),
-		done:           make(chan struct{}),
-		errs:           make([]error, spec.NP),
+		cluster:  c,
+		id:       c.ns.AllocateJob(),
+		spec:     spec,
+		params:   params,
+		btlComp:  btlComp,
+		crcpComp: crcpComp,
+		crsFor:   crsFor,
+		slots:    make([]rankSlot, spec.NP),
+		frozen:   make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-	for r := 0; r < spec.NP; r++ {
-		j.rankMeta[r] = RankInfo{Rank: r, Node: placement[r], State: RankRunning, Interval: -1, Source: "fresh"}
-	}
-	seen := make(map[string]bool)
 	for r := 0; r < spec.NP; r++ {
 		node := placement[r]
 		if _, ok := c.nodes[node]; !ok {
@@ -177,10 +167,6 @@ func (c *Cluster) launch(spec JobSpec, placementOverride map[int]string, restore
 		if !c.Alive(node) {
 			return nil, fmt.Errorf("runtime: rank %d placed on dead node %q", r, node)
 		}
-		if !seen[node] {
-			seen[node] = true
-			j.nodes = append(j.nodes, node)
-		}
 	}
 
 	fabric, err := btlComp.NewFabric(spec.NP)
@@ -188,15 +174,12 @@ func (c *Cluster) launch(spec JobSpec, placementOverride map[int]string, restore
 		return nil, fmt.Errorf("runtime: job fabric: %w", err)
 	}
 	j.fabric = fabric
-	j.procs = make([]*ompi.Proc, spec.NP)
-	j.apps = make([]ompi.App, spec.NP)
 	for r := 0; r < spec.NP; r++ {
 		proc, err := j.newRankProc(r, placement[r], fabric, nil)
 		if err != nil {
 			return nil, err
 		}
-		j.procs[r] = proc
-		j.apps[r] = spec.AppFactory(r)
+		j.slots[r] = rankSlot{proc: proc, app: spec.AppFactory(r), node: placement[r], interval: -1, source: "fresh"}
 	}
 
 	// Job ids restart with each HNP, so a fresh cluster sharing stable
@@ -221,7 +204,7 @@ func (c *Cluster) launch(spec JobSpec, placementOverride map[int]string, restore
 			rs = restores[r]
 		}
 		j.wg.Add(1)
-		go j.runRank(r, 0, j.procs[r], j.apps[r], rs)
+		go j.runRank(r, j.slots[r].proc, j.slots[r].app, rs)
 	}
 	go func() {
 		j.wg.Wait()
@@ -242,9 +225,9 @@ func (c *Cluster) launch(spec JobSpec, placementOverride map[int]string, restore
 // coordinates.
 func (j *Job) fenceStaleDirectivesLocked() {
 	fence := j.nextInterval - 1
-	for r := 0; r < j.spec.NP; r++ {
-		if p := j.procs[r]; p != nil {
-			p.FenceDirectives(fence)
+	for _, sl := range j.slots {
+		if sl.proc != nil {
+			sl.proc.FenceDirectives(fence)
 		}
 	}
 }
@@ -257,18 +240,15 @@ func (j *Job) newRankProc(r int, node string, fabric btl.JobFabric, gate func([]
 	if err != nil {
 		return nil, fmt.Errorf("runtime: rank %d CRS: %w", r, err)
 	}
-	j.mu.Lock()
-	epoch := j.epochs[r]
-	j.mu.Unlock()
-	proc, err := ompi.NewProc(ompi.Config{
+	var proc *ompi.Proc
+	proc, err = ompi.NewProc(ompi.Config{
 		JobID: int(j.id), Rank: r, Size: j.spec.NP,
 		Node: node, PID: 1000*int(j.id) + r,
 		Fabric: fabric, Params: j.params,
 		CRS: crsComp, CRCP: j.crcpComp, Ins: j.cluster.ins,
-		SyncCheckpoint:       j.syncCheckpoint,
-		NotifyCheckpointable: func(ok bool) { j.setCheckpointable(r, epoch, ok) },
-		Recover:              func(cause error) (*ompi.RecoverOrder, error) { return j.awaitRecovery(r, cause) },
-		RecoveryGate:         gate,
+		SyncCheckpoint: j.syncCheckpoint,
+		Recover:        func(cause error) (*ompi.RecoverOrder, error) { return j.awaitRecovery(r, proc, cause) },
+		RecoveryGate:   gate,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("runtime: create rank %d: %w", r, err)
@@ -293,32 +273,24 @@ func (j *Job) syncCheckpoint() error {
 	return nil
 }
 
-// runRank drives one incarnation of a rank slot. The epoch guards
-// bookkeeping: when the slot has been respawned (lost-node recovery or
-// migration), the stale incarnation's exit is discarded.
-func (j *Job) runRank(r, epoch int, proc *ompi.Proc, app ompi.App, rs *ompi.RestoreSpec) {
+// runRank drives one incarnation of a rank slot. The process records
+// its own exit; runRank only decides whether a failure aborts the job.
+func (j *Job) runRank(r int, proc *ompi.Proc, app ompi.App, rs *ompi.RestoreSpec) {
 	defer j.wg.Done()
-	err := proc.Run(app, rs)
+	if proc.Run(app, rs) == nil {
+		return
+	}
 	j.mu.Lock()
-	if epoch != j.epochs[r] {
-		j.mu.Unlock()
-		return // superseded incarnation; the respawn owns this slot now
-	}
-	j.errs[r] = err
-	if err != nil {
-		j.rankMeta[r].State = RankFailed
-	} else if j.rankMeta[r].State != RankMigrated {
-		j.rankMeta[r].State = RankDone
-	}
+	// A superseded incarnation (its slot was detached at a freeze) no
+	// longer speaks for the rank, and while a recovery session owns the
+	// job survivors are parked, not dead.
+	abort := j.slots[r].proc == proc && j.recov == nil
 	fab := j.fabric
-	abort := err != nil && j.recov == nil
 	j.mu.Unlock()
 	if abort {
 		// A failed rank aborts the whole job, as mpirun kills a
 		// parallel job when one process dies: closing the fabric fails
-		// every peer blocked in communication. Suppressed while a
-		// recovery session owns the job: survivors are parked, not dead.
-		j.setCheckpointable(r, epoch, false)
+		// every peer blocked in communication.
 		fab.Close()
 	}
 }
@@ -333,13 +305,17 @@ func (j *Job) closeFabric() {
 }
 
 // Wait blocks until every rank finished and returns the combined error
-// of all failed ranks (nil if the job completed cleanly).
+// of all failed ranks (nil if the job completed cleanly). A rank counts
+// through its current incarnation: a detached one's exit is not the
+// rank's.
 func (j *Job) Wait() error {
 	<-j.done
 	var errs []error
-	for r, err := range j.errs {
-		if err != nil {
-			errs = append(errs, fmt.Errorf("runtime: job %d rank %d: %w", j.id, r, err))
+	for r := range j.slots {
+		if p := j.Proc(r); p != nil {
+			if err := p.Status().Err; err != nil {
+				errs = append(errs, fmt.Errorf("runtime: job %d rank %d: %w", j.id, r, err))
+			}
 		}
 	}
 	return errors.Join(errs...)
@@ -360,62 +336,55 @@ func (j *Job) Done() bool {
 func (j *Job) App(rank int) ompi.App {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.apps[rank]
+	return j.slots[rank].app
 }
 
 // hasRanksOn reports whether any rank of the job runs on node.
 func (j *Job) hasRanksOn(node string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for _, n := range j.nodes {
-		if n == node {
+	for _, sl := range j.slots {
+		if sl.node == node {
 			return true
 		}
 	}
 	return false
 }
 
-// Proc returns the rank's process object.
+// Proc returns the rank's current process object: nil while a recovery
+// session has detached the lost incarnation and not yet respawned it.
 func (j *Job) Proc(rank int) *ompi.Proc {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.procs[rank]
-}
-
-func (j *Job) setCheckpointable(rank, epoch int, ok bool) {
-	st := ckptNo
-	if ok {
-		st = ckptYes
-	}
-	j.mu.Lock()
-	if epoch == j.epochs[rank] { // a superseded incarnation no longer speaks for the slot
-		j.checkpointable[rank] = st
-	}
-	j.mu.Unlock()
+	return j.slots[rank].proc
 }
 
 // awaitInitialized waits until no rank is still pre-MPI_INIT, so a
 // checkpoint requested during job startup waits for initialization
-// instead of failing spuriously.
+// instead of failing spuriously. During a recovery session it does not
+// wait: the precheck refuses the frozen job at once.
 func (j *Job) awaitInitialized(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
-		ready := true
+		var next <-chan struct{}
 		j.mu.Lock()
-		for _, st := range j.checkpointable {
-			if st == ckptUnknown {
-				ready = false
-				break
+		for r := 0; r < len(j.slots) && next == nil && j.recov == nil; r++ {
+			if p := j.slots[r].proc; p != nil {
+				if st, ch := p.Watch(); st.Phase == ompi.PhaseLaunching {
+					next = ch
+				}
 			}
 		}
 		j.mu.Unlock()
-		if ready {
+		if next == nil {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-next:
+		case <-deadline.C:
 			return fmt.Errorf("runtime: job %d did not finish initializing within %v", j.id, timeout)
 		}
-		time.Sleep(200 * time.Microsecond)
 	}
 }
 
@@ -437,27 +406,42 @@ func (j *Job) NumProcs() int { return j.spec.NP }
 func (j *Job) NodeOf(vpid int) string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.placement[vpid]
+	return j.slots[vpid].node
 }
 
-// Nodes implements snapc.JobView.
+// Nodes implements snapc.JobView: the distinct nodes hosting ranks, in
+// order of first appearance by rank.
 func (j *Job) Nodes() []string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]string, len(j.nodes))
-	copy(out, j.nodes)
+	var out []string
+	seen := make(map[string]bool)
+	for _, sl := range j.slots {
+		if !seen[sl.node] {
+			seen[sl.node] = true
+			out = append(out, sl.node)
+		}
+	}
 	return out
 }
 
-// Checkpointable implements snapc.JobView.
+// Checkpointable implements snapc.JobView: the rank's current
+// incarnation is stepping.
 func (j *Job) Checkpointable(vpid int) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.checkpointable[vpid] == ckptYes
+	p := j.Proc(vpid)
+	return p != nil && p.Status().Phase == ompi.PhaseStepping
 }
 
-// Deliver implements snapc.JobView.
-func (j *Job) Deliver(vpid int, d *ompi.Directive) { j.Proc(vpid).Deliver(d) }
+// Deliver implements snapc.JobView. A slot detached by a recovery
+// freeze refuses the directive on the lost incarnation's behalf.
+func (j *Job) Deliver(vpid int, d *ompi.Directive) {
+	if p := j.Proc(vpid); p != nil {
+		p.Deliver(d)
+	} else if d.Result != nil {
+		d.Result <- ompi.ParticipationResult{Rank: vpid,
+			Err: fmt.Errorf("%w: rank %d is being replaced", ompi.ErrFinalized, vpid)}
+	}
+}
 
 // Params implements snapc.JobView.
 func (j *Job) Params() *mca.Params { return j.params }
@@ -695,8 +679,8 @@ func (c *Cluster) relaunch(spec JobSpec, placement map[int]string, sources []sna
 	}
 	j.mu.Lock()
 	for r, src := range sources {
-		j.rankMeta[r].Source = restoredLabel(src)
-		j.rankMeta[r].Interval = interval
+		j.slots[r].source = restoredLabel(src)
+		j.slots[r].interval = interval
 	}
 	j.mu.Unlock()
 	return j, nil

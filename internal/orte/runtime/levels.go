@@ -111,13 +111,8 @@ func (c *Cluster) RestartFromHold(j *Job, appFactory func(rank int) ompi.App) (*
 	}
 	sort.Slice(und, func(a, b int) bool { return und[a].Interval > und[b].Interval })
 
-	j.mu.Lock()
-	origins := make(map[int]string, len(j.placement))
-	for r, n := range j.placement {
-		origins[r] = n
-	}
+	origins := j.Placement()
 	spec := j.spec
-	j.mu.Unlock()
 	spec.AppFactory = appFactory
 
 	res := c.Resolver(gd)

@@ -85,18 +85,18 @@ func (c *Cluster) Reattach() (ReattachReport, error) {
 	c.mu.Unlock()
 	oldDrainer.Close()
 
-	// A fresh failure detector on the new endpoint.
-	reattachedAt := time.Now()
-	c.wg.Add(1)
-	go c.monitorLoop(ep, c.hbInterval, c.hbMiss)
-
 	// Handshake: every node believed alive must be heard from before the
 	// reattached HNP trusts its view. The orteds kept beating through
 	// the window, so a healthy node answers within one heartbeat
 	// interval; a node silent through the deadline died unnoticed while
-	// nobody was watching and is declared down now.
+	// nobody was watching and is declared down now. The fresh failure
+	// detector on the new endpoint leaves a node not yet heard from to
+	// the handshake: its own cutoff starts at the handshake deadline.
 	timeout := c.params.Duration("hnp_reattach_timeout",
 		2*time.Duration(c.hbMiss)*c.hbInterval)
+	reattachedAt := time.Now()
+	c.wg.Add(1)
+	go c.monitorLoop(ep, c.hbInterval, c.hbMiss, max(0, timeout-time.Duration(c.hbMiss)*c.hbInterval))
 	deadline := time.Now().Add(timeout)
 	for {
 		missing := c.silentSince(reattachedAt)

@@ -10,8 +10,9 @@ package runtime
 import (
 	"fmt"
 	"path"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core/snapshot"
@@ -23,7 +24,9 @@ import (
 	"sync"
 )
 
-// RankState labels one rank slot's lifecycle for observability.
+// RankState labels one rank slot's lifecycle for observability. It is
+// derived, never stored: from the slot's current process phase, the
+// active recovery session and the slot's source (rankStateLocked).
 type RankState string
 
 // Rank states surfaced through RankTable and the control plane.
@@ -50,7 +53,7 @@ type RankInfo struct {
 
 // RecoveryHandler is the policy half of in-job recovery. HandleFailure
 // runs on its own goroutine after the runtime has frozen the job (lost
-// epochs bumped, fabric closed, survivors parked); it must end the
+// incarnations detached, fabric closed, survivors parked); it must end the
 // session via CompleteRecovery or AbortRecovery. HandleMigration runs a
 // planned single-rank move and returns the session outcome.
 type RecoveryHandler interface {
@@ -82,25 +85,19 @@ type RecoverySession struct {
 	node     string // dead node; "" for a planned migration
 	planned  bool
 	detected time.Time
-
-	mu     sync.Mutex
-	lost   map[int]bool
-	orders map[int]chan *ompi.RecoverOrder
+	lost     []int                     // ascending
+	orders   []chan *ompi.RecoverOrder // one per rank, buffered 1
 
 	abortOnce sync.Once
 	abortErr  error
 	aborted   chan struct{}
 }
 
-func newRecoverySession(node string, planned bool, lost []int) *RecoverySession {
-	s := &RecoverySession{
-		node: node, planned: planned, detected: time.Now(),
-		lost:    make(map[int]bool, len(lost)),
-		orders:  make(map[int]chan *ompi.RecoverOrder),
-		aborted: make(chan struct{}),
-	}
-	for _, r := range lost {
-		s.lost[r] = true
+func newRecoverySession(np int, node string, planned bool, lost []int) *RecoverySession {
+	s := &RecoverySession{node: node, planned: planned, detected: time.Now(), lost: lost,
+		orders: make([]chan *ompi.RecoverOrder, np), aborted: make(chan struct{})}
+	for r := range s.orders {
+		s.orders[r] = make(chan *ompi.RecoverOrder, 1)
 	}
 	return s
 }
@@ -115,16 +112,7 @@ func (s *RecoverySession) Planned() bool { return s.planned }
 func (s *RecoverySession) DetectedAt() time.Time { return s.detected }
 
 // Lost returns the lost ranks in ascending order.
-func (s *RecoverySession) Lost() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int, 0, len(s.lost))
-	for r := range s.lost {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
+func (s *RecoverySession) Lost() []int { return slices.Clone(s.lost) }
 
 // Aborted is closed when the session has been aborted.
 func (s *RecoverySession) Aborted() <-chan struct{} { return s.aborted }
@@ -141,22 +129,10 @@ func (s *RecoverySession) AbortErr() error {
 
 // Deliver hands a parked survivor its recovery order.
 func (s *RecoverySession) Deliver(rank int, ord *ompi.RecoverOrder) {
-	s.mu.Lock()
-	ch := s.orderChLocked(rank)
-	s.mu.Unlock()
 	select {
-	case ch <- ord:
+	case s.orders[rank] <- ord:
 	default: // slot already holds an order; the session is broken anyway
 	}
-}
-
-func (s *RecoverySession) orderChLocked(rank int) chan *ompi.RecoverOrder {
-	ch, ok := s.orders[rank]
-	if !ok {
-		ch = make(chan *ompi.RecoverOrder, 1)
-		s.orders[rank] = ch
-	}
-	return ch
 }
 
 func (s *RecoverySession) abort(err error) {
@@ -166,11 +142,6 @@ func (s *RecoverySession) abort(err error) {
 	})
 }
 
-// failure builds the typed error a lost rank's process dies with.
-func (s *RecoverySession) failure(cause error) error {
-	return &ompi.RankFailedError{Ranks: s.Lost(), Node: s.node, Planned: s.planned, Cause: cause}
-}
-
 // Recovery returns the active recovery session, nil outside one.
 func (j *Job) Recovery() *RecoverySession {
 	j.mu.Lock()
@@ -178,50 +149,53 @@ func (j *Job) Recovery() *RecoverySession {
 	return j.recov
 }
 
-// awaitRecovery is the Config.Recover hook: a rank whose step loop died
-// of a communication failure lands here. Lost ranks get the typed
-// RankFailedError and die (their slot was respawned); survivors park
-// until the coordinator delivers a RecoverOrder, the session aborts, or
-// the order deadline passes. Without a handler the cause is returned
-// immediately — the legacy whole-job abort.
-func (j *Job) awaitRecovery(r int, cause error) (*ompi.RecoverOrder, error) {
-	detectWait := j.params.Duration("recovery_detect_wait", 2*time.Second)
-	deadline := time.Now().Add(detectWait)
-	var s *RecoverySession
+// Recovery-path deadlines. The transport symptom can precede the HNP's
+// death declaration (the fabric closes at freeze, but a TCP-backed
+// fabric may fail earlier), so a failed rank gives detection
+// recoveryDetectWait to start a session; a parked survivor gives the
+// coordinator recoveryOrderTimeout to deliver its order.
+const (
+	recoveryDetectWait   = 2 * time.Second
+	recoveryOrderTimeout = 30 * time.Second
+)
+
+// awaitRecovery is the Config.Recover hook: incarnation me of rank r,
+// whose step loop died of a communication failure, lands here. A lost
+// incarnation (detached from its slot at the freeze) gets the typed
+// RankFailedError and dies; survivors park until the coordinator
+// delivers a RecoverOrder, the session aborts, or the order deadline
+// passes. Without a handler the cause is returned immediately — the
+// legacy whole-job abort.
+func (j *Job) awaitRecovery(r int, me *ompi.Proc, cause error) (*ompi.RecoverOrder, error) {
+	detect := time.NewTimer(recoveryDetectWait)
+	defer detect.Stop()
 	for {
 		j.mu.Lock()
-		s = j.recov
-		h := j.handler
+		s, h, frozen := j.recov, j.handler, j.frozen
+		current := j.slots[r].proc == me
 		j.mu.Unlock()
-		if s != nil {
-			break
+		switch {
+		case !current && s != nil: // lost: die of the typed failure
+			return nil, &ompi.RankFailedError{Ranks: s.Lost(), Node: s.node, Planned: s.planned, Cause: cause}
+		case !current || h == nil:
+			return nil, cause
+		case s != nil: // a survivor: park for the order
+			timeout := time.NewTimer(recoveryOrderTimeout)
+			defer timeout.Stop()
+			select {
+			case ord := <-s.orders[r]:
+				return ord, nil
+			case <-s.aborted:
+				return nil, fmt.Errorf("runtime: rank %d: recovery aborted: %w", r, s.abortErr)
+			case <-timeout.C:
+				return nil, fmt.Errorf("runtime: rank %d: no recovery order within %v: %w", r, recoveryOrderTimeout, cause)
+			}
 		}
-		// The transport symptom can precede the HNP's death declaration
-		// (the fabric closes at freeze, but a TCP-backed fabric may fail
-		// earlier); give detection a moment to catch up.
-		if h == nil || time.Now().After(deadline) {
+		select {
+		case <-frozen:
+		case <-detect.C:
 			return nil, cause
 		}
-		time.Sleep(500 * time.Microsecond)
-	}
-	s.mu.Lock()
-	isLost := s.lost[r]
-	var ch chan *ompi.RecoverOrder
-	if !isLost {
-		ch = s.orderChLocked(r)
-	}
-	s.mu.Unlock()
-	if isLost {
-		return nil, s.failure(cause)
-	}
-	timeout := j.params.Duration("recovery_order_timeout", 30*time.Second)
-	select {
-	case ord := <-ch:
-		return ord, nil
-	case <-s.aborted:
-		return nil, fmt.Errorf("runtime: rank %d: recovery aborted: %w", r, s.abortErr)
-	case <-time.After(timeout):
-		return nil, fmt.Errorf("runtime: rank %d: no recovery order within %v: %w", r, timeout, cause)
 	}
 }
 
@@ -246,8 +220,8 @@ func (j *Job) onNodeDeath(node string) bool {
 		return true
 	}
 	var lost []int
-	for r := 0; r < j.spec.NP; r++ {
-		if j.placement[r] == node {
+	for r, sl := range j.slots {
+		if sl.node == node {
 			lost = append(lost, r)
 		}
 	}
@@ -255,18 +229,7 @@ func (j *Job) onNodeDeath(node string) bool {
 		j.mu.Unlock()
 		return false
 	}
-	s := newRecoverySession(node, false, lost)
-	j.recov = s
-	for _, r := range lost {
-		j.epochs[r]++ // the old incarnation's exit is now stale
-		j.rankMeta[r].State = RankFailed
-	}
-	for r := 0; r < j.spec.NP; r++ {
-		if !s.lost[r] && j.rankMeta[r].State == RankRunning {
-			j.rankMeta[r].State = RankRecovering
-		}
-	}
-	fab := j.fabric
+	s, fab := j.freezeLocked(node, false, lost)
 	j.mu.Unlock()
 	// Closing the fabric surfaces the failure to every survivor as a
 	// communication error at its next operation — the detectable symptom
@@ -293,20 +256,26 @@ func (j *Job) BeginMigration(rank int) (*RecoverySession, error) {
 		j.mu.Unlock()
 		return nil, fmt.Errorf("runtime: job %d has no rank %d", j.id, rank)
 	}
-	s := newRecoverySession("", true, []int{rank})
-	j.recov = s
-	j.epochs[rank]++
-	j.rankMeta[rank].State = RankRecovering
-	for r := 0; r < j.spec.NP; r++ {
-		if r != rank && j.rankMeta[r].State == RankRunning {
-			j.rankMeta[r].State = RankRecovering
-		}
-	}
-	fab := j.fabric
+	s, fab := j.freezeLocked("", true, []int{rank})
 	j.mu.Unlock()
 	fab.Close()
 	j.cluster.ins.Emit("runtime", "migration.begin", "job %d rank %d", j.id, rank)
 	return s, nil
+}
+
+// freezeLocked starts a recovery session (j.mu held): the lost ranks'
+// incarnations are detached from their slots, so whatever they do from
+// now on no longer speaks for the rank, and ranks waiting for a session
+// to begin are woken. The caller closes the returned fabric.
+func (j *Job) freezeLocked(node string, planned bool, lost []int) (*RecoverySession, btl.JobFabric) {
+	s := newRecoverySession(j.spec.NP, node, planned, lost)
+	j.recov = s
+	for _, r := range lost {
+		j.slots[r].proc = nil
+	}
+	close(j.frozen)
+	j.frozen = make(chan struct{})
+	return s, j.fabric
 }
 
 // RebuildFabric allocates a fresh job fabric from the same BTL component
@@ -320,8 +289,8 @@ func (j *Job) RebuildFabric() (btl.JobFabric, error) {
 // RespawnRank replaces a lost rank's slot: a fresh process on the
 // replacement node, attached to the rebuilt fabric, restoring from the
 // session's chosen source, reporting through gate before stepping. The
-// slot's epoch was bumped at freeze, so the dead incarnation's exit
-// cannot clobber this one's bookkeeping.
+// new process becomes the slot's incarnation; the one it replaces no
+// longer speaks for the rank.
 func (j *Job) RespawnRank(rank int, node string, fab btl.JobFabric, restore *ompi.RestoreSpec, gate func([]byte, error) error) error {
 	proc, err := j.newRankProc(rank, node, fab, gate)
 	if err != nil {
@@ -329,26 +298,21 @@ func (j *Job) RespawnRank(rank int, node string, fab btl.JobFabric, restore *omp
 	}
 	app := j.spec.AppFactory(rank)
 	j.mu.Lock()
-	epoch := j.epochs[rank]
-	j.procs[rank] = proc
-	j.apps[rank] = app
-	j.errs[rank] = nil
-	j.placement[rank] = node
-	j.rankMeta[rank].Node = node
+	sl := &j.slots[rank]
+	sl.proc, sl.app, sl.node = proc, app, node
 	j.mu.Unlock()
 	j.wg.Add(1)
-	go j.runRank(rank, epoch, proc, app, restore)
+	go j.runRank(rank, proc, app, restore)
 	j.cluster.ledgerAppend(ledger.TypePlacement, int(j.id), ledger.Placement{Rank: rank, Node: node})
 	return nil
 }
 
 // CompleteRecovery installs the rebuilt fabric and closes the session:
-// placement-derived node list recomputed, rank states and sources
-// updated, interval stamped. Called by the coordinator after every rank
-// verified, immediately before it releases the parked reports.
+// rank sources updated, interval stamped. Called by the coordinator
+// after every rank verified, immediately before it releases the parked
+// reports.
 func (j *Job) CompleteRecovery(fab btl.JobFabric, interval int, sources map[int]string) {
 	j.mu.Lock()
-	s := j.recov
 	j.recov = nil
 	j.fabric = fab
 	// Fence off every checkpoint interval allocated before this point:
@@ -360,27 +324,11 @@ func (j *Job) CompleteRecovery(fab btl.JobFabric, interval int, sources map[int]
 	// and none allocated so far can still pass the checkpointable
 	// precheck, so the fence cannot swallow a legitimate order.
 	j.fenceStaleDirectivesLocked()
-	seen := make(map[string]bool)
-	j.nodes = nil
-	for r := 0; r < j.spec.NP; r++ {
-		n := j.placement[r]
-		if !seen[n] {
-			seen[n] = true
-			j.nodes = append(j.nodes, n)
-		}
-	}
-	for r := 0; r < j.spec.NP; r++ {
+	for r := range j.slots {
 		if src, ok := sources[r]; ok {
-			j.rankMeta[r].Source = src
+			j.slots[r].source = src
 		}
-		j.rankMeta[r].Interval = interval
-		j.rankMeta[r].Node = j.placement[r]
-		switch {
-		case s != nil && s.lost[r] && s.planned:
-			j.rankMeta[r].State = RankMigrated
-		default:
-			j.rankMeta[r].State = RankRunning
-		}
+		j.slots[r].interval = interval
 	}
 	j.mu.Unlock()
 	j.cluster.ins.Emit("runtime", "recovery.complete",
@@ -408,9 +356,41 @@ func (j *Job) AbortRecovery(err error) {
 func (j *Job) RankTable() []RankInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]RankInfo, len(j.rankMeta))
-	copy(out, j.rankMeta)
+	out := make([]RankInfo, len(j.slots))
+	for r, sl := range j.slots {
+		out[r] = RankInfo{Rank: r, Node: sl.node, State: j.rankStateLocked(r), Interval: sl.interval, Source: sl.source}
+	}
 	return out
+}
+
+// MigratedSource prefixes the source of a rank whose incarnation a
+// planned move placed; the rank shows as migrated until a later
+// recovery or restart gives it another source.
+const MigratedSource = "migrated:"
+
+// rankStateLocked derives rank r's RankState (j.mu held). A finished
+// incarnation is done or failed by its exit error (a moved one stays
+// migrated); during a session a failure's lost ranks are failed and
+// every other live rank is recovering.
+func (j *Job) rankStateLocked(r int) RankState {
+	sl, s := &j.slots[r], j.recov
+	lost := s != nil && slices.Contains(s.lost, r)
+	var st ompi.Status // a detached slot reads as launching
+	if sl.proc != nil {
+		st = sl.proc.Status()
+	}
+	exited := st.Phase == ompi.PhaseExited
+	switch {
+	case exited && st.Err != nil, lost && !s.planned, sl.proc == nil && s == nil:
+		return RankFailed
+	case s != nil && !exited:
+		return RankRecovering
+	case strings.HasPrefix(sl.source, MigratedSource):
+		return RankMigrated
+	case exited:
+		return RankDone
+	}
+	return RankRunning
 }
 
 // noteCheckpoint stamps a completed capture's interval on every rank. A
@@ -420,8 +400,8 @@ func (j *Job) RankTable() []RankInfo {
 // everyone.
 func (j *Job) noteCheckpoint(interval int) {
 	j.mu.Lock()
-	for r := range j.rankMeta {
-		j.rankMeta[r].Interval = interval
+	for r := range j.slots {
+		j.slots[r].interval = interval
 	}
 	j.mu.Unlock()
 }
@@ -430,9 +410,9 @@ func (j *Job) noteCheckpoint(interval int) {
 func (j *Job) Placement() map[int]string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make(map[int]string, len(j.placement))
-	for r, n := range j.placement {
-		out[r] = n
+	out := make(map[int]string, len(j.slots))
+	for r, sl := range j.slots {
+		out[r] = sl.node
 	}
 	return out
 }
@@ -465,7 +445,7 @@ func (c *Cluster) MigrateRank(id names.JobID, rank int, node string) error {
 	j.mu.Lock()
 	h := j.handler
 	active := j.recov != nil
-	cur := j.placement[rank]
+	cur := j.slots[rank].node
 	j.mu.Unlock()
 	if h == nil {
 		return fmt.Errorf("runtime: job %d has no recovery handler (enable an in-job recovery policy)", id)

@@ -126,13 +126,6 @@ type Cluster struct {
 	hbMu     sync.Mutex
 	lastBeat map[string]time.Time
 
-	// replCount tracks how many interval replicas each node holds, fed
-	// from the SNAPC interval notes. With snapc_replica_spread=true the
-	// replica candidate list is ordered least-loaded-first from these
-	// counts, spreading concurrent jobs' replicas across the cluster.
-	replMu    sync.Mutex
-	replCount map[string]int
-
 	// tuners mirrors each supervised job's latest cadence-tuner plan
 	// (published by core's Supervise) for the control plane to read.
 	tunerMu sync.Mutex
@@ -276,10 +269,6 @@ func New(cfg Config) (*Cluster, error) {
 		Ins:        c.ins,
 		AckTimeout: cfg.Params.Duration("snapc_ack_timeout", 0),
 	}
-	c.replCount = make(map[string]int)
-	if cfg.Params.Bool("snapc_replica_spread", false) {
-		c.snapcEnv.Nodes = c.replicaCandidates
-	}
 	if inj != nil {
 		c.snapcEnv.Inject = inj.Fire
 	}
@@ -352,7 +341,7 @@ func New(cfg Config) (*Cluster, error) {
 		go c.heartbeatPump(hbInterval)
 	}
 	c.wg.Add(1)
-	go c.monitorLoop(c.hnpEP, hbInterval, hbMiss)
+	go c.monitorLoop(c.hnpEP, hbInterval, hbMiss, 0)
 	c.ins.Emit("hnp", "cluster.up", "%d nodes", len(c.order))
 	return c, nil
 }
@@ -388,29 +377,8 @@ func (c *Cluster) noteInterval(n snapc.IntervalNote) {
 	case "discarded":
 		c.ledgerAppend(ledger.TypeIntervalDiscarded, int(n.Job), ledger.IntervalEvent{Interval: n.Interval})
 	case "replicas", "stage-replicas":
-		c.replMu.Lock()
-		for _, node := range n.Nodes {
-			c.replCount[node]++
-		}
-		c.replMu.Unlock()
 		c.ledgerAppend(ledger.TypeReplicasPlaced, int(n.Job), ledger.ReplicasPlaced{Interval: n.Interval, Nodes: n.Nodes})
 	}
-}
-
-// replicaCandidates is the replica-spreading candidate list: the alive
-// nodes ordered by how many replicas each already holds (fewest first,
-// declaration order breaking ties). snapshot.PlaceReplicas preserves
-// relative candidate order within its off-job/on-job preference
-// classes, so under snapc_replica_spread the least-burdened eligible
-// node receives each new replica.
-func (c *Cluster) replicaCandidates() []string {
-	alive := c.AliveNodes()
-	c.replMu.Lock()
-	defer c.replMu.Unlock()
-	sort.SliceStable(alive, func(i, j int) bool {
-		return c.replCount[alive[i]] < c.replCount[alive[j]]
-	})
-	return alive
 }
 
 // Ledger exposes the HNP's durable job ledger (nil when disabled).
@@ -560,8 +528,9 @@ func (c *Cluster) heartbeatLoop(node string, ep *rml.Endpoint, interval time.Dur
 // declares a node lost once it misses `miss` consecutive intervals. The
 // declaration is what the rest of the runtime keys off — the HNP never
 // hears about a death directly, exactly like a real mpirun watching its
-// orted connections go quiet.
-func (c *Cluster) monitorLoop(ep *rml.Endpoint, interval time.Duration, miss int) {
+// orted connections go quiet. A node not yet heard from is not declared
+// lost before grace plus `miss` intervals have passed.
+func (c *Cluster) monitorLoop(ep *rml.Endpoint, interval time.Duration, miss int, grace time.Duration) {
 	defer c.wg.Done()
 	if miss <= 0 {
 		miss = 1
@@ -570,7 +539,7 @@ func (c *Cluster) monitorLoop(ep *rml.Endpoint, interval time.Duration, miss int
 	declared := make(map[string]bool, len(c.order))
 	start := time.Now()
 	for _, n := range c.order {
-		lastSeen[n] = start
+		lastSeen[n] = start.Add(grace)
 	}
 	lastScan := start
 	for {
@@ -883,11 +852,9 @@ func (c *Cluster) NodeSpecs() []plm.NodeSpec {
 		if j.Done() {
 			continue
 		}
-		j.mu.Lock()
-		for _, node := range j.placement {
+		for _, node := range j.Placement() {
 			load[node]++
 		}
-		j.mu.Unlock()
 	}
 	for i := range out {
 		out[i].Load = load[out[i].Name]

@@ -560,25 +560,6 @@ func TestTraceEventsCoverFigureOne(t *testing.T) {
 	_ = fmt.Sprint
 }
 
-// TestStaleIncarnationCannotClearCheckpointable: once a slot is
-// respawned, a late "not checkpointable" from the lost incarnation (it
-// notices the closed fabric only at its next operation) must not hide
-// the live incarnation from the checkpoint coordinator.
-func TestStaleIncarnationCannotClearCheckpointable(t *testing.T) {
-	j := &Job{epochs: make([]int, 2), checkpointable: make([]ckptState, 2)}
-	j.setCheckpointable(1, 0, true)
-	j.epochs[1]++ // the slot is respawned
-	j.setCheckpointable(1, 1, true)
-	j.setCheckpointable(1, 0, false)
-	if !j.Checkpointable(1) {
-		t.Error("the lost incarnation's notification cleared the respawned rank's state")
-	}
-	j.setCheckpointable(1, 1, false)
-	if j.Checkpointable(1) {
-		t.Error("the live incarnation's notification was ignored")
-	}
-}
-
 // removeLog records every Remove on the wrapped filesystem.
 type removeLog struct {
 	vfs.FS
