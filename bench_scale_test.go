@@ -59,9 +59,9 @@ func pctl(samples []float64, p float64) float64 {
 // BenchmarkScaleTopology checkpoints a one-rank-per-node ring job at 64
 // to 4096 nodes under the centralized coordinator and under
 // coordination trees of arity 4 (depth > 2 from 64 nodes up) and 32
-// (depth 2 until 1024 nodes, 3 beyond). The per-node heartbeat beacons
-// collapse into the batched pump at >= 128 nodes in every variant, so
-// the curves isolate SNAPC coordination cost. Reported per point:
+// (depth 2 until 1024 nodes, 3 beyond). One heartbeat pump beats for
+// every node in every variant, so the curves isolate SNAPC
+// coordination cost. Reported per point:
 // blocking checkpoint latency (ns/op and capture-ms/ckpt) and the drain
 // throughput of an async four-interval burst (drain-ckpt/s).
 func BenchmarkScaleTopology(b *testing.B) {

@@ -130,7 +130,8 @@ func New(seed int64, rules ...Rule) *Injector {
 
 // Parse builds an injector from a plan string: semicolon-separated
 // entries, each either "seed=N" or "point=trigger[,trigger...]" with
-// triggers pFLOAT, afterN, timesN and once (= times1).
+// triggers pFLOAT, afterN, timesN and once (= times1). A rule that could
+// never fire — empty point, no trigger, NaN probability — is rejected.
 func Parse(spec string) (*Injector, error) {
 	var seed int64 = 1
 	var rules []Rule
@@ -153,6 +154,9 @@ func Parse(spec string) (*Injector, error) {
 			seed = n
 			continue
 		}
+		if key == "" {
+			return nil, fmt.Errorf("faultsim: plan entry %q: empty point", item)
+		}
 		r := Rule{Point: key}
 		for _, trig := range strings.Split(val, ",") {
 			trig = strings.TrimSpace(trig)
@@ -161,7 +165,7 @@ func Parse(spec string) (*Injector, error) {
 				r.Times = 1
 			case strings.HasPrefix(trig, "p"):
 				f, err := strconv.ParseFloat(trig[1:], 64)
-				if err != nil || f < 0 || f > 1 {
+				if err != nil || !(f >= 0 && f <= 1) { // NaN fails both
 					return nil, fmt.Errorf("faultsim: rule %q: bad probability %q", key, trig)
 				}
 				r.Prob = f

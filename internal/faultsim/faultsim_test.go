@@ -145,6 +145,9 @@ func TestParse(t *testing.T) {
 		"x=",            // no trigger
 		"seed=notanint", // bad seed
 		"x=times0",      // times must be >= 1
+		"x=pNaN",        // NaN passes neither bound and never fires
+		"=after1",       // empty point matches no injection point
+		" =once",        // whitespace-only point
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted a bad plan", bad)
@@ -217,4 +220,49 @@ func TestRuleString(t *testing.T) {
 			t.Errorf("String() = %q, want %q", got, tc.want)
 		}
 	}
+}
+
+// FuzzFaultPlan: Parse never panics, and every rule it accepts names a
+// point, fires when driven (deterministically for afterN/timesN rules)
+// and survives a Rule.String round trip.
+func FuzzFaultPlan(f *testing.F) {
+	for _, seed := range []string{
+		"seed=42; filem.transfer=p0.25 ; node.kill:node1=after3,once",
+		"x=pNaN", "=after1", "x=p0", "x=p1e-400,times2", "a,b=once",
+		"fs.outage:stable=after10,times3", "x=p0x1p-2",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		in, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		for _, rs := range in.rules {
+			r := rs.Rule
+			if r.Point == "" {
+				t.Fatalf("Parse(%q) accepted a rule with an empty point", spec)
+			}
+			if !(r.Prob > 0 && r.Prob <= 1) && r.After == 0 && r.Times == 0 {
+				t.Fatalf("Parse(%q) accepted rule %+v that can never fire", spec, r)
+			}
+			back, err := Parse("seed=1;" + r.String())
+			if err != nil || back.rules[0].Rule != r {
+				t.Fatalf("rule %+v does not round-trip through %q: %v", r, r.String(), err)
+			}
+			// afterN and prob-free rules fire at a known operation.
+			if r.After > 1000 || (r.After == 0 && r.Prob > 0) {
+				continue
+			}
+			probe := New(1, r)
+			for i := 0; i < r.After; i++ {
+				if probe.Fire(r.Point) != nil {
+					t.Fatalf("rule %+v fired inside its after%d window", r, r.After)
+				}
+			}
+			if probe.Fire(r.Point) == nil {
+				t.Fatalf("rule %+v did not fire at operation %d", r, r.After+1)
+			}
+		}
+	})
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // TestHeartbeatToleratesTransientSendFailures is the regression test for
-// the orted self-kill bug: a transient RML send error in heartbeatLoop
-// used to terminate the beacon immediately, so the HNP's detector
-// declared a perfectly healthy node dead. With the miss budget in place,
+// the orted self-kill bug: a transient RML send error in the beacon
+// used to terminate it immediately, so the HNP's detector declared a
+// perfectly healthy node dead. With the miss budget in place,
 // a flaky endpoint that fails a bounded burst of sends must leave every
 // node alive and the job unharmed.
 func TestHeartbeatToleratesTransientSendFailures(t *testing.T) {
@@ -78,16 +78,15 @@ func TestHeartbeatToleratesTransientSendFailures(t *testing.T) {
 	}
 }
 
-// TestBatchedHeartbeatPump forces batch mode on a small cluster and
-// checks the coalesced beacon path end to end: the detector sees every
-// node alive, an injected node kill still fires through the pump and
-// is declared, and a job launched in batch mode completes.
+// TestBatchedHeartbeatPump checks the coalesced beacon path on a small
+// cluster end to end: the detector sees every node alive, an injected
+// node kill still fires through the pump and is declared, and a job
+// launched afterwards completes.
 func TestBatchedHeartbeatPump(t *testing.T) {
 	inj := faultsim.New(3, faultsim.Rule{Point: "node.kill:n2", After: 3, Times: 1})
 	params := mca.NewParams()
 	params.Set("orted_heartbeat_interval", "4ms")
 	params.Set("orted_heartbeat_miss", "10")
-	params.Set("orted_heartbeat_batch", "true")
 	c, err := New(Config{
 		Nodes: []plm.NodeSpec{
 			{Name: "n0", Slots: 2}, {Name: "n1", Slots: 2},
@@ -101,9 +100,6 @@ func TestBatchedHeartbeatPump(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer c.Close()
-	if !c.hbBatch {
-		t.Fatalf("orted_heartbeat_batch=true did not enable the pump")
-	}
 
 	// The injected kill fires on the pump's third pass over n2.
 	waitForEvent(t, c.Log(), "node.kill", time.Second)
@@ -138,5 +134,57 @@ func TestBatchedHeartbeatPump(t *testing.T) {
 	}
 	if err := j.Wait(); err != nil {
 		t.Fatalf("job failed under batched heartbeats: %v", err)
+	}
+}
+
+// TestDetectorRule drives the failure detector's rule with synthetic
+// times, so none of its verdicts depend on host load.
+func TestDetectorRule(t *testing.T) {
+	const interval, miss = 10 * time.Millisecond, 4
+	cutoff := time.Duration(miss) * interval
+	all := []string{"n0", "n1", "n2"}
+	t0 := time.Unix(1000, 0)
+
+	// No batch for 10× the cutoff: a descheduled pump, nobody lost.
+	d := newDetector(all, miss, interval, 0, t0)
+	d.beat(all, t0)
+	if got := d.lost(); len(got) != 0 {
+		t.Fatalf("lost after the first batch = %v", got)
+	}
+	d.beat(all, t0.Add(10*cutoff))
+	if got := d.lost(); len(got) != 0 {
+		t.Fatalf("lost after a 10x-cutoff gap with every node in the batch = %v", got)
+	}
+
+	// n1 missing from fresh batches: declared once it has been absent
+	// for more than miss intervals, and only once.
+	d = newDetector(all, miss, interval, 0, t0)
+	d.beat(all, t0)
+	var declared []string
+	for i := 1; i <= 2*miss; i++ {
+		d.beat([]string{"n0", "n2"}, t0.Add(time.Duration(i)*interval))
+		got := d.lost()
+		if i <= miss && len(got) != 0 {
+			t.Fatalf("batch %d (absent %v <= cutoff): lost = %v", i, time.Duration(i)*interval, got)
+		}
+		declared = append(declared, got...)
+	}
+	if len(declared) != 1 || declared[0] != "n1" {
+		t.Fatalf("declared = %v, want [n1] exactly once", declared)
+	}
+
+	// A node not yet heard from is not declared inside grace, only
+	// once it stays silent for miss intervals past it.
+	grace := 10 * cutoff
+	d = newDetector(all, miss, interval, grace, t0)
+	for at := t0; at.Before(t0.Add(grace + cutoff)); at = at.Add(interval) {
+		d.beat([]string{"n0", "n1"}, at)
+		if got := d.lost(); len(got) != 0 {
+			t.Fatalf("batch at +%v (grace %v): lost = %v", at.Sub(t0), grace, got)
+		}
+	}
+	d.beat([]string{"n0", "n1"}, t0.Add(grace+cutoff+interval))
+	if got := d.lost(); len(got) != 1 || got[0] != "n2" {
+		t.Fatalf("past grace+cutoff: lost = %v, want [n2]", got)
 	}
 }

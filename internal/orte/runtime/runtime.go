@@ -8,7 +8,6 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -40,14 +39,9 @@ type Node struct {
 	Slots int
 	FS    *vfs.Mem // node-local disk (raw store)
 
-	fs     vfs.FS        // runtime view of FS, fault-wrapped when a plan is installed
-	alive  bool          // guarded by Cluster.mu
-	stopHB chan struct{} // closed when the node dies or the cluster stops
-	hbOnce sync.Once
+	fs    vfs.FS // runtime view of FS, fault-wrapped when a plan is installed
+	alive bool   // guarded by Cluster.mu
 }
-
-// stopHeartbeat silences the node's liveness beacon (idempotent).
-func (n *Node) stopHeartbeat() { n.hbOnce.Do(func() { close(n.stopHB) }) }
 
 // Config assembles a Cluster.
 type Config struct {
@@ -102,13 +96,10 @@ type Cluster struct {
 	snapcEnv *snapc.Env
 	daemons  map[string]names.Name
 
-	// Batched heartbeat mode (orted_heartbeat_batch, auto-enabled at
-	// >= batchHeartbeatNodes nodes): one pump goroutine beats for every
-	// live orted instead of one goroutine + ticker per node.
-	hbBatch   bool
+	// The heartbeat pump beats for every live orted from its daemon
+	// endpoint; Close closes pumpStop to end it.
 	daemonEPs map[string]*rml.Endpoint
 	pumpStop  chan struct{}
-	pumpOnce  sync.Once
 
 	// led is the HNP's durable job ledger: every control-plane mutation
 	// (launches, interval lifecycle, placements, deaths, recovery
@@ -216,8 +207,7 @@ func New(cfg Config) (*Cluster, error) {
 		if _, dup := c.nodes[spec.Name]; dup {
 			return nil, fmt.Errorf("runtime: duplicate node %q", spec.Name)
 		}
-		n := &Node{Name: spec.Name, Slots: spec.Slots, FS: vfs.NewMem(),
-			alive: true, stopHB: make(chan struct{})}
+		n := &Node{Name: spec.Name, Slots: spec.Slots, FS: vfs.NewMem(), alive: true}
 		n.fs = faultsim.WrapFS(n.FS, inj, spec.Name)
 		c.nodes[spec.Name] = n
 		c.order = append(c.order, spec.Name)
@@ -307,14 +297,6 @@ func New(cfg Config) (*Cluster, error) {
 	c.lastBeat = make(map[string]time.Time, len(c.order))
 	c.daemons = make(map[string]names.Name, len(c.order))
 	c.daemonEPs = make(map[string]*rml.Endpoint, len(c.order))
-	// At control-plane scale, one goroutine + ticker per orted dominates
-	// scheduler load; the batched pump coalesces every live node's beacon
-	// into one RML message per interval. Auto-enabled at
-	// batchHeartbeatNodes; orted_heartbeat_batch forces it either way.
-	c.hbBatch = len(c.order) >= batchHeartbeatNodes
-	if s := cfg.Params.String("orted_heartbeat_batch", ""); s != "" {
-		c.hbBatch = cfg.Params.Bool("orted_heartbeat_batch", c.hbBatch)
-	}
 	c.pumpStop = make(chan struct{})
 	for i, nodeName := range c.order {
 		dn := names.Daemon(i)
@@ -331,16 +313,9 @@ func New(cfg Config) (*Cluster, error) {
 				c.ins.Emit("orted["+nodeName+"]", "orted.error", "%v", err)
 			}
 		}(nodeName, ep)
-		if !c.hbBatch {
-			c.wg.Add(1)
-			go c.heartbeatLoop(nodeName, ep, hbInterval, hbMiss, c.nodes[nodeName].stopHB)
-		}
 	}
-	if c.hbBatch {
-		c.wg.Add(1)
-		go c.heartbeatPump(hbInterval)
-	}
-	c.wg.Add(1)
+	c.wg.Add(2)
+	go c.heartbeatPump(hbInterval)
 	go c.monitorLoop(c.hnpEP, hbInterval, hbMiss, 0)
 	c.ins.Emit("hnp", "cluster.up", "%d nodes", len(c.order))
 	return c, nil
@@ -384,228 +359,121 @@ func (c *Cluster) noteInterval(n snapc.IntervalNote) {
 // Ledger exposes the HNP's durable job ledger (nil when disabled).
 func (c *Cluster) Ledger() *ledger.Ledger { return c.led }
 
-// heartbeat is the orted liveness beacon sent to the HNP. In batched
-// mode one wire message carries every live node's beacon in Batch and
-// the top-level fields are ignored.
-type heartbeat struct {
-	Node  string      `json:"node"`
-	Seq   int         `json:"seq"`
-	Batch []heartbeat `json:"batch,omitempty"`
-}
-
-// batchHeartbeatNodes is the cluster size at which the batched
-// heartbeat pump replaces per-orted beacon goroutines by default.
-const batchHeartbeatNodes = 128
-
-// heartbeatPump is the batched replacement for per-node heartbeatLoop
-// goroutines: a single ticker walks every live orted each interval,
-// fires its pending "node.kill:<node>" faults (so fault plans behave
-// identically in either mode), and coalesces the survivors' beacons
-// into one RML message sent from the first live node's daemon
-// endpoint. Send failures are tolerated quietly — a headless window or
-// transient transport fault must not silence healthy orteds, and the
-// HNP's detector owns the death declarations.
+// heartbeatPump is the orteds' liveness beacon, one per cluster. Each
+// interval it walks the live orteds in cluster order, fires their
+// pending "node.kill:<node>" faults — killing a node abruptly,
+// mid-checkpoint or mid-step, wherever the run happens to be — and
+// sends the survivors' names to the HNP as one RML message from the
+// first survivor's daemon endpoint, the out-of-band channel ORTE
+// daemons really keep open. A failed send is not a death: outside a
+// headless window it is reported as heartbeat.miss and the pump beats
+// again next tick. The HNP's detector owns the death declarations.
 func (c *Cluster) heartbeatPump(interval time.Duration) {
 	defer c.wg.Done()
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	seq := make(map[string]int, len(c.order))
 	for {
 		select {
 		case <-c.pumpStop:
 			return
 		case <-tick.C:
 		}
-		var beats []heartbeat
-		var sender *rml.Endpoint
-		for _, node := range c.order {
-			if !c.Alive(node) {
-				continue
-			}
+		var live []string
+		for _, node := range c.AliveNodes() {
 			if err := c.faults.Fire("node.kill:" + node); err != nil {
 				c.ins.Emit("orted["+node+"]", "node.kill", "injected: %v", err)
 				_ = c.KillNode(node)
 				continue
 			}
-			seq[node]++
-			beats = append(beats, heartbeat{Node: node, Seq: seq[node]})
-			if sender == nil {
-				sender = c.daemonEPs[node]
-			}
+			live = append(live, node)
 		}
-		if len(beats) == 0 {
-			// Every node is dead; nothing left to beat for.
-			return
+		if len(live) == 0 {
+			return // every node is dead; nothing left to beat for
 		}
-		if err := sender.SendJSON(names.HNP, rml.TagHeartbeat, heartbeat{Batch: beats}); err != nil {
-			c.mu.Lock()
-			stopping := c.stopped
-			c.mu.Unlock()
-			if stopping {
-				return
-			}
-		}
-	}
-}
-
-// heartbeatLoop is the orted's liveness beacon: a periodic message to the
-// HNP over the RML, the out-of-band channel ORTE daemons really keep
-// open. A "node.kill:<node>" fault firing here kills the node abruptly —
-// mid-checkpoint, mid-step, wherever the run happens to be.
-//
-// Send errors are NOT instant death: a transient transport failure (the
-// "rml.send:<hnp>" injection point, or a congested OOB link) must not
-// make a healthy orted silence itself. The loop tolerates up to `miss`
-// consecutive send failures, backing off between retries, and only gives
-// up — leaving the HNP's detector to declare the node lost — once the
-// budget is exhausted or the router reports a permanent condition while
-// the cluster is shutting down.
-func (c *Cluster) heartbeatLoop(node string, ep *rml.Endpoint, interval time.Duration, miss int, stop chan struct{}) {
-	defer c.wg.Done()
-	if miss <= 0 {
-		miss = 1
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	misses := 0
-	backoff := interval / 4
-	for seq := 1; ; seq++ {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
-		if err := c.faults.Fire("node.kill:" + node); err != nil {
-			c.ins.Emit("orted["+node+"]", "node.kill", "injected: %v", err)
-			_ = c.KillNode(node)
-			return
-		}
-		if err := ep.SendJSON(names.HNP, rml.TagHeartbeat, heartbeat{Node: node, Seq: seq}); err != nil {
-			c.mu.Lock()
-			stopping := c.stopped
-			headless := c.headless
-			c.mu.Unlock()
-			if stopping {
-				return
-			}
-			if headless {
-				// The HNP is gone, not the network: the orted stays up
-				// and keeps beating quietly so a reattached coordinator
-				// hears it immediately. No miss budget is charged — a
-				// headless window must not make healthy orteds give up.
-				misses = 0
-				select {
-				case <-stop:
-					return
-				case <-time.After(interval):
-				}
-				continue
-			}
-			misses++
-			if misses >= miss {
-				c.ins.Emit("orted["+node+"]", "heartbeat.giveup",
-					"%d consecutive send failures, last: %v", misses, err)
-				return
-			}
-			c.ins.Emit("orted["+node+"]", "heartbeat.miss",
-				"send failure %d/%d: %v", misses, miss, err)
-			select {
-			case <-stop:
-				return
-			case <-time.After(backoff):
-			}
-			if backoff < interval {
-				backoff *= 2
-			}
+		err := c.daemonEPs[live[0]].SendJSON(names.HNP, rml.TagHeartbeat, live)
+		if err == nil {
 			continue
 		}
-		misses = 0
-		backoff = interval / 4
+		c.mu.Lock()
+		stopping, headless := c.stopped, c.headless
+		c.mu.Unlock()
+		if stopping {
+			return
+		}
+		if !headless {
+			c.ins.Emit("orted["+live[0]+"]", "heartbeat.miss", "send failure: %v", err)
+		}
 	}
 }
 
-// monitorLoop is the HNP's failure detector: it consumes heartbeats and
-// declares a node lost once it misses `miss` consecutive intervals. The
+// detector is the HNP failure detector's state, kept apart from its
+// message loop so the rule can be driven with synthetic times.
+type detector struct {
+	order    []string
+	miss     int
+	interval time.Duration
+	unheard  time.Time            // start+grace: when a node never heard from counts as seen
+	seen     map[string]time.Time // when a batch last named each node
+	newest   time.Time            // when the newest batch arrived
+	declared map[string]bool
+}
+
+func newDetector(order []string, miss int, interval, grace time.Duration, start time.Time) *detector {
+	return &detector{order: order, miss: max(miss, 1), interval: interval, unheard: start.Add(grace),
+		seen: make(map[string]time.Time, len(order)), declared: make(map[string]bool, len(order))}
+}
+
+// beat records a batch naming the live nodes, received at t.
+func (d *detector) beat(live []string, t time.Time) {
+	d.newest = t
+	for _, n := range live {
+		d.seen[n] = t
+	}
+}
+
+// lost returns, in cluster order, the nodes to declare lost now: those
+// missing from every batch of the miss×interval before the newest one.
+// A node not yet heard from counts as seen at start+grace. Time with no
+// batch at all charges nobody — a silent pump means a descheduled host,
+// not a dead cluster. Each node is returned once.
+func (d *detector) lost() []string {
+	var out []string
+	for _, n := range d.order {
+		seen, ok := d.seen[n]
+		if !ok {
+			seen = d.unheard
+		}
+		if d.declared[n] || d.newest.Sub(seen) <= time.Duration(d.miss)*d.interval {
+			continue
+		}
+		d.declared[n] = true
+		out = append(out, n)
+	}
+	return out
+}
+
+// monitorLoop is the HNP's failure detector: it consumes the pump's
+// batches and declares lost the nodes the detector rule names. The
 // declaration is what the rest of the runtime keys off — the HNP never
 // hears about a death directly, exactly like a real mpirun watching its
-// orted connections go quiet. A node not yet heard from is not declared
-// lost before grace plus `miss` intervals have passed.
+// orted connections go quiet.
 func (c *Cluster) monitorLoop(ep *rml.Endpoint, interval time.Duration, miss int, grace time.Duration) {
 	defer c.wg.Done()
-	if miss <= 0 {
-		miss = 1
-	}
-	lastSeen := make(map[string]time.Time, len(c.order))
-	declared := make(map[string]bool, len(c.order))
-	start := time.Now()
-	for _, n := range c.order {
-		lastSeen[n] = start.Add(grace)
-	}
-	lastScan := start
+	d := newDetector(c.order, miss, interval, grace, time.Now())
 	for {
-		var hb heartbeat
-		_, err := ep.RecvJSONTimeout(rml.TagHeartbeat, &hb, interval)
+		var live []string
+		if _, err := ep.RecvJSON(rml.TagHeartbeat, &live); err != nil {
+			return // endpoint closed: the HNP crashed or the cluster is shutting down
+		}
 		now := time.Now()
-		switch {
-		case err == nil && len(hb.Batch) > 0:
-			c.hbMu.Lock()
-			for _, b := range hb.Batch {
-				lastSeen[b.Node] = now
-				c.lastBeat[b.Node] = now
-			}
-			c.hbMu.Unlock()
-		case err == nil:
-			lastSeen[hb.Node] = now
-			c.hbMu.Lock()
-			c.lastBeat[hb.Node] = now
-			c.hbMu.Unlock()
-		case errors.Is(err, rml.ErrTimeout):
-			// quiet interval; fall through to the scan
-		default:
-			return // endpoint closed: cluster is shutting down
+		d.beat(live, now)
+		c.hbMu.Lock()
+		for _, n := range live {
+			c.lastBeat[n] = now
 		}
-		// If the detector itself stalled (descheduled, GC pause), it could
-		// not have observed beacons sent meanwhile; charging that silence
-		// to the nodes would declare healthy nodes dead. Credit every node
-		// with the unobservable window instead.
-		if pause := now.Sub(lastScan) - interval; pause > interval {
-			for n, ts := range lastSeen {
-				lastSeen[n] = ts.Add(pause)
-			}
-		}
-		lastScan = now
-		cutoff := now.Add(-time.Duration(miss) * interval)
-		if c.hbBatch {
-			// In batch mode one message carries every live node's beat,
-			// so individual liveness is relative: a dead node is one
-			// missing from batches whose other members stayed fresh.
-			// Every node stale at once means no batch arrived at all —
-			// a descheduled pump under CPU oversubscription (thousands
-			// of rank goroutines at 1k+ nodes), not mass node death.
-			// Credit the unobservable window rather than declaring a
-			// healthy cluster dead.
-			fresh := false
-			for _, n := range c.order {
-				if !declared[n] && !lastSeen[n].Before(cutoff) {
-					fresh = true
-					break
-				}
-			}
-			if !fresh {
-				for n := range lastSeen {
-					if !declared[n] {
-						lastSeen[n] = now
-					}
-				}
-				continue
-			}
-		}
-		for _, n := range c.order {
-			if declared[n] || !lastSeen[n].Before(cutoff) {
-				continue
-			}
-			declared[n] = true
-			c.ins.Emit("hnp", "node.lost", "node %q missed %d heartbeats, declaring it down", n, miss)
+		c.hbMu.Unlock()
+		for _, n := range d.lost() {
+			c.ins.Emit("hnp", "node.lost", "node %q missed %d heartbeats, declaring it down", n, d.miss)
 			_ = c.KillNode(n)
 		}
 	}
@@ -633,7 +501,6 @@ func (c *Cluster) KillNode(node string) error {
 		c.pendingDeaths = append(c.pendingDeaths, node)
 	}
 	c.mu.Unlock()
-	n.stopHeartbeat()
 	c.router.Deregister(c.daemons[node])
 	if headless {
 		// Nobody is watching: the node is dead (its orted vanished, its
@@ -688,19 +555,21 @@ func (c *Cluster) CrashHNP(cause error) error {
 		c.mu.Unlock()
 		return nil
 	}
+	// The endpoint goes before headless becomes visible, so a Reattach
+	// started the moment Headless reads true finds the HNP name free.
+	// monitorLoop exits; heartbeats bounce.
+	c.router.Deregister(names.HNP)
+	// Dying gasp: the crash marker may or may not land on the ledger;
+	// nothing downstream depends on it (Reattach reconstructs from the
+	// regular records either way). Written directly, since c.mu is
+	// held, and before headless is visible, so it always precedes a
+	// reattach record.
+	_ = c.led.Append(ledger.TypeHNPCrashed, 0, ledger.CrashEvent{Cause: fmt.Sprint(cause)})
 	c.headless = true
 	c.headlessCause = cause
 	c.crashedAt = time.Now()
 	drainer := c.drainer
 	c.mu.Unlock()
-	// Dying gasp: the crash marker may or may not land on the ledger;
-	// nothing downstream depends on it (Reattach reconstructs from the
-	// regular records either way). Written directly — ledgerAppend
-	// already considers the HNP gone.
-	if c.led != nil {
-		_ = c.led.Append(ledger.TypeHNPCrashed, 0, ledger.CrashEvent{Cause: fmt.Sprint(cause)})
-	}
-	c.router.Deregister(names.HNP) // monitorLoop exits; heartbeats bounce
 	drainer.Crash(cause)
 	c.ins.Gauge("ompi_hnp_headless").Set(1)
 	c.ins.Counter("ompi_hnp_crashes_total").Inc()
@@ -765,10 +634,7 @@ func (c *Cluster) Close() {
 	c.mu.Unlock()
 	drainer.Close()
 	_ = c.led.Flush() // nil-safe; land any buffered ledger records
-	c.pumpOnce.Do(func() { close(c.pumpStop) })
-	for _, n := range c.nodes {
-		n.stopHeartbeat()
-	}
+	close(c.pumpStop) // once: Close returns early after the first call
 	c.router.Close()
 	c.wg.Wait()
 }
