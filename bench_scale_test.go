@@ -2,9 +2,8 @@
 // batching and scheduling work moves the curves:
 //
 //	BenchmarkScaleTopology  checkpoint latency and drain throughput vs
-//	                        node count (64 -> 4096), centralized SNAPC
-//	                        vs coordination trees of different arity
-//	                        (and therefore depth) over batched RML
+//	                        node count (64 -> 4096) through the SNAPC
+//	                        daemon tree (arity 32) over batched RML
 //	BenchmarkMultiJobQoS    one weighted high-priority job checkpointing
 //	                        against a storm of best-effort neighbors
 //	                        (1 -> 32 concurrent jobs) through the SFQ
@@ -54,16 +53,14 @@ func pctl(samples []float64, p float64) float64 {
 	return s[i]
 }
 
-// --- A13a: latency and drain throughput vs node count and tree depth --------
+// --- A13a: latency and drain throughput vs node count ----------------------
 
 // BenchmarkScaleTopology checkpoints a one-rank-per-node ring job at 64
-// to 4096 nodes under the centralized coordinator and under
-// coordination trees of arity 4 (depth > 2 from 64 nodes up) and 32
-// (depth 2 until 1024 nodes, 3 beyond). One heartbeat pump beats for
-// every node in every variant, so the curves isolate SNAPC
-// coordination cost. Reported per point:
-// blocking checkpoint latency (ns/op and capture-ms/ckpt) and the drain
-// throughput of an async four-interval burst (drain-ckpt/s).
+// to 4096 nodes. The SNAPC daemon tree has arity 32, so the HNP orders
+// 32 nodes and the rest are relayed: two levels up to 1,056 nodes,
+// three beyond. One heartbeat pump beats for every node. Reported per
+// point: blocking checkpoint latency (ns/op and capture-ms/ckpt) and
+// the drain throughput of an async four-interval burst (drain-ckpt/s).
 func BenchmarkScaleTopology(b *testing.B) {
 	const burst = 4
 	maxNodes := axisCap("REPRO_A13_MAX_NODES", 4096)
@@ -71,75 +68,62 @@ func BenchmarkScaleTopology(b *testing.B) {
 		if nodes > maxNodes {
 			continue
 		}
-		for _, tc := range []struct {
-			name, comp string
-			fanout     int
-		}{
-			{"full", "full", 0},
-			{"tree-f4", "tree", 4},
-			{"tree-f32", "tree", 32},
-		} {
-			b.Run(fmt.Sprintf("nodes=%d/%s", nodes, tc.name), func(b *testing.B) {
-				params := mca.NewParams()
-				params.Set("snapc", tc.comp)
-				if tc.fanout > 0 {
-					params.Set("snapc_tree_fanout", fmt.Sprint(tc.fanout))
-				}
-				params.Set("filem_dedup", "0") // measure full gathers (see bench_test.go header)
-				sys, err := core.NewSystem(core.Options{
-					Nodes: nodes, SlotsPerNode: 1, Params: params, Ins: trace.New(),
-				})
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			params := mca.NewParams()
+			params.Set("filem_dedup", "0") // measure full gathers (see bench_test.go header)
+			sys, err := core.NewSystem(core.Options{
+				Nodes: nodes, SlotsPerNode: 1, Params: params, Ins: trace.New(),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sys.Close()
+			factory, err := apps.Lookup("ring", []string{"-iters", "0"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			job, err := sys.Launch(core.JobSpec{Name: "ring", Args: []string{"-iters", "0"}, NP: nodes, AppFactory: factory})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var phases snapshot.PhaseBreakdown
+			var drainWindow time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Latency: one blocking end-to-end checkpoint.
+				res, err := job.Checkpoint(false)
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer sys.Close()
-				factory, err := apps.Lookup("ring", []string{"-iters", "0"})
-				if err != nil {
-					b.Fatal(err)
-				}
-				job, err := sys.Launch(core.JobSpec{Name: "ring", Args: []string{"-iters", "0"}, NP: nodes, AppFactory: factory})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var phases snapshot.PhaseBreakdown
-				var drainWindow time.Duration
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					// Latency: one blocking end-to-end checkpoint.
-					res, err := job.Checkpoint(false)
+				phases.Accumulate(res.Meta.Phases)
+				// Throughput: an async burst; the window from first
+				// capture to last commit is pure pipeline drain time.
+				start := time.Now()
+				pendings := make([]*core.PendingCheckpoint, 0, burst)
+				for k := 0; k < burst; k++ {
+					p, err := job.CheckpointAsync(false)
 					if err != nil {
 						b.Fatal(err)
 					}
-					phases.Accumulate(res.Meta.Phases)
-					// Throughput: an async burst; the window from first
-					// capture to last commit is pure pipeline drain time.
-					start := time.Now()
-					pendings := make([]*core.PendingCheckpoint, 0, burst)
-					for k := 0; k < burst; k++ {
-						p, err := job.CheckpointAsync(false)
-						if err != nil {
-							b.Fatal(err)
-						}
-						pendings = append(pendings, p)
+					pendings = append(pendings, p)
+				}
+				for _, p := range pendings {
+					if _, err := p.Wait(); err != nil {
+						b.Fatal(err)
 					}
-					for _, p := range pendings {
-						if _, err := p.Wait(); err != nil {
-							b.Fatal(err)
-						}
-					}
-					drainWindow += time.Since(start)
 				}
-				b.StopTimer()
-				reportPhases(b, &phases)
-				b.ReportMetric(float64(burst*b.N)/drainWindow.Seconds(), "drain-ckpt/s")
-				if _, err := job.Checkpoint(true); err != nil {
-					b.Fatal(err)
-				}
-				if err := job.Wait(); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
+				drainWindow += time.Since(start)
+			}
+			b.StopTimer()
+			reportPhases(b, &phases)
+			b.ReportMetric(float64(burst*b.N)/drainWindow.Seconds(), "drain-ckpt/s")
+			if _, err := job.Checkpoint(true); err != nil {
+				b.Fatal(err)
+			}
+			if err := job.Wait(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@
 //	A3     BenchmarkFilemGather
 //	A4     BenchmarkRestartTopology
 //	A5     BenchmarkEagerRendezvousCrossover
-//	A6     BenchmarkSnapcTopology
 //	A7     BenchmarkFaultRetryAblation
 //	A8     BenchmarkIncrementalGather
 //	A9     BenchmarkReplicationOverhead
@@ -18,7 +17,7 @@
 //
 // Run with: go test -bench=. -benchmem
 //
-// A1/A6/A7 pin filem_dedup=0: their ring workload has static rank state,
+// A1/A7 pin filem_dedup=0: their ring workload has static rank state,
 // so the content-addressed gather path would dedup nearly every byte
 // after the first interval and the full-gather costs under study would
 // vanish. A8 measures that dedup path explicitly.
@@ -421,53 +420,6 @@ func BenchmarkEagerRendezvousCrossover(b *testing.B) {
 	for _, size := range []int{2048, 4096, 4097, 8192, 16384} {
 		b.Run(fmt.Sprintf("bytes=%d", size), func(b *testing.B) {
 			benchPingpong(b, "crcp-none", size)
-		})
-	}
-}
-
-// --- A6: coordination topology, centralized vs tree ----------------------------
-
-// BenchmarkSnapcTopology compares the full (centralized) and tree
-// (hierarchical) SNAPC components checkpointing the same 16-rank job on
-// 8 nodes. The centralized coordinator exchanges 2×nodes messages at
-// the HNP; the tree exchanges 2, pushing the fan-out into the daemons —
-// the scalability trade the paper's framework isolates for study.
-func BenchmarkSnapcTopology(b *testing.B) {
-	for _, comp := range []string{"full", "tree"} {
-		b.Run(comp, func(b *testing.B) {
-			params := mca.NewParams()
-			params.Set("snapc", comp)
-			params.Set("filem_dedup", "0") // measure full gathers (see header)
-			sys, err := core.NewSystem(core.Options{Nodes: 8, SlotsPerNode: 2, Params: params, Ins: trace.New()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sys.Close()
-			factory, err := apps.Lookup("ring", []string{"-iters", "0"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			job, err := sys.Launch(core.JobSpec{Name: "ring", Args: []string{"-iters", "0"}, NP: 16, AppFactory: factory})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var phases snapshot.PhaseBreakdown
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := job.Checkpoint(false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				phases.Accumulate(res.Meta.Phases)
-			}
-			b.StopTimer()
-			reportPhases(b, &phases)
-			if _, err := job.Checkpoint(true); err != nil {
-				b.Fatal(err)
-			}
-			if err := job.Wait(); err != nil {
-				b.Fatal(err)
-			}
 		})
 	}
 }

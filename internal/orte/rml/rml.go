@@ -297,14 +297,22 @@ func JSONOutgoing(to names.Name, tag Tag, v any) (Outgoing, error) {
 // matter how many messages it receives. Per-destination message order
 // follows slice order, and the fault-injection hooks fire per message
 // with the same semantics as Send. Delivery is attempted for every
-// element even after a failure; the returned error joins the per-message
-// failures (nil if all delivered or dropped in flight).
-func (e *Endpoint) SendBatch(msgs []Outgoing) error {
+// element even after a failure. SendBatch returns the destinations it
+// could not send to and an error joining their failures (nil if all
+// delivered or dropped in flight: a drop is indistinguishable from a
+// delivery, like the lost datagram it models).
+func (e *Endpoint) SendBatch(msgs []Outgoing) (failed []names.Name, err error) {
 	if len(msgs) == 0 {
-		return nil
+		return nil, nil
 	}
 	inject, sendInject := e.router.hooks()
 	var errs []error
+	fail := func(to names.Name, err error) {
+		if len(failed) == 0 || failed[len(failed)-1] != to {
+			failed = append(failed, to)
+		}
+		errs = append(errs, err)
+	}
 	// Group into per-destination runs without disturbing slice order:
 	// index lists per destination, then one lookup + one delivery batch
 	// per destination.
@@ -319,7 +327,7 @@ func (e *Endpoint) SendBatch(msgs []Outgoing) error {
 	for _, to := range order {
 		dst, err := e.router.lookup(to)
 		if err != nil {
-			errs = append(errs, err)
+			fail(to, err)
 			continue
 		}
 		batch := make([]Message, 0, len(byDst[to]))
@@ -327,7 +335,7 @@ func (e *Endpoint) SendBatch(msgs []Outgoing) error {
 			m := msgs[i]
 			if sendInject != nil {
 				if err := sendInject(fmt.Sprintf("rml.send:%v", to)); err != nil {
-					errs = append(errs, fmt.Errorf("rml: send to %v: %w", to, err))
+					fail(to, fmt.Errorf("rml: send to %v: %w", to, err))
 					continue
 				}
 			}
@@ -344,7 +352,7 @@ func (e *Endpoint) SendBatch(msgs []Outgoing) error {
 		dst.mu.Lock()
 		if dst.closed {
 			dst.mu.Unlock()
-			errs = append(errs, fmt.Errorf("rml: send to %v: %w", to, ErrClosed))
+			fail(to, fmt.Errorf("rml: send to %v: %w", to, ErrClosed))
 			continue
 		}
 		for _, msg := range batch {
@@ -354,7 +362,7 @@ func (e *Endpoint) SendBatch(msgs []Outgoing) error {
 		dst.cond.Broadcast()
 		dst.mu.Unlock()
 	}
-	return errors.Join(errs...)
+	return failed, errors.Join(errs...)
 }
 
 // match finds and removes the first queued message under tag satisfying

@@ -150,6 +150,25 @@ func TestSendToUnknownPeer(t *testing.T) {
 	}
 }
 
+func TestSendBatchReportsUndeliveredDestinations(t *testing.T) {
+	_, hnp, orted := pair(t)
+	ghost := names.Daemon(7)
+	failed, err := hnp.SendBatch([]Outgoing{
+		{To: orted.Name(), Tag: TagSnapcRequest, Data: []byte("a")},
+		{To: ghost, Tag: TagSnapcRequest, Data: []byte("b")},
+		{To: orted.Name(), Tag: TagSnapcRequest, Data: []byte("c")},
+	})
+	if !errors.Is(err, ErrUnknownPeer) {
+		t.Fatalf("err = %v, want ErrUnknownPeer", err)
+	}
+	if len(failed) != 1 || failed[0] != ghost {
+		t.Errorf("failed = %v, want [%v]", failed, ghost)
+	}
+	if n := orted.Pending(); n != 2 {
+		t.Errorf("reachable peer holds %d messages, want 2", n)
+	}
+}
+
 func TestDuplicateRegistration(t *testing.T) {
 	r := NewRouter()
 	if _, err := r.Register(names.HNP); err != nil {

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/mca"
@@ -74,19 +75,38 @@ func TestBadTransportRejected(t *testing.T) {
 	}
 }
 
-// TestTreeCoordinatorEndToEnd runs the full launch → checkpoint →
-// terminate → restart pipeline with the hierarchical (tree) SNAPC
-// component selected by MCA parameter — the paper's alternative
-// coordination technique swapped in with one flag.
-func TestTreeCoordinatorEndToEnd(t *testing.T) {
+// TestRemovedSnapcComponentRefused checks that the SNAPC framework has
+// one component: asking for the former tree component fails at cluster
+// boot, naming the framework and the component it does have.
+func TestRemovedSnapcComponentRefused(t *testing.T) {
 	params := mca.NewParams()
 	params.Set("snapc", "tree")
+	c, err := New(Config{
+		Nodes:  []plm.NodeSpec{{Name: "n0", Slots: 2}},
+		Params: params,
+		Ins:    trace.New(),
+	})
+	if err == nil {
+		c.Close()
+		t.Fatal("New with snapc=tree succeeded")
+	}
+	for _, want := range []string{`"snapc"`, `no component "tree"`, "full"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want it to name %s", err, want)
+		}
+	}
+}
+
+// TestTreeCoordinatorEndToEnd runs the full launch → checkpoint →
+// terminate → restart pipeline through the SNAPC daemon tree on four
+// nodes, every one a leaf child of the HNP.
+func TestTreeCoordinatorEndToEnd(t *testing.T) {
 	c, err := New(Config{
 		Nodes: []plm.NodeSpec{
 			{Name: "n0", Slots: 2}, {Name: "n1", Slots: 2},
 			{Name: "n2", Slots: 2}, {Name: "n3", Slots: 2},
 		},
-		Params: params,
+		Params: mca.NewParams(),
 		Ins:    trace.New(),
 	})
 	if err != nil {
@@ -104,9 +124,6 @@ func TestTreeCoordinatorEndToEnd(t *testing.T) {
 	}
 	if err := job.Wait(); err != nil {
 		t.Fatal(err)
-	}
-	if c.Log().Count("ckpt.tree-relay") == 0 {
-		t.Error("tree coordinator left no relay events")
 	}
 	factory2, apps2 := newStencilFactory(0, 4)
 	job2, err := c.Restart(res.Ref, res.Interval, factory2)

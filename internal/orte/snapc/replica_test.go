@@ -11,7 +11,7 @@ import (
 // can place replicas.
 func newReplicaHarness(t *testing.T, np, nnodes int, k string) *harness {
 	t.Helper()
-	h := newHarnessNodes(t, np, nnodes, &Full{})
+	h := newHarnessNodes(t, np, nnodes)
 	// Deterministic candidate order n0..nN, matching the harness layout.
 	h.env.Nodes = func() []string {
 		out := make([]string, 0, nnodes)
@@ -40,7 +40,7 @@ func TestCheckpointPlacesVerifiedReplicas(t *testing.T) {
 	// 2 ranks on n0/n1 of a 4-node cluster: both replicas must land on
 	// the free nodes n2 and n3.
 	h := newReplicaHarness(t, 2, 4, "2")
-	res, err := (&Full{}).Checkpoint(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(7), 0, Options{})
+	res, err := h.checkpoint(snapshot.GlobalDirName(7), 0, Options{})
 	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
@@ -89,11 +89,10 @@ func TestReplicationDedupsAgainstPreviousInterval(t *testing.T) {
 		}
 		return body
 	}
-	comp := &Full{}
-	if _, err := comp.Checkpoint(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(7), 0, Options{}); err != nil {
+	if _, err := h.checkpoint(snapshot.GlobalDirName(7), 0, Options{}); err != nil {
 		t.Fatalf("interval 0: %v", err)
 	}
-	res, err := comp.Checkpoint(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(7), 1, Options{})
+	res, err := h.checkpoint(snapshot.GlobalDirName(7), 1, Options{})
 	if err != nil {
 		t.Fatalf("interval 1: %v", err)
 	}
@@ -121,7 +120,7 @@ func TestReplicationDegradesWhenClusterTooSmall(t *testing.T) {
 	// job nodes exist, so the checkpoint commits with 2 replicas and a
 	// degradation event — never an error.
 	h := newReplicaHarness(t, 2, 2, "3")
-	res, err := (&Full{}).Checkpoint(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(7), 0, Options{})
+	res, err := h.checkpoint(snapshot.GlobalDirName(7), 0, Options{})
 	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
@@ -142,7 +141,7 @@ func TestReplicaPushFailureDoesNotFailCheckpoint(t *testing.T) {
 	h := newReplicaHarness(t, 2, 4, "2")
 	inner := h.env.Nodes
 	h.env.Nodes = func() []string { return append([]string{"ghost"}, inner()...) }
-	res, err := (&Full{}).Checkpoint(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(7), 0, Options{})
+	res, err := h.checkpoint(snapshot.GlobalDirName(7), 0, Options{})
 	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}

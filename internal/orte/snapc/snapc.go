@@ -2,8 +2,8 @@
 // §6.1): the snapshot coordinator that launches, monitors and aggregates
 // distributed checkpoint requests.
 //
-// The initial component, full, is the paper's centralized coordination
-// approach with its three sub-coordinators (Fig. 1):
+// The one component, full, is the paper's coordination approach with
+// its three sub-coordinators (Fig. 1):
 //
 //   - the global coordinator lives in the HNP (mpirun): it accepts
 //     requests from tools and the synchronous API (Fig. 1-A), fans the
@@ -18,6 +18,12 @@
 //     the directive (e.g. checkpoint-and-terminate) and enters the OPAL
 //     entry point (the ompi.Proc participation path).
 //
+// The order (B) and the acks (D→E) travel a daemon tree rooted at the
+// HNP with a constant arity of 32 (fanout). Up to 32 nodes every orted
+// is a leaf child of the HNP: the centralized pattern of Fig. 1. Beyond
+// that, interior orteds relay the order to their subtrees and merge
+// the acks on the way up, the hierarchical tree §5.1 anticipates.
+//
 // Before initiating anything, the global coordinator consults the
 // checkpointability of every target process; if any process cannot be
 // checkpointed the request fails atomically — no process is affected —
@@ -25,6 +31,7 @@
 package snapc
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -219,35 +226,84 @@ type Component interface {
 	// job: quiesce → capture → release on every rank, ending with the
 	// interval staged node-local. hnp is the HNP's RML endpoint; daemons
 	// maps node names to their orted RML names (the local coordinators
-	// must be serving).
+	// must be serving). Drain performs the other half.
 	Capture(env *Env, job JobView, hnp *rml.Endpoint, daemons map[string]names.Name,
 		globalDir string, interval int, opts Options) (*Captured, error)
-	// Checkpoint runs one full global checkpoint of job synchronously
-	// (Capture immediately followed by Drain), writing the global
-	// snapshot under globalDir on stable storage as the given interval.
-	Checkpoint(env *Env, job JobView, hnp *rml.Endpoint, daemons map[string]names.Name,
-		globalDir string, interval int, opts Options) (Result, error)
 	// ServeLocal runs a node's local coordinator loop on ep until the
 	// endpoint closes. resolve maps a job id to its JobView.
 	ServeLocal(env *Env, node string, ep *rml.Endpoint, resolve func(names.JobID) (JobView, error)) error
 }
 
-// NewFramework returns the SNAPC framework with the full (centralized)
-// component registered.
+// NewFramework returns the SNAPC framework with its one component,
+// full, registered.
 func NewFramework() *mca.Framework[Component] {
 	f := mca.NewFramework[Component](FrameworkName)
 	f.MustRegister(&Full{})
-	f.MustRegister(&Tree{})
 	return f
 }
 
-// localRequest is the global→local coordinator order (Fig. 1-B).
-type localRequest struct {
-	Job       int    `json:"job"`
-	Interval  int    `json:"interval"`
-	Vpids     []int  `json:"vpids"`
-	BaseDir   string `json:"base_dir"` // node-local directory for snapshots
-	Terminate bool   `json:"terminate"`
+// fanout is the arity of the daemon tree. The HNP is vertex 0 of a
+// complete fanout-ary heap over the job's nodes, node i is vertex i+1,
+// and the children of vertex v are fanout·v+1 … fanout·v+fanout: one
+// level up to 32 nodes, two up to 1,056, three up to 33,824.
+const fanout = 32
+
+// request is the global→local coordinator order (Fig. 1-B). It carries
+// the receiver's subtree of the daemon tree: Vpids holds the ranks of
+// the receiver and of every node below it, Below lists the nodes below
+// it in BFS order (the receiver is vertex 0 of its subtree, Below[i] is
+// vertex i+1), and Daemons names Below's local coordinators.
+type request struct {
+	Job       int                   `json:"job"`
+	Interval  int                   `json:"interval"`
+	BaseDir   string                `json:"base_dir"` // node-local directory for snapshots
+	Terminate bool                  `json:"terminate"`
+	Vpids     map[string][]int      `json:"vpids"`
+	Below     []string              `json:"below,omitempty"`
+	Daemons   map[string]names.Name `json:"daemons,omitempty"`
+}
+
+// order is one child's share of a fan-out.
+type order struct {
+	node string
+	req  request
+}
+
+// split divides the nodes below req's receiver into one order per child
+// of a k-ary heap. Each child's subtree is pruned to its own rows and
+// relabeled in BFS order from the child: a subtree of a complete k-ary
+// heap is itself complete, so the same children arithmetic holds at
+// every vertex. Pruned, the coordination's total payload is O(n·depth)
+// in node count instead of the O(n²) of forwarding the whole table at
+// every hop.
+func (req request) split(k int) []order {
+	n := len(req.Below) + 1 // vertices, the receiver included
+	var orders []order
+	for _, c := range heapChildren(0, n, k) {
+		child := req.Below[c-1]
+		sub := request{
+			Job: req.Job, Interval: req.Interval, BaseDir: req.BaseDir, Terminate: req.Terminate,
+			Vpids: map[string][]int{child: req.Vpids[child]}, Daemons: map[string]names.Name{},
+		}
+		for queue := heapChildren(c, n, k); len(queue) > 0; queue = queue[1:] {
+			node := req.Below[queue[0]-1]
+			sub.Below = append(sub.Below, node)
+			sub.Vpids[node] = req.Vpids[node]
+			sub.Daemons[node] = req.Daemons[node]
+			queue = append(queue, heapChildren(queue[0], n, k)...)
+		}
+		orders = append(orders, order{node: child, req: sub})
+	}
+	return orders
+}
+
+// heapChildren lists the children of vertex v in a k-ary heap of n vertices.
+func heapChildren(v, n, k int) []int {
+	var out []int
+	for c := k*v + 1; c <= k*v+k && c < n; c++ {
+		out = append(out, c)
+	}
+	return out
 }
 
 // procResult is one process's outcome inside a localAck. QuiesceNS and
@@ -267,7 +323,8 @@ type procResult struct {
 	Err   string `json:"err,omitempty"`
 }
 
-// localAck is the local→global coordinator report (Fig. 1-D/E).
+// localAck is a local coordinator's report to its parent (Fig. 1-D/E):
+// the results of its own ranks and of every rank below it.
 type localAck struct {
 	Job      int          `json:"job"`
 	Interval int          `json:"interval"`
@@ -276,23 +333,9 @@ type localAck struct {
 	Err      string       `json:"err,omitempty"`
 }
 
-// ackForJob matches TagSnapcAck traffic belonging to one job, by
-// decoding just the job field of the payload. Undecodable messages
-// match too, so a corrupt ack surfaces as an error in the receiver
-// instead of rotting in the mailbox.
-func ackForJob(job names.JobID) func(rml.Message) bool {
-	return func(m rml.Message) bool {
-		var hdr struct {
-			Job int `json:"job"`
-		}
-		if err := json.Unmarshal(m.Data, &hdr); err != nil {
-			return true
-		}
-		return hdr.Job == int(job)
-	}
-}
-
-// Full is the centralized snapshot coordinator component.
+// Full is the snapshot coordinator component: the global coordinator at
+// the root of the daemon tree and a local coordinator at every other
+// vertex.
 type Full struct{}
 
 // Name implements mca.Component.
@@ -300,17 +343,6 @@ func (*Full) Name() string { return "full" }
 
 // Priority implements mca.Component.
 func (*Full) Priority() int { return 20 }
-
-// Checkpoint implements Component: one full synchronous checkpoint —
-// Capture immediately followed by Drain.
-func (f *Full) Checkpoint(env *Env, job JobView, hnp *rml.Endpoint, daemons map[string]names.Name,
-	globalDir string, interval int, opts Options) (Result, error) {
-	cap, err := f.Capture(env, job, hnp, daemons, globalDir, interval, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return Drain(env, cap)
-}
 
 // ranksByNode groups the job's ranks by node after checking that every
 // rank is checkpointable (§5.1: verify every target before touching any).
@@ -326,55 +358,42 @@ func ranksByNode(job JobView) (map[string][]int, error) {
 }
 
 // Capture implements Component: the synchronous phase of the global
-// coordinator — checkpointability check, fan-out to the local
-// coordinators, ack collection. When it returns, every rank has already
-// resumed and the interval is staged node-local under LOCAL_COMMITTED
-// markers.
+// coordinator — checkpointability check, fan-out down the daemon tree,
+// ack collection. When it returns, every rank has already resumed and
+// the interval is staged node-local under LOCAL_COMMITTED markers. A
+// failed interval is aborted only once every child of the HNP has
+// answered or the deadline has passed, so the abort never sweeps a
+// node that is still staging.
 func (f *Full) Capture(env *Env, job JobView, hnp *rml.Endpoint, daemons map[string]names.Name,
 	globalDir string, interval int, opts Options) (*Captured, error) {
 	began := time.Now()
-	log := env.Ins
 	csp := env.Ins.Span("snapc.capture", trace.WithInterval(interval), trace.WithSource("snapc.global"))
-	log.Emit("snapc.global", "ckpt.request", "job %d interval %d terminate=%v", job.JobID(), interval, opts.Terminate)
+	env.Ins.Emit("snapc.global", "ckpt.request", "job %d interval %d terminate=%v", job.JobID(), interval, opts.Terminate)
 
-	// Order each node's local coordinator to checkpoint its ranks
-	// (Fig. 1-B).
 	byNode, err := ranksByNode(job)
 	if err != nil {
 		csp.End(err)
 		return nil, err
 	}
-	base := snapshot.LocalStageBase(int(job.JobID()), interval)
-	// Resolve every node's local coordinator before ordering any, so a
-	// missing daemon fails the request with no debris to sweep, then fan
-	// the orders out as one batch: at thousand-node scale the per-node
-	// SendJSON loop was 2N router-lock acquisitions on the hot path.
-	batch := make([]rml.Outgoing, 0, len(byNode))
-	for node, vpids := range byNode {
+	// The HNP is the root of the daemon tree. Resolve every node's local
+	// coordinator before ordering any, so a missing daemon fails the
+	// request with no debris to sweep.
+	root := request{
+		Job: int(job.JobID()), Interval: interval,
+		BaseDir: snapshot.LocalStageBase(int(job.JobID()), interval), Terminate: opts.Terminate,
+		Vpids: byNode, Below: job.Nodes(), Daemons: make(map[string]names.Name, len(byNode)),
+	}
+	for _, node := range root.Below {
 		daemon, ok := daemons[node]
 		if !ok {
 			err := fmt.Errorf("snapc: no local coordinator on node %q", node)
 			csp.End(err)
 			return nil, err
 		}
-		req := localRequest{
-			Job: int(job.JobID()), Interval: interval,
-			Vpids: vpids, BaseDir: base, Terminate: opts.Terminate,
-		}
-		out, err := rml.JSONOutgoing(daemon, rml.TagSnapcRequest, req)
-		if err != nil {
-			csp.End(err)
-			return nil, err
-		}
-		batch = append(batch, out)
+		root.Daemons[node] = daemon
 	}
-	if err := hnp.SendBatch(batch); err != nil {
-		// Some orders may already be out: abort the interval so their
-		// debris is swept rather than abandoned mid-flight.
-		abortInterval(env, job, byNode, globalDir, interval, err)
-		csp.End(err)
-		return nil, fmt.Errorf("snapc: order local coordinators: %w", err)
-	}
+	// Order the HNP's children (Fig. 1-B) as one batch.
+	kids, sendErr := relay(hnp, root)
 
 	// HNP-crash edge: the coordinator dies after ordering the quiesce
 	// but before collecting a single ack. No abort — the local
@@ -387,96 +406,125 @@ func (f *Full) Capture(env *Env, job JobView, hnp *rml.Endpoint, daemons map[str
 		return nil, err
 	}
 
-	// Monitor progress: one ack per involved node (Fig. 1-E), all
-	// within one overall request deadline so a hung or silenced local
-	// coordinator cannot wedge the job — the interval is aborted
-	// atomically instead.
-	deadline := time.Now().Add(ackTimeout(env))
-	results := make(map[int]procResult)
-	seen := make(map[string]bool, len(byNode))
-	for len(seen) < len(byNode) {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			err := fmt.Errorf("snapc: checkpoint interval %d: %w deadline exceeded (%d of %d node acks)",
-				interval, errAborted, len(seen), len(byNode))
-			abortInterval(env, job, byNode, globalDir, interval,
-				fmt.Errorf("deadline exceeded with %d of %d node acks", len(seen), len(byNode)))
-			csp.End(err)
-			return nil, err
-		}
-		// Match only this job's acks: concurrent captures by other jobs
-		// share the HNP mailbox, and taking their acks here would wedge
-		// both coordinators.
-		m, err := hnp.RecvWhere(rml.TagSnapcAck, ackForJob(job.JobID()), remaining)
-		if err != nil {
-			abortInterval(env, job, byNode, globalDir, interval, err)
-			csp.End(err)
-			return nil, fmt.Errorf("snapc: waiting for local coordinators: %w", err)
-		}
-		var ack localAck
-		if err := json.Unmarshal(m.Data, &ack); err != nil {
-			abortInterval(env, job, byNode, globalDir, interval, err)
-			csp.End(err)
-			return nil, fmt.Errorf("snapc: decode ack from %v: %w", m.From, err)
-		}
-		// Discard stale acks from earlier (aborted or timed-out)
-		// intervals: without this match, a late ack would be
-		// misattributed to the current checkpoint.
-		if ack.Job != int(job.JobID()) || ack.Interval != interval {
-			log.Emit("snapc.global", "ckpt.stale-ack", "discarding ack for job %d interval %d (running interval %d)",
-				ack.Job, ack.Interval, interval)
-			continue
-		}
-		if ack.Err != "" {
-			abortInterval(env, job, byNode, globalDir, interval, errors.New(ack.Err))
-			err := fmt.Errorf("snapc: node %q: %s", ack.Node, ack.Err)
-			csp.End(err)
-			return nil, err
-		}
-		for _, pr := range ack.Results {
-			if pr.Err != "" {
-				abortInterval(env, job, byNode, globalDir, interval, errors.New(pr.Err))
-				err := fmt.Errorf("snapc: rank %d on %q: %s", pr.Vpid, ack.Node, pr.Err)
-				csp.End(err)
-				return nil, err
-			}
-			results[pr.Vpid] = pr
-		}
-		seen[ack.Node] = true
-		log.Emit("snapc.global", "ckpt.node-done", "node %s (%d procs)", ack.Node, len(ack.Results))
+	// Monitor progress (Fig. 1-E): one ack per child, all within one
+	// request deadline so a hung or silenced subtree cannot wedge the
+	// job — the interval is aborted atomically instead.
+	var ack localAck
+	err = errors.Join(sendErr, collect(env, "snapc.global", hnp, root, kids, time.Now().Add(ackTimeout(env)), true, &ack))
+	cpt := &Captured{
+		Job: job, GlobalDir: globalDir, Interval: interval, Opts: opts,
+		ByNode: byNode, Results: make(map[int]procResult, job.NumProcs()), Began: began,
 	}
-	if len(results) != job.NumProcs() {
-		abortInterval(env, job, byNode, globalDir, interval,
-			fmt.Errorf("%d of %d local snapshots reported", len(results), job.NumProcs()))
-		err := fmt.Errorf("snapc: %d of %d local snapshots reported", len(results), job.NumProcs())
+	// The slowest rank's quiesce+capture is the blocked share.
+	var quiesceWall, captureWall int64
+	for _, pr := range ack.Results {
+		if pr.Err != "" && err == nil {
+			err = fmt.Errorf("rank %d on %q: %s", pr.Vpid, job.NodeOf(pr.Vpid), pr.Err)
+		}
+		cpt.Results[pr.Vpid] = pr
+		cpt.StagedBytes += pr.Bytes
+		quiesceWall = max(quiesceWall, pr.QuiesceNS)
+		captureWall = max(captureWall, pr.CaptureNS)
+	}
+	if err == nil && len(cpt.Results) != job.NumProcs() {
+		err = fmt.Errorf("%d of %d local snapshots reported", len(cpt.Results), job.NumProcs())
+	}
+	if err != nil {
+		abortInterval(env, job, byNode, globalDir, interval, err)
+		err = fmt.Errorf("snapc: checkpoint interval %d: %w", interval, err)
 		csp.End(err)
 		return nil, err
 	}
+	cpt.BlockedNS = quiesceWall + captureWall
 	csp.End(nil)
-	return newCaptured(job, globalDir, interval, opts, byNode, results, began), nil
+	return cpt, nil
 }
 
-// newCaptured assembles the capture-phase outcome shared by the full
-// and tree coordinators: staged-byte totals for backpressure accounting
-// and the slowest rank's quiesce+capture as the blocked share.
-func newCaptured(job JobView, globalDir string, interval int, opts Options,
-	byNode map[string][]int, results map[int]procResult, began time.Time) *Captured {
-	cap := &Captured{
-		Job: job, GlobalDir: globalDir, Interval: interval, Opts: opts,
-		ByNode: byNode, Results: results, Began: began,
-	}
-	var quiesceWall, captureWall int64
-	for _, pr := range results {
-		cap.StagedBytes += pr.Bytes
-		if pr.QuiesceNS > quiesceWall {
-			quiesceWall = pr.QuiesceNS
+// relay orders the children of req's receiver as one batch and returns
+// the daemons of the ones it reached. A child it could not order is
+// reported in the error and is not awaited.
+func relay(ep *rml.Endpoint, req request) (map[names.Name]bool, error) {
+	orders := req.split(fanout)
+	kids := make(map[names.Name]bool, len(orders))
+	batch := make([]rml.Outgoing, 0, len(orders))
+	for _, o := range orders {
+		daemon, ok := req.Daemons[o.node]
+		if !ok {
+			return nil, fmt.Errorf("no local coordinator on node %q", o.node)
 		}
-		if pr.CaptureNS > captureWall {
-			captureWall = pr.CaptureNS
+		out, err := rml.JSONOutgoing(daemon, rml.TagSnapcRequest, o.req)
+		if err != nil {
+			return nil, err
 		}
+		batch = append(batch, out)
+		kids[daemon] = true
 	}
-	cap.BlockedNS = quiesceWall + captureWall
-	return cap
+	failed, err := ep.SendBatch(batch)
+	for _, daemon := range failed {
+		delete(kids, daemon)
+	}
+	return kids, err
+}
+
+// collect waits until deadline for the ack of every child in kids and
+// merges their results into ack. Acks match on (sender, job, interval):
+// concurrent jobs share every mailbox in the tree, and an orted may
+// merge two intervals of one job at once when the older one outlived
+// its deadline. The root runs one capture per job at a time, so it also
+// takes its children's acks of the job's earlier intervals and discards
+// them as stale rather than leaving them queued. collect returns once
+// every child has answered or the deadline has passed, with the first
+// child failure or the deadline's.
+func collect(env *Env, src string, ep *rml.Endpoint, req request, kids map[names.Name]bool,
+	deadline time.Time, root bool, ack *localAck) error {
+	want := len(kids)
+	var first error
+	for len(kids) > 0 {
+		remaining := time.Until(deadline)
+		if remaining <= 0 {
+			break
+		}
+		m, err := ep.RecvWhere(rml.TagSnapcAck, func(m rml.Message) bool {
+			if !kids[m.From] {
+				return false
+			}
+			var hdr struct {
+				Job      int `json:"job"`
+				Interval int `json:"interval"`
+			}
+			if err := json.Unmarshal(m.Data, &hdr); err != nil {
+				return true // a corrupt ack fails its child instead of rotting
+			}
+			return hdr.Job == req.Job && (root || hdr.Interval == req.Interval)
+		}, remaining)
+		if errors.Is(err, rml.ErrTimeout) {
+			break
+		}
+		if err != nil {
+			return errors.Join(first, err)
+		}
+		var child localAck
+		if err := json.Unmarshal(m.Data, &child); err != nil {
+			delete(kids, m.From)
+			first = cmp.Or(first, fmt.Errorf("decode ack from %v: %w", m.From, err))
+			continue
+		}
+		if child.Interval != req.Interval {
+			env.Ins.Emit(src, "ckpt.stale-ack", "discarding ack for job %d interval %d (running interval %d)",
+				child.Job, child.Interval, req.Interval)
+			continue
+		}
+		delete(kids, m.From)
+		ack.Results = append(ack.Results, child.Results...)
+		if child.Err != "" {
+			first = cmp.Or(first, fmt.Errorf("node %q: %s", child.Node, child.Err))
+		}
+		env.Ins.Emit(src, "ckpt.node-done", "node %s (%d procs)", child.Node, len(child.Results))
+	}
+	if len(kids) > 0 && first == nil {
+		first = fmt.Errorf("%w deadline exceeded with %d of %d acks", errAborted, want-len(kids), want)
+	}
+	return first
 }
 
 // errAborted tags checkpoint failures that aborted the interval. It is
@@ -561,12 +609,12 @@ func gatherBaseline(env *Env, ref snapshot.GlobalRef, interval int, enabled bool
 	return &filem.Baseline{Dir: ref.IntervalDir(prev), ByHash: idx}
 }
 
-// Drain is the asynchronous half of a global checkpoint, shared by
-// every coordination topology: FILEM-gather the captured node-local
-// snapshots into the global snapshot directory on stable storage while
-// the processes run on, write the global metadata, push replicas, and
-// clean the node-local temporaries. Callers that want background
-// draining go through the Drainer; recovery re-drains call it directly.
+// Drain is the asynchronous half of a global checkpoint: FILEM-gather
+// the captured node-local snapshots into the global snapshot directory
+// on stable storage while the processes run on, write the global
+// metadata, push replicas, and clean the node-local temporaries.
+// Callers that want background draining go through the Drainer;
+// recovery re-drains call it directly.
 func Drain(env *Env, cpt *Captured) (Result, error) {
 	res, err := finishGlobal(env, cpt)
 	if err == nil {
@@ -840,14 +888,16 @@ func replicateInterval(env *Env, ref snapshot.GlobalRef, globalDir string, inter
 // node's orted. Each request is handled on its own goroutine: with
 // several jobs sharing a node, one job's capture must not queue behind
 // another's quiesce — per-job ordering is already enforced upstream by
-// the per-job capture lock, so concurrent requests here always belong
-// to different jobs (or different intervals of an aborted one, which
-// the stale-ack matching on the HNP side discards).
+// the per-job capture lock. A vertex relays the order to its children
+// first, so its subtrees stage while its own ranks do, then checkpoints
+// its own ranks, and answers its parent only after every child has
+// answered or its deadline has passed.
 func (f *Full) ServeLocal(env *Env, node string, ep *rml.Endpoint, resolve func(names.JobID) (JobView, error)) error {
+	src := "snapc.local[" + node + "]"
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
 	for {
-		var req localRequest
+		var req request
 		from, err := ep.RecvJSON(rml.TagSnapcRequest, &req)
 		if err != nil {
 			if errors.Is(err, rml.ErrClosed) {
@@ -856,17 +906,25 @@ func (f *Full) ServeLocal(env *Env, node string, ep *rml.Endpoint, resolve func(
 			return fmt.Errorf("snapc local[%s]: %w", node, err)
 		}
 		handlers.Add(1)
-		go func(from names.Name, req localRequest) {
+		go func(from names.Name, req request) {
 			defer handlers.Done()
+			deadline := time.Now().Add(ackTimeout(env))
+			kids, relayErr := relay(ep, req)
+			if len(req.Below) > 0 {
+				env.Ins.Emit(src, "ckpt.tree-relay", "%d children, %d nodes below", len(kids), len(req.Below))
+			}
 			ack := f.handleLocal(env, node, req, resolve)
+			if err := errors.Join(relayErr, collect(env, src, ep, req, kids, deadline, false, &ack)); err != nil && ack.Err == "" {
+				ack.Err = err.Error()
+			}
 			if err := ep.SendJSON(from, rml.TagSnapcAck, ack); err != nil {
-				// The global coordinator vanished between the order and the
-				// ack — the HNP crashed mid-quiesce. The node's share of the
+				// The parent vanished between the order and the ack — the
+				// HNP crashed mid-quiesce. The subtree's share of the
 				// interval is already sealed under its LOCAL_COMMITTED
-				// marker; keep serving so the reattached HNP finds a live
+				// markers; keep serving so the reattached HNP finds a live
 				// local coordinator, not a dead loop.
 				env.Ins.Counter("ompi_snapc_orphaned_acks_total").Inc()
-				env.Ins.Emit("snapc.local["+node+"]", "ckpt.ack-orphaned",
+				env.Ins.Emit(src, "ckpt.ack-orphaned",
 					"interval %d ack undeliverable (HNP down?): %v", req.Interval, err)
 			}
 		}(from, req)
@@ -876,8 +934,9 @@ func (f *Full) ServeLocal(env *Env, node string, ep *rml.Endpoint, resolve func(
 // handleLocal performs one node's part of a checkpoint: initiate every
 // local process checkpoint (Fig. 1-C), collect outcomes (D), and write
 // each local snapshot's metadata beside its payload files.
-func (f *Full) handleLocal(env *Env, node string, req localRequest, resolve func(names.JobID) (JobView, error)) localAck {
+func (f *Full) handleLocal(env *Env, node string, req request, resolve func(names.JobID) (JobView, error)) localAck {
 	ack := localAck{Job: req.Job, Interval: req.Interval, Node: node}
+	vpids := req.Vpids[node]
 	log := env.Ins
 	job, err := resolve(names.JobID(req.Job))
 	if err != nil {
@@ -891,9 +950,9 @@ func (f *Full) handleLocal(env *Env, node string, req localRequest, resolve func
 	}
 	// Initiate all local checkpoints, then collect all results: the
 	// application coordinators run concurrently.
-	results := make(chan ompi.ParticipationResult, len(req.Vpids))
-	dirs := make(map[int]string, len(req.Vpids))
-	for _, v := range req.Vpids {
+	results := make(chan ompi.ParticipationResult, len(vpids))
+	dirs := make(map[int]string, len(vpids))
+	for _, v := range vpids {
 		dir := path.Join(req.BaseDir, snapshot.LocalDirName(v))
 		dirs[v] = dir
 		log.Emit("snapc.local["+node+"]", "ckpt.start", "rank %d -> %s", v, dir)
@@ -903,7 +962,7 @@ func (f *Full) handleLocal(env *Env, node string, req localRequest, resolve func
 		})
 	}
 	clean := true
-	for range req.Vpids {
+	for range vpids {
 		res := <-results
 		pr := procResult{Vpid: res.Rank, Component: res.Component, Files: res.Files, Dir: dirs[res.Rank],
 			QuiesceNS: res.QuiesceNS, CaptureNS: res.CaptureNS}
@@ -934,7 +993,7 @@ func (f *Full) handleLocal(env *Env, node string, req localRequest, resolve func
 	// analogue of the global COMMITTED file.
 	if clean {
 		marker := path.Join(req.BaseDir, snapshot.LocalCommittedFile)
-		body := fmt.Sprintf("job %d interval %d procs %d\n", req.Job, req.Interval, len(req.Vpids))
+		body := fmt.Sprintf("job %d interval %d procs %d\n", req.Job, req.Interval, len(vpids))
 		if err := nodeFS.WriteFile(marker, []byte(body)); err != nil {
 			ack.Err = fmt.Sprintf("seal local stage: %v", err)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -87,12 +88,13 @@ func (j *fakeJob) Deliver(v int, d *ompi.Directive) {
 	}()
 }
 
-// harness wires a fake 2-node cluster: router, HNP endpoint, local
+// harness wires a fake cluster: router, HNP endpoint, local
 // coordinators, FILEM env, stable storage.
 type harness struct {
 	env     *Env
 	hnp     *rml.Endpoint
 	daemons map[string]names.Name
+	orteds  map[string]*rml.Endpoint
 	job     *fakeJob
 	stable  *vfs.Mem
 	router  *rml.Router
@@ -100,12 +102,12 @@ type harness struct {
 }
 
 func newHarness(t *testing.T, np int) *harness {
-	return newHarnessNodes(t, np, 2, &Full{})
+	return newHarnessNodes(t, np, 2)
 }
 
-// newHarnessNodes builds a harness with the given node count and
-// coordination component (full or tree).
-func newHarnessNodes(t *testing.T, np, nnodes int, comp Component) *harness {
+// newHarnessNodes builds a harness with the given node count; rank v
+// runs on node n(v mod nnodes).
+func newHarnessNodes(t *testing.T, np, nnodes int) *harness {
 	t.Helper()
 	var nodes []string
 	nodeFS := map[string]*vfs.Mem{}
@@ -164,6 +166,7 @@ func newHarnessNodes(t *testing.T, np, nnodes int, comp Component) *harness {
 		t.Fatal(err)
 	}
 	daemons := make(map[string]names.Name)
+	orteds := make(map[string]*rml.Endpoint)
 	for i, n := range nodes {
 		dn := names.Daemon(i)
 		ep, err := router.Register(dn)
@@ -171,10 +174,11 @@ func newHarnessNodes(t *testing.T, np, nnodes int, comp Component) *harness {
 			t.Fatal(err)
 		}
 		daemons[n] = dn
+		orteds[n] = ep
 		n := n
 		knownID := job.id // captured at registration time, like a job table
 		go func(ep *rml.Endpoint) {
-			_ = comp.ServeLocal(env, n, ep, func(id names.JobID) (JobView, error) {
+			_ = (&Full{}).ServeLocal(env, n, ep, func(id names.JobID) (JobView, error) {
 				if id != knownID {
 					return nil, fmt.Errorf("unknown job %d", id)
 				}
@@ -183,7 +187,17 @@ func newHarnessNodes(t *testing.T, np, nnodes int, comp Component) *harness {
 		}(ep)
 	}
 	t.Cleanup(router.Close)
-	return &harness{env: env, hnp: hnp, daemons: daemons, job: job, stable: stable, router: router, log: log}
+	return &harness{env: env, hnp: hnp, daemons: daemons, orteds: orteds, job: job, stable: stable, router: router, log: log}
+}
+
+// checkpoint runs one synchronous global checkpoint of the harness job:
+// Capture, then Drain.
+func (h *harness) checkpoint(globalDir string, interval int, opts Options) (Result, error) {
+	cpt, err := (&Full{}).Capture(h.env, h.job, h.hnp, h.daemons, globalDir, interval, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	return Drain(h.env, cpt)
 }
 
 func TestFrameworkHasFull(t *testing.T) {
@@ -195,12 +209,14 @@ func TestFrameworkHasFull(t *testing.T) {
 	if c.Name() != "full" {
 		t.Errorf("default = %q", c.Name())
 	}
+	if names := f.Names(); len(names) != 1 || names[0] != "full" {
+		t.Errorf("components = %v, want only full", names)
+	}
 }
 
 func TestGlobalCheckpointEndToEnd(t *testing.T) {
 	h := newHarness(t, 4)
-	comp := &Full{}
-	res, err := comp.Checkpoint(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(7), 0, Options{})
+	res, err := h.checkpoint(snapshot.GlobalDirName(7), 0, Options{})
 	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
@@ -269,8 +285,7 @@ func TestGlobalCheckpointEndToEnd(t *testing.T) {
 
 func TestKeepLocalOption(t *testing.T) {
 	h := newHarness(t, 2)
-	comp := &Full{}
-	if _, err := comp.Checkpoint(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(7), 0, Options{KeepLocal: true}); err != nil {
+	if _, err := h.checkpoint(snapshot.GlobalDirName(7), 0, Options{KeepLocal: true}); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	found := false
@@ -287,8 +302,7 @@ func TestKeepLocalOption(t *testing.T) {
 func TestNonCheckpointableFailsAtomically(t *testing.T) {
 	h := newHarness(t, 4)
 	h.job.ckptable[2] = false
-	comp := &Full{}
-	_, err := comp.Checkpoint(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(7), 0, Options{})
+	_, err := h.checkpoint(snapshot.GlobalDirName(7), 0, Options{})
 	if !errors.Is(err, ErrNotCheckpointable) {
 		t.Fatalf("err = %v, want ErrNotCheckpointable", err)
 	}
@@ -306,19 +320,17 @@ func TestNonCheckpointableFailsAtomically(t *testing.T) {
 func TestParticipationFailurePropagates(t *testing.T) {
 	h := newHarness(t, 4)
 	h.job.failRank = 1
-	comp := &Full{}
-	_, err := comp.Checkpoint(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(7), 0, Options{})
-	if err == nil || !contains(err.Error(), "injected participation failure") {
+	_, err := h.checkpoint(snapshot.GlobalDirName(7), 0, Options{})
+	if err == nil || !strings.Contains(err.Error(), "injected participation failure") {
 		t.Fatalf("err = %v, want injected failure", err)
 	}
 }
 
 func TestUnknownNodeDaemon(t *testing.T) {
 	h := newHarness(t, 2)
-	comp := &Full{}
 	// A job placed on a node with no local coordinator.
 	h.job.placement[0] = "ghost"
-	_, err := comp.Checkpoint(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(7), 0, Options{})
+	_, err := h.checkpoint(snapshot.GlobalDirName(7), 0, Options{})
 	if err == nil {
 		t.Fatal("Checkpoint succeeded with an uncovered node")
 	}
@@ -326,9 +338,8 @@ func TestUnknownNodeDaemon(t *testing.T) {
 
 func TestSequentialIntervals(t *testing.T) {
 	h := newHarness(t, 2)
-	comp := &Full{}
 	for iv := 0; iv < 3; iv++ {
-		if _, err := comp.Checkpoint(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(7), iv, Options{}); err != nil {
+		if _, err := h.checkpoint(snapshot.GlobalDirName(7), iv, Options{}); err != nil {
 			t.Fatalf("interval %d: %v", iv, err)
 		}
 	}
@@ -348,64 +359,172 @@ func TestSequentialIntervals(t *testing.T) {
 
 func TestUnknownJobAtLocalCoordinator(t *testing.T) {
 	h := newHarness(t, 2)
-	comp := &Full{}
 	h.job.id = 99 // global coordinator asks for job 99; resolver only knows 7
-	_, err := comp.Checkpoint(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(99), 0, Options{})
+	_, err := h.checkpoint(snapshot.GlobalDirName(99), 0, Options{})
 	if err == nil {
 		t.Fatal("Checkpoint succeeded for unknown job")
 	}
 }
 
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (s == sub || len(sub) == 0 ||
-		func() bool {
-			for i := 0; i+len(sub) <= len(s); i++ {
-				if s[i:i+len(sub)] == sub {
-					return true
-				}
-			}
-			return false
-		}())
+// --- the daemon tree ----------------------------------------------------------
+
+// countDeliveries counts, from now on, the RML messages delivered to
+// each endpoint of the harness.
+func (h *harness) countDeliveries() func(names.Name) int {
+	var mu sync.Mutex
+	got := map[string]int{}
+	h.router.SetInject(func(point string) error {
+		mu.Lock()
+		got[strings.TrimPrefix(point, "rml.deliver:")]++
+		mu.Unlock()
+		return nil
+	})
+	return func(n names.Name) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return got[n.String()]
+	}
 }
 
-// --- tree coordinator ----------------------------------------------------------
+// relaySources lists the sources of the ckpt.tree-relay events.
+func relaySources(log *trace.Log) []string {
+	var out []string
+	for _, e := range log.Events() {
+		if e.Kind == "ckpt.tree-relay" {
+			out = append(out, e.Source)
+		}
+	}
+	return out
+}
+
+func TestHeapSplitReachesEveryNodeOnce(t *testing.T) {
+	for _, k := range []int{2, 3, 32} {
+		for _, n := range []int{1, 7, 33, 100, 1057} {
+			t.Run(fmt.Sprintf("k=%d/n=%d", k, n), func(t *testing.T) {
+				root := request{Job: 7, Vpids: map[string][]int{}, Daemons: map[string]names.Name{}}
+				for i := 0; i < n; i++ {
+					node := fmt.Sprintf("n%d", i)
+					root.Below = append(root.Below, node)
+					root.Vpids[node] = []int{i, i + n}
+					root.Daemons[node] = names.Daemon(i)
+				}
+				reached := map[string]int{}
+				depth := 0
+				var walk func(req request, level int)
+				walk = func(req request, level int) {
+					orders := req.split(k)
+					if want := min(k, len(req.Below)); len(orders) != want {
+						t.Fatalf("level %d: %d orders for %d nodes below, want %d", level, len(orders), len(req.Below), want)
+					}
+					for _, o := range orders {
+						reached[o.node]++
+						depth = max(depth, level+1)
+						// The child's request carries its own subtree's rows
+						// and nothing else: its own ranks, and the ranks and
+						// daemons of the nodes below it.
+						if len(o.req.Vpids) != len(o.req.Below)+1 || len(o.req.Daemons) != len(o.req.Below) {
+							t.Fatalf("%s: %d vpid rows and %d daemon rows for %d nodes below",
+								o.node, len(o.req.Vpids), len(o.req.Daemons), len(o.req.Below))
+						}
+						for _, node := range append([]string{o.node}, o.req.Below...) {
+							if fmt.Sprint(o.req.Vpids[node]) != fmt.Sprint(root.Vpids[node]) {
+								t.Fatalf("%s: vpid row of %s = %v, want %v", o.node, node, o.req.Vpids[node], root.Vpids[node])
+							}
+						}
+						for _, node := range o.req.Below {
+							if d, ok := o.req.Daemons[node]; !ok || d != root.Daemons[node] {
+								t.Fatalf("%s: daemon row of %s = %v (%v)", o.node, node, d, ok)
+							}
+						}
+						walk(o.req, level+1)
+					}
+				}
+				walk(root, 0)
+				if len(reached) != n {
+					t.Fatalf("reached %d of %d nodes", len(reached), n)
+				}
+				for node, times := range reached {
+					if times != 1 {
+						t.Errorf("%s ordered %d times", node, times)
+					}
+				}
+				want, span := 0, 0
+				for pow := 1; span < n; want++ {
+					pow *= k
+					span += pow
+				}
+				if depth != want {
+					t.Errorf("depth = %d, want %d", depth, want)
+				}
+			})
+		}
+	}
+}
 
 func TestTreeCheckpointAcrossManyNodes(t *testing.T) {
-	// 7 nodes, 14 ranks: a 3-level binary tree of local coordinators.
-	h := newHarnessNodes(t, 14, 7, &Tree{})
-	comp := &Tree{}
-	res, err := comp.Checkpoint(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(7), 0, Options{})
+	// 40 nodes: the HNP orders nodes n0..n31, and n0 (vertex 1) relays
+	// to n32..n39 (vertices 33..40).
+	h := newHarnessNodes(t, 80, 40)
+	delivered := h.countDeliveries()
+	res, err := h.checkpoint(snapshot.GlobalDirName(7), 0, Options{})
 	if err != nil {
-		t.Fatalf("tree Checkpoint: %v", err)
+		t.Fatalf("checkpoint: %v", err)
 	}
-	if res.Meta.NumProcs != 14 {
-		t.Errorf("meta = %+v", res.Meta)
+	if res.Meta.NumProcs != 80 || len(res.Meta.Procs) != 80 {
+		t.Fatalf("meta = %+v", res.Meta)
 	}
-	// Every rank's local snapshot landed on stable storage, readable.
 	for _, pe := range res.Meta.Procs {
 		if _, err := snapshot.ReadLocal(snapshot.LocalRefIn(res.Ref, 0, pe)); err != nil {
 			t.Errorf("rank %d: %v", pe.Vpid, err)
 		}
 	}
-	// The tree relayed: intermediate vertices logged their fan-out.
-	if h.log.Count("ckpt.tree-relay") != 7 {
-		t.Errorf("tree-relay events = %d, want 7 (one per vertex)", h.log.Count("ckpt.tree-relay"))
+	// Every vertex answers the vertex that ordered it, so the HNP's acks
+	// count its requests.
+	if got := delivered(names.HNP); got != 32 {
+		t.Errorf("HNP received %d acks, want 32 (one per request)", got)
 	}
-	// The HNP exchanged exactly one request and one aggregated ack:
-	// the root's relay did the rest.
-	h.job.mu.Lock()
-	delivered := len(h.job.delivered)
-	h.job.mu.Unlock()
-	if delivered != 14 {
-		t.Errorf("delivered = %d, want 14", delivered)
+	for i := 0; i < 40; i++ {
+		want := 1 // the request
+		if i == 0 {
+			want += 8 // the acks of its children
+		}
+		if got := delivered(h.daemons[fmt.Sprintf("n%d", i)]); got != want {
+			t.Errorf("n%d received %d messages, want %d", i, got, want)
+		}
+	}
+	if src := relaySources(h.log); len(src) != 1 || src[0] != "snapc.local[n0]" {
+		t.Errorf("tree-relay sources = %v, want only the interior vertex n0", src)
+	}
+}
+
+func TestFlatTreeOrdersEveryNodeFromTheHNP(t *testing.T) {
+	// Up to 32 nodes every node is a leaf child of the HNP: n requests in
+	// one batch, n acks, no relay.
+	h := newHarnessNodes(t, 64, 32)
+	delivered := h.countDeliveries()
+	if _, err := h.checkpoint(snapshot.GlobalDirName(7), 0, Options{}); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if got := delivered(names.HNP); got != 32 {
+		t.Errorf("HNP received %d acks, want 32", got)
+	}
+	for node, d := range h.daemons {
+		if got := delivered(d); got != 1 {
+			t.Errorf("%s received %d messages, want its one request", node, got)
+		}
+	}
+	if src := relaySources(h.log); len(src) != 0 {
+		t.Errorf("tree-relay sources = %v, want none", src)
+	}
+	if got := h.log.Count("ckpt.node-done"); got != 32 {
+		t.Errorf("node-done events = %d, want 32", got)
 	}
 }
 
 func TestTreeNonCheckpointableAtomic(t *testing.T) {
-	h := newHarnessNodes(t, 8, 4, &Tree{})
-	h.job.ckptable[5] = false
-	comp := &Tree{}
-	_, err := comp.Checkpoint(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(7), 0, Options{})
+	h := newHarnessNodes(t, 80, 40)
+	h.job.ckptable[75] = false
+	_, err := h.checkpoint(snapshot.GlobalDirName(7), 0, Options{})
 	if !errors.Is(err, ErrNotCheckpointable) {
 		t.Fatalf("err = %v", err)
 	}
@@ -417,34 +536,86 @@ func TestTreeNonCheckpointableAtomic(t *testing.T) {
 }
 
 func TestTreeParticipationFailurePropagates(t *testing.T) {
-	h := newHarnessNodes(t, 8, 4, &Tree{})
-	h.job.failRank = 6 // lives on a leaf vertex
-	comp := &Tree{}
-	_, err := comp.Checkpoint(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(7), 0, Options{})
-	if err == nil {
-		t.Fatal("tree Checkpoint succeeded despite injected failure")
+	h := newHarnessNodes(t, 80, 40)
+	h.job.failRank = 75 // on n35, a leaf below the interior vertex n0
+	_, err := h.checkpoint(snapshot.GlobalDirName(7), 0, Options{})
+	if err == nil || !strings.Contains(err.Error(), `rank 75 on "n35": injected participation failure`) {
+		t.Fatalf("err = %v, want rank 75's injected failure", err)
 	}
 }
 
-func TestTreeMatchesFullResults(t *testing.T) {
-	// The two coordination topologies must produce equivalent global
-	// snapshots for the same job.
-	hFull := newHarnessNodes(t, 6, 3, &Full{})
-	rFull, err := (&Full{}).Checkpoint(hFull.env, hFull.job, hFull.hnp, hFull.daemons, snapshot.GlobalDirName(7), 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hTree := newHarnessNodes(t, 6, 3, &Tree{})
-	rTree, err := (&Tree{}).Checkpoint(hTree.env, hTree.job, hTree.hnp, hTree.daemons, snapshot.GlobalDirName(7), 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rFull.Meta.NumProcs != rTree.Meta.NumProcs || len(rFull.Meta.Procs) != len(rTree.Meta.Procs) {
-		t.Errorf("metas differ: %+v vs %+v", rFull.Meta, rTree.Meta)
-	}
-	for i := range rFull.Meta.Procs {
-		if rFull.Meta.Procs[i] != rTree.Meta.Procs[i] {
-			t.Errorf("proc entry %d differs: %+v vs %+v", i, rFull.Meta.Procs[i], rTree.Meta.Procs[i])
+// assertNoDebris checks that a failed capture left no node-local stage
+// and no unread message in any mailbox of the tree.
+func assertNoDebris(t *testing.T, h *harness) {
+	t.Helper()
+	base := snapshot.LocalStageBase(7, 0)
+	for node, fsys := range h.job.nodeFS {
+		if vfs.Exists(fsys, base) {
+			t.Errorf("%s still holds the aborted interval's stage %s", node, base)
 		}
+	}
+	if n := h.hnp.Pending(); n != 0 {
+		t.Errorf("HNP mailbox holds %d unread messages", n)
+	}
+	for node, ep := range h.orteds {
+		if n := ep.Pending(); n != 0 {
+			t.Errorf("%s mailbox holds %d unread messages", node, n)
+		}
+	}
+}
+
+func TestAbortedIntervalLeavesNoStage(t *testing.T) {
+	slowRank := func(slow int) func(v, interval int) []byte {
+		return func(v, interval int) []byte {
+			if v == slow {
+				time.Sleep(50 * time.Millisecond)
+			}
+			return []byte(fmt.Sprintf("image of rank %d at interval %d", v, interval))
+		}
+	}
+	for _, tc := range []struct {
+		name                      string
+		np, nodes, failRank, slow int
+	}{
+		// Rank 0 fails on n0 while rank 1 is still capturing on n1.
+		{"flat", 2, 2, 0, 1},
+		// Rank 0 fails on the interior vertex n0 while rank 35 is still
+		// capturing on n35, a leaf below it.
+		{"interior", 40, 40, 0, 35},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarnessNodes(t, tc.np, tc.nodes)
+			h.job.failRank = tc.failRank
+			h.job.imageBody = slowRank(tc.slow)
+			_, err := (&Full{}).Capture(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(7), 0, Options{})
+			if err == nil || !strings.Contains(err.Error(), "injected participation failure") {
+				t.Fatalf("err = %v, want the injected failure", err)
+			}
+			// Give a straggler time to seal its stage and ack. There should
+			// be none: Capture returns only after every subtree answered.
+			time.Sleep(100 * time.Millisecond)
+			assertNoDebris(t, h)
+		})
+	}
+}
+
+func TestUnreachableChildIsNotAwaited(t *testing.T) {
+	// n1's local coordinator is gone: the order to it fails at once, and
+	// the capture fails as soon as n0 has answered, not at the deadline.
+	h := newHarness(t, 4)
+	h.router.Deregister(h.daemons["n1"])
+	start := time.Now()
+	_, err := (&Full{}).Capture(h.env, h.job, h.hnp, h.daemons, snapshot.GlobalDirName(7), 0, Options{})
+	if !errors.Is(err, rml.ErrUnknownPeer) {
+		t.Fatalf("err = %v, want the unknown peer", err)
+	}
+	if waited := time.Since(start); waited >= h.env.AckTimeout {
+		t.Errorf("capture waited %v, the whole ack deadline", waited)
+	}
+	if vfs.Exists(h.job.nodeFS["n0"], snapshot.LocalStageBase(7, 0)) {
+		t.Error("n0 still holds the aborted interval's stage")
+	}
+	if n := h.hnp.Pending(); n != 0 {
+		t.Errorf("HNP mailbox holds %d unread messages", n)
 	}
 }
