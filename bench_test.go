@@ -635,6 +635,7 @@ func BenchmarkReplicationOverhead(b *testing.B) {
 		meta := snapshot.GlobalMeta{
 			JobID: 1, Interval: iv, Taken: time.Now(),
 			NumProcs: ranks, AppName: "bench", Nodes: rankNodes,
+			Checksums: map[string]string{},
 		}
 		stage := ref.StageDir(iv)
 		for r := 0; r < ranks; r++ {
@@ -650,14 +651,23 @@ func BenchmarkReplicationOverhead(b *testing.B) {
 			if _, err := snapshot.WriteLocal(stable, path.Join(stage, ldir), lm); err != nil {
 				b.Fatal(err)
 			}
+			lmeta, err := stable.ReadFile(path.Join(stage, ldir, snapshot.LocalMetaFile))
+			if err != nil {
+				b.Fatal(err)
+			}
+			// The manifest the gather would hand the commit, hashed with
+			// the gather's function.
+			meta.Checksums[path.Join(ldir, snapshot.LocalMetaFile)] = vfs.HashBytes(lmeta)
 			for f := 0; f < filesPerRank; f++ {
 				v := 0
 				if iv == 1 && f < mutPerRank {
 					v = 1
 				}
-				if err := stable.WriteFile(path.Join(stage, ldir, files[f]), body(r, f, v)); err != nil {
+				data := body(r, f, v)
+				if err := stable.WriteFile(path.Join(stage, ldir, files[f]), data); err != nil {
 					b.Fatal(err)
 				}
+				meta.Checksums[path.Join(ldir, files[f])] = vfs.HashBytes(data)
 			}
 			meta.Procs = append(meta.Procs, snapshot.ProcEntry{
 				Vpid: r, Node: rankNodes[r], Component: "simcr", LocalDir: ldir,
@@ -672,6 +682,10 @@ func BenchmarkReplicationOverhead(b *testing.B) {
 		b.Fatal(err)
 	}
 	prevIdx := meta0.ByChecksum()
+	meta1, err := snapshot.ReadGlobal(ref, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	for _, k := range []int{0, 1, 2, 3} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
@@ -700,13 +714,15 @@ func BenchmarkReplicationOverhead(b *testing.B) {
 					},
 					Topo: topo, Clock: clock,
 				}
-				push := func(iv int, baseline *filem.Baseline) filem.Stats {
+				// Like SNAPC's push, a deduped push looks files up by the
+				// committed manifest instead of hashing them.
+				push := func(iv int, baseline *filem.Baseline, sums map[string]string) filem.Stats {
 					var total filem.Stats
 					for _, name := range holders {
 						st, err := comp.Move(env, []filem.Request{{
 							SrcNode: filem.StableNode, SrcPath: ref.IntervalDir(iv),
 							DstNode: name, DstPath: snapshot.ReplicaDir(ref.Dir, iv),
-							Baseline: baseline,
+							Baseline: baseline, Sums: sums,
 						}})
 						if err != nil {
 							b.Fatal(err)
@@ -721,10 +737,10 @@ func BenchmarkReplicationOverhead(b *testing.B) {
 					return total
 				}
 				// Cold seed: interval 0 lands in full on every holder.
-				push(0, nil)
+				push(0, nil, nil)
 				start := clock.Elapsed()
 				b.StartTimer()
-				st := push(1, &filem.Baseline{Dir: snapshot.ReplicaDir(ref.Dir, 0), ByHash: prevIdx})
+				st := push(1, &filem.Baseline{Dir: snapshot.ReplicaDir(ref.Dir, 0), ByHash: prevIdx}, meta1.Checksums)
 				b.StopTimer()
 				sim += clock.Elapsed() - start
 				moved += st.BytesMoved

@@ -26,6 +26,11 @@ func stageInterval(t *testing.T, ref GlobalRef, interval, nprocs int) GlobalMeta
 			t.Fatal(err)
 		}
 	}
+	sums, err := stagedManifest(ref.FS, stage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta.Checksums = sums
 	if err := WriteGlobal(ref, meta); err != nil {
 		t.Fatalf("WriteGlobal(interval %d): %v", interval, err)
 	}

@@ -37,6 +37,11 @@ func writeInterval(t *testing.T, ref GlobalRef, iv, nprocs int, fill byte) Globa
 			t.Fatalf("payload: %v", err)
 		}
 	}
+	sums, err := stagedManifest(ref.FS, stage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Checksums = sums
 	if err := WriteGlobal(ref, m); err != nil {
 		t.Fatalf("WriteGlobal(%d): %v", iv, err)
 	}
@@ -436,6 +441,11 @@ func TestWriteGlobalStampsReplicaManifests(t *testing.T) {
 		{Node: "n2", Path: ReplicaDir(ref.Dir, 0)},
 		{Node: "n3", Path: ReplicaDir(ref.Dir, 0)},
 	}
+	sums, err := stagedManifest(ref.FS, stage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Checksums = sums
 	if err := WriteGlobal(ref, m); err != nil {
 		t.Fatalf("WriteGlobal: %v", err)
 	}

@@ -168,9 +168,11 @@ type GlobalMeta struct {
 	Nodes     []string          `json:"nodes"` // node list the job ran on
 	Procs     []ProcEntry       `json:"procs"`
 	// Checksums maps each payload file (path relative to the interval
-	// directory) to its hex sha256, computed at commit time. Verification
-	// and restart use them to refuse truncated or corrupted snapshots,
-	// and the next interval's FILEM gather uses them as a dedup index.
+	// directory) to its hex sha256: the manifest. The FILEM gather
+	// computes it once, from the bytes it reads on the source nodes, and
+	// commit seals it unread. Verification and restart check it end to
+	// end and refuse truncated or corrupted snapshots, and the next
+	// interval's FILEM gather uses it as a dedup index.
 	Checksums map[string]string `json:"checksums,omitempty"`
 	// Gather records how the interval's payload reached stable storage
 	// (full transfer vs content-addressed dedup). Informational only:
@@ -200,7 +202,7 @@ type PhaseBreakdown struct {
 	CaptureWallNS int64 `json:"capture_wall_ns"` // slowest rank's CRS capture
 	CaptureSumNS  int64 `json:"capture_sum_ns"`  // all ranks' CRS capture
 	GatherNS      int64 `json:"gather_ns"`       // FILEM aggregation to stable storage
-	CommitNS      int64 `json:"commit_ns"`       // checksum + metadata + atomic rename
+	CommitNS      int64 `json:"commit_ns"`       // manifest check + metadata + atomic rename
 	// ReplicaNS covers the post-commit replica pushes. It cannot appear
 	// in the persisted copy of the interval that the pushes replicate —
 	// the metadata is sealed before they run — so it is populated on the
@@ -314,8 +316,51 @@ func (m *GlobalMeta) Validate() error {
 		if p.LocalDir == "" {
 			return fmt.Errorf("snapshot: proc entry vpid %d missing local snapshot dir", p.Vpid)
 		}
+		if p.LocalDir == "." || p.LocalDir == ".." || strings.Contains(p.LocalDir, "/") {
+			return fmt.Errorf("snapshot: proc entry vpid %d local snapshot dir %q is not a single path element", p.Vpid, p.LocalDir)
+		}
+		if rel := path.Join(p.LocalDir, LocalMetaFile); m.Checksums[rel] == "" {
+			return fmt.Errorf("snapshot: manifest does not list %s of vpid %d", rel, p.Vpid)
+		}
 	}
-	return nil
+	// Report the first bad entry in path order, without sorting the
+	// manifest on every read.
+	bad, found := "", false
+	for rel, sum := range m.Checksums {
+		if (!payloadPath(rel) || !isDigest(sum)) && (!found || rel < bad) {
+			bad, found = rel, true
+		}
+	}
+	switch {
+	case !found:
+		return nil
+	case !payloadPath(bad):
+		return fmt.Errorf("snapshot: manifest key %q is not a payload path inside the interval", bad)
+	default:
+		return fmt.Errorf("snapshot: manifest digest of %s is not 64 lowercase hex characters", bad)
+	}
+}
+
+// payloadPath reports whether rel may name a payload file of an
+// interval: a clean relative path below the interval directory that is
+// neither the global metadata nor the commit marker.
+func payloadPath(rel string) bool {
+	return rel != "" && path.Clean(rel) == rel && !path.IsAbs(rel) &&
+		rel != ".." && !strings.HasPrefix(rel, "../") &&
+		rel != GlobalMetaFile && rel != CommittedFile
+}
+
+// isDigest reports whether sum has the form checksum produces.
+func isDigest(sum string) bool {
+	if len(sum) != 64 {
+		return false
+	}
+	for i := 0; i < len(sum); i++ {
+		if c := sum[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // GlobalRef is a reference to a global snapshot: a filesystem (stable
@@ -339,70 +384,91 @@ func (r GlobalRef) StageDir(interval int) string {
 	return path.Join(r.Dir, stagePrefix+IntervalDirName(interval))
 }
 
-// checksum is the manifest hash. It must stay identical to the hash the
-// FILEM gather computes on source nodes (vfs.HashBytes): the dedup index
-// compares the two directly.
+// checksum is the one content hash of the snapshot layer: it seals the
+// global metadata into the COMMITTED marker and checks payload files at
+// verify and restore. The manifest's payload digests are computed by
+// the FILEM gather on the source nodes with the same function
+// (vfs.HashBytes), so the dedup index and verification compare them
+// directly.
 func checksum(data []byte) string {
 	return vfs.HashBytes(data)
 }
 
-// treeChecksums hashes every file under root, keyed by path relative to
-// root, excluding the metadata and marker files themselves.
-func treeChecksums(fsys vfs.FS, root string) (map[string]string, error) {
-	out := make(map[string]string)
+// checkStaged confirms that the manifest names exactly the payload
+// files staged under root. It walks metadata only: no payload byte is
+// read, because the digests came from the gather's source reads and are
+// checked end to end at verify and restore.
+func checkStaged(fsys vfs.FS, root string, sums map[string]string) error {
+	staged := make(map[string]bool, len(sums))
 	err := vfs.Walk(fsys, root, func(name string, _ vfs.FileInfo) error {
 		rel := strings.TrimPrefix(name, root+"/")
 		if rel == GlobalMetaFile || rel == CommittedFile {
 			return nil
 		}
-		data, err := fsys.ReadFile(name)
-		if err != nil {
-			return err
+		if _, ok := sums[rel]; !ok {
+			return fmt.Errorf("staged file %s is not in the manifest", rel)
 		}
-		out[rel] = checksum(data)
+		staged[rel] = true
 		return nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: checksum %q: %w", root, err)
+	if err == nil && len(staged) != len(sums) {
+		for _, rel := range sortedKeys(sums) {
+			if !staged[rel] {
+				err = fmt.Errorf("manifest names %s, which is not staged", rel)
+				break
+			}
+		}
 	}
-	return out, nil
+	if err != nil {
+		return fmt.Errorf("snapshot: stage %q: %w", root, err)
+	}
+	return nil
+}
+
+// sortedKeys returns the manifest's paths in sorted order.
+func sortedKeys(sums map[string]string) []string {
+	keys := make([]string, 0, len(sums))
+	for rel := range sums {
+		keys = append(keys, rel)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // WriteGlobal commits one interval of a global snapshot atomically. The
-// FILEM gather assembles the payload in StageDir(interval); WriteGlobal
-// checksums the staged tree, writes the metadata beside it, renames the
-// stage into the interval directory in one step and finally drops the
-// COMMITTED marker. A crash at any earlier point leaves either a stage
-// directory (ignored by Intervals) or an unmarked interval directory
-// (refused by ReadGlobal) — never a trusted-but-torn snapshot.
+// FILEM gather assembles the payload in StageDir(interval) and computes
+// meta.Checksums, the manifest, from the source bytes as it moves them;
+// WriteGlobal checks from metadata alone that the manifest names exactly
+// the staged files — commit reads no payload — writes the metadata
+// beside them, renames the stage into the interval directory in one
+// step and finally drops the COMMITTED marker. Integrity is checked end
+// to end, against the source digests, at verify and restore, so a byte
+// damaged on its way to stable storage is caught there instead of being
+// sealed into the manifest. A crash at any earlier point leaves either a
+// stage directory (ignored by Intervals) or an unmarked interval
+// directory (refused by ReadGlobal) — never a trusted-but-torn snapshot.
 func WriteGlobal(ref GlobalRef, meta GlobalMeta) error {
 	commitStart := time.Now()
 	meta.Version = FormatVersion
+	if err := meta.Validate(); err != nil {
+		return err
+	}
 	stage := ref.StageDir(meta.Interval)
-	if err := ref.FS.MkdirAll(stage); err != nil {
+	if err := checkStaged(ref.FS, stage, meta.Checksums); err != nil {
 		return err
 	}
-	sums, err := treeChecksums(ref.FS, stage)
-	if err != nil {
-		return err
-	}
-	meta.Checksums = sums
 	// Stamp the commit phase into the breakdown before the metadata is
-	// sealed. Checksumming the staged tree dominates commit cost; the
-	// rename/marker tail that follows serialization is added to the
-	// caller's in-memory copy below but cannot be in the persisted file.
+	// sealed. The rename/marker tail that follows serialization is added
+	// to the caller's in-memory copy below but cannot be in the
+	// persisted file.
 	if meta.Phases != nil {
 		meta.Phases.CommitNS = int64(time.Since(commitStart))
 		meta.Phases.TotalNS += meta.Phases.CommitNS
 	}
 	// Replica records are placement intents decided before commit; stamp
-	// each with the manifest hash its copy must reproduce, now that the
-	// staged payload is hashed.
+	// each with the manifest hash its copy must reproduce.
 	for i := range meta.Replicas {
-		meta.Replicas[i].Manifest = ManifestHash(sums)
-	}
-	if err := meta.Validate(); err != nil {
-		return err
+		meta.Replicas[i].Manifest = ManifestHash(meta.Checksums)
 	}
 	data, err := json.MarshalIndent(&meta, "", "  ")
 	if err != nil {
@@ -551,15 +617,17 @@ func VerifyInterval(ref GlobalRef, interval int) (GlobalMeta, error) {
 
 // VerifyDir fully validates one interval-copy directory: the COMMITTED
 // marker, the metadata, and every recorded checksum against the bytes
-// actually present. It works identically on the primary interval
-// directory and on replicas, which is what makes every copy
+// actually present, in sorted path order so a copy with several damaged
+// files always names the same one. It works identically on the primary
+// interval directory and on replicas, which is what makes every copy
 // independently trustworthy.
 func VerifyDir(fsys vfs.FS, dir string) (GlobalMeta, error) {
 	meta, err := ReadGlobalDir(fsys, dir)
 	if err != nil {
 		return GlobalMeta{}, err
 	}
-	for rel, want := range meta.Checksums {
+	for _, rel := range sortedKeys(meta.Checksums) {
+		want := meta.Checksums[rel]
 		data, err := fsys.ReadFile(path.Join(dir, rel))
 		if err != nil {
 			return GlobalMeta{}, fmt.Errorf("%w: %q: missing payload %s: %v", ErrCorrupt, dir, rel, err)

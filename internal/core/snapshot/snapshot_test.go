@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"math/rand"
+	"path"
 	"reflect"
 	"strings"
 	"testing"
@@ -95,6 +96,7 @@ func validGlobalMeta(nprocs int) GlobalMeta {
 		MCAParams: map[string]string{"crs": "simcr", "crcp": "bkmrk"},
 		Nodes:     []string{"n0", "n1"},
 	}
+	m.Checksums = make(map[string]string, nprocs)
 	for v := 0; v < nprocs; v++ {
 		m.Procs = append(m.Procs, ProcEntry{
 			Vpid:      v,
@@ -102,15 +104,47 @@ func validGlobalMeta(nprocs int) GlobalMeta {
 			Component: "simcr",
 			LocalDir:  LocalDirName(v),
 		})
+		m.Checksums[path.Join(LocalDirName(v), LocalMetaFile)] = vfs.HashBytes(stubLocalMeta)
 	}
 	return m
+}
+
+// stubLocalMeta is the local metadata commitGlobal stages for each proc.
+var stubLocalMeta = []byte("{}")
+
+// stagedManifest hashes every file of a hand-staged interval with the
+// function the FILEM gather applies to the source bytes, which is what
+// the gather would have handed WriteGlobal as the manifest.
+func stagedManifest(fsys vfs.FS, stage string) (map[string]string, error) {
+	sums := make(map[string]string)
+	err := vfs.Walk(fsys, stage, func(name string, _ vfs.FileInfo) error {
+		data, err := fsys.ReadFile(name)
+		if err != nil {
+			return err
+		}
+		sums[strings.TrimPrefix(name, stage+"/")] = vfs.HashBytes(data)
+		return nil
+	})
+	return sums, err
+}
+
+// commitGlobal stages stub local metadata for every proc of meta and
+// commits the interval.
+func commitGlobal(ref GlobalRef, meta GlobalMeta) error {
+	stage := ref.StageDir(meta.Interval)
+	for _, pe := range meta.Procs {
+		if err := ref.FS.WriteFile(path.Join(stage, pe.LocalDir, LocalMetaFile), stubLocalMeta); err != nil {
+			return err
+		}
+	}
+	return WriteGlobal(ref, meta)
 }
 
 func TestGlobalRoundTrip(t *testing.T) {
 	fsys := vfs.NewMem()
 	ref := GlobalRef{FS: fsys, Dir: GlobalDirName(7)}
 	meta := validGlobalMeta(4)
-	if err := WriteGlobal(ref, meta); err != nil {
+	if err := commitGlobal(ref, meta); err != nil {
 		t.Fatalf("WriteGlobal: %v", err)
 	}
 	got, err := ReadGlobal(ref, 0)
@@ -139,13 +173,33 @@ func TestGlobalValidation(t *testing.T) {
 		{"duplicate vpid", func(m *GlobalMeta) { m.Procs[1].Vpid = m.Procs[0].Vpid }},
 		{"missing local dir", func(m *GlobalMeta) { m.Procs[0].LocalDir = "" }},
 		{"negative interval", func(m *GlobalMeta) { m.Interval = -1 }},
+		{"manifest key escapes interval", func(m *GlobalMeta) { m.Checksums["../outside"] = vfs.HashBytes(nil) }},
+		{"absolute manifest key", func(m *GlobalMeta) { m.Checksums["/etc/passwd"] = vfs.HashBytes(nil) }},
+		{"unclean manifest key", func(m *GlobalMeta) { m.Checksums["opal_snapshot_0.ckpt/./x"] = vfs.HashBytes(nil) }},
+		{"manifest names global metadata", func(m *GlobalMeta) { m.Checksums[GlobalMetaFile] = vfs.HashBytes(nil) }},
+		{"manifest names commit marker", func(m *GlobalMeta) { m.Checksums[CommittedFile] = vfs.HashBytes(nil) }},
+		{"short digest", func(m *GlobalMeta) { m.Checksums["opal_snapshot_0.ckpt/"+LocalMetaFile] = "abc123" }},
+		{"uppercase digest", func(m *GlobalMeta) {
+			k := "opal_snapshot_0.ckpt/" + LocalMetaFile
+			m.Checksums[k] = strings.ToUpper(m.Checksums[k])
+		}},
+		{"nested local dir", func(m *GlobalMeta) { m.Procs[0].LocalDir = "a/" + LocalDirName(0) }},
+		{"dot-dot local dir", func(m *GlobalMeta) { m.Procs[0].LocalDir = ".." }},
+		{"manifest omits rank metadata", func(m *GlobalMeta) { delete(m.Checksums, "opal_snapshot_2.ckpt/"+LocalMetaFile) }},
+	}
+	valid := validGlobalMeta(3)
+	if err := valid.Validate(); err != nil {
+		t.Fatalf("unmutated metadata rejected: %v", err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			meta := validGlobalMeta(3)
 			tc.mutate(&meta)
+			if err := meta.Validate(); err == nil {
+				t.Errorf("Validate accepted invalid metadata (%s)", tc.name)
+			}
 			ref := GlobalRef{FS: vfs.NewMem(), Dir: "g"}
-			if err := WriteGlobal(ref, meta); err == nil {
+			if err := commitGlobal(ref, meta); err == nil {
 				t.Errorf("WriteGlobal accepted invalid metadata (%s)", tc.name)
 			}
 		})
@@ -158,7 +212,7 @@ func TestIntervalsNumericOrder(t *testing.T) {
 	for _, iv := range []int{0, 2, 10, 9, 1} {
 		m := validGlobalMeta(2)
 		m.Interval = iv
-		if err := WriteGlobal(ref, m); err != nil {
+		if err := commitGlobal(ref, m); err != nil {
 			t.Fatalf("WriteGlobal(%d): %v", iv, err)
 		}
 	}
@@ -216,7 +270,7 @@ func TestQuickGlobalMetaRoundTrip(t *testing.T) {
 		m.JobID = r.Intn(100)
 		fsys := vfs.NewMem()
 		ref := GlobalRef{FS: fsys, Dir: GlobalDirName(m.JobID)}
-		if err := WriteGlobal(ref, m); err != nil {
+		if err := commitGlobal(ref, m); err != nil {
 			return false
 		}
 		got, err := ReadGlobal(ref, m.Interval)

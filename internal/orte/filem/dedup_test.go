@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"path"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -278,4 +280,92 @@ func TestDedupWithoutTopology(t *testing.T) {
 	if st.BytesDeduped != 1 || st.Simulated != 0 {
 		t.Errorf("stats = %+v", st)
 	}
+}
+
+func TestDigestGatherReturnsSourceDigests(t *testing.T) {
+	for name, comp := range components() {
+		t.Run(name, func(t *testing.T) {
+			files := map[string][]byte{
+				"n0:tmp/opal_snapshot_0.ckpt/image.bin": []byte("rank0"),
+				"n0:tmp/opal_snapshot_0.ckpt/meta.json": []byte("{}"),
+				"n1:tmp/opal_snapshot_1.ckpt/image.bin": []byte("rank1!"),
+			}
+			gather := func(digest bool) (Stats, *Env) {
+				env, stores := testEnv(2)
+				for key, data := range files {
+					node, p, _ := strings.Cut(key, ":")
+					if err := stores[node].WriteFile(p, data); err != nil {
+						t.Fatal(err)
+					}
+				}
+				st, err := comp.Move(env, []Request{
+					{SrcNode: "n0", SrcPath: "tmp/opal_snapshot_0.ckpt", DstNode: StableNode, DstPath: "g/s/opal_snapshot_0.ckpt", Digest: digest},
+					{SrcNode: "n1", SrcPath: "tmp/opal_snapshot_1.ckpt", DstNode: StableNode, DstPath: "g/s/opal_snapshot_1.ckpt", Digest: digest},
+				})
+				if err != nil {
+					t.Fatalf("Move: %v", err)
+				}
+				return st, env
+			}
+			st, _ := gather(true)
+			want := make(map[string]string)
+			for key, data := range files {
+				_, p, _ := strings.Cut(key, ":")
+				want[strings.Replace(p, "tmp/", "g/s/", 1)] = vfs.HashBytes(data)
+			}
+			if !reflect.DeepEqual(st.Digests, want) {
+				t.Errorf("Digests = %v, want %v", st.Digests, want)
+			}
+			// Digesting is not a dedup scan: no bytes count as hashed
+			// for lookups and the modeled cost is a plain gather's.
+			plain, _ := gather(false)
+			if st.BytesHashed != 0 || st.Simulated != plain.Simulated || plain.Digests != nil {
+				t.Errorf("digest gather %+v vs plain %+v: want no scan cost and no digests without Digest", st, plain)
+			}
+		})
+	}
+}
+
+func TestKnownSumsDecideHitsWithoutReadingTheSource(t *testing.T) {
+	env, stores := testEnv(1)
+	data := bytes.Repeat([]byte("unchanged|"), 100)
+	base := seedBaseline(t, stores["n0"], "r/0", map[string][]byte{"img": data})
+	if err := stores[StableNode].WriteFile("g/1/img", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := stores[StableNode].WriteFile("g/1/meta.json", []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	reads := &countReads{FS: stores[StableNode]}
+	resolve := env.Resolve
+	env.Resolve = func(node string) (vfs.FS, error) {
+		if node == StableNode {
+			return reads, nil
+		}
+		return resolve(node)
+	}
+	st, err := (&RSH{}).Move(env, []Request{{
+		SrcNode: StableNode, SrcPath: "g/1", DstNode: "n0", DstPath: "r/1",
+		Baseline: base, Sums: map[string]string{"img": vfs.HashBytes(data)},
+	}})
+	if err != nil {
+		t.Fatalf("Move: %v", err)
+	}
+	if st.BytesHashed != 0 || st.BytesDeduped != int64(len(data)) || st.BytesMoved != 2 {
+		t.Errorf("stats = %+v, want the image deduped by its known sum and only meta.json moved, nothing hashed", st)
+	}
+	if reads.paths != "g/1/meta.json" {
+		t.Errorf("source reads = %q, want only the file the sums do not list", reads.paths)
+	}
+}
+
+// countReads records the files read through it.
+type countReads struct {
+	vfs.FS
+	paths string
+}
+
+func (c *countReads) ReadFile(name string) ([]byte, error) {
+	c.paths = strings.TrimPrefix(c.paths+" "+name, " ")
+	return c.FS.ReadFile(name)
 }

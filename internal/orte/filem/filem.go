@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"path"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -175,13 +176,27 @@ type Request struct {
 	// path for this request. Purely a transfer optimization: the
 	// destination tree is byte-identical either way.
 	Baseline *Baseline
+	// Digest asks for the sha256 of every file the request moves,
+	// computed from the bytes read on the source node, returned in
+	// Stats.Digests. The snapshot gather sets it: those digests are the
+	// interval's commit manifest.
+	Digest bool
+	// Sums, when non-nil, holds the known digest of each source file,
+	// keyed by path relative to SrcPath (a committed interval's
+	// manifest). A baseline lookup uses it instead of reading and
+	// hashing the file, and a hit then reads nothing from the source.
+	// A file Sums does not list (the interval's metadata and marker) is
+	// shipped without a lookup.
+	Sums map[string]string
 }
 
 // Stats reports what a FILEM operation did: real bytes handled and the
 // modeled time charged for them. Bytes is the total payload; BytesMoved
 // is the subset that crossed the network, BytesDeduped the subset
 // materialized by storage-local copy from a baseline, BytesHashed the
-// bytes read and hashed on source nodes for dedup lookups.
+// bytes read and hashed on source nodes for dedup lookups. Digests maps
+// the destination path of every file a Digest request moved to the
+// sha256 of its source bytes; it is nil when no request asked.
 type Stats struct {
 	Bytes        int64
 	BytesMoved   int64
@@ -189,16 +204,26 @@ type Stats struct {
 	BytesHashed  int64
 	Simulated    time.Duration
 	Transfers    int
+	Digests      map[string]string
 }
 
 // Add merges two stats, field-wise. Callers that account for several
 // moves as one logical operation (e.g. a drain's gather plus its
-// replica pushes) sum them with Add.
+// replica pushes) sum them with Add. o's digests are merged into s's
+// map, which the result shares.
 func (s Stats) Add(o Stats) Stats {
 	return s.add(o)
 }
 
 func (s Stats) add(o Stats) Stats {
+	if len(o.Digests) > 0 {
+		if s.Digests == nil {
+			s.Digests = make(map[string]string, len(o.Digests))
+		}
+		for p, sum := range o.Digests {
+			s.Digests[p] = sum
+		}
+	}
 	return Stats{
 		Bytes:        s.Bytes + o.Bytes,
 		BytesMoved:   s.BytesMoved + o.BytesMoved,
@@ -206,6 +231,7 @@ func (s Stats) add(o Stats) Stats {
 		BytesHashed:  s.BytesHashed + o.BytesHashed,
 		Simulated:    s.Simulated + o.Simulated,
 		Transfers:    s.Transfers + o.Transfers,
+		Digests:      s.Digests,
 	}
 }
 
@@ -259,8 +285,8 @@ func copyOne(env *Env, r Request) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	if r.Baseline != nil && len(r.Baseline.ByHash) > 0 {
-		return dedupCopy(env, r, srcFS, dstFS)
+	if r.Digest || r.dedup() {
+		return fileCopy(env, r, srcFS, dstFS)
 	}
 	if err := env.inject(fmt.Sprintf("filem.transfer:%s>%s", r.SrcNode, r.DstNode)); err != nil {
 		return Stats{}, fmt.Errorf("filem: move %s:%s -> %s:%s: %w", r.SrcNode, r.SrcPath, r.DstNode, r.DstPath, err)
@@ -284,15 +310,34 @@ func copyOne(env *Env, r Request) (Stats, error) {
 	return Stats{Bytes: n, BytesMoved: n, Simulated: cost, Transfers: 1}, nil
 }
 
-// dedupCopy is the content-addressed incremental path: every source file
-// is hashed on the source node; baseline hits are materialized by local
+// dedup reports whether the request takes the content-addressed path.
+func (r Request) dedup() bool {
+	return r.Baseline != nil && len(r.Baseline.ByHash) > 0
+}
+
+// fileCopy moves a request file by file: the content-addressed
+// incremental path, the digesting gather, or both. With a baseline,
+// every source file is looked up by hash; hits are materialized by local
 // copy inside the destination filesystem at storage-local cost, misses
-// are transferred and charged at network cost. The resulting tree is
+// are transferred and charged at network cost. A Digest request records
+// each file's source hash as it goes. The resulting tree is
 // byte-identical to a full copy.
-func dedupCopy(env *Env, r Request, srcFS, dstFS vfs.FS) (Stats, error) {
+func fileCopy(env *Env, r Request, srcFS, dstFS vfs.FS) (Stats, error) {
 	var st Stats
-	injected := false
-	if err := copyTreeDedup(env, r, srcFS, dstFS, r.SrcPath, r.DstPath, &st, &injected); err != nil {
+	if r.Digest {
+		st.Digests = make(map[string]string)
+	}
+	// Without a baseline every byte crosses the network, so the transfer
+	// point fires up front, exactly as for a plain copy. With one it
+	// fires before the first byte that would cross — a fully
+	// deduplicated request touches no link at all.
+	injected := !r.dedup()
+	if injected {
+		if err := env.inject(fmt.Sprintf("filem.transfer:%s>%s", r.SrcNode, r.DstNode)); err != nil {
+			return Stats{}, fmt.Errorf("filem: move %s:%s -> %s:%s: %w", r.SrcNode, r.SrcPath, r.DstNode, r.DstPath, err)
+		}
+	}
+	if err := copyTreeFiles(env, r, srcFS, dstFS, r.SrcPath, r.DstPath, &st, &injected); err != nil {
 		return Stats{Simulated: dedupQuote(env, r, st)},
 			fmt.Errorf("filem: move %s:%s -> %s:%s: %w", r.SrcNode, r.SrcPath, r.DstNode, r.DstPath, err)
 	}
@@ -318,14 +363,17 @@ func dedupCopy(env *Env, r Request, srcFS, dstFS vfs.FS) (Stats, error) {
 		r.SrcNode, r.SrcPath, r.DstNode, r.DstPath, st.Bytes, st.BytesMoved, st.BytesDeduped, cost)
 	env.Ins.Counter("ompi_filem_bytes_gathered_total").Add(st.Bytes)
 	env.Ins.Counter("ompi_filem_bytes_moved_total").Add(st.BytesMoved)
-	env.Ins.Counter("ompi_filem_bytes_deduped_total").Add(st.BytesDeduped)
+	if r.dedup() {
+		env.Ins.Counter("ompi_filem_bytes_deduped_total").Add(st.BytesDeduped)
+	}
 	return st, nil
 }
 
-// dedupQuote is the pure modeled cost of an incremental copy's progress
-// so far: scan time for the hashed bytes, storage-local time for the
-// deduplicated bytes, network time for the moved bytes. No injection
-// hooks fire.
+// dedupQuote is the pure modeled cost of a file-by-file copy's progress
+// so far: scan time for the bytes hashed for dedup lookups,
+// storage-local time for the deduplicated bytes, network time for the
+// moved bytes. A gather's digests are computed as the bytes stream out
+// and add no scan. No injection hooks fire.
 func dedupQuote(env *Env, r Request, st Stats) time.Duration {
 	var cost time.Duration
 	if env.Topo != nil {
@@ -342,11 +390,12 @@ func dedupQuote(env *Env, r Request, st Stats) time.Duration {
 	return cost
 }
 
-// copyTreeDedup walks the source tree, deciding per file between a
-// baseline materialization and a network transfer. The filem.transfer
-// injection point fires once, before the first byte that would cross the
-// network — a fully deduplicated request touches no link at all.
-func copyTreeDedup(env *Env, r Request, srcFS, dstFS vfs.FS, src, dst string, st *Stats, injected *bool) error {
+// copyTreeFiles walks the source tree, deciding per file between a
+// baseline materialization and a network transfer, and recording the
+// file's digest when the request asks for one. The filem.transfer
+// injection point fires once, before the first byte that would cross
+// the network, unless the caller already fired it (*injected).
+func copyTreeFiles(env *Env, r Request, srcFS, dstFS vfs.FS, src, dst string, st *Stats, injected *bool) error {
 	info, err := srcFS.Stat(src)
 	if err != nil {
 		return err
@@ -360,26 +409,34 @@ func copyTreeDedup(env *Env, r Request, srcFS, dstFS vfs.FS, src, dst string, st
 			return err
 		}
 		for _, e := range entries {
-			if err := copyTreeDedup(env, r, srcFS, dstFS, path.Join(src, e.Name), path.Join(dst, e.Name), st, injected); err != nil {
+			if err := copyTreeFiles(env, r, srcFS, dstFS, path.Join(src, e.Name), path.Join(dst, e.Name), st, injected); err != nil {
 				return err
 			}
 		}
 		return nil
+	}
+	sum, known := r.Sums[strings.TrimPrefix(src, r.SrcPath+"/")]
+	if known && r.dedup() && materialize(env, r, dstFS, src, dst, sum, info.Size, st) {
+		return nil // a known digest decided the hit without reading the source
 	}
 	data, err := srcFS.ReadFile(src)
 	if err != nil {
 		return err
 	}
 	n := int64(len(data))
-	st.Bytes += n
-	st.BytesHashed += n
-	if prev, ok := r.Baseline.ByHash[vfs.HashBytes(data)]; ok {
-		if err := vfs.CopyFile(dstFS, path.Join(r.Baseline.Dir, prev), dstFS, dst); err == nil {
-			st.BytesDeduped += n
-			env.Ins.Emit("filem", "filem.dedup.hit", "%s:%s (%d bytes from %s)", r.SrcNode, src, n, prev)
+	// Given Sums, a file they do not list is not payload: no lookup.
+	lookup := r.dedup() && r.Sums == nil
+	if !known && (r.Digest || lookup) {
+		sum = vfs.HashBytes(data)
+	}
+	if lookup {
+		st.BytesHashed += n
+		if materialize(env, r, dstFS, src, dst, sum, n, st) {
 			return nil
 		}
-		// Baseline unreadable (pruned, damaged): fall back to a transfer.
+	}
+	if r.Digest {
+		st.Digests[dst] = sum
 	}
 	if !*injected {
 		if err := env.inject(fmt.Sprintf("filem.transfer:%s>%s", r.SrcNode, r.DstNode)); err != nil {
@@ -390,9 +447,29 @@ func copyTreeDedup(env *Env, r Request, srcFS, dstFS vfs.FS, src, dst string, st
 	if err := dstFS.WriteFile(dst, data); err != nil {
 		return err
 	}
+	st.Bytes += n
 	st.BytesMoved += n
-	env.Ins.Emit("filem", "filem.dedup.miss", "%s:%s (%d bytes)", r.SrcNode, src, n)
+	if r.dedup() {
+		env.Ins.Emit("filem", "filem.dedup.miss", "%s:%s (%d bytes)", r.SrcNode, src, n)
+	}
 	return nil
+}
+
+// materialize copies the baseline file whose content hash is sum into
+// dst, reporting whether the baseline had one to give. An unreadable
+// baseline (pruned, damaged) leaves the caller to transfer the file.
+func materialize(env *Env, r Request, dstFS vfs.FS, src, dst, sum string, n int64, st *Stats) bool {
+	prev, ok := r.Baseline.ByHash[sum]
+	if !ok || vfs.CopyFile(dstFS, path.Join(r.Baseline.Dir, prev), dstFS, dst) != nil {
+		return false
+	}
+	st.Bytes += n
+	st.BytesDeduped += n
+	if r.Digest {
+		st.Digests[dst] = sum
+	}
+	env.Ins.Emit("filem", "filem.dedup.hit", "%s:%s (%d bytes from %s)", r.SrcNode, src, n, prev)
+	return true
 }
 
 // cleanupPartial removes whatever a failed copy left at the destination
@@ -583,11 +660,8 @@ func (*Raw) Move(env *Env, reqs []Request) (Stats, error) {
 				return
 			}
 			completed[i] = true
-			total.Bytes += st.Bytes
-			total.BytesMoved += st.BytesMoved
-			total.BytesDeduped += st.BytesDeduped
-			total.BytesHashed += st.BytesHashed
-			total.Transfers += st.Transfers
+			st.Simulated = 0 // the grouped cost below replaces the sum
+			total = total.add(st)
 		}(i, r)
 	}
 	wg.Wait()

@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"strings"
 	"sync"
 	"time"
 
@@ -679,7 +680,7 @@ func finishGlobal(env *Env, cpt *Captured) (Result, error) {
 		reqs = append(reqs, filem.Request{
 			SrcNode: job.NodeOf(v), SrcPath: pr.Dir,
 			DstNode: filem.StableNode, DstPath: path.Join(stage, snapshot.LocalDirName(v)),
-			Baseline: baseline,
+			Baseline: baseline, Digest: true,
 		})
 	}
 	gsp := root.Child("filem.gather")
@@ -700,7 +701,13 @@ func finishGlobal(env *Env, cpt *Captured) (Result, error) {
 	log.Emit("snapc.global", "ckpt.gathered", "%d transfers, %d bytes (%d moved, %d deduped), %v modeled",
 		stats.Transfers, stats.Bytes, stats.BytesMoved, stats.BytesDeduped, stats.Simulated)
 
-	// Write the global metadata: everything restart needs.
+	// Write the global metadata: everything restart needs. The gather's
+	// source-side digests, keyed by path in the interval, are the
+	// manifest.
+	manifest := make(map[string]string, len(stats.Digests))
+	for p, sum := range stats.Digests {
+		manifest[strings.TrimPrefix(p, stage+"/")] = sum
+	}
 	meta := snapshot.GlobalMeta{
 		JobID:     int(job.JobID()),
 		Interval:  interval,
@@ -710,6 +717,7 @@ func finishGlobal(env *Env, cpt *Captured) (Result, error) {
 		AppArgs:   job.AppArgs(),
 		MCAParams: job.Params().Map(),
 		Nodes:     job.Nodes(),
+		Checksums: manifest,
 		Gather: &snapshot.GatherRecord{
 			Bytes:        stats.Bytes,
 			BytesMoved:   stats.BytesMoved,
@@ -747,8 +755,8 @@ func finishGlobal(env *Env, cpt *Captured) (Result, error) {
 	}
 	// Stamp the breakdown into the metadata being committed. TotalNS so
 	// far covers quiesce through gather; WriteGlobal folds its own commit
-	// cost in (checksums before the marshal, rename tail after, into the
-	// shared pb).
+	// cost in (manifest check before the marshal, rename tail after, into
+	// the shared pb).
 	pb.TotalNS = int64(time.Since(began))
 	meta.Phases = pb
 	csp := root.Child("snapshot.commit")
@@ -848,9 +856,11 @@ func replicateInterval(env *Env, ref snapshot.GlobalRef, globalDir string, inter
 				baseline = &filem.Baseline{Dir: prevDir, ByHash: prevIdx}
 			}
 		}
+		// The committed manifest decides dedup hits: the push hashes
+		// nothing, and reads from stable storage only what it ships.
 		req := filem.Request{
 			SrcNode: filem.StableNode, SrcPath: ref.IntervalDir(interval),
-			DstNode: rec.Node, DstPath: rec.Path, Baseline: baseline,
+			DstNode: rec.Node, DstPath: rec.Path, Baseline: baseline, Sums: meta.Checksums,
 		}
 		stats, err := env.Filem.Move(env.FilemEnv, []filem.Request{req})
 		total.Bytes += stats.Bytes

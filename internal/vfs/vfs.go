@@ -100,9 +100,11 @@ func Exists(fsys FS, name string) bool {
 }
 
 // HashBytes returns the hex-encoded sha256 of data. This is the one
-// content hash shared by the snapshot commit manifest and FILEM's
-// gather-time dedup decisions: a hash computed on a source node is
-// directly comparable against commit-time checksums on stable storage.
+// content hash of the checkpoint path: the FILEM gather computes it
+// once per file, from the bytes it reads on the source node, and those
+// digests are both its dedup keys and the snapshot's commit manifest.
+// Commit reads no payload; verify and restore recompute it over the
+// bytes on storage, which checks integrity end to end.
 func HashBytes(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
