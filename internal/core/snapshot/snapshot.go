@@ -618,7 +618,9 @@ func VerifyInterval(ref GlobalRef, interval int) (GlobalMeta, error) {
 // VerifyDir fully validates one interval-copy directory: the COMMITTED
 // marker, the metadata, and every recorded checksum against the bytes
 // actually present, in sorted path order so a copy with several damaged
-// files always names the same one. It works identically on the primary
+// files always names the same one. Validate has already required every
+// rank's local metadata in the manifest, so a missing rank fails here
+// as a missing payload. It works identically on the primary
 // interval directory and on replicas, which is what makes every copy
 // independently trustworthy.
 func VerifyDir(fsys vfs.FS, dir string) (GlobalMeta, error) {
@@ -634,12 +636,6 @@ func VerifyDir(fsys vfs.FS, dir string) (GlobalMeta, error) {
 		}
 		if got := checksum(data); got != want {
 			return GlobalMeta{}, fmt.Errorf("%w: %q: payload %s checksum mismatch", ErrCorrupt, dir, rel)
-		}
-	}
-	// Every proc entry's local snapshot must be covered by the manifest.
-	for _, pe := range meta.Procs {
-		if !vfs.Exists(fsys, path.Join(dir, pe.LocalDir, LocalMetaFile)) {
-			return GlobalMeta{}, fmt.Errorf("%w: %q: rank %d local snapshot missing", ErrCorrupt, dir, pe.Vpid)
 		}
 	}
 	return meta, nil

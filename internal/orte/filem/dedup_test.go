@@ -326,6 +326,23 @@ func TestDigestGatherReturnsSourceDigests(t *testing.T) {
 	}
 }
 
+func TestStatsAddLeavesInputsUnchanged(t *testing.T) {
+	a := Stats{Bytes: 1, Digests: map[string]string{"a": "1"}}
+	b := Stats{Bytes: 2, Digests: map[string]string{"b": "2"}}
+	sum := a.Add(b)
+	want := map[string]string{"a": "1", "b": "2"}
+	if sum.Bytes != 3 || !reflect.DeepEqual(sum.Digests, want) {
+		t.Errorf("Add = %+v, want 3 bytes and digests %v", sum, want)
+	}
+	if len(a.Digests) != 1 || len(b.Digests) != 1 {
+		t.Errorf("Add changed its inputs: a %v, b %v", a.Digests, b.Digests)
+	}
+	sum.Digests["c"] = "3"
+	if len(a.Digests) != 1 || len(b.Digests) != 1 {
+		t.Errorf("Add result shares a map with its inputs: a %v, b %v", a.Digests, b.Digests)
+	}
+}
+
 func TestKnownSumsDecideHitsWithoutReadingTheSource(t *testing.T) {
 	env, stores := testEnv(1)
 	data := bytes.Repeat([]byte("unchanged|"), 100)

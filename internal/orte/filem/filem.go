@@ -16,6 +16,7 @@ package filem
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"path"
 	"sort"
 	"strings"
@@ -209,12 +210,16 @@ type Stats struct {
 
 // Add merges two stats, field-wise. Callers that account for several
 // moves as one logical operation (e.g. a drain's gather plus its
-// replica pushes) sum them with Add. o's digests are merged into s's
-// map, which the result shares.
+// replica pushes) sum them with Add. Neither input changes: the result
+// holds its own copy of both digest maps.
 func (s Stats) Add(o Stats) Stats {
+	s.Digests = maps.Clone(s.Digests)
 	return s.add(o)
 }
 
+// add merges o into s in place: o's digests go into s's own map, which
+// it creates when s has none. Only the Move loops use it, on a total
+// they own.
 func (s Stats) add(o Stats) Stats {
 	if len(o.Digests) > 0 {
 		if s.Digests == nil {
@@ -272,10 +277,16 @@ func Broadcast(c Component, env *Env, srcNode, srcPath string, dstNodes []string
 }
 
 // copyOne performs the real data movement for one request and returns
-// its stats. Shared by both components; they differ only in scheduling
-// and cost accounting. On failure the returned Stats.Simulated carries
-// the modeled time the failed attempt still consumed (partial transfer,
-// or the timeout it waited out) so callers can account for it.
+// its stats, file by file. Shared by both components; they differ only
+// in scheduling and cost accounting. With a baseline, every source file
+// is looked up by hash; hits are materialized by local copy inside the
+// destination filesystem at storage-local cost, misses are transferred
+// and charged at network cost. A Digest request records each file's
+// source hash as it goes; a request with neither hashes nothing. The
+// resulting tree is byte-identical either way. On failure the returned
+// Stats.Simulated carries the modeled time the failed attempt still
+// consumed (partial transfer, or the timeout it waited out) so callers
+// can account for it.
 func copyOne(env *Env, r Request) (Stats, error) {
 	srcFS, err := env.fs(r.SrcNode)
 	if err != nil {
@@ -285,52 +296,13 @@ func copyOne(env *Env, r Request) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	if r.Digest || r.dedup() {
-		return fileCopy(env, r, srcFS, dstFS)
-	}
-	if err := env.inject(fmt.Sprintf("filem.transfer:%s>%s", r.SrcNode, r.DstNode)); err != nil {
-		return Stats{}, fmt.Errorf("filem: move %s:%s -> %s:%s: %w", r.SrcNode, r.SrcPath, r.DstNode, r.DstPath, err)
-	}
-	n, err := vfs.CopyTree(srcFS, r.SrcPath, dstFS, r.DstPath)
-	if err != nil {
-		return Stats{Simulated: env.quoteCost(r.SrcNode, r.DstNode, n)},
-			fmt.Errorf("filem: move %s:%s -> %s:%s: %w", r.SrcNode, r.SrcPath, r.DstNode, r.DstPath, err)
-	}
-	cost, err := env.transferCost(r.SrcNode, r.DstNode, n)
-	if err != nil {
-		return Stats{Simulated: env.quoteCost(r.SrcNode, r.DstNode, n)}, err
-	}
-	if t := env.Retry.Timeout; t > 0 && cost > t {
-		return Stats{Simulated: t}, fmt.Errorf("filem: move %s:%s -> %s:%s: modeled transfer %v exceeds request timeout %v: %w",
-			r.SrcNode, r.SrcPath, r.DstNode, r.DstPath, cost, t, ErrRequestTimeout)
-	}
-	env.Ins.Emit("filem", "filem.copy", "%s:%s -> %s:%s (%d bytes, %v)", r.SrcNode, r.SrcPath, r.DstNode, r.DstPath, n, cost)
-	env.Ins.Counter("ompi_filem_bytes_gathered_total").Add(n)
-	env.Ins.Counter("ompi_filem_bytes_moved_total").Add(n)
-	return Stats{Bytes: n, BytesMoved: n, Simulated: cost, Transfers: 1}, nil
-}
-
-// dedup reports whether the request takes the content-addressed path.
-func (r Request) dedup() bool {
-	return r.Baseline != nil && len(r.Baseline.ByHash) > 0
-}
-
-// fileCopy moves a request file by file: the content-addressed
-// incremental path, the digesting gather, or both. With a baseline,
-// every source file is looked up by hash; hits are materialized by local
-// copy inside the destination filesystem at storage-local cost, misses
-// are transferred and charged at network cost. A Digest request records
-// each file's source hash as it goes. The resulting tree is
-// byte-identical to a full copy.
-func fileCopy(env *Env, r Request, srcFS, dstFS vfs.FS) (Stats, error) {
 	var st Stats
 	if r.Digest {
 		st.Digests = make(map[string]string)
 	}
 	// Without a baseline every byte crosses the network, so the transfer
-	// point fires up front, exactly as for a plain copy. With one it
-	// fires before the first byte that would cross — a fully
-	// deduplicated request touches no link at all.
+	// point fires up front. With one it fires before the first byte that
+	// would cross — a fully deduplicated request touches no link at all.
 	injected := !r.dedup()
 	if injected {
 		if err := env.inject(fmt.Sprintf("filem.transfer:%s>%s", r.SrcNode, r.DstNode)); err != nil {
@@ -338,10 +310,10 @@ func fileCopy(env *Env, r Request, srcFS, dstFS vfs.FS) (Stats, error) {
 		}
 	}
 	if err := copyTreeFiles(env, r, srcFS, dstFS, r.SrcPath, r.DstPath, &st, &injected); err != nil {
-		return Stats{Simulated: dedupQuote(env, r, st)},
+		return Stats{Simulated: copyQuote(env, r, st)},
 			fmt.Errorf("filem: move %s:%s -> %s:%s: %w", r.SrcNode, r.SrcPath, r.DstNode, r.DstPath, err)
 	}
-	cost := dedupQuote(env, r, st)
+	cost := copyQuote(env, r, st)
 	if st.BytesMoved > 0 {
 		// Replace the network quote with the real transfer cost: this is
 		// where link fault injection fires for the bytes that actually
@@ -349,7 +321,7 @@ func fileCopy(env *Env, r Request, srcFS, dstFS vfs.FS) (Stats, error) {
 		cost -= env.quoteCost(r.SrcNode, r.DstNode, st.BytesMoved)
 		net, err := env.transferCost(r.SrcNode, r.DstNode, st.BytesMoved)
 		if err != nil {
-			return Stats{Simulated: dedupQuote(env, r, st)}, err
+			return Stats{Simulated: copyQuote(env, r, st)}, err
 		}
 		cost += net
 	}
@@ -369,12 +341,17 @@ func fileCopy(env *Env, r Request, srcFS, dstFS vfs.FS) (Stats, error) {
 	return st, nil
 }
 
-// dedupQuote is the pure modeled cost of a file-by-file copy's progress
-// so far: scan time for the bytes hashed for dedup lookups,
-// storage-local time for the deduplicated bytes, network time for the
-// moved bytes. A gather's digests are computed as the bytes stream out
-// and add no scan. No injection hooks fire.
-func dedupQuote(env *Env, r Request, st Stats) time.Duration {
+// dedup reports whether the request takes the content-addressed path.
+func (r Request) dedup() bool {
+	return r.Baseline != nil && len(r.Baseline.ByHash) > 0
+}
+
+// copyQuote is the pure modeled cost of a copy's progress so far: scan
+// time for the bytes hashed for dedup lookups, storage-local time for
+// the deduplicated bytes, network time for the moved bytes. A gather's
+// digests are computed as the bytes stream out and add no scan. No
+// injection hooks fire.
+func copyQuote(env *Env, r Request, st Stats) time.Duration {
 	var cost time.Duration
 	if env.Topo != nil {
 		if st.BytesHashed > 0 {
