@@ -13,23 +13,30 @@
 // node still alive and locally committed — drain it now), or lost
 // (discard the entry and whatever debris remains).
 //
-// The journal is rewritten atomically (temp file + rename) on every
-// transition, so a crash between any two lifecycle edges leaves either
-// the old or the new state — never a torn file.
+// The journal is a record log (internal/reclog), one per lineage. A
+// capture record carries one interval's capture context. The fields
+// every interval of a lineage shares (job, size, application, MCA
+// parameters) ride along only on the first capture and again when they
+// change. A lifecycle edge, a level promotion or a parked flag is an
+// amend record with a payload of a few dozen bytes. A handle replays the log once
+// and then only appends; it reads the file again only when Stat shows a
+// size or modification time it did not leave. A crash in the middle of
+// an append leaves a torn tail, which replay cuts: the journal keeps
+// every record wholly before it, and the LOCAL_COMMITTED markers on the
+// nodes stay the ground truth for the rest (snapc.RebuildJournal
+// re-records a sealed interval the journal lost).
 package snapshot
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"maps"
 	"path"
 	"slices"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/reclog"
 	"repro/internal/vfs"
 )
 
@@ -37,30 +44,21 @@ const (
 	// JournalFile is the drain journal's name inside a global snapshot
 	// lineage directory on stable storage.
 	JournalFile = "drain_journal.json"
-	// journalTmp is the staging name for atomic journal rewrites.
-	journalTmp = ".drain_journal.tmp"
 	// LocalCommittedFile marks a node-local interval stage as complete:
 	// every rank on the node captured successfully and wrote its local
 	// snapshot metadata. The drain phase and the restart fast path trust
 	// a local stage only under this marker.
 	LocalCommittedFile = "LOCAL_COMMITTED"
-	// JournalCorruptFile is where a torn or garbage journal is
-	// quarantined: a journal that fails to parse is renamed aside (for
-	// post-mortem inspection) rather than wedging every drain operation,
-	// and the journal restarts empty. The LOCAL_COMMITTED markers on the
-	// nodes remain the ground truth; snapc.RebuildJournal reconstructs
-	// the lost entries from them.
-	JournalCorruptFile = "drain_journal.corrupt"
 	// maxJournalEntries bounds the journal: once every entry is terminal
 	// beyond this count, the oldest terminal entries are dropped. Keeps
-	// the file O(1) over long supervised runs. The cap is deliberately
-	// small: every Record/Transition rewrites the whole file through
-	// the stable store, so with many jobs checkpointing the journal
-	// traffic competes with the snapshot data itself for store
-	// bandwidth — terminal entries are history for ompi-snapshot stats,
-	// and only the undrained tail (which trim always pins) is needed
-	// for recovery.
+	// the folded state, and so each compaction, O(1) over long supervised
+	// runs. Terminal entries are history for ompi-snapshot stats; only
+	// the undrained tail (which trim always pins) is needed for recovery.
 	maxJournalEntries = 16
+
+	// The journal's record types (the fold is reclog.TypeFold).
+	recCapture = "capture"
+	recAmend   = "amend"
 )
 
 // IntervalState is one interval's position in the capture/drain
@@ -110,22 +108,24 @@ type JournalProc struct {
 	Vpid      int    `json:"vpid"`
 	Node      string `json:"node"`
 	Component string `json:"crs_component"`
-	Dir       string `json:"dir"` // node-local snapshot dir
+	Dir       string `json:"dir,omitempty"` // node-local snapshot dir; encoded only when not stageDir
 	QuiesceNS int64  `json:"quiesce_ns,omitempty"`
 	CaptureNS int64  `json:"capture_ns,omitempty"`
 }
 
 // JournalEntry records one interval's lifecycle state plus the full
-// capture context, so a drain can be replayed from the entry alone.
+// capture context, so a drain can be replayed from the entry alone. The
+// fields a lineage shares are encoded in its lineage header, not with
+// the entry.
 type JournalEntry struct {
 	Interval int           `json:"interval"`
 	State    IntervalState `json:"state"`
 
-	JobID     int               `json:"job_id"`
-	NumProcs  int               `json:"num_procs"`
-	AppName   string            `json:"app_name,omitempty"`
-	AppArgs   []string          `json:"app_args,omitempty"`
-	MCAParams map[string]string `json:"mca_params,omitempty"`
+	JobID     int               `json:"-"`
+	NumProcs  int               `json:"-"`
+	AppName   string            `json:"-"`
+	AppArgs   []string          `json:"-"`
+	MCAParams map[string]string `json:"-"`
 	Nodes     []string          `json:"nodes"`      // nodes holding local stages
 	LocalBase string            `json:"local_base"` // node-local stage base dir
 	Terminate bool              `json:"terminate,omitempty"`
@@ -172,40 +172,211 @@ func (e JournalEntry) LevelLabel() string {
 	return "L1"
 }
 
-// Journal is the drain journal of one global snapshot lineage.
-//
-// A handle keeps a copy of the journal file it last read or wrote,
-// stamped with that file's size and modification time. While Stat
-// still reports the stamp, the copy is the journal and the file is
-// neither read nor parsed; any other stamp (another handle rewrote the
-// file, or it was replaced or damaged) makes the next operation read it
-// again. The copy also holds each entry's encoding, so a rewrite
-// re-encodes only the entry that changed.
+// lineage is the part of a JournalEntry that every interval of a
+// lineage shares, encoded once in a lineage header.
+type lineage struct {
+	JobID     int               `json:"job_id"`
+	NumProcs  int               `json:"num_procs"`
+	AppName   string            `json:"app_name,omitempty"`
+	AppArgs   []string          `json:"app_args,omitempty"`
+	MCAParams map[string]string `json:"mca_params,omitempty"`
+}
+
+func lineageOf(e JournalEntry) lineage {
+	return lineage{e.JobID, e.NumProcs, e.AppName, e.AppArgs, e.MCAParams}
+}
+
+// key is the header's encoding: a header is due where it changes.
+func (l lineage) key() string {
+	b, _ := json.Marshal(l)
+	return string(b)
+}
+
+// capture is a capture record's payload and one element of a fold: an
+// entry, led by a lineage header where the shared fields change.
+type capture struct {
+	Lineage *lineage `json:"lineage,omitempty"`
+	JournalEntry
+}
+
+// stageDir is where a rank's snapshot sits in a node-local stage (base
+// is clean, so this is path.Join without the cost of cleaning again).
+func stageDir(base string, vpid int) string { return base + "/" + LocalDirName(vpid) }
+
+// captureOf encodes e's procs without each Dir that stageDir implies
+// (a third of a capture record's bytes); add restores it.
+func captureOf(e JournalEntry) capture {
+	e.Procs = slices.Clone(e.Procs)
+	for i, p := range e.Procs {
+		if p.Dir == stageDir(e.LocalBase, p.Vpid) {
+			e.Procs[i].Dir = ""
+		}
+	}
+	return capture{JournalEntry: e}
+}
+
+// amend is an amend record's payload: one interval's lifecycle edge,
+// level or parked flag.
+type amend struct {
+	Interval int           `json:"interval"`
+	State    IntervalState `json:"state,omitempty"`
+	Cause    string        `json:"cause,omitempty"`
+	Level    *int          `json:"level,omitempty"`
+	Parked   *bool         `json:"parked,omitempty"`
+	At       time.Time     `json:"at"`
+}
+
+// journalState is what a journal's records fold to. An edit builds a
+// new entries slice and never writes through the old one.
+type journalState struct {
+	lin     lineage        // the shared fields of the newest capture
+	entries []JournalEntry // intervals ascending
+}
+
+func (st *journalState) index(interval int) int {
+	return slices.IndexFunc(st.entries, func(e JournalEntry) bool { return e.Interval == interval })
+}
+
+// apply folds one record into the state, which it leaves untouched on
+// error. Unknown record types are ignored.
+func (st *journalState) apply(r reclog.Record) error {
+	_, err := st.edit(r)
+	return err
+}
+
+// edit is apply, returning the entry a capture or amend record left
+// (which the trim may already have dropped from the state).
+func (st *journalState) edit(r reclog.Record) (JournalEntry, error) {
+	next := journalState{lin: st.lin, entries: slices.Clone(st.entries)}
+	var touched JournalEntry
+	switch r.Type {
+	case reclog.TypeFold:
+		var caps []capture
+		if err := json.Unmarshal(r.Data, &caps); err != nil {
+			return touched, err
+		}
+		next = journalState{}
+		for _, c := range caps {
+			if err := next.add(c); err != nil {
+				return touched, err
+			}
+		}
+	case recCapture:
+		var c capture
+		if err := json.Unmarshal(r.Data, &c); err != nil {
+			return touched, err
+		}
+		if c.State != StateCaptured {
+			return touched, fmt.Errorf("snapshot: new journal entries start CAPTURED, got %s", c.State)
+		}
+		if err := next.add(c); err != nil {
+			return touched, err
+		}
+		touched = next.entries[len(next.entries)-1]
+	case recAmend:
+		var a amend
+		if err := json.Unmarshal(r.Data, &a); err != nil {
+			return touched, err
+		}
+		i := next.index(a.Interval)
+		if i < 0 {
+			return touched, fmt.Errorf("snapshot: drain journal has no entry for interval %d", a.Interval)
+		}
+		e := &next.entries[i]
+		if a.State != "" {
+			if !ValidTransition(e.State, a.State) {
+				return touched, fmt.Errorf("snapshot: drain journal interval %d: illegal transition %s -> %s",
+					a.Interval, e.State, a.State)
+			}
+			e.State = a.State
+			if a.State == StateDiscarded {
+				e.Cause = a.Cause
+			}
+			if a.State.Terminal() {
+				// Whatever rung held it, the lifecycle is over: a committed
+				// interval is stable (L3), a discarded one is gone.
+				e.Parked = false
+			}
+		}
+		if a.Level != nil {
+			e.Level = *a.Level
+		}
+		if a.Parked != nil {
+			e.Parked = *a.Parked
+		}
+		e.UpdatedAt = a.At
+		touched = *e
+	default:
+		return touched, nil
+	}
+	next.trim()
+	*st = next
+	return touched, nil
+}
+
+// add appends a captured entry, which must be beyond every recorded
+// interval (journal progress is monotone).
+func (st *journalState) add(c capture) error {
+	if n := len(st.entries); n > 0 && c.Interval <= st.entries[n-1].Interval {
+		return fmt.Errorf("snapshot: drain journal interval %d not beyond recorded interval %d (journal progress is monotone)",
+			c.Interval, st.entries[n-1].Interval)
+	}
+	if c.Lineage != nil {
+		st.lin = *c.Lineage
+	}
+	e := c.JournalEntry
+	e.JobID, e.NumProcs, e.AppName, e.AppArgs, e.MCAParams =
+		st.lin.JobID, st.lin.NumProcs, st.lin.AppName, st.lin.AppArgs, st.lin.MCAParams
+	for i, p := range e.Procs {
+		if p.Dir == "" {
+			e.Procs[i].Dir = stageDir(e.LocalBase, p.Vpid)
+		}
+	}
+	st.entries = append(st.entries, e)
+	return nil
+}
+
+// trim bounds the journal: past the cap, the oldest terminal entries go.
+func (st *journalState) trim() {
+	excess := len(st.entries) - maxJournalEntries
+	if excess <= 0 {
+		return
+	}
+	kept := st.entries[:0:0]
+	for _, e := range st.entries {
+		if excess > 0 && e.State.Terminal() {
+			excess--
+			continue
+		}
+		kept = append(kept, e)
+	}
+	st.entries = kept
+}
+
+// fold encodes the state as one fold record's payload: the entries in
+// order, each led by a lineage header where the shared fields change.
+func (st *journalState) fold() (json.RawMessage, error) {
+	caps := make([]capture, len(st.entries))
+	prev := ""
+	for i, e := range st.entries {
+		caps[i] = captureOf(e)
+		if lin := lineageOf(e); lin.key() != prev {
+			caps[i].Lineage, prev = &lin, lin.key()
+		}
+	}
+	return json.Marshal(caps)
+}
+
+// Journal is the drain journal of one global snapshot lineage. A handle
+// holds the journal as it last replayed or wrote it; see the package
+// comment for when it reads the file again.
 type Journal struct {
 	FS  vfs.FS
 	Dir string // the global snapshot lineage directory
 
-	mu          sync.Mutex
-	quarantined int          // corrupt journal files moved aside by load()
-	cached      *journalCopy // nil: the next load reads the file
-}
-
-// journalCopy is the journal file as one handle last read or wrote it.
-// Its slices are never mutated in place and never handed to callers:
-// an edit builds new slices, and a rewrite that lands replaces the copy.
-type journalCopy struct {
-	size    int64
-	modTime time.Time
-	entries []JournalEntry // intervals ascending
-	enc     [][]byte       // enc[i] is entries[i]'s JSON; nil until first stored
-}
-
-// Quarantined reports how many corrupt journal files this handle has
-// moved aside.
-func (j *Journal) Quarantined() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.quarantined
+	mu  sync.Mutex
+	log *reclog.Log // nil until the first operation
+	st  journalState
 }
 
 // OpenJournal returns the journal handle for a global snapshot lineage.
@@ -214,17 +385,8 @@ func OpenJournal(ref GlobalRef) *Journal {
 	return &Journal{FS: ref.FS, Dir: ref.Dir}
 }
 
-// journalDoc is the on-disk shape.
-type journalDoc struct {
-	Version int            `json:"version"`
-	Entries []JournalEntry `json:"entries"`
-}
-
-func (j *Journal) path() string    { return path.Join(j.Dir, JournalFile) }
-func (j *Journal) tmpPath() string { return path.Join(j.Dir, journalTmp) }
-
 // clone returns a deep copy of e, so that what a caller holds and what
-// the handle caches never share a slice or map.
+// the handle holds never share a slice or map.
 func (e JournalEntry) clone() JournalEntry {
 	e.AppArgs = slices.Clone(e.AppArgs)
 	e.MCAParams = maps.Clone(e.MCAParams)
@@ -233,261 +395,148 @@ func (e JournalEntry) clone() JournalEntry {
 	return e
 }
 
-// Load returns every journal entry, intervals ascending. A missing
-// journal is an empty one.
-func (j *Journal) Load() ([]JournalEntry, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	c, err := j.load()
-	if err != nil {
-		return nil, err
+// load brings the handle up to date with the journal file. Only a
+// journal that is not there is an empty one: any other Stat or read
+// failure (an unreachable store) is surfaced, because reading it as
+// empty would lose every entry.
+func (j *Journal) load() error {
+	if j.log == nil {
+		j.log = reclog.New(j.FS, path.Join(j.Dir, JournalFile))
 	}
-	var out []JournalEntry
-	for _, e := range c.entries {
-		out = append(out, e.clone())
-	}
-	return out, nil
-}
-
-// load returns the current journal: the handle's copy while the file
-// still carries its stamp, else the file read and parsed afresh. The
-// result is shared with the handle; callers must not modify it.
-func (j *Journal) load() (*journalCopy, error) {
-	// Only a journal that is not there is an empty one. Any other Stat
-	// failure (an unreachable store) is surfaced: reading it as empty
-	// would lose every entry the next rewrite does not carry.
-	fi, err := j.FS.Stat(j.path())
-	if err != nil {
-		j.cached = nil
-		if errors.Is(err, vfs.ErrNotExist) {
-			return &journalCopy{}, nil
-		}
-		return nil, fmt.Errorf("snapshot: stat drain journal: %w", err)
-	}
-	if c := j.cached; c != nil && c.size == fi.Size && c.modTime.Equal(fi.ModTime) {
-		return c, nil
-	}
-	j.cached = nil
-	data, err := j.FS.ReadFile(j.path())
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: read drain journal: %w", err)
-	}
-	var doc journalDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		// A torn or garbage journal (crash mid-write on a non-atomic
-		// backend, bitrot) must not wedge every future drain: quarantine
-		// the damaged file and restart empty. The sealed LOCAL_COMMITTED
-		// stage markers on the nodes are the recoverable ground truth.
-		return j.quarantine(fmt.Sprintf("unparseable: %v", err))
-	}
-	if doc.Version != FormatVersion {
-		return j.quarantine(fmt.Sprintf("version %d, want %d", doc.Version, FormatVersion))
-	}
-	sort.Slice(doc.Entries, func(a, b int) bool { return doc.Entries[a].Interval < doc.Entries[b].Interval })
-	// Stamped with the Stat taken before the read: if another handle
-	// rewrote the file in between, the next Stat differs and the file
-	// is read again.
-	j.cached = &journalCopy{size: fi.Size, modTime: fi.ModTime,
-		entries: doc.Entries, enc: make([][]byte, len(doc.Entries))}
-	return j.cached, nil
-}
-
-// quarantine moves a corrupt journal aside (JournalCorruptFile, plus a
-// one-line cause file) and reports an empty journal. A rename failure —
-// the store itself is failing — is surfaced instead: pretending the
-// journal is empty while the corrupt file stays in place would let a
-// later load read the damage again as if it were fresh.
-func (j *Journal) quarantine(cause string) (*journalCopy, error) {
-	dst := path.Join(j.Dir, JournalCorruptFile)
-	if err := j.FS.Rename(j.path(), dst); err != nil {
-		return nil, fmt.Errorf("snapshot: quarantine corrupt drain journal (%s): %w", cause, err)
-	}
-	_ = j.FS.WriteFile(dst+".cause", []byte(cause+"\n"))
-	j.quarantined++
-	return &journalCopy{}, nil
-}
-
-// store rewrites the journal atomically: write a temp file in the same
-// directory, rename over the real name (rename(2) replaces files
-// atomically on both vfs backends). entries and enc are parallel and
-// owned by store; a nil enc[i] is encoded here, the others are reused.
-// The output is byte for byte json.Marshal of the journalDoc (store is
-// never handed an empty journal). The handle's copy becomes entries
-// only once the rename has landed.
-func (j *Journal) store(entries []JournalEntry, enc [][]byte) error {
-	j.cached = nil
-	// Bound growth: drop the oldest terminal entries once over the cap.
-	if excess := len(entries) - maxJournalEntries; excess > 0 {
-		keptE, keptB := entries[:0:0], enc[:0:0]
-		for i, e := range entries {
-			if excess > 0 && e.State.Terminal() {
-				excess--
-				continue
-			}
-			keptE, keptB = append(keptE, e), append(keptB, enc[i])
-		}
-		entries, enc = keptE, keptB
-	}
-	// Compact encoding: the journal is rewritten on every lifecycle
-	// transition of every interval, so its byte size is a recurring
-	// store-bandwidth cost, not a one-off (pipe through jq to inspect).
-	size := 0
-	for i := range entries {
-		if enc[i] == nil {
-			b, err := json.Marshal(&entries[i])
-			if err != nil {
-				return fmt.Errorf("snapshot: marshal drain journal: %w", err)
-			}
-			enc[i] = b
-		}
-		size += len(enc[i]) + 1
-	}
-	data := []byte(`{"version":` + strconv.Itoa(FormatVersion) + `,"entries":[`)
-	data = slices.Grow(data, size+2)
-	for i, b := range enc {
-		if i > 0 {
-			data = append(data, ',')
-		}
-		data = append(data, b...)
-	}
-	data = append(data, "]}"...)
-	if err := j.FS.WriteFile(j.tmpPath(), data); err != nil {
-		return fmt.Errorf("snapshot: stage drain journal: %w", err)
-	}
-	if err := j.FS.Rename(j.tmpPath(), j.path()); err != nil {
-		return fmt.Errorf("snapshot: commit drain journal: %w", err)
-	}
-	// The rewrite has landed; without a stamp the next load reads it back.
-	if fi, err := j.FS.Stat(j.path()); err == nil {
-		j.cached = &journalCopy{size: fi.Size, modTime: fi.ModTime, entries: entries, enc: enc}
+	if _, err := j.log.Refresh(func() { j.st = journalState{} }, j.st.apply); err != nil {
+		return fmt.Errorf("snapshot: read drain journal: %w", err)
 	}
 	return nil
 }
 
-// Entry returns the journal entry for one interval.
-func (j *Journal) Entry(interval int) (JournalEntry, bool, error) {
+// land applies one record to the handle's state and lands it, and
+// returns the entry it left. The state keeps the record only once it
+// landed. The caller has loaded.
+func (j *Journal) land(typ string, payload any) (JournalEntry, error) {
+	data, err := json.Marshal(payload)
+	if err != nil {
+		return JournalEntry{}, fmt.Errorf("snapshot: marshal drain journal record: %w", err)
+	}
+	r := j.log.Issue(typ, 0, data)
+	next := j.st
+	e, err := next.edit(r)
+	if err != nil {
+		return JournalEntry{}, err
+	}
+	if err := j.log.Land(r, next.fold); err != nil {
+		return JournalEntry{}, fmt.Errorf("snapshot: write drain journal: %w", err)
+	}
+	j.st = next
+	return e.clone(), nil
+}
+
+// entries runs fn over the current entries, intervals ascending.
+func (j *Journal) entries(fn func(JournalEntry)) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	c, err := j.load()
-	if err != nil {
-		return JournalEntry{}, false, err
+	if err := j.load(); err != nil {
+		return err
 	}
-	for _, e := range c.entries {
+	for _, e := range j.st.entries {
+		fn(e)
+	}
+	return nil
+}
+
+// Load returns every journal entry, intervals ascending. A missing
+// journal is an empty one.
+func (j *Journal) Load() ([]JournalEntry, error) {
+	var out []JournalEntry
+	err := j.entries(func(e JournalEntry) { out = append(out, e.clone()) })
+	return out, err
+}
+
+// Entry returns the journal entry for one interval.
+func (j *Journal) Entry(interval int) (JournalEntry, bool, error) {
+	var out JournalEntry
+	found := false
+	err := j.entries(func(e JournalEntry) {
 		if e.Interval == interval {
-			return e.clone(), true, nil
+			out, found = e.clone(), true
 		}
-	}
-	return JournalEntry{}, false, nil
+	})
+	return out, found, err
 }
 
 // Record appends a new CAPTURED entry. The interval must be new and —
 // for monotone journal progress — greater than every recorded interval.
 func (j *Journal) Record(e JournalEntry) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if e.State != StateCaptured {
 		return fmt.Errorf("snapshot: new journal entries start CAPTURED, got %s", e.State)
 	}
-	c, err := j.load()
-	if err != nil {
-		return err
-	}
-	for _, old := range c.entries {
-		if old.Interval >= e.Interval {
-			return fmt.Errorf("snapshot: drain journal interval %d not beyond recorded interval %d (journal progress is monotone)",
-				e.Interval, old.Interval)
-		}
-	}
-	e = e.clone()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	now := time.Now()
 	if e.CapturedAt.IsZero() {
 		e.CapturedAt = now
 	}
 	e.UpdatedAt = now
-	return j.store(append(slices.Clip(c.entries), e), append(slices.Clip(c.enc), nil))
+	if err := j.load(); err != nil {
+		return err
+	}
+	c := captureOf(e)
+	if lin := lineageOf(e); lin.key() != j.st.lin.key() {
+		c.Lineage = &lin
+	}
+	_, err := j.land(recCapture, c)
+	return err
 }
 
 // Transition moves one interval to a new state, validating the edge.
 // cause annotates DISCARDED entries. Transitioning an interval with no
-// entry is an error except to COMMITTED-from-nothing, which is also an
-// error: every interval must be Recorded first.
+// entry is an error: every interval must be Recorded first.
 func (j *Journal) Transition(interval int, to IntervalState, cause string) (JournalEntry, error) {
-	return j.amend(interval, func(e *JournalEntry) error {
-		if !ValidTransition(e.State, to) {
-			return fmt.Errorf("snapshot: drain journal interval %d: illegal transition %s -> %s",
-				interval, e.State, to)
-		}
-		e.State = to
-		if to == StateDiscarded {
-			e.Cause = cause
-		}
-		if to.Terminal() {
-			// Whatever rung held it, the lifecycle is over: a committed
-			// interval is stable (L3), a discarded one is gone.
-			e.Parked = false
-		}
-		return nil
-	})
+	if to == "" {
+		return JournalEntry{}, fmt.Errorf("snapshot: drain journal interval %d: transition to no state", interval)
+	}
+	a := amend{Interval: interval, State: to}
+	if to == StateDiscarded {
+		a.Cause = cause
+	}
+	return j.amend(a)
 }
 
-// amend rewrites one interval's entry via fn — the one edit path for
-// the lifecycle state machine and for the fields orthogonal to it
-// (level, parked flag). fn edits a shallow copy of the entry, so it
-// may set scalar fields only. Missing intervals are an error: amend
-// never creates entries.
-func (j *Journal) amend(interval int, fn func(*JournalEntry) error) (JournalEntry, error) {
+// amend lands one amend record and returns the entry it changed —
+// the one edit path for the lifecycle state machine and for the fields
+// orthogonal to it (level, parked flag). Missing intervals are an
+// error: amend never creates entries.
+func (j *Journal) amend(a amend) (JournalEntry, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	c, err := j.load()
-	if err != nil {
+	a.At = time.Now()
+	if err := j.load(); err != nil {
 		return JournalEntry{}, err
 	}
-	for i, e := range c.entries {
-		if e.Interval != interval {
-			continue
-		}
-		if err := fn(&e); err != nil {
-			return JournalEntry{}, err
-		}
-		e.UpdatedAt = time.Now()
-		entries, enc := slices.Clone(c.entries), slices.Clone(c.enc)
-		entries[i], enc[i] = e, nil
-		if err := j.store(entries, enc); err != nil {
-			return JournalEntry{}, err
-		}
-		return e.clone(), nil
-	}
-	return JournalEntry{}, fmt.Errorf("snapshot: drain journal has no entry for interval %d", interval)
+	return j.land(recAmend, a)
 }
 
 // SetLevel records an interval's held checkpoint level (1 or 2) — the
 // durable record of an L1→L2 promotion. Lifecycle state is untouched.
 func (j *Journal) SetLevel(interval, level int) (JournalEntry, error) {
-	return j.amend(interval, func(e *JournalEntry) error { e.Level = level; return nil })
+	return j.amend(amend{Interval: interval, Level: &level})
 }
 
 // SetParked flags (or unflags) an interval as degraded-mode backlog so
 // stats can tell parked intervals from cadence-held L1/L2 ones.
 func (j *Journal) SetParked(interval int, parked bool) (JournalEntry, error) {
-	return j.amend(interval, func(e *JournalEntry) error { e.Parked = parked; return nil })
+	return j.amend(amend{Interval: interval, Parked: &parked})
 }
 
 // Undrained returns the entries still mid-lifecycle (CAPTURED or
 // DRAINING), intervals ascending — what a recovery pass must resolve.
 func (j *Journal) Undrained() ([]JournalEntry, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	c, err := j.load()
-	if err != nil {
-		return nil, err
-	}
 	var out []JournalEntry
-	for _, e := range c.entries {
+	err := j.entries(func(e JournalEntry) {
 		if !e.State.Terminal() {
 			out = append(out, e.clone())
 		}
-	}
-	return out, nil
+	})
+	return out, err
 }
 
 // DiscardUndrained marks every mid-lifecycle entry DISCARDED — the
@@ -510,17 +559,11 @@ func (j *Journal) DiscardUndrained(cause string) (int, error) {
 // HighestCommitted returns the newest interval the journal records as
 // fully drained, and whether any exists.
 func (j *Journal) HighestCommitted() (int, bool, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	c, err := j.load()
-	if err != nil {
-		return 0, false, err
-	}
 	best, ok := 0, false
-	for _, e := range c.entries {
-		if e.State == StateCommitted && (!ok || e.Interval > best) {
+	err := j.entries(func(e JournalEntry) {
+		if e.State == StateCommitted {
 			best, ok = e.Interval, true
 		}
-	}
-	return best, ok, nil
+	})
+	return best, ok, err
 }

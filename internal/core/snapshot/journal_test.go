@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/faultsim"
+	"repro/internal/reclog"
 	"repro/internal/vfs"
 )
 
@@ -385,121 +387,144 @@ func TestLevelLabel(t *testing.T) {
 	}
 }
 
-// A journal rewrite is atomic: the temp file never survives a store. A
-// corrupt or version-skewed journal is quarantined — moved aside under
-// JournalCorruptFile for post-mortem, the journal restarts empty — so
-// one torn file never wedges every later drain operation. The sealed
-// LOCAL_COMMITTED stage markers remain the recoverable ground truth
-// (snapc.RebuildJournal reconstructs the lost entries from them).
-func TestJournalStoreAtomicityAndCorruption(t *testing.T) {
-	fs := vfs.NewMem()
+// lifecycle writes four intervals through Record, DRAINING and
+// COMMITTED and returns, after each operation, the file's length and
+// the entries a Load saw.
+func lifecycle(t *testing.T, fs vfs.FS) (lens []int, states [][]JournalEntry) {
+	t.Helper()
 	j := OpenJournal(GlobalRef{FS: fs, Dir: "lineage"})
-	if err := j.Record(captured(1)); err != nil {
-		t.Fatal(err)
+	ops := []func(iv int) error{
+		func(iv int) error { return j.Record(captured(iv)) },
+		func(iv int) error { _, err := j.Transition(iv, StateDraining, "test"); return err },
+		func(iv int) error { _, err := j.Transition(iv, StateCommitted, "test"); return err },
 	}
-	if vfs.Exists(fs, "lineage/"+journalTmp) {
-		t.Fatal("temp journal left behind after store")
+	for iv := 0; iv < 4; iv++ {
+		for _, op := range ops {
+			if err := op(iv); err != nil {
+				t.Fatal(err)
+			}
+			data, err := fs.ReadFile("lineage/" + JournalFile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries, err := j.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lens, states = append(lens, len(data)), append(states, entries)
+		}
 	}
-	if err := fs.WriteFile("lineage/"+JournalFile, []byte("{not json")); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := j.Load()
-	if err != nil || len(entries) != 0 {
-		t.Fatalf("corrupt journal: %d entries, err %v; want empty after quarantine", len(entries), err)
-	}
-	if !vfs.Exists(fs, "lineage/"+JournalCorruptFile) {
-		t.Fatal("corrupt journal was not moved to the quarantine name")
-	}
-	if vfs.Exists(fs, "lineage/"+JournalFile) {
-		t.Fatal("corrupt journal left in place after quarantine")
-	}
-	if got := j.Quarantined(); got != 1 {
-		t.Fatalf("Quarantined() = %d, want 1", got)
-	}
-	// The journal restarts empty and immediately usable.
-	if err := j.Record(captured(5)); err != nil {
-		t.Fatalf("record after quarantine: %v", err)
-	}
-	// Version skew quarantines the same way.
-	if err := fs.WriteFile("lineage/"+JournalFile, []byte(`{"version": 99, "entries": []}`)); err != nil {
-		t.Fatal(err)
-	}
-	if entries, err := j.Load(); err != nil || len(entries) != 0 {
-		t.Fatalf("version-skew journal: %d entries, err %v; want empty after quarantine", len(entries), err)
-	}
-	if got := j.Quarantined(); got != 2 {
-		t.Fatalf("Quarantined() = %d, want 2", got)
+	return lens, states
+}
+
+// Compaction goes through a temp file that never survives it. A journal
+// that is garbage from its first byte — including the whole-document
+// format journals had before they became record logs — loads empty and
+// never wedges the lineage: the next Record lands, as a compaction that
+// sets the garbage aside. The sealed LOCAL_COMMITTED stage markers
+// remain the recoverable ground truth (snapc.RebuildJournal
+// reconstructs the lost entries from them).
+func TestJournalStoreAtomicityAndCorruption(t *testing.T) {
+	for name, garbage := range map[string]string{
+		"not json":   "{not json",
+		"old format": `{"version":1,"entries":[{"interval":1,"state":"CAPTURED","job_id":1,"num_procs":1,"nodes":["node0"],"local_base":"b","procs":[]}]}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := vfs.NewMem()
+			j := OpenJournal(GlobalRef{FS: fs, Dir: "lineage"})
+			if err := j.Record(captured(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile("lineage/"+JournalFile, []byte(garbage)); err != nil {
+				t.Fatal(err)
+			}
+			entries, err := j.Load()
+			if err != nil || len(entries) != 0 {
+				t.Fatalf("garbage journal: %d entries, err %v; want empty", len(entries), err)
+			}
+			if got, _ := fs.ReadFile("lineage/" + JournalFile); string(got) != garbage {
+				t.Fatal("a Load rewrote the journal")
+			}
+			if err := j.Record(captured(5)); err != nil {
+				t.Fatalf("record after garbage: %v", err)
+			}
+			infos, err := fs.ReadDir("lineage")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var aside []byte
+			for _, fi := range infos {
+				switch {
+				case fi.Name == JournalFile:
+				case strings.HasPrefix(fi.Name, JournalFile+".torn-"):
+					aside, _ = fs.ReadFile("lineage/" + fi.Name)
+				default:
+					t.Errorf("compaction left %s behind", fi.Name)
+				}
+			}
+			if string(aside) != garbage {
+				t.Fatalf("garbage set aside as %q", aside)
+			}
+			fresh, err := OpenJournal(GlobalRef{FS: fs, Dir: "lineage"}).Load()
+			if err != nil || len(fresh) != 1 || fresh[0].Interval != 5 {
+				t.Fatalf("journal after the garbage: %+v, %v", fresh, err)
+			}
+		})
 	}
 }
 
-// A crash mid-write on a non-atomic backend can leave the journal
-// truncated at ANY byte offset. Sweep every prefix of a real journal:
-// each one must load without error — either parsing cleanly (only the
-// full document does) or quarantining — and the journal must accept new
-// records immediately afterwards. No offset may wedge the lineage.
+// A crash in the middle of an append can leave the journal cut at ANY
+// byte offset. Sweep every prefix of a real journal — a fold record and
+// the records appended after it: each one must replay to exactly the
+// records wholly before the cut (what a Load saw after the last of them
+// landed), and the journal must then accept a new record that a fresh
+// handle replays too. No offset may wedge the lineage.
 func TestJournalTruncationAtEveryByte(t *testing.T) {
 	fs := vfs.NewMem()
-	j := OpenJournal(GlobalRef{FS: fs, Dir: "lineage"})
-	for iv := 0; iv < 3; iv++ {
-		e := captured(iv)
-		if err := j.Record(e); err != nil {
-			t.Fatal(err)
+	lens, states := lifecycle(t, fs)
+	// The last compaction left one fold line; every later operation
+	// appended one record.
+	fold := 0
+	for k := 1; k < len(lens); k++ {
+		if lens[k] < lens[k-1] {
+			fold = k
 		}
-		if _, err := j.Transition(iv, StateDraining, "test"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := j.Transition(iv, StateCommitted, "test"); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if fold == 0 {
+		t.Fatal("the lifecycle never compacted the journal")
 	}
 	intact, err := fs.ReadFile("lineage/" + JournalFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := j.Load()
-	if err != nil || len(full) != 3 {
-		t.Fatalf("intact journal: %d entries, err %v", len(full), err)
+	if n := bytes.Count(intact, []byte{'\n'}); n != len(lens)-fold {
+		t.Fatalf("journal holds %d lines, want a fold and one record per later operation (%d)", n, len(lens)-fold)
 	}
-
-	for cut := 0; cut < len(intact); cut++ {
-		torn := append([]byte(nil), intact[:cut]...)
-		if err := fs.WriteFile("lineage/"+JournalFile, torn); err != nil {
+	for cut := 0; cut <= len(intact); cut++ {
+		if err := fs.WriteFile("lineage/"+JournalFile, intact[:cut]); err != nil {
 			t.Fatal(err)
+		}
+		var want []JournalEntry
+		for k := fold; k < len(lens); k++ {
+			if lens[k] <= cut {
+				want = states[k]
+			}
 		}
 		jt := OpenJournal(GlobalRef{FS: fs, Dir: "lineage"})
 		entries, err := jt.Load()
 		if err != nil {
 			t.Fatalf("cut at byte %d: Load error %v", cut, err)
 		}
-		switch len(entries) {
-		case 0:
-			// Quarantined: the torn file was moved aside.
-			if !vfs.Exists(fs, "lineage/"+JournalCorruptFile) {
-				t.Fatalf("cut at byte %d: empty load but no quarantine file", cut)
-			}
-			if jt.Quarantined() != 1 {
-				t.Fatalf("cut at byte %d: Quarantined() = %d", cut, jt.Quarantined())
-			}
-		case 3:
-			// The prefix happened to still be a complete document
-			// (e.g. only trailing whitespace was cut).
-		default:
-			t.Fatalf("cut at byte %d: %d entries, want 0 (quarantine) or 3 (intact)", cut, len(entries))
+		if !reflect.DeepEqual(entries, want) {
+			t.Fatalf("cut at byte %d: replayed %+v, want %+v", cut, entries, want)
 		}
-		// Whatever happened, the lineage keeps working.
 		if err := jt.Record(captured(9)); err != nil {
 			t.Fatalf("cut at byte %d: record after load: %v", cut, err)
 		}
-		// Reset for the next offset.
-		if vfs.Exists(fs, "lineage/"+JournalCorruptFile) {
-			if err := fs.Remove("lineage/" + JournalCorruptFile); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if vfs.Exists(fs, "lineage/"+JournalCorruptFile+".cause") {
-			if err := fs.Remove("lineage/" + JournalCorruptFile + ".cause"); err != nil {
-				t.Fatal(err)
-			}
+		got, err := OpenJournal(GlobalRef{FS: fs, Dir: "lineage"}).Load()
+		if err != nil || len(got) != len(want)+1 || got[len(want)].Interval != 9 ||
+			len(want) > 0 && !reflect.DeepEqual(got[:len(want)], want) {
+			t.Fatalf("cut at byte %d: after Record a fresh handle reads %+v, %v", cut, got, err)
 		}
 	}
 }
@@ -620,28 +645,39 @@ func TestJournalSeesOtherHandlesWrites(t *testing.T) {
 	}
 }
 
-// A rewrite that fails partway leaves the handle without a copy: the
-// next operation reads the file, which still holds the state before the
-// failed edit, and never a copy the failed edit changed. A rewrite that
-// lands but cannot be stamped is read back the same way.
+// A landing that fails leaves the handle's state as it was before the
+// failed edit, which is what the file then replays to; a landing that
+// succeeds but cannot be stamped is read back. A failed append makes
+// the next landing a compaction; its temp write, rename and stamp fail
+// the same way.
 func TestJournalStoreFailureDropsCopy(t *testing.T) {
 	for _, c := range []struct {
-		name   string
-		after  int // store operations of the Transition let through
-		landed bool
+		name    string
+		compact bool
+		after   int // store operations of the Transition let through
+		landed  bool
 	}{
-		{"temp write", 1, false},
-		{"rename", 2, false},
-		{"stamp", 3, true},
+		{"append", false, 1, false},
+		{"temp write", true, 1, false},
+		{"rename", true, 2, false},
+		{"stamp", true, 3, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			inj := faultsim.New(1)
 			rc := &readCounter{FS: faultsim.WrapFS(vfs.NewMem(), inj, "stable")}
-			j := OpenJournal(GlobalRef{FS: rc, Dir: "lineage"})
+			ref := GlobalRef{FS: rc, Dir: "lineage"}
+			j := OpenJournal(ref)
 			if err := j.Record(captured(1)); err != nil {
 				t.Fatal(err)
 			}
-			// Transition takes Stat, temp write, rename, Stat: fail one.
+			if c.compact {
+				// Transition takes Stat, then Append: fail the append.
+				inj.AddRule(faultsim.Rule{Point: "fs.outage:stable", After: 1, Times: 1})
+				if _, err := j.Transition(1, StateDraining, ""); !faultsim.IsOutage(err) {
+					t.Fatalf("Transition with its append failed: %v", err)
+				}
+			}
+			// A compacting Transition takes Stat, temp write, rename, Stat.
 			inj.AddRule(faultsim.Rule{Point: "fs.outage:stable", After: c.after, Times: 1})
 			_, err := j.Transition(1, StateDraining, "")
 			if c.landed != (err == nil) {
@@ -655,18 +691,24 @@ func TestJournalStoreFailureDropsCopy(t *testing.T) {
 			if err != nil || !ok {
 				t.Fatalf("Entry after outage: %v %v", ok, err)
 			}
-			if rc.reads != before+1 {
-				t.Fatalf("Entry after outage read the file %d times, want 1", rc.reads-before)
+			if wantReads := map[bool]int{false: 0, true: 1}[c.landed]; rc.reads-before != wantReads {
+				t.Fatalf("Entry after outage read the file %d times, want %d", rc.reads-before, wantReads)
 			}
 			want := StateCaptured
 			if c.landed {
 				want = StateDraining
 			}
 			if e.State != want {
-				t.Fatalf("interval 1 is %s after the outage, want %s as on disk", e.State, want)
+				t.Fatalf("interval 1 is %s after the outage, want %s", e.State, want)
+			}
+			if disk, _, err := OpenJournal(ref).Entry(1); err != nil || disk.State != want {
+				t.Fatalf("the file replays interval 1 as %s (%v), want %s", disk.State, err, want)
 			}
 			if _, err := j.Transition(1, StateDraining, ""); err != nil {
 				t.Fatalf("Transition after the outage: %v", err)
+			}
+			if disk, _, err := OpenJournal(ref).Entry(1); err != nil || disk.State != StateDraining {
+				t.Fatalf("after recovery the file replays interval 1 as %s (%v)", disk.State, err)
 			}
 		})
 	}
@@ -727,50 +769,63 @@ func TestJournalReturnedEntriesDoNotAliasCopy(t *testing.T) {
 	}
 }
 
-// The rewrite reuses the encodings of unchanged entries, yet its output
-// is byte for byte json.Marshal of the whole document — including after
-// the cap trims old entries and when a handle starts from a file it
-// parsed rather than wrote.
+// Each operation lands as exactly its own record: the file grows by one
+// line that decodes to one record, or is compacted to a single fold
+// record. Either way a fresh handle replays to what the writing handle
+// holds — after the cap trims old entries, across lineage changes, and
+// when a handle starts from a file it replayed rather than wrote.
 func TestJournalStoreMatchesMarshal(t *testing.T) {
 	fs := vfs.NewMem()
 	ref := GlobalRef{FS: fs, Dir: "lineage"}
+	var prev []byte
+	compactions := 0
 	check := func(j *Journal) {
 		t.Helper()
 		data, err := fs.ReadFile("lineage/" + JournalFile)
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries, err := j.Load()
+		var r reclog.Record
+		switch {
+		case bytes.HasPrefix(data, prev) && bytes.Count(data[len(prev):], []byte{'\n'}) == 1:
+			if err := json.Unmarshal(data[len(prev):], &r); err != nil || r.Type == reclog.TypeFold {
+				t.Fatalf("appended line %s: %v", data[len(prev):], err)
+			}
+		case bytes.Count(data, []byte{'\n'}) == 1:
+			if err := json.Unmarshal(data, &r); err != nil || r.Type != reclog.TypeFold {
+				t.Fatalf("rewritten journal %s: %v", data, err)
+			}
+			compactions++
+		default:
+			t.Fatalf("an operation changed the journal by more than one record:\nbefore %s\nafter %s", prev, data)
+		}
+		prev = data
+		held, err := j.Load()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := json.Marshal(&journalDoc{Version: FormatVersion, Entries: entries})
+		read, err := OpenJournal(ref).Load()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(data, want) {
-			t.Fatalf("journal file differs from json.Marshal of its entries:\n got %s\nwant %s", data, want)
-		}
-		var gotDoc, wantDoc journalDoc
-		if err := json.Unmarshal(data, &gotDoc); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(want, &wantDoc); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotDoc, wantDoc) {
-			t.Fatal("journal file decodes differently from json.Marshal of its entries")
+		if !reflect.DeepEqual(held, read) {
+			t.Fatalf("handle holds\n%+v\nbut the file replays\n%+v", held, read)
 		}
 	}
 	j := OpenJournal(ref)
-	for iv := 1; iv <= maxJournalEntries+4; iv++ {
-		if err := j.Record(wideEntry(iv, 3)); err != nil {
+	for iv := 1; iv <= 3*maxJournalEntries; iv++ {
+		e := wideEntry(iv, 3)
+		if iv%7 == 0 {
+			e.MCAParams = map[string]string{"snapc_capture_gate": fmt.Sprint(iv)}
+		}
+		if err := j.Record(e); err != nil {
 			t.Fatal(err)
 		}
 		check(j)
 		if _, err := j.Transition(iv, StateDraining, ""); err != nil {
 			t.Fatal(err)
 		}
+		check(j)
 		to, cause := StateCommitted, ""
 		if iv%3 == 0 {
 			to, cause = StateDiscarded, "drain failed: <store> & co"
@@ -780,12 +835,15 @@ func TestJournalStoreMatchesMarshal(t *testing.T) {
 		}
 		check(j)
 	}
+	if compactions == 0 {
+		t.Fatal("the journal never compacted")
+	}
 	fresh := OpenJournal(ref)
-	if err := fresh.Record(wideEntry(100, 3)); err != nil {
+	if err := fresh.Record(wideEntry(1000, 3)); err != nil {
 		t.Fatal(err)
 	}
 	check(fresh)
-	if _, err := fresh.SetParked(100, true); err != nil {
+	if _, err := fresh.SetParked(1000, true); err != nil {
 		t.Fatal(err)
 	}
 	check(fresh)
@@ -846,9 +904,9 @@ func TestJournalConcurrentHandleUse(t *testing.T) {
 }
 
 // FuzzJournalLoad feeds arbitrary bytes to a handle as the journal file.
-// Load either parses it or quarantines it, and never fails on a healthy
-// store; the next Record lands; and what the handle then holds agrees
-// with a fresh read of the file it wrote.
+// Load replays the intact prefix and never fails on a healthy store or
+// writes; the next Record lands; and the file then replays whole to
+// exactly what the handle holds.
 func FuzzJournalLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs := vfs.NewMem()
@@ -861,15 +919,8 @@ func FuzzJournalLoad(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Load on a healthy store: %v", err)
 		}
-		switch j.Quarantined() {
-		case 0:
-		case 1:
-			if len(entries) != 0 || !vfs.Exists(fs, "lineage/"+JournalCorruptFile) || vfs.Exists(fs, "lineage/"+JournalFile) {
-				t.Fatalf("quarantine left %d entries, corrupt file %v, journal %v", len(entries),
-					vfs.Exists(fs, "lineage/"+JournalCorruptFile), vfs.Exists(fs, "lineage/"+JournalFile))
-			}
-		default:
-			t.Fatalf("Quarantined() = %d after one Load", j.Quarantined())
+		if got, _ := fs.ReadFile("lineage/" + JournalFile); !bytes.Equal(got, data) {
+			t.Fatal("Load rewrote the journal")
 		}
 		next := 0
 		for _, e := range entries {
@@ -885,14 +936,17 @@ func FuzzJournalLoad(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		read, err := OpenJournal(ref).Load()
-		if err != nil {
-			t.Fatal(err)
+		if len(held) == 0 || held[len(held)-1].Interval != next {
+			t.Fatalf("Record(%d) did not land: %+v", next, held)
 		}
-		hb, _ := json.Marshal(held)
-		rb, _ := json.Marshal(read)
-		if !bytes.Equal(hb, rb) {
-			t.Fatalf("handle holds\n%s\nbut the file reads\n%s", hb, rb)
+		fresh := reclog.New(fs, "lineage/"+JournalFile)
+		var st journalState
+		dropped, err := fresh.Refresh(func() { st = journalState{} }, st.apply)
+		if err != nil || dropped != 0 {
+			t.Fatalf("the file replays with %d lines cut, err %v", dropped, err)
+		}
+		if !reflect.DeepEqual(held, st.entries) && !(len(held) == 0 && len(st.entries) == 0) {
+			t.Fatalf("handle holds\n%+v\nbut the file reads\n%+v", held, st.entries)
 		}
 	})
 }

@@ -29,6 +29,10 @@ import (
 //     then the store comes back intact. "after5,times10" models a
 //     ten-operation window of unreachability. Checked before any other
 //     point on every operation.
+//
+// An Append that "vfs.write:<label>" fails first lands a prefix of its
+// data, of a length drawn from the plan seed and the path: the torn
+// tail a crash in the middle of an append leaves.
 type faultyFS struct {
 	inner vfs.FS
 	inj   *Injector
@@ -71,14 +75,19 @@ func (f *faultyFS) maybeLose() {
 	}
 }
 
-// flipByte corrupts one deterministically-chosen byte of data in place.
-func (f *faultyFS) flipByte(name string, data []byte) {
-	if len(data) == 0 {
-		return
-	}
+// pick draws an index below n from the plan seed and the path, so a
+// given plan damages identically on every run. n must be positive.
+func (f *faultyFS) pick(name string, n int) int {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s|%s", f.inj.Seed(), f.label, name)
-	data[h.Sum64()%uint64(len(data))] ^= 0xFF
+	return int(h.Sum64() % uint64(n))
+}
+
+// flipByte corrupts one deterministically-chosen byte of data in place.
+func (f *faultyFS) flipByte(name string, data []byte) {
+	if len(data) > 0 {
+		data[f.pick(name, len(data))] ^= 0xFF
+	}
 }
 
 // WriteFile implements vfs.FS.
@@ -91,6 +100,22 @@ func (f *faultyFS) WriteFile(name string, data []byte) error {
 		return fmt.Errorf("vfs: write %q: %w", name, err)
 	}
 	return f.inner.WriteFile(name, data)
+}
+
+// Append implements vfs.FS. A failed append lands a seeded-length
+// prefix of data before it reports the failure.
+func (f *faultyFS) Append(name string, data []byte) error {
+	if err := f.maybeOutage("append", name); err != nil {
+		return err
+	}
+	f.maybeLose()
+	if err := f.inj.Fire("vfs.write:" + f.label); err != nil {
+		if len(data) > 0 {
+			_ = f.inner.Append(name, data[:f.pick(name, len(data))])
+		}
+		return fmt.Errorf("vfs: append %q: %w", name, err)
+	}
+	return f.inner.Append(name, data)
 }
 
 // ReadFile implements vfs.FS.

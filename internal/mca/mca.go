@@ -13,6 +13,7 @@ package mca
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -145,27 +146,26 @@ func (p *Params) Bytes(key string, def int64) int64 {
 }
 
 // ParseBytes parses a human-readable byte size: "4096", "4KB", "4KiB",
-// "1mb", "2GiB", "512B". Suffixes are binary multiples.
+// "1mb", "2GiB", "512B". Suffixes are binary multiples; a size is
+// digits and at most one suffix, and must fit an int64.
 func ParseBytes(s string) (int64, error) {
-	t := strings.TrimSpace(strings.ToLower(s))
-	t = strings.TrimSuffix(t, "ib")
-	t = strings.TrimSuffix(t, "b")
+	t := strings.ToLower(strings.TrimSpace(s))
 	mult := int64(1)
-	switch {
-	case strings.HasSuffix(t, "k"):
-		mult = 1 << 10
-	case strings.HasSuffix(t, "m"):
-		mult = 1 << 20
-	case strings.HasSuffix(t, "g"):
-		mult = 1 << 30
+	for _, unit := range []string{"kib", "mib", "gib", "kb", "mb", "gb", "k", "m", "g", "b"} {
+		if strings.HasSuffix(t, unit) {
+			t = strings.TrimSpace(strings.TrimSuffix(t, unit))
+			if shift := strings.IndexByte("kmg", unit[0]); shift >= 0 {
+				mult = 1 << (10 * (shift + 1))
+			}
+			break
+		}
 	}
-	t = strings.TrimSpace(strings.TrimRight(t, "kmg"))
+	if t == "" || strings.Trim(t, "0123456789") != "" {
+		return 0, fmt.Errorf("mca: bad byte size %q", s)
+	}
 	n, err := strconv.ParseInt(t, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("mca: bad byte size %q: %w", s, err)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("mca: negative byte size %q", s)
+	if err != nil || n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("mca: byte size %q overflows int64", s)
 	}
 	return n * mult, nil
 }

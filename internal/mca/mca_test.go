@@ -1,7 +1,10 @@
 package mca
 
 import (
+	"math/big"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -82,6 +85,13 @@ func TestParseBytes(t *testing.T) {
 		{"-1", 0, true},
 		{"xyz", 0, true},
 		{"", 0, true},
+		{"8589934591g", 8589934591 << 30, false},
+		{"9007199254740993k", 0, true}, // overflows
+		{"8589934592g", 0, true},       // overflows to MinInt64
+		{"4kmg", 0, true},              // stacked suffixes
+		{"4ib", 0, true},               // "ib" without a multiple
+		{"+4k", 0, true},
+		{"4 k b", 0, true},
 	}
 	for _, tc := range cases {
 		got, err := ParseBytes(tc.in)
@@ -93,6 +103,40 @@ func TestParseBytes(t *testing.T) {
 			t.Errorf("ParseBytes(%q) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
+}
+
+// bytesGrammar is FuzzParseBytes' oracle: digits, optional spaces, and
+// at most one suffix.
+var bytesGrammar = regexp.MustCompile(`(?s)^([0-9]+)(.*?)(kib|mib|gib|kb|mb|gb|k|m|g|b)?$`)
+
+// FuzzParseBytes: a size ParseBytes accepts is non-negative and is
+// exactly its digits times its one suffix's multiple, and every size of
+// that grammar that fits an int64 is accepted.
+func FuzzParseBytes(f *testing.F) {
+	for _, s := range []string{"4096", "4KiB", " 8 K ", "2GiB", "512B", "",
+		"9007199254740993k", "8589934592g", "4kmg", "4ib", "-1", "+4k"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseBytes(s)
+		m := bytesGrammar.FindStringSubmatch(strings.ToLower(strings.TrimSpace(s)))
+		var want *big.Int
+		if m != nil && strings.TrimSpace(m[2]) == "" {
+			want, _ = new(big.Int).SetString(m[1], 10)
+			if m[3] != "" && m[3] != "b" {
+				want.Lsh(want, uint(10*(1+strings.IndexByte("kmg", m[3][0]))))
+			}
+			if !want.IsInt64() {
+				want = nil
+			}
+		}
+		switch {
+		case err == nil && (got < 0 || want == nil || want.Int64() != got):
+			t.Fatalf("ParseBytes(%q) = %d, want %v", s, got, want)
+		case err != nil && want != nil:
+			t.Fatalf("ParseBytes(%q) refused a size of %v: %v", s, want, err)
+		}
+	})
 }
 
 func TestBytesAccessor(t *testing.T) {

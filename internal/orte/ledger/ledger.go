@@ -1,40 +1,39 @@
 // Package ledger is the HNP's durable job ledger: the control-plane
 // half of the paper's stable-storage discipline. The runtime's Cluster
-// holds job membership, rank→node placement, interval lifecycle,
-// replica placement, and recovery-session state purely in memory; this
-// package persists every one of those mutations as an append-only,
-// checksummed, atomically-rotated log on stable storage so that a
+// holds job membership, rank→node placement, node deaths, recovery
+// sessions and coordinator crashes purely in memory; this package
+// persists every one of those mutations as a checksummed record log on
+// stable storage (internal/reclog, the drain journal's codec) so that a
 // crashed coordinator can be rebuilt (`ompi-run --reattach`) without
-// losing track of any committed interval or running job.
+// losing track of any running job.
 //
-// The log uses the same crash-safety discipline as the drain journal
-// (PR 5): records live in memory and every append rewrites the whole
-// file via write-temp-then-rename, so a torn write can never corrupt
-// the previous generation. Each record carries a sha256 over its
-// canonical body; replay stops at the first record that fails its
-// checksum or breaks the sequence, quarantines the damaged file, and
-// rebuilds from the intact prefix. When the log grows past a cap it is
-// compacted: the accumulated state folds into a single snapshot record
-// and the tail continues from there, keeping rewrite cost bounded.
+// Interval state is not here: each lineage's drain journal is its one
+// durable record, and reattach rebuilds it from there
+// (snapc.RebuildJournal, then Cluster.RecoverDrains).
+//
+// Each mutation is one appended record. Replay stops at the first
+// record that is torn, fails its checksum, breaks the sequence or does
+// not fold, and keeps the intact prefix; the log compacts to a single
+// folded-state record by the record log's derived rule.
 //
 // Stable storage can itself be out (the fs.outage fault class): an
-// append that cannot reach the store buffers in memory and the ledger
-// reports a non-zero Lag until a later append or explicit Flush lands
-// the backlog. The in-memory view is always authoritative for a live
-// HNP; durability lags at most Lag() records behind.
+// append that cannot reach the store stays applied in memory and the
+// ledger reports a non-zero Lag until a later append or explicit Flush
+// lands the backlog as a compaction. The in-memory view is always
+// authoritative for a live HNP; durability lags at most Lag() records
+// behind.
 package ledger
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 
+	"repro/internal/reclog"
 	"repro/internal/vfs"
 )
 
@@ -46,16 +45,6 @@ const (
 	TypeJobLaunch = "job.launch"
 	// TypeJobDone records a job finishing (all ranks complete).
 	TypeJobDone = "job.done"
-	// TypeIntervalCaptured records a checkpoint interval sealing its
-	// local stages (capture phase complete, drain pending).
-	TypeIntervalCaptured = "interval.captured"
-	// TypeIntervalCommitted records an interval's global snapshot
-	// landing on stable storage.
-	TypeIntervalCommitted = "interval.committed"
-	// TypeIntervalDiscarded records an interval abandoned before commit.
-	TypeIntervalDiscarded = "interval.discarded"
-	// TypeReplicasPlaced records which nodes hold an interval's replicas.
-	TypeReplicasPlaced = "replicas.placed"
 	// TypePlacement records one rank moving to a new node (recovery or
 	// migration re-knit the placement map through these).
 	TypePlacement = "placement.update"
@@ -75,7 +64,7 @@ const (
 	TypeHNPReattached = "hnp.reattached"
 	// TypeSnapshot is a compaction record: the full folded State of
 	// every record before it. Replay treats it as a new baseline.
-	TypeSnapshot = "state.snapshot"
+	TypeSnapshot = reclog.TypeFold
 )
 
 // File is the ledger's filename inside its directory on stable storage.
@@ -84,25 +73,8 @@ const File = "ledger.jsonl"
 // DefaultDir is the conventional ledger directory on stable storage.
 const DefaultDir = "hnp"
 
-// defaultCompactAt bounds the in-memory log (and so the rewrite cost of
-// one append). Past it the log folds into a snapshot record.
-const defaultCompactAt = 512
-
-// Record is one ledger entry. Sum is the hex sha256 of the canonical
-// body (seq|type|job|data); replay rejects any record whose stored sum
-// disagrees, which catches torn tails and bitrot alike.
-type Record struct {
-	Seq  int             `json:"seq"`
-	Type string          `json:"type"`
-	Job  int             `json:"job,omitempty"`
-	Data json.RawMessage `json:"data,omitempty"`
-	Sum  string          `json:"sum"`
-}
-
-func (r Record) checksum() string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("%d|%s|%d|%s", r.Seq, r.Type, r.Job, r.Data)))
-	return hex.EncodeToString(h[:])
-}
+// Record is one ledger entry.
+type Record = reclog.Record
 
 // Payload shapes for the record types that carry data.
 
@@ -111,17 +83,6 @@ type JobLaunch struct {
 	Name      string         `json:"name"`
 	NP        int            `json:"np"`
 	Placement map[int]string `json:"placement"`
-}
-
-// IntervalEvent is the payload for the interval lifecycle records.
-type IntervalEvent struct {
-	Interval int `json:"interval"`
-}
-
-// ReplicasPlaced is TypeReplicasPlaced's payload.
-type ReplicasPlaced struct {
-	Interval int      `json:"interval"`
-	Nodes    []string `json:"nodes"`
 }
 
 // Placement is TypePlacement's payload: one rank's new home.
@@ -153,15 +114,6 @@ type JobState struct {
 	Name      string         `json:"name"`
 	NP        int            `json:"np"`
 	Placement map[int]string `json:"placement"`
-	// NextInterval is one past the highest interval ever allocated.
-	NextInterval int `json:"next_interval"`
-	// Committed lists intervals whose global snapshots landed.
-	Committed []int `json:"committed,omitempty"`
-	// Inflight is a captured-but-unresolved interval, -1 when none:
-	// exactly the interval a reattach must fence or recover.
-	Inflight int `json:"inflight"`
-	// Replicas maps committed intervals to their holder nodes.
-	Replicas map[int][]string `json:"replicas,omitempty"`
 	// DeadNodes lists nodes the detector declared lost.
 	DeadNodes []string `json:"dead_nodes,omitempty"`
 	// RecoveryActive is the failed node of an open recovery session,
@@ -194,8 +146,12 @@ func NewState() *State {
 func (s *State) job(id int) *JobState {
 	js, ok := s.Jobs[id]
 	if !ok {
-		js = &JobState{Job: id, Inflight: -1, Placement: make(map[int]string)}
+		js = &JobState{Job: id}
 		s.Jobs[id] = js
+	}
+	if js.Placement == nil {
+		// A fold record may carry a job with no placement.
+		js.Placement = make(map[int]string)
 	}
 	return js
 }
@@ -214,12 +170,10 @@ func (s *State) Live() []int {
 }
 
 // apply folds one record into the state. Unknown types are ignored so
-// older replays tolerate newer writers.
+// older replays tolerate newer writers, and a ledger written before
+// interval state moved to the drain journal still folds. A record whose
+// payload does not decode leaves the state untouched.
 func (s *State) apply(r Record) error {
-	if r.Seq <= s.Seq && r.Type != TypeSnapshot {
-		return fmt.Errorf("ledger: sequence regressed: %d after %d", r.Seq, s.Seq)
-	}
-	s.Seq = r.Seq
 	switch r.Type {
 	case TypeSnapshot:
 		var snap State
@@ -229,7 +183,11 @@ func (s *State) apply(r Record) error {
 		if snap.Jobs == nil {
 			snap.Jobs = make(map[int]*JobState)
 		}
-		snap.Seq = r.Seq
+		for id, js := range snap.Jobs {
+			if js == nil {
+				return fmt.Errorf("ledger: snapshot record: job %d is null", id)
+			}
+		}
 		*s = snap
 	case TypeJobLaunch:
 		var p JobLaunch
@@ -244,42 +202,6 @@ func (s *State) apply(r Record) error {
 		}
 	case TypeJobDone:
 		s.job(r.Job).Done = true
-	case TypeIntervalCaptured:
-		var p IntervalEvent
-		if err := json.Unmarshal(r.Data, &p); err != nil {
-			return fmt.Errorf("ledger: interval record: %w", err)
-		}
-		js := s.job(r.Job)
-		js.Inflight = p.Interval
-		if p.Interval >= js.NextInterval {
-			js.NextInterval = p.Interval + 1
-		}
-	case TypeIntervalCommitted, TypeIntervalDiscarded:
-		var p IntervalEvent
-		if err := json.Unmarshal(r.Data, &p); err != nil {
-			return fmt.Errorf("ledger: interval record: %w", err)
-		}
-		js := s.job(r.Job)
-		if js.Inflight == p.Interval {
-			js.Inflight = -1
-		}
-		if r.Type == TypeIntervalCommitted && !containsInt(js.Committed, p.Interval) {
-			js.Committed = append(js.Committed, p.Interval)
-			sort.Ints(js.Committed)
-		}
-		if p.Interval >= js.NextInterval {
-			js.NextInterval = p.Interval + 1
-		}
-	case TypeReplicasPlaced:
-		var p ReplicasPlaced
-		if err := json.Unmarshal(r.Data, &p); err != nil {
-			return fmt.Errorf("ledger: replicas record: %w", err)
-		}
-		js := s.job(r.Job)
-		if js.Replicas == nil {
-			js.Replicas = make(map[int][]string)
-		}
-		js.Replicas[p.Interval] = p.Nodes
 	case TypePlacement:
 		var p Placement
 		if err := json.Unmarshal(r.Data, &p); err != nil {
@@ -292,7 +214,7 @@ func (s *State) apply(r Record) error {
 			return fmt.Errorf("ledger: node.dead record: %w", err)
 		}
 		js := s.job(r.Job)
-		if !containsStr(js.DeadNodes, p.Node) {
+		if !slices.Contains(js.DeadNodes, p.Node) {
 			js.DeadNodes = append(js.DeadNodes, p.Node)
 		}
 	case TypeRecoveryBegin:
@@ -310,25 +232,8 @@ func (s *State) apply(r Record) error {
 		s.Headless = false
 		s.Reattaches++
 	}
+	s.Seq = r.Seq
 	return nil
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func containsStr(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // Ledger is a live append handle. All methods are nil-safe: a nil
@@ -336,201 +241,58 @@ func containsStr(xs []string, x string) bool {
 // write-through with a single nil check at construction
 // (`hnp_ledger=off`).
 type Ledger struct {
-	mu  sync.Mutex
-	fs  vfs.FS
-	dir string
-	// lines is the log: each record's JSON encoding, made once when the
-	// record is appended (or replayed at Open) and reused by every
-	// rewrite of the file.
-	lines     [][]byte
-	state     *State
-	nextSeq   int
-	compactAt int
-	// durable is how many of recs have landed on stable storage; the
-	// difference is the ledger lag surfaced by the health op.
-	durable       int
+	mu    sync.Mutex
+	log   *reclog.Log
+	state *State
+	// lag is how many applied records have not landed on stable
+	// storage: the ledger lag surfaced by the health op.
+	lag           int
 	flushErrs     int
-	quarantined   int
 	droppedOnLoad int
 }
 
-// Options tunes Open.
-type Options struct {
-	// CompactAt caps the in-memory log length before compaction;
-	// 0 means the default (512).
-	CompactAt int
-}
-
-// Open replays the ledger at dir on fsys (quarantining a damaged tail
-// if necessary) and returns a live handle positioned to append, plus
-// the folded state at open time. A missing ledger file is an empty
-// ledger, not an error.
-func Open(fsys vfs.FS, dir string, opt Options) (*Ledger, *State, error) {
+// replay folds the ledger file at dir into a fresh state.
+func replay(fsys vfs.FS, dir string) (*reclog.Log, *State, int, error) {
 	if fsys == nil {
-		return nil, nil, errors.New("ledger: nil filesystem")
+		return nil, nil, 0, errors.New("ledger: nil filesystem")
 	}
 	if dir == "" {
 		dir = DefaultDir
 	}
-	compactAt := opt.CompactAt
-	if compactAt <= 0 {
-		compactAt = defaultCompactAt
+	name := path.Join(dir, File)
+	log, st := reclog.New(fsys, name), NewState()
+	dropped, err := log.Refresh(func() { st = NewState() }, func(r Record) error { return st.apply(r) })
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("ledger: read %s: %w", name, err)
 	}
-	l := &Ledger{fs: fsys, dir: dir, compactAt: compactAt}
-	recs, dropped, err := load(fsys, dir)
+	return log, st, dropped, nil
+}
+
+// Open replays the ledger at dir on fsys and returns a live handle
+// positioned to append, plus the folded state at open time. A damaged
+// tail is cut: the state is the intact prefix, and the first landing
+// compacts the file to it (setting the cut bytes aside). A missing
+// ledger file is an empty ledger, not an error.
+func Open(fsys vfs.FS, dir string) (*Ledger, *State, error) {
+	log, st, dropped, err := replay(fsys, dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	st := NewState()
-	for _, r := range recs {
-		if err := st.apply(r); err != nil {
-			// A record that passes its checksum but won't fold is a
-			// writer bug, not damage; fail loudly rather than silently
-			// dropping control-plane history.
-			return nil, nil, err
-		}
-	}
-	if l.lines, err = encodeAll(recs); err != nil {
-		return nil, nil, err
-	}
-	l.durable = len(recs)
-	l.droppedOnLoad = dropped
-	if dropped > 0 {
-		l.quarantined++
-	}
-	l.state = st
-	l.nextSeq = st.Seq + 1
-	out := *st
-	return l, &out, nil
+	return &Ledger{log: log, state: st, droppedOnLoad: dropped}, st.clone(), nil
 }
 
 // Replay folds the ledger at dir on fsys without opening it for
-// appends: the cold-reattach read path. Returns the folded state and
-// the number of damaged records dropped from the tail.
+// appends: the cold-reattach read path. It writes nothing. Returns the
+// folded state and the number of damaged lines cut from the tail.
 func Replay(fsys vfs.FS, dir string) (*State, int, error) {
-	if dir == "" {
-		dir = DefaultDir
-	}
-	recs, dropped, err := load(fsys, dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	st := NewState()
-	for _, r := range recs {
-		if err := st.apply(r); err != nil {
-			return nil, dropped, err
-		}
-	}
-	return st, dropped, nil
-}
-
-// load reads and verifies the ledger file. Damaged records (bad JSON,
-// bad checksum, sequence break) end the readable prefix: the original
-// file is quarantined alongside, the intact prefix is rewritten in
-// place, and the count of dropped records is returned.
-func load(fsys vfs.FS, dir string) ([]Record, int, error) {
-	name := path.Join(dir, File)
-	data, err := fsys.ReadFile(name)
-	if err != nil {
-		if errors.Is(err, vfs.ErrNotExist) {
-			return nil, 0, nil
-		}
-		return nil, 0, fmt.Errorf("ledger: read %s: %w", name, err)
-	}
-	lines := strings.Split(string(data), "\n")
-	var recs []Record
-	lastSeq := 0
-	damaged := 0
-	for _, line := range lines {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			damaged++
-			break
-		}
-		if r.Sum != r.checksum() {
-			damaged++
-			break
-		}
-		if r.Seq <= lastSeq {
-			damaged++
-			break
-		}
-		lastSeq = r.Seq
-		recs = append(recs, r)
-	}
-	// Count everything after the first damaged line as dropped too.
-	if damaged > 0 {
-		total := 0
-		for _, line := range lines {
-			if strings.TrimSpace(line) != "" {
-				total++
-			}
-		}
-		dropped := total - len(recs)
-		// Quarantine the damaged generation, keep the intact prefix live.
-		qname := fmt.Sprintf("%s.quarantine-%d", name, lastSeq)
-		if err := fsys.Rename(name, qname); err != nil {
-			return nil, 0, fmt.Errorf("ledger: quarantine %s: %w", name, err)
-		}
-		if len(recs) > 0 {
-			lines, err := encodeAll(recs)
-			if err == nil {
-				err = writeAll(fsys, dir, lines)
-			}
-			if err != nil {
-				return nil, 0, fmt.Errorf("ledger: rewrite intact prefix: %w", err)
-			}
-		}
-		return recs, dropped, nil
-	}
-	return recs, 0, nil
-}
-
-// encodeAll returns each record's log line, without the newline.
-func encodeAll(recs []Record) ([][]byte, error) {
-	lines := make([][]byte, len(recs))
-	for i, r := range recs {
-		line, err := json.Marshal(r)
-		if err != nil {
-			return nil, fmt.Errorf("ledger: marshal record %d: %w", r.Seq, err)
-		}
-		lines[i] = line
-	}
-	return lines, nil
-}
-
-// writeAll rewrites the whole log atomically: join the encoded records
-// one per line, write a temp file, rename into place.
-func writeAll(fsys vfs.FS, dir string, lines [][]byte) error {
-	size := 0
-	for _, line := range lines {
-		size += len(line) + 1
-	}
-	data := make([]byte, 0, size)
-	for _, line := range lines {
-		data = append(data, line...)
-		data = append(data, '\n')
-	}
-	if err := fsys.MkdirAll(dir); err != nil {
-		return err
-	}
-	name := path.Join(dir, File)
-	tmp := name + ".tmp"
-	if err := fsys.WriteFile(tmp, data); err != nil {
-		return err
-	}
-	return fsys.Rename(tmp, name)
+	_, st, dropped, err := replay(fsys, dir)
+	return st, dropped, err
 }
 
 // Append folds a record into the ledger and attempts to land it on
 // stable storage. When the store is unreachable the record stays
-// buffered in memory (Lag grows) and the error is returned so callers
-// can count it — the in-memory state is updated either way, and a
-// later Append or Flush retries the whole backlog.
+// applied in memory (Lag grows) and the error is returned so callers
+// can count it; a later Append or Flush lands the backlog.
 func (l *Ledger) Append(typ string, job int, payload any) error {
 	if l == nil {
 		return nil
@@ -545,71 +307,37 @@ func (l *Ledger) Append(typ string, job int, payload any) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	r := Record{Seq: l.nextSeq, Type: typ, Job: job, Data: data}
-	r.Sum = r.checksum()
-	line, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("ledger: marshal %s record: %w", typ, err)
-	}
+	r := l.log.Issue(typ, job, data)
 	if err := l.state.apply(r); err != nil {
-		return err
+		return fmt.Errorf("ledger: %s record: %w", typ, err)
 	}
-	l.nextSeq++
-	l.lines = append(l.lines, line)
-	l.maybeCompactLocked()
-	if err := l.flushLocked(); err != nil {
+	l.lag++
+	if err := l.log.Land(r, l.fold); err != nil {
 		l.flushErrs++
 		return fmt.Errorf("ledger: append %s buffered (store unreachable): %w", typ, err)
 	}
+	l.lag = 0
 	return nil
 }
 
-// maybeCompactLocked folds the log into a snapshot record when it
-// outgrows the cap, bounding rewrite cost. Caller holds l.mu.
-func (l *Ledger) maybeCompactLocked() {
-	if len(l.lines) < l.compactAt {
-		return
-	}
-	snap, err := json.Marshal(l.state)
-	if err != nil {
-		return // keep appending uncompacted; marshal of State cannot realistically fail
-	}
-	r := Record{Seq: l.nextSeq, Type: TypeSnapshot, Data: snap}
-	r.Sum = r.checksum()
-	line, err := json.Marshal(r)
-	if err != nil {
-		return
-	}
-	l.nextSeq++
-	l.lines = [][]byte{line}
-	l.durable = 0
-}
+func (l *Ledger) fold() (json.RawMessage, error) { return json.Marshal(l.state) }
 
-// flushLocked rewrites the log if any records are not yet durable.
-// Caller holds l.mu.
-func (l *Ledger) flushLocked() error {
-	if l.durable == len(l.lines) {
-		return nil
-	}
-	if err := writeAll(l.fs, l.dir, l.lines); err != nil {
-		return err
-	}
-	l.durable = len(l.lines)
-	return nil
-}
-
-// Flush retries landing any buffered records; the catch-up path once a
-// store outage clears.
+// Flush retries landing any buffered records, as one compaction; the
+// catch-up path once a store outage clears.
 func (l *Ledger) Flush() error {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.flushLocked(); err != nil {
+	if l.lag == 0 {
+		return nil
+	}
+	if err := l.log.Compact(l.fold); err != nil {
 		l.flushErrs++
 		return err
 	}
+	l.lag = 0
 	return nil
 }
 
@@ -621,17 +349,7 @@ func (l *Ledger) Lag() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.lines) - l.durable
-}
-
-// Len reports the current in-memory log length (post-compaction).
-func (l *Ledger) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.lines)
+	return l.lag
 }
 
 // Seq reports the highest sequence number applied.
@@ -641,7 +359,7 @@ func (l *Ledger) Seq() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.nextSeq - 1
+	return l.state.Seq
 }
 
 // FlushErrors counts appends/flushes that could not reach the store.
@@ -654,7 +372,7 @@ func (l *Ledger) FlushErrors() int {
 	return l.flushErrs
 }
 
-// DroppedOnLoad reports records quarantined off a damaged tail at Open.
+// DroppedOnLoad reports the damaged lines Open cut from the tail.
 func (l *Ledger) DroppedOnLoad() int {
 	if l == nil {
 		return 0
@@ -683,14 +401,7 @@ func (s *State) clone() *State {
 		for k, v := range js.Placement {
 			cp.Placement[k] = v
 		}
-		cp.Committed = append([]int(nil), js.Committed...)
-		cp.DeadNodes = append([]string(nil), js.DeadNodes...)
-		if js.Replicas != nil {
-			cp.Replicas = make(map[int][]string, len(js.Replicas))
-			for k, v := range js.Replicas {
-				cp.Replicas[k] = append([]string(nil), v...)
-			}
-		}
+		cp.DeadNodes = slices.Clone(js.DeadNodes)
 		out.Jobs[id] = &cp
 	}
 	return out

@@ -9,8 +9,24 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/reclog"
 	"repro/internal/vfs"
 )
+
+// The record types ledgers held before interval state moved to the
+// drain journal. Replay skips them; scribe still writes them so that
+// every test also proves an old ledger keeps folding.
+const (
+	legacyCaptured  = "interval.captured"
+	legacyCommitted = "interval.committed"
+	legacyDiscarded = "interval.discarded"
+	legacyReplicas  = "replicas.placed"
+)
+
+type legacyInterval struct {
+	Interval int      `json:"interval"`
+	Nodes    []string `json:"nodes,omitempty"`
+}
 
 // scribe appends a representative control-plane history to l.
 func scribe(t *testing.T, l *Ledger) {
@@ -23,22 +39,22 @@ func scribe(t *testing.T, l *Ledger) {
 	}
 	must(l.Append(TypeJobLaunch, 1, JobLaunch{Name: "app", NP: 4,
 		Placement: map[int]string{0: "n0", 1: "n0", 2: "n1", 3: "n1"}}))
-	must(l.Append(TypeIntervalCaptured, 1, IntervalEvent{Interval: 0}))
-	must(l.Append(TypeIntervalCommitted, 1, IntervalEvent{Interval: 0}))
-	must(l.Append(TypeReplicasPlaced, 1, ReplicasPlaced{Interval: 0, Nodes: []string{"n1"}}))
-	must(l.Append(TypeIntervalCaptured, 1, IntervalEvent{Interval: 1}))
-	must(l.Append(TypeIntervalDiscarded, 1, IntervalEvent{Interval: 1}))
+	must(l.Append(legacyCaptured, 1, legacyInterval{Interval: 0}))
+	must(l.Append(legacyCommitted, 1, legacyInterval{Interval: 0}))
+	must(l.Append(legacyReplicas, 1, legacyInterval{Interval: 0, Nodes: []string{"n1"}}))
+	must(l.Append(legacyCaptured, 1, legacyInterval{Interval: 1}))
+	must(l.Append(legacyDiscarded, 1, legacyInterval{Interval: 1}))
 	must(l.Append(TypeNodeDead, 1, NodeDead{Node: "n1"}))
 	must(l.Append(TypeRecoveryBegin, 1, RecoveryEvent{Node: "n1"}))
 	must(l.Append(TypePlacement, 1, Placement{Rank: 2, Node: "n0"}))
 	must(l.Append(TypePlacement, 1, Placement{Rank: 3, Node: "n0"}))
 	must(l.Append(TypeRecoveryComplete, 1, nil))
-	must(l.Append(TypeIntervalCaptured, 1, IntervalEvent{Interval: 2}))
+	must(l.Append(legacyCaptured, 1, legacyInterval{Interval: 2}))
 }
 
 func TestAppendReplayRoundtrip(t *testing.T) {
 	fs := vfs.NewMem()
-	l, st, err := Open(fs, "hnp", Options{})
+	l, st, err := Open(fs, "hnp")
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -67,23 +83,11 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	if got := js.Placement; got[2] != "n0" || got[3] != "n0" || got[0] != "n0" {
 		t.Fatalf("placement not re-knit: %v", got)
 	}
-	if len(js.Committed) != 1 || js.Committed[0] != 0 {
-		t.Fatalf("committed = %v, want [0]", js.Committed)
-	}
-	if js.Inflight != 2 {
-		t.Fatalf("inflight = %d, want 2 (last captured unresolved)", js.Inflight)
-	}
-	if js.NextInterval != 3 {
-		t.Fatalf("next interval = %d, want 3", js.NextInterval)
-	}
 	if js.RecoveryActive != "" {
 		t.Fatalf("recovery still active after complete: %q", js.RecoveryActive)
 	}
 	if len(js.DeadNodes) != 1 || js.DeadNodes[0] != "n1" {
 		t.Fatalf("dead nodes = %v", js.DeadNodes)
-	}
-	if nodes := js.Replicas[0]; len(nodes) != 1 || nodes[0] != "n1" {
-		t.Fatalf("replicas[0] = %v", nodes)
 	}
 	if live := st.Live(); len(live) != 1 || live[0] != 1 {
 		t.Fatalf("live = %v", live)
@@ -92,14 +96,14 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 
 func TestReopenContinuesSequence(t *testing.T) {
 	fs := vfs.NewMem()
-	l, _, err := Open(fs, "hnp", Options{})
+	l, _, err := Open(fs, "hnp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	scribe(t, l)
 	seq := l.Seq()
 
-	l2, st, err := Open(fs, "hnp", Options{})
+	l2, st, err := Open(fs, "hnp")
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -126,7 +130,7 @@ func TestReopenContinuesSequence(t *testing.T) {
 
 func TestCrashReattachFolding(t *testing.T) {
 	fs := vfs.NewMem()
-	l, _, err := Open(fs, "", Options{}) // default dir
+	l, _, err := Open(fs, "") // default dir
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +154,13 @@ func TestCrashReattachFolding(t *testing.T) {
 }
 
 // TestTornTailQuarantine truncates the on-disk ledger at several byte
-// offsets and checks that Open always recovers the intact prefix,
-// quarantines the damaged generation, and keeps accepting appends.
+// offsets and checks that Open always recovers the intact prefix, that
+// the first append after it compacts the file to that prefix with the
+// cut bytes set aside, and that the ledger keeps accepting appends.
 func TestTornTailQuarantine(t *testing.T) {
-	build := func() (*vfs.Mem, []byte, int) {
+	build := func() (*vfs.Mem, []byte) {
 		fs := vfs.NewMem()
-		l, _, err := Open(fs, "hnp", Options{})
+		l, _, err := Open(fs, "hnp")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,50 +169,44 @@ func TestTornTailQuarantine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fs, data, l.Seq()
+		return fs, data
 	}
-	_, full, _ := build()
+	_, full := build()
 	offsets := []int{len(full) - 2, len(full) - 7, len(full) / 2, len(full) / 3, 11, 1}
 	for _, off := range offsets {
 		t.Run(fmt.Sprintf("truncate@%d", off), func(t *testing.T) {
-			fs, data, _ := build()
+			fs, data := build()
 			if err := fs.WriteFile("hnp/"+File, data[:off]); err != nil {
 				t.Fatal(err)
 			}
-			l, st, err := Open(fs, "hnp", Options{})
+			l, st, err := Open(fs, "hnp")
 			if err != nil {
 				t.Fatalf("open on torn ledger: %v", err)
 			}
-			if l.DroppedOnLoad() == 0 {
-				t.Fatal("no records reported dropped from torn tail")
+			if l.DroppedOnLoad() != 1 {
+				t.Fatalf("dropped %d lines from a torn tail, want 1", l.DroppedOnLoad())
 			}
-			// The quarantined generation must exist alongside.
-			entries, err := fs.ReadDir("hnp")
-			if err != nil {
-				t.Fatal(err)
+			// Every record wholly before the cut survives.
+			if want := bytes.Count(data[:off], []byte{'\n'}); st.Seq != want {
+				t.Fatalf("replayed through seq %d, want %d", st.Seq, want)
 			}
-			foundQ := false
-			for _, e := range entries {
-				if strings.HasPrefix(e.Name, File+".quarantine-") {
-					foundQ = true
-				}
+			if got, _ := fs.ReadFile("hnp/" + File); !bytes.Equal(got, data[:off]) {
+				t.Fatal("Open rewrote the ledger; only a landing may")
 			}
-			if !foundQ {
-				t.Fatalf("no quarantine file; dir = %v", entries)
-			}
-			// The survivor must still accept appends and replay cleanly.
+			// The survivor accepts appends and replays cleanly.
 			if err := l.Append(TypeJobDone, 1, nil); err != nil {
-				t.Fatalf("append after quarantine: %v", err)
+				t.Fatalf("append after the cut: %v", err)
 			}
 			st2, dropped, err := Replay(fs, "hnp")
 			if err != nil {
-				t.Fatalf("replay after quarantine: %v", err)
+				t.Fatalf("replay after the cut: %v", err)
 			}
-			if dropped != 0 {
-				t.Fatalf("rewritten prefix still damaged: dropped %d", dropped)
+			if dropped != 0 || st2.Seq != st.Seq+1 || !st2.Jobs[1].Done {
+				t.Fatalf("replay after the cut: dropped %d, seq %d (want %d), state %+v", dropped, st2.Seq, st.Seq+1, st2.Jobs[1])
 			}
-			if st2.Seq < st.Seq {
-				t.Fatalf("replay lost records: %d < %d", st2.Seq, st.Seq)
+			torn, err := fs.ReadFile(fmt.Sprintf("hnp/%s.torn-%d", File, st2.Seq))
+			if err != nil || !bytes.Equal(torn, data[bytes.LastIndexByte(data[:off], '\n')+1:off]) {
+				t.Fatalf("cut bytes not set aside: %q, %v", torn, err)
 			}
 		})
 	}
@@ -215,7 +214,7 @@ func TestTornTailQuarantine(t *testing.T) {
 
 func TestChecksumRejectsBitrot(t *testing.T) {
 	fs := vfs.NewMem()
-	l, _, err := Open(fs, "hnp", Options{})
+	l, _, err := Open(fs, "hnp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +227,7 @@ func TestChecksumRejectsBitrot(t *testing.T) {
 	if err := fs.WriteFile(name, data); err != nil {
 		t.Fatal(err)
 	}
-	l2, _, err := Open(fs, "hnp", Options{})
+	l2, _, err := Open(fs, "hnp")
 	if err != nil {
 		t.Fatalf("open on bitrotted ledger: %v", err)
 	}
@@ -237,15 +236,33 @@ func TestChecksumRejectsBitrot(t *testing.T) {
 	}
 }
 
+// Compaction needs no cap: appends alone trigger it once the bytes
+// appended since the last fold outgrow the fold plus reclog.Floor, and
+// the file never holds much more than that.
 func TestCompaction(t *testing.T) {
 	fs := vfs.NewMem()
-	l, _, err := Open(fs, "hnp", Options{CompactAt: 8})
+	l, _, err := Open(fs, "hnp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	scribe(t, l) // 12 appends with cap 8 → at least one compaction
-	if l.Len() >= 12 {
-		t.Fatalf("log never compacted: len = %d", l.Len())
+	name := "hnp/" + File
+	compactions := 0
+	for i := 0; i < 200; i++ {
+		scribe(t, l)
+		data, err := fs.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := data[:bytes.IndexByte(data, '\n')+1]
+		if bytes.Contains(first, []byte(`"type":"`+TypeSnapshot+`"`)) {
+			compactions++
+			if rest := len(data) - len(first); rest > len(first)+reclog.Floor+1024 {
+				t.Fatalf("after %d appends the file holds %d bytes past a %d-byte fold", 12*(i+1), rest, len(first))
+			}
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("log never compacted")
 	}
 	st, dropped, err := Replay(fs, "hnp")
 	if err != nil {
@@ -254,18 +271,19 @@ func TestCompaction(t *testing.T) {
 	if dropped != 0 {
 		t.Fatalf("compacted ledger dropped %d", dropped)
 	}
-	js := st.Jobs[1]
-	if js == nil || len(js.Committed) != 1 || js.Committed[0] != 0 || js.Inflight != 2 {
-		t.Fatalf("state lost through compaction: %+v", js)
+	got, _ := json.Marshal(st)
+	want, _ := json.Marshal(l.State())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("state lost through compaction:\n got %s\nwant %s", got, want)
 	}
-	// Sequence numbers keep climbing across the snapshot record.
-	if st.Seq <= 12 {
-		t.Fatalf("seq did not advance past snapshot: %d", st.Seq)
+	// Sequence numbers keep climbing across the fold.
+	if st.Seq != 200*12 {
+		t.Fatalf("seq = %d, want %d", st.Seq, 200*12)
 	}
 }
 
-// outageFS fails writes and renames while down, simulating a stable-
-// store outage for the buffering path.
+// outageFS fails writes, appends and renames while down, simulating a
+// stable-store outage for the buffering path.
 type outageFS struct {
 	vfs.FS
 	down bool
@@ -280,6 +298,13 @@ func (o *outageFS) WriteFile(name string, data []byte) error {
 	return o.FS.WriteFile(name, data)
 }
 
+func (o *outageFS) Append(name string, data []byte) error {
+	if o.down {
+		return errDown
+	}
+	return o.FS.Append(name, data)
+}
+
 func (o *outageFS) Rename(oldName, newName string) error {
 	if o.down {
 		return errDown
@@ -290,7 +315,7 @@ func (o *outageFS) Rename(oldName, newName string) error {
 func TestAppendBuffersThroughOutage(t *testing.T) {
 	mem := vfs.NewMem()
 	ofs := &outageFS{FS: mem}
-	l, _, err := Open(ofs, "hnp", Options{})
+	l, _, err := Open(ofs, "hnp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,14 +325,14 @@ func TestAppendBuffersThroughOutage(t *testing.T) {
 	}
 
 	ofs.down = true
-	err = l.Append(TypeIntervalCaptured, 1, IntervalEvent{Interval: 0})
+	err = l.Append(TypeNodeDead, 1, NodeDead{Node: "n1"})
 	if err == nil {
 		t.Fatal("append during outage reported success")
 	}
 	if !errors.Is(err, errDown) {
 		t.Fatalf("append error does not wrap cause: %v", err)
 	}
-	_ = l.Append(TypeIntervalCommitted, 1, IntervalEvent{Interval: 0})
+	_ = l.Append(TypePlacement, 1, Placement{Rank: 1, Node: "n0"})
 	if l.Lag() != 2 {
 		t.Fatalf("lag = %d during outage, want 2", l.Lag())
 	}
@@ -315,7 +340,7 @@ func TestAppendBuffersThroughOutage(t *testing.T) {
 		t.Fatal("flush errors not counted")
 	}
 	// In-memory state is authoritative regardless.
-	if st := l.State(); len(st.Jobs[1].Committed) != 1 {
+	if st := l.State(); len(st.Jobs[1].DeadNodes) != 1 || st.Jobs[1].Placement[1] != "n0" {
 		t.Fatalf("in-memory state stale during outage: %+v", st.Jobs[1])
 	}
 	// Durable view still shows only the pre-outage record.
@@ -323,7 +348,7 @@ func TestAppendBuffersThroughOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Jobs[1].Committed) != 0 {
+	if len(st.Jobs[1].DeadNodes) != 0 || st.Jobs[1].Placement[1] != "n1" {
 		t.Fatal("outage write reached the store")
 	}
 
@@ -338,7 +363,7 @@ func TestAppendBuffersThroughOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Jobs[1].Committed) != 1 {
+	if len(st.Jobs[1].DeadNodes) != 1 || st.Jobs[1].Placement[1] != "n0" {
 		t.Fatal("backlog did not land after outage cleared")
 	}
 }
@@ -351,7 +376,7 @@ func TestNilLedgerIsInert(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatalf("nil flush: %v", err)
 	}
-	if l.Lag() != 0 || l.Len() != 0 || l.Seq() != 0 || l.FlushErrors() != 0 || l.DroppedOnLoad() != 0 {
+	if l.Lag() != 0 || l.Seq() != 0 || l.FlushErrors() != 0 || l.DroppedOnLoad() != 0 {
 		t.Fatal("nil ledger reported nonzero counters")
 	}
 	if st := l.State(); len(st.Jobs) != 0 {
@@ -361,7 +386,7 @@ func TestNilLedgerIsInert(t *testing.T) {
 
 func TestSequenceBreakEndsPrefix(t *testing.T) {
 	fs := vfs.NewMem()
-	l, _, err := Open(fs, "hnp", Options{})
+	l, _, err := Open(fs, "hnp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +400,7 @@ func TestSequenceBreakEndsPrefix(t *testing.T) {
 	if err := fs.WriteFile(name, []byte(strings.Join(lines, "\n")+"\n")); err != nil {
 		t.Fatal(err)
 	}
-	l2, st, err := Open(fs, "hnp", Options{})
+	l2, st, err := Open(fs, "hnp")
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -389,37 +414,74 @@ func TestSequenceBreakEndsPrefix(t *testing.T) {
 
 func TestStateCloneIsDeep(t *testing.T) {
 	fs := vfs.NewMem()
-	l, _, err := Open(fs, "hnp", Options{})
+	l, _, err := Open(fs, "hnp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	scribe(t, l)
 	st := l.State()
 	st.Jobs[1].Placement[0] = "poisoned"
-	st.Jobs[1].Committed = append(st.Jobs[1].Committed, 99)
-	st.Jobs[1].Replicas[0][0] = "poisoned"
+	st.Jobs[1].DeadNodes[0] = "poisoned"
 	st2 := l.State()
-	if st2.Jobs[1].Placement[0] == "poisoned" || containsInt(st2.Jobs[1].Committed, 99) ||
-		st2.Jobs[1].Replicas[0][0] == "poisoned" {
+	if st2.Jobs[1].Placement[0] == "poisoned" || st2.Jobs[1].DeadNodes[0] == "poisoned" {
 		t.Fatal("State() shares memory with the ledger")
 	}
 }
 
+// A record's checksum survives a JSON round trip of its line: the file
+// re-encoded line by line still replays whole.
 func TestRecordChecksumCanonical(t *testing.T) {
-	data, _ := json.Marshal(IntervalEvent{Interval: 7})
-	r := Record{Seq: 3, Type: TypeIntervalCaptured, Job: 2, Data: data}
-	r.Sum = r.checksum()
-	// Round-trip through JSON must preserve the checksum.
-	b, err := json.Marshal(r)
+	fs := vfs.NewMem()
+	l, _, err := Open(fs, "hnp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r2 Record
-	if err := json.Unmarshal(b, &r2); err != nil {
+	scribe(t, l)
+	data, _ := fs.ReadFile("hnp/" + File)
+	var out bytes.Buffer
+	for _, r := range fileRecords(t, data) {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(append(line, '\n'))
+	}
+	if err := fs.WriteFile("hnp/"+File, out.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if r2.Sum != r2.checksum() {
-		t.Fatal("checksum not stable across JSON round-trip")
+	st, dropped, err := Replay(fs, "hnp")
+	if err != nil || dropped != 0 || st.Seq != l.Seq() {
+		t.Fatalf("re-encoded ledger: seq %d (want %d), dropped %d, err %v", st.Seq, l.Seq(), dropped, err)
+	}
+}
+
+// A checksummed fold record may still hold a null job or a job with
+// no placement: replay cuts the first and repairs the second, and
+// neither panics.
+func TestFoldRecordWithHollowJobs(t *testing.T) {
+	for data, want := range map[string]int{
+		`{"seq":1,"jobs":{"1":null}}`: 0,
+		`{"seq":1,"jobs":{"1":{}}}`:   1,
+	} {
+		fs := vfs.NewMem()
+		log := reclog.New(fs, "hnp/"+File)
+		log.Issue(TypeJobLaunch, 1, nil)
+		if err := log.Compact(func() (json.RawMessage, error) { return json.RawMessage(data), nil }); err != nil {
+			t.Fatal(err)
+		}
+		l, st, err := Open(fs, "hnp")
+		if err != nil {
+			t.Fatalf("%s: Open: %v", data, err)
+		}
+		if len(st.Jobs) != want || len(st.Live()) != want {
+			t.Fatalf("%s: %d jobs, want %d", data, len(st.Jobs), want)
+		}
+		if err := l.Append(TypePlacement, 1, Placement{Rank: 0, Node: "n0"}); err != nil {
+			t.Fatalf("%s: append: %v", data, err)
+		}
+		if got := l.State().Jobs[1].Placement[0]; got != "n0" {
+			t.Fatalf("%s: placement %q", data, got)
+		}
 	}
 }
 
@@ -431,51 +493,42 @@ func TestOpenMissingDirIsEmpty(t *testing.T) {
 	}
 }
 
+// A ledger that is garbage from its first byte opens empty, and the
+// first landing sets the garbage aside under a name carrying the
+// sequence number the fold replaced it at.
 func TestQuarantineFileNamedBySeq(t *testing.T) {
 	fs := vfs.NewMem()
-	l, _, err := Open(fs, "hnp", Options{})
+	l, _, err := Open(fs, "hnp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	scribe(t, l)
 	name := path.Join("hnp", File)
-	if err := fs.WriteFile(name, []byte("garbage that is not json\n")); err != nil {
+	garbage := []byte("garbage that is not json\n")
+	if err := fs.WriteFile(name, garbage); err != nil {
 		t.Fatal(err)
 	}
-	l2, st, err := Open(fs, "hnp", Options{})
+	l2, st, err := Open(fs, "hnp")
 	if err != nil {
 		t.Fatalf("open over garbage: %v", err)
 	}
 	if st.Seq != 0 || l2.DroppedOnLoad() != 1 {
 		t.Fatalf("garbage file: seq=%d dropped=%d", st.Seq, l2.DroppedOnLoad())
 	}
-	if !vfs.Exists(fs, name+".quarantine-0") {
-		t.Fatal("quarantine file missing")
+	if err := l2.Append(TypeJobDone, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if q, err := fs.ReadFile(name + ".torn-1"); err != nil || !bytes.Equal(q, garbage) {
+		t.Fatalf("garbage not set aside: %q, %v", q, err)
 	}
 }
 
-// legacyFile is the ledger file writeAll produced before records were
-// encoded once: every record marshalled afresh, one per line.
-func legacyFile(t *testing.T, recs []Record) []byte {
-	t.Helper()
-	var b bytes.Buffer
-	for _, r := range recs {
-		line, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Write(line)
-		b.WriteByte('\n')
-	}
-	return b.Bytes()
-}
-
-// fileRecords decodes every non-blank line of ledger text.
+// fileRecords decodes every line of ledger text.
 func fileRecords(t *testing.T, data []byte) []Record {
 	t.Helper()
 	var recs []Record
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(line) == "" {
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if line == "" {
 			continue
 		}
 		var r Record
@@ -487,60 +540,79 @@ func fileRecords(t *testing.T, data []byte) []Record {
 	return recs
 }
 
-// Each record is encoded once, yet after appends, a compaction and a
-// reopen the file is byte for byte what marshalling every record on
-// every rewrite produced, and it replays to the live state.
+// countFS counts the store operations that write.
+type countFS struct {
+	vfs.FS
+	appends, writes, renames int
+}
+
+func (c *countFS) Append(name string, data []byte) error {
+	c.appends++
+	return c.FS.Append(name, data)
+}
+
+func (c *countFS) WriteFile(name string, data []byte) error {
+	c.writes++
+	return c.FS.WriteFile(name, data)
+}
+
+func (c *countFS) Rename(oldName, newName string) error {
+	c.renames++
+	return c.FS.Rename(oldName, newName)
+}
+
+// Each record is encoded once and lands as exactly its own line: one
+// Append, no rewrite, unless the append is a compaction (one temp
+// write and one rename). After appends, compactions and a reopen, the
+// file replays to the live state.
 func TestAppendEncodesOnce(t *testing.T) {
-	fs := vfs.NewMem()
+	cfs := &countFS{FS: vfs.NewMem()}
 	name := "hnp/" + File
-	check := func(l *Ledger) {
-		t.Helper()
-		data, err := fs.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs := fileRecords(t, data)
-		if len(recs) != l.Len() {
-			t.Fatalf("file holds %d records, ledger %d", len(recs), l.Len())
-		}
-		if want := legacyFile(t, recs); !bytes.Equal(data, want) {
-			t.Fatalf("ledger file differs from marshalling every record:\n got %s\nwant %s", data, want)
-		}
-		_, st, err := Open(fs, "hnp", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := json.Marshal(st)
-		want, _ := json.Marshal(l.State())
-		if !bytes.Equal(got, want) {
-			t.Fatalf("replayed state\n%s\nwant live state\n%s", got, want)
-		}
-	}
-	l, _, err := Open(fs, "hnp", Options{CompactAt: 16})
+	l, _, err := Open(cfs, "hnp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	scribe(t, l)
-	check(l)
-	scribe(t, l) // 24 appends, cap 16: one compaction, then 8 more records
-	if l.Len() != 9 {
-		t.Fatalf("len = %d after one compaction, want 9", l.Len())
+	compactions := 0
+	for i := 0; i < 400; i++ {
+		before, _ := cfs.FS.ReadFile(name)
+		a, w, r := cfs.appends, cfs.writes, cfs.renames
+		if err := l.Append(TypePlacement, 1, Placement{Rank: i % 8, Node: fmt.Sprintf("n%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+		after, _ := cfs.FS.ReadFile(name)
+		switch {
+		case cfs.appends == a+1 && cfs.writes == w && cfs.renames == r:
+			recs := fileRecords(t, after[len(before):])
+			if !bytes.HasPrefix(after, before) || len(recs) != 1 || recs[0].Seq != l.Seq() {
+				t.Fatalf("append %d did not add exactly its own line", i)
+			}
+		case cfs.appends == a && cfs.writes == w+1 && cfs.renames == r+1:
+			compactions++
+			if recs := fileRecords(t, after); len(recs) != 1 || recs[0].Type != TypeSnapshot {
+				t.Fatalf("compaction %d left %d records", compactions, len(recs))
+			}
+		default:
+			t.Fatalf("append %d: %d appends, %d writes, %d renames", i, cfs.appends-a, cfs.writes-w, cfs.renames-r)
+		}
 	}
-	check(l)
-	l2, _, err := Open(fs, "hnp", Options{CompactAt: 16})
+	if compactions == 0 {
+		t.Fatal("400 appends never compacted")
+	}
+	_, st, err := Open(cfs, "hnp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.Append(TypeJobDone, 1, nil); err != nil {
-		t.Fatal(err)
+	got, _ := json.Marshal(st)
+	want, _ := json.Marshal(l.State())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("replayed state\n%s\nwant live state\n%s", got, want)
 	}
-	check(l2)
 }
 
 // FuzzLedgerLoad feeds arbitrary bytes to Open as the ledger file. Open
-// keeps the intact prefix of records and quarantines the original file
-// when anything follows it; what survives replays clean to the same
-// state and keeps accepting appends.
+// keeps the intact prefix of records and writes nothing; the first
+// append lands (as a compaction when anything was cut, which sets the
+// cut bytes aside), and the file then replays clean to the live state.
 func FuzzLedgerLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs := vfs.NewMem()
@@ -548,93 +620,59 @@ func FuzzLedgerLoad(f *testing.F) {
 		if err := fs.WriteFile(name, data); err != nil {
 			t.Fatal(err)
 		}
-		l, st, err := Open(fs, "hnp", Options{})
+		l, st, err := Open(fs, "hnp")
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		var lines [][]byte
-		for _, line := range strings.Split(string(data), "\n") {
-			if strings.TrimSpace(line) != "" {
-				lines = append(lines, []byte(line))
-			}
+		if live, _ := fs.ReadFile(name); !bytes.Equal(live, data) {
+			t.Fatal("Open rewrote the ledger")
 		}
-		kept, dropped := l.Len(), l.DroppedOnLoad()
-		if kept+dropped != len(lines) {
-			t.Fatalf("kept %d + dropped %d records of %d lines", kept, dropped, len(lines))
-		}
-		live, err := fs.ReadFile(name)
-		switch {
-		case dropped == 0:
-			if !bytes.Equal(live, data) {
-				t.Fatalf("intact ledger rewritten: err %v", err)
-			}
-		default:
-			q, qerr := fs.ReadFile(fmt.Sprintf("%s.quarantine-%d", name, st.Seq))
-			if qerr != nil || !bytes.Equal(q, data) {
-				t.Fatalf("damaged ledger not quarantined intact: %v", qerr)
-			}
-			if kept == 0 {
-				if !errors.Is(err, vfs.ErrNotExist) {
-					t.Fatalf("no record survived, yet the live ledger reads err %v", err)
-				}
-				break
-			}
-			prefix := fileRecords(t, bytes.Join(lines[:kept], []byte("\n")))
-			if err != nil || !bytes.Equal(live, legacyFile(t, prefix)) {
-				t.Fatalf("live ledger is not the intact prefix: err %v\n got %s", err, live)
-			}
-		}
-		st2, d2, err := Replay(fs, "hnp")
-		if err != nil || d2 != 0 {
-			t.Fatalf("replay of the survivor: dropped %d, err %v", d2, err)
+		cold, dropped, err := Replay(fs, "hnp")
+		if err != nil || dropped != l.DroppedOnLoad() {
+			t.Fatalf("Replay: dropped %d (Open %d), err %v", dropped, l.DroppedOnLoad(), err)
 		}
 		a, _ := json.Marshal(st)
-		b, _ := json.Marshal(st2)
+		b, _ := json.Marshal(cold)
 		if !bytes.Equal(a, b) {
-			t.Fatalf("survivor replays to\n%s\nwant\n%s", b, a)
+			t.Fatalf("Replay folds to\n%s\nOpen to\n%s", b, a)
 		}
 		if err := l.Append(TypeJobDone, 1, nil); err != nil {
 			t.Fatalf("append after Open: %v", err)
 		}
-		if st3, _, err := Replay(fs, "hnp"); err != nil || st3.Seq != st.Seq+1 {
-			t.Fatalf("replay after append: err %v", err)
+		st2, d2, err := Replay(fs, "hnp")
+		if err != nil || d2 != 0 || st2.Seq != st.Seq+1 {
+			t.Fatalf("replay after append: seq %d (want %d), dropped %d, err %v", st2.Seq, st.Seq+1, d2, err)
+		}
+		a, _ = json.Marshal(st2)
+		b, _ = json.Marshal(l.State())
+		if !bytes.Equal(a, b) {
+			t.Fatalf("file replays to\n%s\nlive state is\n%s", a, b)
+		}
+		if dropped > 0 {
+			if q, err := fs.ReadFile(fmt.Sprintf("%s.torn-%d", name, st2.Seq)); err != nil || !bytes.HasSuffix(data, q) || len(q) == 0 {
+				t.Fatalf("cut bytes not set aside: %q, %v", q, err)
+			}
 		}
 	})
 }
 
-// BenchmarkLedgerAppend times one capture-path append to a ledger of
-// 256 records. The ledger is reloaded from its 256-record file every 16
-// appends, outside the timer, so each append rewrites 257–272 records.
+// BenchmarkLedgerAppend times one control-plane append to a ledger of
+// 256 records.
 func BenchmarkLedgerAppend(b *testing.B) {
 	fs := vfs.NewMem()
-	l, _, err := Open(fs, "hnp", Options{})
+	l, _, err := Open(fs, "hnp")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < 256; i++ {
-		if err := l.Append(TypeIntervalCaptured, 1, IntervalEvent{Interval: i}); err != nil {
+		if err := l.Append(TypePlacement, 1, Placement{Rank: i, Node: "n0"}); err != nil {
 			b.Fatal(err)
 		}
-	}
-	base, err := fs.ReadFile("hnp/" + File)
-	if err != nil {
-		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%16 == 0 {
-			b.StopTimer()
-			fs = vfs.NewMem()
-			if err := fs.WriteFile("hnp/"+File, base); err != nil {
-				b.Fatal(err)
-			}
-			if l, _, err = Open(fs, "hnp", Options{}); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-		if err := l.Append(TypeIntervalCaptured, 1, IntervalEvent{Interval: 256 + i}); err != nil {
+		if err := l.Append(TypePlacement, 1, Placement{Rank: i, Node: "n1"}); err != nil {
 			b.Fatal(err)
 		}
 	}

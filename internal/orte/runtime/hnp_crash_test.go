@@ -269,9 +269,11 @@ func TestNodeDeathWhileHeadlessIsDeferredToReattach(t *testing.T) {
 	}
 }
 
-// TestLedgerRecordsJobLifecycle replays the durable ledger cold — the
-// path `ompi-run --reattach` takes after the whole process died — and
-// checks the folded state matches what actually happened.
+// TestLedgerRecordsJobLifecycle replays the durable ledger and the
+// drain journal cold — the path `ompi-run --reattach` takes after the
+// whole process died — and checks the folded state matches what
+// actually happened: the job in the ledger, its intervals in the
+// journal.
 func TestLedgerRecordsJobLifecycle(t *testing.T) {
 	c := fourNodeCluster(t, crashParams(""))
 	factory, _ := newStencilFactory(0, 0)
@@ -309,8 +311,20 @@ func TestLedgerRecordsJobLifecycle(t *testing.T) {
 	if len(js.Placement) != 4 {
 		t.Errorf("placement = %v, want 4 ranks", js.Placement)
 	}
-	if len(js.Committed) != 2 || js.Inflight != -1 {
-		t.Errorf("committed = %v inflight = %d, want [0 1] and -1", js.Committed, js.Inflight)
+	entries, err := snapshot.OpenJournal(snapshot.GlobalRef{FS: c.Stable(),
+		Dir: snapshot.GlobalDirName(int(job.JobID()))}).Load()
+	if err != nil {
+		t.Fatalf("journal Load: %v", err)
+	}
+	var committed []int
+	for _, e := range entries {
+		if e.State != snapshot.StateCommitted {
+			t.Errorf("interval %d is %s, want COMMITTED", e.Interval, e.State)
+		}
+		committed = append(committed, e.Interval)
+	}
+	if fmt.Sprint(committed) != "[0 1]" {
+		t.Errorf("journal committed = %v, want [0 1]", committed)
 	}
 	if len(st.Live()) != 0 {
 		t.Errorf("Live() = %v, want none", st.Live())

@@ -105,7 +105,7 @@ func (c *Cluster) RestartFromHold(j *Job, appFactory func(rank int) ompi.App) (*
 		return nil, none, false, err
 	}
 	gd := snapshot.GlobalDirName(int(j.JobID()))
-	und, err := snapshot.OpenJournal(snapshot.GlobalRef{FS: c.stable, Dir: gd}).Undrained()
+	und, err := c.Drainer().Journal(gd).Undrained()
 	if err != nil {
 		return nil, none, false, err
 	}

@@ -473,10 +473,9 @@ func (c *Cluster) MigrateRank(id names.JobID, rank int, node string) error {
 // otherwise undrained interval is never pruned — the level-aware
 // retention rule of DESIGN.md §5g.
 func (c *Cluster) PruneLocalStages(id names.JobID, keepFrom int) {
-	base := snapshot.LocalStageRoot(int(id))
-	pinned := c.Drainer().Held(snapshot.GlobalDirName(int(id)))
-	ref := snapshot.GlobalRef{FS: c.stable, Dir: snapshot.GlobalDirName(int(id))}
-	if und, err := snapshot.OpenJournal(ref).Undrained(); err == nil {
+	base, gd := snapshot.LocalStageRoot(int(id)), snapshot.GlobalDirName(int(id))
+	pinned := c.Drainer().Held(gd)
+	if und, err := c.Drainer().Journal(gd).Undrained(); err == nil {
 		for _, e := range und {
 			pinned[e.Interval] = e.Level
 		}

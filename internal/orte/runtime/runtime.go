@@ -267,18 +267,12 @@ func New(cfg Config) (*Cluster, error) {
 	// rebuild the control plane from.
 	if cfg.Params.Bool("hnp_ledger", true) {
 		dir := cfg.Params.String("hnp_ledger_dir", ledger.DefaultDir)
-		led, _, lerr := ledger.Open(c.stable, dir, ledger.Options{
-			CompactAt: cfg.Params.Int("hnp_ledger_compact_at", 0),
-		})
+		led, _, lerr := ledger.Open(c.stable, dir)
 		if lerr != nil {
 			return nil, fmt.Errorf("runtime: open HNP ledger: %w", lerr)
 		}
 		c.led = led
 	}
-	// Interval lifecycle events from the SNAPC layer write through to
-	// the ledger: captures, commits, discards and replica placements.
-	c.snapcEnv.Note = c.noteInterval
-
 	// The asynchronous drain engine: captures hand their intervals to
 	// this queue; its workers drain them under the read side of the
 	// checkpoint lock, so commits never interleave with scrub or restart
@@ -339,20 +333,6 @@ func (c *Cluster) ledgerAppend(typ string, job int, payload any) {
 	if err := c.led.Append(typ, job, payload); err != nil {
 		c.ins.Counter("ompi_hnp_ledger_append_errors_total").Inc()
 		c.ins.Emit("hnp", "ledger.lag", "%s buffered: %v", typ, err)
-	}
-}
-
-// noteInterval maps SNAPC interval lifecycle notes onto ledger records.
-func (c *Cluster) noteInterval(n snapc.IntervalNote) {
-	switch n.Event {
-	case "captured":
-		c.ledgerAppend(ledger.TypeIntervalCaptured, int(n.Job), ledger.IntervalEvent{Interval: n.Interval})
-	case "committed":
-		c.ledgerAppend(ledger.TypeIntervalCommitted, int(n.Job), ledger.IntervalEvent{Interval: n.Interval})
-	case "discarded":
-		c.ledgerAppend(ledger.TypeIntervalDiscarded, int(n.Job), ledger.IntervalEvent{Interval: n.Interval})
-	case "replicas", "stage-replicas":
-		c.ledgerAppend(ledger.TypeReplicasPlaced, int(n.Job), ledger.ReplicasPlaced{Interval: n.Interval, Nodes: n.Nodes})
 	}
 }
 
@@ -684,7 +664,7 @@ func (c *Cluster) RecoverDrains(globalDir string) (snapc.RecoverReport, error) {
 	c.Drainer().DropHeld(globalDir)
 	c.ckptMu.Lock()
 	defer c.ckptMu.Unlock()
-	return snapc.Recover(c.snapcEnv, globalDir, c.Alive)
+	return c.Drainer().Recover(globalDir, c.Alive)
 }
 
 // Nodes returns the node names in declaration order.

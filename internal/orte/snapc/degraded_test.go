@@ -50,6 +50,12 @@ func (o *outageFS) WriteFile(name string, data []byte) error {
 	}
 	return o.inner.WriteFile(name, data)
 }
+func (o *outageFS) Append(name string, data []byte) error {
+	if err := o.check("append"); err != nil {
+		return err
+	}
+	return o.inner.Append(name, data)
+}
 func (o *outageFS) ReadFile(name string) ([]byte, error) {
 	if err := o.check("read"); err != nil {
 		return nil, err

@@ -481,7 +481,6 @@ func (d *Drainer) Enqueue(cpt *Captured) (*Pending, error) {
 	if err := d.record(cpt.GlobalDir, journalEntry(cpt)); err != nil {
 		return nil, err
 	}
-	d.env.note(IntervalNote{Event: "captured", Job: cpt.Job.JobID(), Interval: cpt.Interval})
 	return d.enqueue(&sealedInterval{cpt: cpt})
 }
 
@@ -679,7 +678,6 @@ func (d *Drainer) drainOne(cpt *Captured) (Result, error) {
 		if _, terr := j.Transition(cpt.Interval, snapshot.StateDiscarded, err.Error()); terr != nil {
 			env.Ins.Emit("snapc.drain", "drain.journal-error", "interval %d: %v", cpt.Interval, terr)
 		}
-		d.env.note(IntervalNote{Event: "discarded", Job: cpt.Job.JobID(), Interval: cpt.Interval})
 		return Result{}, err
 	}
 	if ierr := env.fire(InjectPreCommitJournal); ierr != nil {
@@ -689,7 +687,6 @@ func (d *Drainer) drainOne(cpt *Captured) (Result, error) {
 	if _, terr := j.Transition(cpt.Interval, snapshot.StateCommitted, ""); terr != nil {
 		return Result{}, terr
 	}
-	d.env.note(IntervalNote{Event: "committed", Job: cpt.Job.JobID(), Interval: cpt.Interval})
 	env.Ins.Counter("ompi_ckpt_level3_committed_total").Inc()
 	// A stable commit subsumes every older sealed interval: a higher
 	// level now has a strictly newer verified copy.
@@ -894,7 +891,6 @@ func (d *Drainer) catchupOne(si *sealedInterval) bool {
 				return false
 			}
 		}
-		env.note(IntervalNote{Event: "committed", Job: cpt.Job.JobID(), Interval: cpt.Interval})
 		d.releaseBelow(cpt.GlobalDir, cpt.Interval)
 	} else {
 		if _, err := d.drainOne(cpt); err != nil {
@@ -1059,9 +1055,20 @@ type RecoverReport struct {
 // means no node survived. Must not run concurrently with an active
 // Drainer on the same lineage — flush or close it first.
 func Recover(env *Env, globalDir string, alive func(node string) bool) (RecoverReport, error) {
+	return recoverWith(env, snapshot.OpenJournal(snapshot.GlobalRef{FS: env.Stable, Dir: globalDir}), alive)
+}
+
+// Recover is snapc.Recover through the drainer's own journal handle, so
+// an in-process recovery does not replay the journal from scratch. The
+// drainer must be idle on the lineage — flush it first.
+func (d *Drainer) Recover(globalDir string, alive func(node string) bool) (RecoverReport, error) {
+	return recoverWith(d.env, d.Journal(globalDir), alive)
+}
+
+func recoverWith(env *Env, j *snapshot.Journal, alive func(node string) bool) (RecoverReport, error) {
 	var rep RecoverReport
-	ref := snapshot.GlobalRef{FS: env.Stable, Dir: globalDir}
-	j := snapshot.OpenJournal(ref)
+	globalDir := j.Dir
+	ref := snapshot.GlobalRef{FS: j.FS, Dir: globalDir}
 	und, err := j.Undrained()
 	if err != nil {
 		return rep, err
@@ -1078,7 +1085,6 @@ func Recover(env *Env, globalDir string, alive func(node string) bool) (RecoverR
 			discardEntry(env, ref, j, e, alive,
 				fmt.Sprintf("superseded by recovered interval %d", recovered))
 			rep.Superseded++
-			env.note(IntervalNote{Event: "discarded", Job: names.JobID(e.JobID), Interval: e.Interval})
 			env.Ins.Emit("snapc.drain", "recover.superseded", "interval %d: superseded by recovered interval %d", e.Interval, recovered)
 			continue
 		}
@@ -1087,30 +1093,26 @@ func Recover(env *Env, globalDir string, alive func(node string) bool) (RecoverR
 		switch {
 		case committed:
 			// The drain finished; only the journal edge is missing
-			// (crash between commit and journal rewrite).
+			// (crash between commit and the journal's COMMITTED record).
 			if err := fastForward(j, e); err != nil {
 				return rep, err
 			}
 			rep.FastForwarded++
 			recovered = e.Interval
-			env.note(IntervalNote{Event: "committed", Job: names.JobID(e.JobID), Interval: e.Interval})
 			env.Ins.Emit("snapc.drain", "recover.fast-forward", "interval %d already committed", e.Interval)
 		case planOK:
 			if err := redrain(env, j, globalDir, e, plan); err != nil {
 				rep.Discarded++
-				env.note(IntervalNote{Event: "discarded", Job: names.JobID(e.JobID), Interval: e.Interval})
 				env.Ins.Emit("snapc.drain", "recover.redrain-failed", "interval %d: %v", e.Interval, err)
 				continue
 			}
 			rep.Redrained++
 			recovered = e.Interval
-			env.note(IntervalNote{Event: "committed", Job: names.JobID(e.JobID), Interval: e.Interval})
 			env.Ins.Counter("ompi_snapc_intervals_redrained_total").Inc()
 			env.Ins.Emit("snapc.drain", "recover.redrained", "interval %d drained from surviving local stages", e.Interval)
 		default:
 			discardEntry(env, ref, j, e, alive, "captured node lost before drain")
 			rep.Discarded++
-			env.note(IntervalNote{Event: "discarded", Job: names.JobID(e.JobID), Interval: e.Interval})
 			env.Ins.Emit("snapc.drain", "recover.discarded", "interval %d: captured node lost before drain", e.Interval)
 		}
 	}

@@ -96,7 +96,6 @@ func (d *Drainer) Seal(cpt *Captured, level int) error {
 	// The application-blocked share of a held interval is capture only —
 	// no drain backpressure ever applies.
 	ins.ObserveSeconds("ompi_snapc_blocked_seconds", time.Duration(cpt.BlockedNS))
-	d.env.note(IntervalNote{Event: "captured", Job: cpt.Job.JobID(), Interval: cpt.Interval})
 	return nil
 }
 
@@ -129,7 +128,6 @@ func (d *Drainer) seal(si *sealedInterval, reason sealReason) {
 			"interval %d sealed at L%d (held node-local, not drained)", cpt.Interval, si.level)
 	case sealOutage:
 		ins.Counter("ompi_snapc_intervals_parked_total").Inc()
-		d.env.note(IntervalNote{Event: "parked", Job: cpt.Job.JobID(), Interval: cpt.Interval})
 		ins.Emit("snapc.drain", "drain.parked",
 			"interval %d parked node-local (store outage), %d parked total", cpt.Interval, parked)
 		d.ensureCatchup()
@@ -271,12 +269,6 @@ func (d *Drainer) pushStageReplicas(cpt *Captured) map[string]string {
 		env.Ins.Counter("ompi_snapc_stage_replicas_total").Inc()
 	}
 	if len(holders) > 0 {
-		held := make([]string, 0, len(holders))
-		for _, h := range holders {
-			held = append(held, h)
-		}
-		sort.Strings(held)
-		env.note(IntervalNote{Event: "stage-replicas", Job: cpt.Job.JobID(), Interval: cpt.Interval, Nodes: held})
 		env.Ins.Emit("snapc.drain", "drain.stage-replicated",
 			"interval %d: %d sealed stages replicated node-to-node", cpt.Interval, len(holders))
 	}
@@ -392,7 +384,6 @@ func (d *Drainer) releaseBelow(globalDir string, below int) {
 			// sweep the stages from the rebuilt entry alone.
 			sweepEntry(d.env, ref, journalEntry(si.cpt), nil)
 		}
-		d.env.note(IntervalNote{Event: "discarded", Job: si.cpt.Job.JobID(), Interval: iv})
 		d.env.Ins.Counter("ompi_ckpt_superseded_total").Inc()
 		d.env.Ins.Emit("snapc.drain", "drain.superseded", "sealed interval %d %s", iv, cause)
 	}

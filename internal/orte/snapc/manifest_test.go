@@ -79,14 +79,24 @@ type flipFS struct {
 }
 
 func (f *flipFS) WriteFile(name string, data []byte) error {
+	return f.FS.WriteFile(name, f.damage(name, data))
+}
+
+func (f *flipFS) Append(name string, data []byte) error {
+	return f.FS.Append(name, f.damage(name, data))
+}
+
+// damage returns data with one byte flipped if name is the first rank
+// image under prefix.
+func (f *flipFS) damage(name string, data []byte) []byte {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.hit == "" && strings.HasPrefix(name, f.prefix) && path.Base(name) == "process_image.bin" {
 		f.hit = name
 		data = append([]byte(nil), data...)
 		data[len(data)/2] ^= 0x40
 	}
-	f.mu.Unlock()
-	return f.FS.WriteFile(name, data)
+	return data
 }
 
 func TestByteDamagedInGatherFailsVerify(t *testing.T) {

@@ -4,8 +4,9 @@
 // payload survives: an HNP crash inside the quiesce window (the orteds
 // seal their LOCAL_COMMITTED stages autonomously, but the coordinator
 // died before Enqueue could journal the interval — or with the record
-// still in the degraded-mode backlog), and a torn journal file that had
-// to be quarantined. In both cases the sealed node-local stages are the
+// still in the degraded-mode backlog), and a damaged journal whose
+// replay cut the records (a journal from before the record log replays
+// as one damaged line). In both cases the sealed node-local stages are the
 // ground truth: each carries a LOCAL_COMMITTED marker and per-rank
 // snapshot metadata, enough to rebuild the CAPTURED journal entry and
 // hand the interval back to the normal Recover pass.
@@ -99,7 +100,6 @@ func RebuildJournal(env *Env, globalDir string, job JobView, alive func(string) 
 		}
 		rebuilt++
 		env.Ins.Counter("ompi_snapc_journal_rebuilt_total").Inc()
-		env.note(IntervalNote{Event: "captured", Job: job.JobID(), Interval: iv})
 		env.Ins.Emit("snapc.drain", "rebuild.recorded",
 			"interval %d journal entry rebuilt from %d sealed stages", iv, len(e.Nodes))
 	}

@@ -127,34 +127,10 @@ type Env struct {
 	// ("snapc.drain:<edge>", see drain.go) and the HNP-crash edges
 	// ("hnp.crash:<when>"). Optional.
 	Inject func(point string) error
-	// Note, when set, receives interval lifecycle notifications
-	// (captured, committed, discarded, parked, replicas placed). The
-	// runtime uses it to write the HNP's durable job ledger through the
-	// asynchronous drain path it cannot otherwise observe. Optional;
-	// must not block.
-	Note func(IntervalNote)
 	// CleanupLocal removes node-local snapshot directories after the
 	// gather (the FILEM remove operation). Defaults to true via
 	// Options.
 	// (Set per request in Options.)
-}
-
-// IntervalNote is one interval lifecycle notification (Env.Note).
-type IntervalNote struct {
-	// Event is "captured", "committed", "discarded", "parked",
-	// "stage-replicas" or "replicas".
-	Event    string
-	Job      names.JobID
-	Interval int
-	// Nodes carries the holder set for replica events.
-	Nodes []string
-}
-
-// note delivers an interval lifecycle notification, if a sink is set.
-func (e *Env) note(n IntervalNote) {
-	if e.Note != nil {
-		e.Note(n)
-	}
 }
 
 // DefaultAckTimeout bounds the wait for local coordinator acks.
@@ -784,11 +760,7 @@ func finishGlobal(env *Env, cpt *Captured) (Result, error) {
 		rsp = root.Child("replica.push")
 	}
 	repStart := time.Now()
-	repStats, placedHolders := replicateInterval(env, ref, globalDir, interval, meta, dedup)
-	placed := len(placedHolders)
-	if placed > 0 {
-		env.note(IntervalNote{Event: "replicas", Job: job.JobID(), Interval: interval, Nodes: placedHolders})
-	}
+	repStats, placed := replicateInterval(env, ref, globalDir, interval, meta, dedup)
 	if len(meta.Replicas) > 0 {
 		pb.ReplicaNS = int64(time.Since(repStart))
 	}
@@ -822,13 +794,14 @@ func finishGlobal(env *Env, cpt *Captured) (Result, error) {
 // independent FILEM move — one holder failing must not roll back the
 // others — with the holder's previous-interval replica as the dedup
 // baseline, so k-way placement re-ships only what changed. Every
-// pushed copy is verified standalone before it counts.
+// pushed copy is verified standalone before it counts; returns how
+// many did.
 func replicateInterval(env *Env, ref snapshot.GlobalRef, globalDir string, interval int,
-	meta snapshot.GlobalMeta, dedup bool) (filem.Stats, []string) {
+	meta snapshot.GlobalMeta, dedup bool) (filem.Stats, int) {
 	var total filem.Stats
-	var placed []string
+	placed := 0
 	if len(meta.Replicas) == 0 {
-		return total, nil
+		return total, 0
 	}
 	// Baseline index: the previous interval's manifest, shared across
 	// holders (the payload bytes are the same everywhere).
@@ -887,7 +860,7 @@ func replicateInterval(env *Env, ref snapshot.GlobalRef, globalDir string, inter
 			env.Ins.Emit("snapc.global", "ckpt.replica-failed", "interval %d -> %s: %v", interval, rec.Node, err)
 			continue
 		}
-		placed = append(placed, rec.Node)
+		placed++
 		env.Ins.Emit("snapc.global", "ckpt.replicated", "interval %d -> %s (%d bytes, %d moved, %d deduped)",
 			interval, rec.Node, stats.Bytes, stats.BytesMoved, stats.BytesDeduped)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // The conformance suite drives every FS implementation through the
@@ -168,6 +169,44 @@ func TestConformanceExists(t *testing.T) {
 			}
 			if Exists(fsys, "d/f/sub") {
 				t.Error("child of a file exists")
+			}
+		})
+	}
+}
+
+// Append creates a missing file and its parents, concatenates, and
+// moves Stat's size and modification time the way the record logs'
+// stale-handle check relies on; a directory is refused.
+func TestConformanceAppend(t *testing.T) {
+	for name, fsys := range implementations(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := fsys.Append("a/b/log", []byte("one\n")); err != nil {
+				t.Fatalf("append to a missing file: %v", err)
+			}
+			before, err := fsys.Stat("a/b/log")
+			if err != nil || before.Size != 4 {
+				t.Fatalf("stat after create: %+v, %v", before, err)
+			}
+			// Outlast coarse filesystem timestamps.
+			time.Sleep(20 * time.Millisecond)
+			if err := fsys.Append("a/b/log", []byte("two\n")); err != nil {
+				t.Fatal(err)
+			}
+			if data, _ := fsys.ReadFile("a/b/log"); string(data) != "one\ntwo\n" {
+				t.Errorf("log = %q, want both appends in order", data)
+			}
+			after, err := fsys.Stat("a/b/log")
+			if err != nil || after.Size != 8 || !after.ModTime.After(before.ModTime) {
+				t.Errorf("stat after append: %+v (before %+v), %v", after, before, err)
+			}
+			if err := fsys.Append("a/b", []byte("x")); !errors.Is(err, ErrIsDir) {
+				t.Errorf("append to a directory = %v, want ErrIsDir", err)
+			}
+			if err := fsys.WriteFile("a/b/log", []byte("new")); err != nil {
+				t.Fatal(err)
+			}
+			if data, _ := fsys.ReadFile("a/b/log"); string(data) != "new" {
+				t.Errorf("WriteFile after appends = %q, want truncated", data)
 			}
 		})
 	}

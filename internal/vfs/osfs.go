@@ -56,17 +56,36 @@ func mapOSError(op, name string, err error) error {
 
 // WriteFile implements FS.
 func (o *OS) WriteFile(name string, data []byte) error {
+	return o.put("write", name, data, os.O_TRUNC)
+}
+
+// Append implements FS: one write(2) on an O_APPEND descriptor.
+func (o *OS) Append(name string, data []byte) error {
+	return o.put("append", name, data, os.O_APPEND)
+}
+
+// put opens name for writing with mode (O_TRUNC or O_APPEND), creating
+// it and its parents, and writes data.
+func (o *OS) put(op, name string, data []byte, mode int) error {
 	hp, err := o.hostPath(name)
 	if err != nil {
 		return err
 	}
 	if info, err := os.Stat(hp); err == nil && info.IsDir() {
-		return fmt.Errorf("vfs: write %q: %w", name, ErrIsDir)
+		return fmt.Errorf("vfs: %s %q: %w", op, name, ErrIsDir)
 	}
 	if err := os.MkdirAll(filepath.Dir(hp), 0o755); err != nil {
-		return mapOSError("write", name, err)
+		return mapOSError(op, name, err)
 	}
-	return mapOSError("write", name, os.WriteFile(hp, data, 0o644))
+	f, err := os.OpenFile(hp, os.O_WRONLY|os.O_CREATE|mode, 0o644)
+	if err != nil {
+		return mapOSError(op, name, err)
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return mapOSError(op, name, err)
 }
 
 // ReadFile implements FS.

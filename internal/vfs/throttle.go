@@ -6,11 +6,11 @@ import (
 )
 
 // Throttle wraps an FS with a real-time write-bandwidth cap: WriteFile
-// sleeps long enough that sustained ingress never exceeds BytesPerSec.
-// It models a constrained stable store for wall-clock experiments (the
-// netsim layer charges a simulated clock instead and never sleeps; the
-// async-drain benchmark needs real elapsed time, since overlap of
-// capture and drain is precisely what it measures).
+// and Append sleep long enough that sustained ingress never exceeds
+// BytesPerSec. It models a constrained stable store for wall-clock
+// experiments (the netsim layer charges a simulated clock instead and
+// never sleeps; the async-drain benchmark needs real elapsed time,
+// since overlap of capture and drain is precisely what it measures).
 //
 // The throttle is a token bucket over a shared budget, so concurrent
 // writers split the bandwidth rather than each enjoying the full cap.
@@ -33,6 +33,12 @@ func NewThrottle(fs FS, bytesPerSec int64) *Throttle {
 func (t *Throttle) WriteFile(name string, data []byte) error {
 	t.charge(int64(len(data)))
 	return t.FS.WriteFile(name, data)
+}
+
+// Append implements FS, delaying by the append's bandwidth cost.
+func (t *Throttle) Append(name string, data []byte) error {
+	t.charge(int64(len(data)))
+	return t.FS.Append(name, data)
 }
 
 // charge books cost bytes against the shared budget and sleeps until

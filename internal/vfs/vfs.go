@@ -57,6 +57,9 @@ type FS interface {
 	// WriteFile writes data to name, creating parent directories as
 	// needed and truncating any existing file.
 	WriteFile(name string, data []byte) error
+	// Append writes data at the end of name, creating the file and its
+	// parent directories as needed. It is as durable as WriteFile.
+	Append(name string, data []byte) error
 	// ReadFile returns the contents of the named file.
 	ReadFile(name string) ([]byte, error)
 	// Remove removes the named file or (recursively) directory.
@@ -284,24 +287,38 @@ func (m *Mem) mkdirAllLocked(dir string) error {
 
 // WriteFile implements FS.
 func (m *Mem) WriteFile(name string, data []byte) error {
+	return m.put("write", name, data, false)
+}
+
+// Append implements FS.
+func (m *Mem) Append(name string, data []byte) error {
+	return m.put("append", name, data, true)
+}
+
+// put replaces name's contents with data, or extends them with data.
+func (m *Mem) put(op, name string, data []byte, extend bool) error {
 	p, err := Clean(name)
 	if err != nil {
 		return err
 	}
 	if p == "." {
-		return fmt.Errorf("vfs: write %q: %w", name, ErrIsDir)
+		return fmt.Errorf("vfs: %s %q: %w", op, name, ErrIsDir)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.dirs[p] {
-		return fmt.Errorf("vfs: write %q: %w", name, ErrIsDir)
+		return fmt.Errorf("vfs: %s %q: %w", op, name, ErrIsDir)
 	}
 	if err := m.mkdirAllLocked(path.Dir(p)); err != nil {
 		return err
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	m.files[p] = buf
+	// A file's bytes are never shared (ReadFile copies, Rename moves),
+	// so an append may grow them in place.
+	var buf []byte
+	if extend {
+		buf = m.files[p]
+	}
+	m.files[p] = append(buf, data...)
 	m.mtime[p] = m.now()
 	m.linkLocked(p)
 	return nil

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // implementations returns a fresh instance of every FS implementation so
@@ -393,5 +394,28 @@ func TestWriteFileCopiesInput(t *testing.T) {
 	}
 	if string(got) != "abc" {
 		t.Errorf("stored data aliased caller slice: %q", got)
+	}
+}
+
+// The throttle charges appended bytes against the same budget as
+// written ones: a store capped at 1 MiB/s takes at least 100 ms to
+// take 100 KiB, however it is split between WriteFile and Append.
+func TestThrottleChargesAppends(t *testing.T) {
+	th := NewThrottle(NewMem(), 1<<20)
+	chunk := make([]byte, 25<<10)
+	start := time.Now()
+	if err := th.WriteFile("log", chunk); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := th.Append("log", chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := time.Since(start); d < 95*time.Millisecond {
+		t.Fatalf("100 KiB through a 1 MiB/s throttle took %v", d)
+	}
+	if fi, err := th.Stat("log"); err != nil || fi.Size != 100<<10 {
+		t.Fatalf("throttled log: %+v, %v", fi, err)
 	}
 }
