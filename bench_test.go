@@ -845,7 +845,7 @@ func BenchmarkAsyncDrainPipeline(b *testing.B) {
 }
 
 // BenchmarkRecoveryVsRestart is ablation A11: after a node loss at a
-// committed KeepLocal frontier, how long until the job is computing
+// committed frontier (whose stages an in-job job keeps), how long until the job is computing
 // again — and how many bytes had to be restored — for in-job single-rank
 // recovery versus the whole-job restart ladder, across job sizes. The
 // in-job path stages one rank's image and rolls survivors back in
@@ -877,7 +877,7 @@ func BenchmarkRecoveryVsRestart(b *testing.B) {
 					if mode == "injob" {
 						job.SetRecoveryHandler(sys.Recovery())
 					}
-					if _, err := sys.Cluster().CheckpointJob(job.JobID(), snapc.Options{KeepLocal: mode == "injob"}); err != nil {
+					if _, err := sys.Cluster().CheckpointJob(job.JobID(), snapc.Options{}); err != nil {
 						b.Fatal(err)
 					}
 					victim := job.NodeOf(np - 1)

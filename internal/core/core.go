@@ -358,10 +358,12 @@ type Recovery struct {
 	// value) keeps the paper's abort-and-restart behavior; RecoverInJob
 	// attaches the in-job recovery coordinator to every incarnation, so
 	// node loss respawns only the lost ranks (whole-job restart remains
-	// the fallback when a session cannot converge). In-job mode also
-	// keeps each periodic checkpoint's node-local stages (KeepLocal) —
-	// they are the zero-cost rollback source for the survivors — and
-	// prunes stages older than the newest committed interval.
+	// the fallback when a session cannot converge). A job with a
+	// recovery coordinator attached keeps the node-local stages of its
+	// newest committed interval, and each commit drops the stages it
+	// supersedes: survivors roll back in place from their own stages,
+	// and every share a recovery restores is hashed once, where it is
+	// read, against the committed manifest.
 	Policy RecoveryPolicy
 	// AutoRestart is the number of restarts Supervise may attempt after
 	// a job failure (a lost node, a dead rank). 0 disables self-healing:
@@ -569,7 +571,7 @@ func (s *System) superviseLoop(job *Job, appFactory func(rank int) ompi.App, opt
 	// the cost and cadence estimates, only the tickers re-enter.
 	var lsup *levelSup
 	if opts.Levels.enabled() {
-		lsup = newLevelSup(s, opts, snapc.Options{KeepLocal: co != nil}, co != nil, &rep, &mu)
+		lsup = newLevelSup(s, opts, &rep, &mu)
 	}
 	for {
 		if co != nil {
@@ -614,9 +616,6 @@ func (s *System) superviseLoop(job *Job, appFactory func(rank int) ompi.App, opt
 		}
 		if opts.CheckpointEvery > 0 {
 			tickers.Add(1)
-			// In-job recovery keeps every periodic checkpoint's node-local
-			// stages: they are the survivors' zero-cost rollback source.
-			copts := snapc.Options{KeepLocal: co != nil}
 			go func(j *Job) {
 				defer tickers.Done()
 				t := time.NewTicker(opts.CheckpointEvery)
@@ -630,9 +629,6 @@ func (s *System) superviseLoop(job *Job, appFactory func(rank int) ompi.App, opt
 					rep.Checkpoints++
 					rep.Phases.Accumulate(res.Meta.Phases)
 					mu.Unlock()
-					if co != nil {
-						s.cluster.PruneLocalStages(j.JobID(), res.Interval)
-					}
 					if opts.Progress != nil {
 						opts.Progress(res)
 					}
@@ -647,13 +643,13 @@ func (s *System) superviseLoop(job *Job, appFactory func(rank int) ompi.App, opt
 						return
 					}
 					if !opts.Drain.Async {
-						settle(s.checkpoint(j.JobID(), copts))
+						settle(s.checkpoint(j.JobID(), snapc.Options{}))
 						continue
 					}
 					// Pay only the capture phase on the ticker; a collector
 					// goroutine (joined with the tickers) accounts for the
 					// drain when it lands.
-					p, err := s.checkpointAsync(j.JobID(), copts)
+					p, err := s.checkpointAsync(j.JobID(), snapc.Options{})
 					if err != nil {
 						s.noteCkptErr(j.JobID(), err, &rep, &mu, opts)
 						continue

@@ -61,15 +61,13 @@ type levelSup struct {
 	tuner *cadence.Tuner
 	start time.Time // supervision epoch, the failure-rate window
 	opts  SuperviseOptions
-	copts snapc.Options
-	prune bool // in-job recovery keeps stages; prune after L3 commits
 	rep   *SuperviseReport
 	mu    *sync.Mutex
 }
 
 // newLevelSup builds the engine and seeds the tuner from the fixed
 // cadences (the starting point hysteresis measures against).
-func newLevelSup(s *System, opts SuperviseOptions, copts snapc.Options, prune bool, rep *SuperviseReport, mu *sync.Mutex) *levelSup {
+func newLevelSup(s *System, opts SuperviseOptions, rep *SuperviseReport, mu *sync.Mutex) *levelSup {
 	lv := opts.Levels
 	tn := cadence.New(lv.Tuning)
 	tn.SetAuto(lv.Auto)
@@ -80,7 +78,7 @@ func newLevelSup(s *System, opts SuperviseOptions, copts snapc.Options, prune bo
 	}
 	return &levelSup{
 		sys: s, tuner: tn, start: time.Now(),
-		opts: opts, copts: copts, prune: prune, rep: rep, mu: mu,
+		opts: opts, rep: rep, mu: mu,
 	}
 }
 
@@ -176,7 +174,7 @@ func (ls *levelSup) replan(job *Job) [cadence.NumLevels]bool {
 // into the tuner.
 func (ls *levelSup) seal(job *Job, level int) {
 	t0 := time.Now()
-	if _, err := ls.sys.cluster.CheckpointJobLevel(job.JobID(), level, ls.copts); err != nil {
+	if _, err := ls.sys.cluster.CheckpointJobLevel(job.JobID(), level, snapc.Options{}); err != nil {
 		ls.sys.noteCkptErr(job.JobID(), err, ls.rep, ls.mu, ls.opts)
 		return
 	}
@@ -216,7 +214,7 @@ func (ls *levelSup) promoteStable(job *Job) {
 	if held {
 		res, err = result(p.Wait())
 	} else {
-		res, err = ls.sys.checkpoint(job.JobID(), ls.copts)
+		res, err = ls.sys.checkpoint(job.JobID(), snapc.Options{})
 	}
 	if err != nil {
 		ls.sys.noteCkptErr(job.JobID(), err, ls.rep, ls.mu, ls.opts)
@@ -228,9 +226,6 @@ func (ls *levelSup) promoteStable(job *Job) {
 	ls.rep.LevelCheckpoints[cadence.L3-1]++
 	ls.rep.Phases.Accumulate(res.Meta.Phases)
 	ls.mu.Unlock()
-	if ls.prune {
-		ls.sys.cluster.PruneLocalStages(job.JobID(), res.Interval)
-	}
 	if ls.opts.Progress != nil {
 		ls.opts.Progress(res)
 	}

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -300,10 +301,12 @@ func TestMultilevelAutoTuneChaosConvergesToFaultFree(t *testing.T) {
 }
 
 // The level-aware retention invariant, property-tested: under seeded
-// random interleavings of L1 seals, L2 promotions, L3 promotions,
-// prunes and scrubs, the newest restorable interval (across ALL
-// levels) never regresses, and no hold older than a stable commit
-// survives it.
+// random interleavings of L1 seals, L2 promotions, L3 promotions, full
+// checkpoints and scrubs of a job that keeps its stages (it has a
+// recovery coordinator), the newest restorable interval (across ALL
+// levels) never regresses, no hold older than a stable commit survives
+// it, and the only node-local stages are the holds' and the newest
+// stable commit's.
 func TestLevelRetentionInvariantUnderRandomOps(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23} {
 		seed := seed
@@ -322,6 +325,7 @@ func TestLevelRetentionInvariantUnderRandomOps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			job.EnableRecovery()
 			id := job.JobID()
 			dir := job.Lineage()
 			cl := sys.Cluster()
@@ -345,9 +349,24 @@ func TestLevelRetentionInvariantUnderRandomOps(t *testing.T) {
 					t.Fatalf("after %s: best restorable interval regressed %d -> %d", op, best, iv)
 				}
 				best = iv
-				for hiv := range cl.HeldIntervals(id) {
+				held := cl.HeldIntervals(id)
+				for hiv := range held {
 					if hiv < committed {
 						t.Fatalf("after %s: interval %d still held below stable commit %d", op, hiv, committed)
+					}
+				}
+				for _, node := range cl.AliveNodes() {
+					fsys, err := cl.NodeFS(node)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ents, _ := fsys.ReadDir(snapshot.LocalStageRoot(int(id)))
+					for _, e := range ents {
+						iv, _ := strconv.Atoi(e.Name)
+						if _, ok := held[iv]; !ok && iv != committed {
+							t.Fatalf("after %s: %s keeps the stage of interval %d, neither held nor the newest commit %d",
+								op, node, iv, committed)
+						}
 					}
 				}
 			}
@@ -358,7 +377,7 @@ func TestLevelRetentionInvariantUnderRandomOps(t *testing.T) {
 				switch rng.Intn(6) {
 				case 0, 1: // seals are the most common op
 					op = "seal"
-					if _, err := cl.CheckpointJobLevel(id, snapshot.LevelLocal, snapc.Options{KeepLocal: true}); err != nil {
+					if _, err := cl.CheckpointJobLevel(id, snapshot.LevelLocal, snapc.Options{}); err != nil {
 						t.Fatalf("seal: %v", err)
 					}
 				case 2:
@@ -380,8 +399,12 @@ func TestLevelRetentionInvariantUnderRandomOps(t *testing.T) {
 						committed = r.Interval
 					}
 				case 4:
-					op = "prune"
-					cl.PruneLocalStages(id, committed)
+					op = "checkpoint"
+					r, err := cl.CheckpointJob(id, snapc.Options{})
+					if err != nil {
+						t.Fatalf("checkpoint: %v", err)
+					}
+					committed = r.Interval
 				case 5:
 					op = "scrub"
 					sys.Scrub(dir, 1)

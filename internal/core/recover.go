@@ -38,10 +38,12 @@ func (s *System) Recovery() *recovery.Coordinator {
 }
 
 // Migrate moves one rank of a running job onto another live node
-// through an in-job recovery session: a fresh KeepLocal checkpoint pins
-// the frontier, survivors roll back in place, and the migrating rank is
-// respawned on the target restoring from the best available source. The
-// job keeps its identity; no whole-job restart happens.
+// through an in-job recovery session: a fresh checkpoint pins the
+// frontier, and since the job has a recovery coordinator its commit
+// keeps the node-local stages, so survivors roll back in place (each
+// share hashed once, on its node) and the migrating rank is respawned
+// on the target restoring from the best available source. The job
+// keeps its identity; no whole-job restart happens.
 func (s *System) Migrate(id names.JobID, rank int, node string) error {
 	j, err := s.cluster.Job(id)
 	if err != nil {

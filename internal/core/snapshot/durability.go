@@ -18,6 +18,7 @@
 package snapshot
 
 import (
+	"errors"
 	"fmt"
 	"path"
 	"sort"
@@ -171,14 +172,35 @@ func (r *Resolver) Candidates() []int {
 
 // Resolve returns a fully-verified copy of the given interval: the
 // primary when intact, otherwise the first intact replica on a
-// reachable node. It fails only when no intact copy exists anywhere.
+// reachable node. It fails, with ErrNoCopy, only when no intact copy
+// exists anywhere.
 func (r *Resolver) Resolve(interval int) (GlobalMeta, Copy, error) {
-	meta, perr := VerifyInterval(r.Ref, interval)
+	return r.firstCopy(interval, VerifyDir)
+}
+
+// Committed returns the metadata of a committed interval and the copy
+// it was read from, checking only what the metadata carries: the
+// COMMITTED marker, the metadata hash and the manifest's shape
+// (ReadGlobalDir), on the primary or else on the first replica that
+// passes. It reads no payload, so the copy is not known to be intact: a
+// restore from it checks each share where it reads it (ShareLadder).
+// It fails with ErrNoCopy when no copy's metadata checks out.
+func (r *Resolver) Committed(interval int) (GlobalMeta, Copy, error) {
+	return r.firstCopy(interval, ReadGlobalDir)
+}
+
+// firstCopy checks the primary copy of interval with read (VerifyDir,
+// or ReadGlobalDir for the metadata alone) and, when it fails, the
+// replicas on the reachable nodes in order, returning the first copy
+// that passes.
+func (r *Resolver) firstCopy(interval int, read func(vfs.FS, string) (GlobalMeta, error)) (GlobalMeta, Copy, error) {
+	primary := Copy{FS: r.Ref.FS, Dir: r.Ref.IntervalDir(interval)}
+	meta, perr := read(primary.FS, primary.Dir)
 	if perr == nil {
-		return meta, Copy{FS: r.Ref.FS, Dir: r.Ref.IntervalDir(interval)}, nil
+		return meta, primary, nil
 	}
 	lastErr := perr
-	for _, rc := range r.replicas(interval, intact) {
+	for _, rc := range r.replicas(interval, read, intact) {
 		if rc.err != nil {
 			r.Ins.Emit("snapshot", "replica.corrupt", "interval %d replica on %s failed verification: %v", interval, rc.Node, rc.err)
 			lastErr = rc.err
@@ -187,24 +209,25 @@ func (r *Resolver) Resolve(interval int) (GlobalMeta, Copy, error) {
 		r.Ins.Emit("snapshot", "replica.fallback", "interval %d: primary unusable (%v); using replica on %s", interval, perr, rc.Node)
 		return rc.meta, rc.Copy, nil
 	}
-	return GlobalMeta{}, Copy{}, fmt.Errorf("snapshot: interval %d has no intact copy: %w", interval, lastErr)
+	return GlobalMeta{}, Copy{}, fmt.Errorf("%w: interval %d: %w", ErrNoCopy, interval, lastErr)
 }
 
-// replica is one node's replica of an interval as verified: err is nil
-// when the copy is intact.
+// replica is one node's replica of an interval as checked: err is nil
+// when the copy passed.
 type replica struct {
 	Copy
 	meta GlobalMeta
 	err  error
 }
 
-// intact stops a replica survey at the first copy that verifies.
+// intact stops a replica survey at the first copy that passes.
 func intact(rc replica) bool { return rc.err == nil }
 
-// replicas fully verifies the reachable nodes' replicas of interval, in
-// r.Nodes order, stopping after the first for which stop (when non-nil)
-// reports true.
-func (r *Resolver) replicas(interval int, stop func(replica) bool) []replica {
+// replicas checks the reachable nodes' replicas of interval with read
+// (VerifyDir, or ReadGlobalDir for the metadata alone), in r.Nodes
+// order, stopping after the first for which stop (when non-nil) reports
+// true.
+func (r *Resolver) replicas(interval int, read func(vfs.FS, string) (GlobalMeta, error), stop func(replica) bool) []replica {
 	var out []replica
 	dir := ReplicaDir(r.Ref.Dir, interval)
 	for _, node := range r.Nodes {
@@ -212,7 +235,7 @@ func (r *Resolver) replicas(interval int, stop func(replica) bool) []replica {
 		if err != nil || !vfs.Exists(fsys, dir) {
 			continue // dead or unreachable node, or no replica
 		}
-		meta, err := VerifyDir(fsys, dir)
+		meta, err := read(fsys, dir)
 		if err == nil && meta.Interval != interval {
 			err = fmt.Errorf("%w: replica %q on %s claims interval %d, want %d",
 				ErrCorrupt, dir, node, meta.Interval, interval)
@@ -231,17 +254,45 @@ func (r *Resolver) replicas(interval int, stop func(replica) bool) []replica {
 // interval exists anywhere.
 func (r *Resolver) LatestValid() (int, GlobalMeta, Copy, error) {
 	sp := r.Ins.Span("restart.resolve", trace.WithSource("snapshot"))
+	iv, meta, cp, err := r.newest(r.Resolve, func(error) bool { return true })
+	sp.End(err)
+	return iv, meta, cp, err
+}
+
+// LatestRestorable returns the newest interval whose metadata checks out
+// (Committed) and that use accepts, with the copy the metadata came
+// from. use restores from the interval, checking each share where it
+// reads it; when it fails with ErrNoCopy (some rank has no intact copy
+// left) the walk tries the next older interval, and any other error
+// ends it. This is the in-job recovery frontier: it reads no payload
+// that the recovery does not restore.
+func (r *Resolver) LatestRestorable(use func(GlobalMeta, Copy) error) (int, GlobalMeta, Copy, error) {
+	return r.newest(func(iv int) (GlobalMeta, Copy, error) {
+		meta, cp, err := r.Committed(iv)
+		if err == nil {
+			err = use(meta, cp)
+		}
+		return meta, cp, err
+	}, func(err error) bool { return errors.Is(err, ErrNoCopy) })
+}
+
+// newest is the one candidate walk: the candidate intervals newest
+// first, returning the first that accept takes, with its metadata and
+// copy. It moves past an interval only while more holds for the error
+// accept gave it; any other error ends the walk.
+func (r *Resolver) newest(accept func(iv int) (GlobalMeta, Copy, error), more func(error) bool) (int, GlobalMeta, Copy, error) {
 	cands := r.Candidates()
 	var lastErr error
 	for i := len(cands) - 1; i >= 0; i-- {
-		meta, cp, err := r.Resolve(cands[i])
+		meta, cp, err := accept(cands[i])
 		if err == nil {
-			sp.End(nil)
 			return cands[i], meta, cp, nil
+		}
+		if !more(err) {
+			return 0, GlobalMeta{}, Copy{}, err
 		}
 		lastErr = err
 	}
-	sp.End(lastErr)
 	if lastErr != nil {
 		return 0, GlobalMeta{}, Copy{}, fmt.Errorf("snapshot: %q has no valid interval copy: %w", r.Ref.Dir, lastErr)
 	}
@@ -338,7 +389,7 @@ func (r *Resolver) scrubInterval(iv, k int, rep *ScrubReport) IntervalHealth {
 
 	// Survey the replicas before any healing, so the ledger records what
 	// the scrub actually found.
-	found := r.replicas(iv, nil)
+	found := r.replicas(iv, VerifyDir, nil)
 	for _, rc := range found {
 		if rc.err != nil {
 			r.Ins.Emit("snapshot", "scrub.corrupt", "interval %d replica on %s: %v", iv, rc.Node, rc.err)
@@ -484,7 +535,7 @@ func (r *Resolver) Prune(keep, k int) (PruneReport, error) {
 		if _, err := VerifyInterval(r.Ref, iv); err == nil {
 			st.primaryOK = true
 		}
-		for _, rc := range r.replicas(iv, nil) {
+		for _, rc := range r.replicas(iv, VerifyDir, nil) {
 			if rc.err == nil {
 				st.intact = append(st.intact, rc.Node)
 			} else {

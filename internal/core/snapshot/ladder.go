@@ -14,14 +14,27 @@
 // Every rung reads the rank's LocalMeta and checks that it names the
 // interval's job, the interval and the rank; a copy that does not is
 // skipped and the walk goes on.
+//
+// A ShareLadder trusts no copy the resolver did not verify: it carries
+// each rank's slice of the committed manifest (Source.Sums), and its
+// walk (Walk) hands every candidate copy to the caller, who checks the
+// share's bytes where it reads them. A copy that fails the check is
+// skipped like one that names the wrong share.
 package snapshot
 
 import (
+	"errors"
 	"fmt"
 	"path"
+	"strings"
 
 	"repro/internal/vfs"
 )
+
+// ErrNoCopy reports that no intact copy survives: of one rank's share
+// (every rung of the ladder failed), or of a committed interval
+// (Resolver.Resolve, Resolver.Committed).
+var ErrNoCopy = errors.New("snapshot: no intact copy survives")
 
 // SourceKind names the ladder rung a restore source came from.
 type SourceKind int
@@ -45,6 +58,10 @@ type Source struct {
 	FS   vfs.FS
 	Dir  string
 	Meta LocalMeta
+	// Sums is the share's slice of the committed manifest, keyed by
+	// path relative to Dir, when the ladder checks shares (ShareLadder);
+	// nil otherwise.
+	Sums map[string]string
 }
 
 // ProbeShare is the per-node share probe: own reports origin's stage of
@@ -84,13 +101,59 @@ type Ladder struct {
 	held     bool   // sub-stable hold: stage replicas, no committed copy
 	stable   Copy
 	localDir map[int]string // rank -> local snapshot dir inside an interval copy
-	replica  string         // live node holding a verified replica of the committed interval
+	// holders are the live nodes whose replica of the committed
+	// interval the replica rung reads, in preference order.
+	holders []string
+	// sums holds each rank's share of the manifest (ShareLadder only).
+	sums map[int]map[string]string
 }
 
 // CommittedLadder walks a committed interval. meta is its metadata and
 // cp the copy the stable rung reads: the primary, or the intact
 // alternate Resolve returned.
 func (r *Resolver) CommittedLadder(meta GlobalMeta, cp Copy) *Ladder {
+	l := r.committedLadder(meta, cp)
+	// One verified replica serves every rank, since it holds the whole
+	// interval: survey the nodes once per interval, stopping at the
+	// first that verifies. A restart onto fresh nodes finds none.
+	for _, rc := range r.replicas(meta.Interval, VerifyDir, intact) {
+		if rc.err == nil {
+			l.holders = []string{rc.Node}
+		}
+	}
+	return l
+}
+
+// ShareLadder walks a committed interval whose copies nobody verified
+// whole: cp is a copy whose metadata checks out (Committed), and every
+// source carries its share's slice of meta's manifest, for the caller
+// of Walk to check where it reads the share. The replica rung reads any
+// live node's committed replica, the rank's target node first.
+func (r *Resolver) ShareLadder(meta GlobalMeta, cp Copy) *Ladder {
+	l := r.committedLadder(meta, cp)
+	l.sums = make(map[int]map[string]string, len(meta.Procs))
+	share := make(map[string]map[string]string, len(meta.Procs)) // local dir -> its sums
+	for _, pe := range meta.Procs {
+		l.sums[pe.Vpid] = make(map[string]string)
+		share[pe.LocalDir] = l.sums[pe.Vpid]
+	}
+	for rel, sum := range meta.Checksums {
+		if dir, file, ok := strings.Cut(rel, "/"); ok && share[dir] != nil {
+			share[dir][file] = sum
+		}
+	}
+	dir := ReplicaDir(r.Ref.Dir, meta.Interval)
+	for _, node := range r.Nodes {
+		if fsys, err := r.nodeFS(node); err == nil && vfs.Exists(fsys, path.Join(dir, CommittedFile)) {
+			l.holders = append(l.holders, node)
+		}
+	}
+	return l
+}
+
+// committedLadder is the part of a committed interval's ladder both
+// flavours share.
+func (r *Resolver) committedLadder(meta GlobalMeta, cp Copy) *Ladder {
 	l := &Ladder{
 		res: r, jobID: meta.JobID, interval: meta.Interval,
 		base: LocalStageBase(meta.JobID, meta.Interval), stable: cp,
@@ -98,14 +161,6 @@ func (r *Resolver) CommittedLadder(meta GlobalMeta, cp Copy) *Ladder {
 	}
 	for _, pe := range meta.Procs {
 		l.localDir[pe.Vpid] = pe.LocalDir
-	}
-	// One verified replica serves every rank, since it holds the whole
-	// interval: survey the nodes once per interval, stopping at the
-	// first that verifies. A restart onto fresh nodes finds none.
-	for _, rc := range r.replicas(meta.Interval, intact) {
-		if rc.err == nil {
-			l.replica = rc.Node
-		}
 	}
 	return l
 }
@@ -119,57 +174,93 @@ func (r *Resolver) HeldLadder(e JournalEntry) *Ladder {
 // Source returns the first surviving copy of rank's share, for a rank
 // captured on origin that restarts on target.
 func (l *Ladder) Source(rank int, origin, target string) (Source, error) {
+	return l.Walk(rank, origin, target, nil)
+}
+
+// Walk is Source with the caller in the loop. Given use, it hands each
+// candidate copy, in rung order, to use instead of reading the copy's
+// identity itself: use makes the copy readable on target (in place, or
+// staged there), checks the share's bytes against src.Sums, and returns
+// the local metadata it read. A copy use rejects with ErrCorrupt, or
+// whose metadata names another share, is skipped like a missing one;
+// any other error from use ends the walk. When every rung fails the
+// error wraps ErrNoCopy.
+func (l *Ladder) Walk(rank int, origin, target string, use func(Source) (LocalMeta, error)) (Source, error) {
+	var skipped error // why the last rung was passed over
+	try := func(src Source) (Source, bool, error) {
+		if src.FS == nil {
+			fsys, err := l.res.nodeFS(src.Node)
+			if err != nil {
+				skipped = err
+				return Source{}, false, nil
+			}
+			src.FS = fsys
+		}
+		src.Sums = l.sums[rank]
+		var err error
+		if use == nil {
+			src.Meta, err = ReadLocal(LocalRef{FS: src.FS, Dir: src.Dir})
+		} else if src.Meta, err = use(src); err != nil && !errors.Is(err, ErrCorrupt) {
+			return Source{}, false, err
+		}
+		if err == nil {
+			err = l.check(src.Meta, src.Dir, rank)
+		}
+		if err != nil {
+			skipped = err
+			return Source{}, false, nil
+		}
+		return src, true, nil
+	}
+
 	if origin == target && l.res.sealed(origin, l.base) {
-		if src, err := l.read(FromStage, origin, path.Join(l.base, LocalDirName(rank)), rank); err == nil {
-			return src, nil
+		if src, ok, err := try(Source{Kind: FromStage, Node: origin, Dir: path.Join(l.base, LocalDirName(rank))}); ok || err != nil {
+			return src, err
 		}
 	}
 	if l.held {
 		if h := l.res.stageHolder(l.jobID, l.interval, origin); h != "" {
 			dir := path.Join(StageReplicaBase(l.jobID, l.interval, origin), LocalDirName(rank))
-			if src, err := l.read(FromStageReplica, h, dir, rank); err == nil {
-				return src, nil
+			if src, ok, err := try(Source{Kind: FromStageReplica, Node: h, Dir: dir}); ok || err != nil {
+				return src, err
 			}
 		}
-		return Source{}, fmt.Errorf("snapshot: held interval %d: rank %d has no surviving share of node %q",
-			l.interval, rank, origin)
+		return Source{}, fmt.Errorf("%w: held interval %d: rank %d has no surviving share of node %q",
+			ErrNoCopy, l.interval, rank, origin)
 	}
 	rel, ok := l.localDir[rank]
 	if !ok {
 		return Source{}, fmt.Errorf("snapshot: interval %d metadata has no entry for rank %d", l.interval, rank)
 	}
-	if l.replica != "" {
-		if src, err := l.read(FromReplica, l.replica, path.Join(ReplicaDir(l.res.Ref.Dir, l.interval), rel), rank); err == nil {
-			return src, nil
+	for _, h := range l.replicaOrder(target) {
+		if src, ok, err := try(Source{Kind: FromReplica, Node: h, Dir: path.Join(ReplicaDir(l.res.Ref.Dir, l.interval), rel)}); ok || err != nil {
+			return src, err
 		}
 	}
-	src, err := l.check(Source{Kind: FromStable, Node: l.stable.Node, FS: l.stable.FS, Dir: path.Join(l.stable.Dir, rel)}, rank)
-	if err != nil {
-		return Source{}, fmt.Errorf("snapshot: rank %d has no restorable copy at interval %d: %w", rank, l.interval, err)
+	if src, ok, err := try(Source{Kind: FromStable, Node: l.stable.Node, FS: l.stable.FS, Dir: path.Join(l.stable.Dir, rel)}); ok || err != nil {
+		return src, err
 	}
-	return src, nil
+	return Source{}, fmt.Errorf("%w: rank %d has no restorable copy at interval %d: %w", ErrNoCopy, rank, l.interval, skipped)
 }
 
-// read resolves rank's local snapshot at dir on node as a source of kind.
-func (l *Ladder) read(kind SourceKind, node, dir string, rank int) (Source, error) {
-	fsys, err := l.res.nodeFS(node)
-	if err != nil {
-		return Source{}, err
+// replicaOrder lists the replica holders with target, when it holds
+// one, first: a copy on the rank's own node is read in place.
+func (l *Ladder) replicaOrder(target string) []string {
+	for i, h := range l.holders {
+		if h == target && i > 0 {
+			out := append([]string{h}, l.holders[:i]...)
+			return append(out, l.holders[i+1:]...)
+		}
 	}
-	return l.check(Source{Kind: kind, Node: node, FS: fsys, Dir: dir}, rank)
+	return l.holders
 }
 
-// check reads src's metadata and verifies that src is rank's share of
-// this interval of this job.
-func (l *Ladder) check(src Source, rank int) (Source, error) {
-	meta, err := ReadLocal(LocalRef{FS: src.FS, Dir: src.Dir})
-	if err != nil {
-		return Source{}, err
-	}
+// check verifies that meta, read from the copy at dir, names rank's
+// share of this interval of this job.
+func (l *Ladder) check(meta LocalMeta, dir string, rank int) error {
 	if meta.Interval != l.interval || meta.JobID != l.jobID || meta.Vpid != rank {
-		return Source{}, fmt.Errorf("snapshot: %q holds job %d rank %d interval %d, want job %d rank %d interval %d",
-			src.Dir, meta.JobID, meta.Vpid, meta.Interval, l.jobID, rank, l.interval)
+		return fmt.Errorf("%w: %q holds job %d rank %d interval %d, want job %d rank %d interval %d",
+			ErrCorrupt, dir, meta.JobID, meta.Vpid, meta.Interval, l.jobID, rank, l.interval)
 	}
-	src.Meta = meta
-	return src, nil
+	return nil
 }

@@ -132,14 +132,51 @@ func ReadLocal(ref LocalRef) (LocalMeta, error) {
 	if err != nil {
 		return LocalMeta{}, fmt.Errorf("snapshot: read local metadata: %w", err)
 	}
+	return decodeLocal(data, ref.Dir)
+}
+
+// decodeLocal parses and validates local metadata read from dir.
+func decodeLocal(data []byte, dir string) (LocalMeta, error) {
 	var meta LocalMeta
 	if err := json.Unmarshal(data, &meta); err != nil {
-		return LocalMeta{}, fmt.Errorf("snapshot: corrupt local metadata in %q: %w", ref.Dir, err)
+		return LocalMeta{}, fmt.Errorf("snapshot: corrupt local metadata in %q: %w", dir, err)
 	}
 	if err := meta.Validate(); err != nil {
-		return LocalMeta{}, fmt.Errorf("snapshot: %q: %w", ref.Dir, err)
+		return LocalMeta{}, fmt.Errorf("snapshot: %q: %w", dir, err)
 	}
 	return meta, nil
+}
+
+// VerifyShare checks one rank's share of a committed interval where it
+// lies, at dir on fsys: each file sums lists (the share's slice of the
+// manifest, keyed by path relative to dir) is read once and hashed. The
+// share's local metadata is decoded from the bytes just hashed and
+// returned, so verifying and identifying the copy read it once. A
+// missing or damaged file, or a share whose manifest lists no local
+// metadata, fails with ErrCorrupt.
+func VerifyShare(fsys vfs.FS, dir string, sums map[string]string) (LocalMeta, error) {
+	var local []byte
+	for _, rel := range sortedKeys(sums) {
+		var sum string
+		var err error
+		if rel == LocalMetaFile {
+			if local, err = fsys.ReadFile(path.Join(dir, rel)); err == nil {
+				sum = checksum(local)
+			}
+		} else {
+			sum, _, err = vfs.HashFile(fsys, path.Join(dir, rel))
+		}
+		if err != nil {
+			return LocalMeta{}, fmt.Errorf("%w: %q: missing payload %s: %v", ErrCorrupt, dir, rel, err)
+		}
+		if sum != sums[rel] {
+			return LocalMeta{}, fmt.Errorf("%w: %q: payload %s checksum mismatch", ErrCorrupt, dir, rel)
+		}
+	}
+	if local == nil {
+		return LocalMeta{}, fmt.Errorf("%w: %q: the manifest lists no %s for this share", ErrCorrupt, dir, LocalMetaFile)
+	}
+	return decodeLocal(local, dir)
 }
 
 // ProcEntry records one process's place in a global snapshot: its

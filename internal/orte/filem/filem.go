@@ -49,6 +49,16 @@ var ErrUnknownNode = errdef.ErrUnknownNode
 // errdef.ErrRequestTimeout.
 var ErrRequestTimeout = errdef.ErrRequestTimeout
 
+// ErrSourceRead marks a move that failed reading its source: the source
+// node or store could not be reached, or a file or directory on it could
+// not be read. The destination played no part in the failure.
+var ErrSourceRead = errors.New("filem: cannot read the source")
+
+// ErrDigestMismatch reports a source file whose bytes do not hash to the
+// digest Request.Sums gives for it: the source copy is damaged. The
+// bytes are not written, and the move is not retried.
+var ErrDigestMismatch = errors.New("filem: source bytes do not match their known digest")
+
 // RetryPolicy bounds how FILEM reacts to transfer failures: up to Max
 // retries after the first attempt, waiting Backoff before the first
 // retry and growing it by Multiplier each time (exponential backoff,
@@ -186,8 +196,11 @@ type Request struct {
 	// keyed by path relative to SrcPath (a committed interval's
 	// manifest). A baseline lookup uses it instead of reading and
 	// hashing the file, and a hit then reads nothing from the source.
-	// A file Sums does not list (the interval's metadata and marker) is
-	// shipped without a lookup.
+	// A listed file that is shipped is checked against its digest from
+	// the bytes read for the transfer; a mismatch, or a listed file the
+	// source lacks, fails the move with ErrDigestMismatch. A file Sums
+	// does not list (the interval's
+	// metadata and marker) is shipped without a lookup or a check.
 	Sums map[string]string
 }
 
@@ -290,7 +303,7 @@ func Broadcast(c Component, env *Env, srcNode, srcPath string, dstNodes []string
 func copyOne(env *Env, r Request) (Stats, error) {
 	srcFS, err := env.fs(r.SrcNode)
 	if err != nil {
-		return Stats{}, err
+		return Stats{}, fmt.Errorf("%w: %w", ErrSourceRead, err)
 	}
 	dstFS, err := env.fs(r.DstNode)
 	if err != nil {
@@ -309,7 +322,12 @@ func copyOne(env *Env, r Request) (Stats, error) {
 			return Stats{}, fmt.Errorf("filem: move %s:%s -> %s:%s: %w", r.SrcNode, r.SrcPath, r.DstNode, r.DstPath, err)
 		}
 	}
-	if err := copyTreeFiles(env, r, srcFS, dstFS, r.SrcPath, r.DstPath, &st, &injected); err != nil {
+	listed := 0
+	err = copyTreeFiles(env, r, srcFS, dstFS, r.SrcPath, r.DstPath, &st, &injected, &listed)
+	if err == nil && listed < len(r.Sums) {
+		err = fmt.Errorf("%w: the source lacks %d of the %d files with a known digest", ErrDigestMismatch, len(r.Sums)-listed, len(r.Sums))
+	}
+	if err != nil {
 		return Stats{Simulated: copyQuote(env, r, st)},
 			fmt.Errorf("filem: move %s:%s -> %s:%s: %w", r.SrcNode, r.SrcPath, r.DstNode, r.DstPath, err)
 	}
@@ -368,14 +386,16 @@ func copyQuote(env *Env, r Request, st Stats) time.Duration {
 }
 
 // copyTreeFiles walks the source tree, deciding per file between a
-// baseline materialization and a network transfer, and recording the
-// file's digest when the request asks for one. The filem.transfer
+// baseline materialization and a network transfer, recording the
+// file's digest when the request asks for one and checking a shipped
+// file against its known digest (Sums). The filem.transfer
 // injection point fires once, before the first byte that would cross
-// the network, unless the caller already fired it (*injected).
-func copyTreeFiles(env *Env, r Request, srcFS, dstFS vfs.FS, src, dst string, st *Stats, injected *bool) error {
+// the network, unless the caller already fired it (*injected). *listed
+// counts the files found that Sums lists.
+func copyTreeFiles(env *Env, r Request, srcFS, dstFS vfs.FS, src, dst string, st *Stats, injected *bool, listed *int) error {
 	info, err := srcFS.Stat(src)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrSourceRead, err)
 	}
 	if info.IsDir {
 		if err := dstFS.MkdirAll(dst); err != nil {
@@ -383,24 +403,30 @@ func copyTreeFiles(env *Env, r Request, srcFS, dstFS vfs.FS, src, dst string, st
 		}
 		entries, err := srcFS.ReadDir(src)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: %w", ErrSourceRead, err)
 		}
 		for _, e := range entries {
-			if err := copyTreeFiles(env, r, srcFS, dstFS, path.Join(src, e.Name), path.Join(dst, e.Name), st, injected); err != nil {
+			if err := copyTreeFiles(env, r, srcFS, dstFS, path.Join(src, e.Name), path.Join(dst, e.Name), st, injected, listed); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	sum, known := r.Sums[strings.TrimPrefix(src, r.SrcPath+"/")]
+	if known {
+		*listed++
+	}
 	if known && r.dedup() && materialize(env, r, dstFS, src, dst, sum, info.Size, st) {
 		return nil // a known digest decided the hit without reading the source
 	}
 	data, err := srcFS.ReadFile(src)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrSourceRead, err)
 	}
 	n := int64(len(data))
+	if known && vfs.HashBytes(data) != sum {
+		return fmt.Errorf("%w: %s:%s", ErrDigestMismatch, r.SrcNode, src)
+	}
 	// Given Sums, a file they do not list is not payload: no lookup.
 	lookup := r.dedup() && r.Sums == nil
 	if !known && (r.Digest || lookup) {
@@ -469,8 +495,8 @@ func cleanupPartial(env *Env, r Request) {
 // (also on failure) instead of being charged to the shared clock here:
 // the component's Move owns the charge, so overlapped streams' backoffs
 // are not serialized onto the clock. Deterministic failures — a request
-// that would exceed its modeled timeout on every attempt — are not
-// retried.
+// that would exceed its modeled timeout on every attempt, or a source
+// file that does not match its known digest — are not retried.
 func copyWithRetry(env *Env, r Request) (Stats, error) {
 	pol := env.Retry
 	backoff := pol.Backoff
@@ -492,8 +518,8 @@ func copyWithRetry(env *Env, r Request) (Stats, error) {
 		overhead += st.Simulated // time the failed attempt still consumed
 		lastErr = err
 		cleanupPartial(env, r)
-		if errors.Is(err, ErrRequestTimeout) {
-			break // the modeled cost will not change; retrying is futile
+		if errors.Is(err, ErrRequestTimeout) || errors.Is(err, ErrDigestMismatch) {
+			break // the modeled cost or the damaged source will not change; retrying is futile
 		}
 	}
 	return Stats{Simulated: overhead}, fmt.Errorf("filem: giving up on %s:%s -> %s:%s after %d attempt(s): %w",

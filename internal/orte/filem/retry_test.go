@@ -191,3 +191,56 @@ func TestRemoveRetriesTransientFailures(t *testing.T) {
 		t.Fatalf("Remove without retries = %v, want ErrInjected", err)
 	}
 }
+
+// TestKnownSumsCheckShippedBytes: a request with known digests checks
+// every listed file it ships against its digest, from the bytes it
+// reads. A damaged or missing listed file fails the move with
+// ErrDigestMismatch at the first attempt and leaves no copy behind; a
+// source that cannot be read fails it with ErrSourceRead.
+func TestKnownSumsCheckShippedBytes(t *testing.T) {
+	img := []byte("process image")
+	sums := map[string]string{"img": vfs.HashBytes(img)}
+	rows := []struct {
+		name    string
+		src     map[string][]byte
+		srcNode string
+		want    error
+	}{
+		{name: "intact", src: map[string][]byte{"img": img, "meta.json": []byte("{}")}, srcNode: StableNode},
+		{name: "damaged", src: map[string][]byte{"img": []byte("process imagE")}, srcNode: StableNode, want: ErrDigestMismatch},
+		{name: "missing", src: map[string][]byte{"other": img}, srcNode: StableNode, want: ErrDigestMismatch},
+		{name: "unreachable source", src: map[string][]byte{"img": img}, srcNode: "n9", want: ErrSourceRead},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			env, stores := testEnv(1)
+			env.Retry = RetryPolicy{Max: 3, Backoff: time.Microsecond}
+			for name, data := range row.src {
+				if err := stores[StableNode].WriteFile("g/1/"+name, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := (&RSH{}).Move(env, []Request{{SrcNode: row.srcNode, SrcPath: "g/1", DstNode: "n0", DstPath: "r/1", Sums: sums}})
+			if row.want == nil {
+				if err != nil {
+					t.Fatalf("Move: %v", err)
+				}
+				if got, _ := stores["n0"].ReadFile("r/1/img"); string(got) != string(img) {
+					t.Errorf("staged image = %q", got)
+				}
+				return
+			}
+			if !errors.Is(err, row.want) {
+				t.Fatalf("Move = %v, want %v", err, row.want)
+			}
+			if row.want == ErrDigestMismatch {
+				if n := env.Ins.Log.Count("filem.retry"); n != 0 {
+					t.Errorf("a damaged source was retried %d times", n)
+				}
+			}
+			if vfs.Exists(stores["n0"], "r/1") {
+				t.Error("the failed move left a copy behind")
+			}
+		})
+	}
+}

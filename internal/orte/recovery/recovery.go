@@ -25,6 +25,7 @@ import (
 	"repro/internal/ompi"
 	"repro/internal/ompi/btl"
 	"repro/internal/ompi/crcp"
+	"repro/internal/orte/filem"
 	"repro/internal/orte/runtime"
 	"repro/internal/trace"
 )
@@ -93,6 +94,7 @@ func (e *stageError) Unwrap() error { return e.err }
 // ladder source it restores from, and the restore built on its node.
 type rankPlan struct {
 	rank    int
+	origin  string // the node the rank ran on at the frontier
 	node    string
 	src     snapshot.Source
 	restore *ompi.RestoreSpec
@@ -156,9 +158,9 @@ func (co *Coordinator) HandleFailure(j *runtime.Job, node string, lost []int, de
 
 // HandleMigration implements runtime.RecoveryHandler: a planned move of
 // one rank to target. The caller (Cluster.MigrateRank) has already
-// captured a KeepLocal checkpoint, so survivors roll back in place from
-// their sealed local stages — a near no-op — while the migrating rank's
-// state travels to the target node.
+// committed a checkpoint whose stages the job keeps, so survivors roll
+// back in place from their own stages — one hash of each share on its
+// node — while the migrating rank's state travels to the target node.
 func (co *Coordinator) HandleMigration(j *runtime.Job, rank int, target string) error {
 	s, err := j.BeginMigration(rank)
 	if err != nil {
@@ -251,30 +253,35 @@ func (co *Coordinator) runSession(j *runtime.Job, s *runtime.RecoverySession, at
 		co.ins.Emit("recovery", "recovery.drain-recover-error", "job %d: %v", j.JobID(), err)
 	}
 
+	// The frontier is the newest interval whose metadata checks out and
+	// from which every rank restores: the staging below checks each
+	// share where it reads it, and when some rank has no intact copy
+	// left the walk moves on to the next older interval.
 	resolver := c.Resolver(j.GlobalDir())
-	interval, meta, cp, err := resolver.LatestValid()
-	if err != nil {
-		resolveSp.End(err)
-		return fmt.Errorf("recovery: no recovery frontier: %w", err)
-	}
-
+	var plans []rankPlan
 	// An abandoned attempt drops whatever it staged; a rank that
 	// restored has dropped its own copy already.
-	var plans []rankPlan
 	defer func() {
-		for _, p := range plans {
-			if err != nil && p.restore != nil && p.restore.Release != nil {
-				p.restore.Release()
-			}
+		if err != nil {
+			release(plans)
 		}
 	}()
-	plans, err = co.buildPlans(j, resolver.CommittedLadder(meta, cp), meta, j.Placement(), lostSet, forced, exclude)
-	if err == nil {
-		err = co.stagePlans(j, s, attempt, interval, plans)
-	}
+	interval, _, _, err := resolver.LatestRestorable(func(meta snapshot.GlobalMeta, cp snapshot.Copy) error {
+		release(plans)
+		var err error
+		plans, err = co.buildPlans(j, meta, j.Placement(), lostSet, forced, exclude)
+		if err == nil {
+			err = co.stagePlans(j, s, attempt, resolver.ShareLadder(meta, cp), meta, plans)
+		}
+		return err
+	})
 	co.ins.Counter("ompi_recovery_resolve_ns_total").Add(time.Since(start).Nanoseconds())
 	resolveSp.End(err)
 	if err != nil {
+		var se *stageError
+		if !errors.As(err, &se) {
+			err = fmt.Errorf("recovery: no recovery frontier: %w", err)
+		}
 		return err
 	}
 
@@ -304,14 +311,13 @@ func (co *Coordinator) runSession(j *runtime.Job, s *runtime.RecoverySession, at
 	return err
 }
 
-// buildPlans assigns every rank a node at the recovery frontier —
-// survivors stay in place, lost ranks go to replacement nodes — and the
-// source the restore-source ladder finds for it there.
-func (co *Coordinator) buildPlans(j *runtime.Job, ladder *snapshot.Ladder, meta snapshot.GlobalMeta, placement map[int]string, lostSet map[int]bool, forced map[int]string, exclude map[string]bool) ([]rankPlan, error) {
+// buildPlans assigns every rank a node at the recovery frontier:
+// survivors stay in place, lost ranks go to replacement nodes.
+func (co *Coordinator) buildPlans(j *runtime.Job, meta snapshot.GlobalMeta, placement map[int]string, lostSet map[int]bool, forced map[int]string, exclude map[string]bool) ([]rankPlan, error) {
 	np := j.NumProcs()
-	procs := make(map[int]snapshot.ProcEntry, len(meta.Procs))
+	origin := make(map[int]string, len(meta.Procs))
 	for _, pe := range meta.Procs {
-		procs[pe.Vpid] = pe
+		origin[pe.Vpid] = pe.Node
 	}
 	// Current per-node rank counts, so replacements spread across free slots.
 	load := make(map[string]int)
@@ -323,8 +329,7 @@ func (co *Coordinator) buildPlans(j *runtime.Job, ladder *snapshot.Ladder, meta 
 
 	plans := make([]rankPlan, 0, np)
 	for r := 0; r < np; r++ {
-		pe, ok := procs[r]
-		if !ok {
+		if _, ok := origin[r]; !ok {
 			return nil, fmt.Errorf("recovery: interval %d metadata has no entry for rank %d", meta.Interval, r)
 		}
 		node := placement[r]
@@ -340,11 +345,7 @@ func (co *Coordinator) buildPlans(j *runtime.Job, ladder *snapshot.Ladder, meta 
 			}
 			load[node]++
 		}
-		src, err := ladder.Source(r, pe.Node, node)
-		if err != nil {
-			return nil, fmt.Errorf("recovery: %w", err)
-		}
-		plans = append(plans, rankPlan{rank: r, node: node, src: src})
+		plans = append(plans, rankPlan{rank: r, origin: origin[r], node: node})
 	}
 	return plans, nil
 }
@@ -373,27 +374,81 @@ func (co *Coordinator) pickReplacement(load map[string]int, exclude map[string]b
 }
 
 // stagePlans builds each plan's restore through the runtime's shared
-// restore tail: a copy on the rank's own node is read in place, any
-// other is FILEM-staged onto the rank's node first.
-func (co *Coordinator) stagePlans(j *runtime.Job, s *runtime.RecoverySession, attempt, interval int, plans []rankPlan) error {
-	c := co.cluster
-	root := c.StageRoot(fmt.Sprintf("recover/job%d-iv%d-a%d", j.JobID(), interval, attempt))
-	for i := range plans {
-		p := &plans[i]
-		select {
-		case <-s.Aborted():
-			return s.AbortErr()
-		default:
-		}
-		rs, n, err := c.RestoreOn(p.src, p.node, root, p.rank)
-		if err != nil {
-			return &stageError{node: p.node, err: fmt.Errorf("stage rank %d from %s: %w", p.rank, p.label(), err)}
-		}
-		p.restore = rs
-		co.ins.Counter("ompi_recovery_source_" + p.kind() + "_total").Inc()
-		note(co, &co.stats.RestoredBytes, "ompi_recovery_restored_bytes_total", n)
+// restore tail, walking the rank's ladder: a copy on the rank's own
+// node is hashed and read in place, any other is checked from the
+// bytes FILEM reads as it stages the copy onto the rank's node. A
+// damaged copy is skipped for the next rung. The nodes stage
+// concurrently, each its own ranks in rank order, so every node's
+// operations run in the same order on every run.
+func (co *Coordinator) stagePlans(j *runtime.Job, s *runtime.RecoverySession, attempt int, ladder *snapshot.Ladder, meta snapshot.GlobalMeta, plans []rankPlan) error {
+	root := co.cluster.StageRoot(fmt.Sprintf("recover/job%d-iv%d-a%d", j.JobID(), meta.Interval, attempt))
+	byNode := make(map[string][]int) // node -> its plans, in rank order
+	for i, p := range plans {
+		byNode[p.node] = append(byNode[p.node], i)
 	}
+	errs := make([]error, len(plans))
+	var wg sync.WaitGroup
+	for _, idx := range byNode {
+		wg.Add(1)
+		go func(idx []int) {
+			defer wg.Done()
+			for _, i := range idx {
+				select {
+				case <-s.Aborted():
+					errs[i] = s.AbortErr()
+					return
+				default:
+				}
+				if errs[i] = co.stage(ladder, root, &plans[i]); errs[i] != nil {
+					return
+				}
+			}
+		}(idx)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// stage restores one rank from the first rung of the ladder whose copy
+// checks out, recording the source and the restore in p. A failure to
+// reach or write the rank's node is the node's: it wraps a stageError,
+// and the next attempt excludes the node. A damaged or unreadable
+// source is not.
+func (co *Coordinator) stage(ladder *snapshot.Ladder, root string, p *rankPlan) error {
+	var n int64
+	src, err := ladder.Walk(p.rank, p.origin, p.node, func(src snapshot.Source) (snapshot.LocalMeta, error) {
+		if p.restore != nil && p.restore.Release != nil {
+			p.restore.Release() // an earlier rung's copy, staged but not this rank's share
+		}
+		var meta snapshot.LocalMeta
+		var err error
+		p.restore, meta, n, err = co.cluster.RestoreOn(src, p.node, root, p.rank)
+		return meta, err
+	})
+	if err != nil {
+		if p.restore != nil && p.restore.Release != nil {
+			p.restore.Release()
+		}
+		p.restore = nil
+		err = fmt.Errorf("stage rank %d on %q: %w", p.rank, p.node, err)
+		if errors.Is(err, snapshot.ErrCorrupt) || errors.Is(err, snapshot.ErrNoCopy) || errors.Is(err, filem.ErrSourceRead) {
+			return err
+		}
+		return &stageError{node: p.node, err: err}
+	}
+	p.src = src
+	co.ins.Counter("ompi_recovery_source_" + p.kind() + "_total").Inc()
+	note(co, &co.stats.RestoredBytes, "ompi_recovery_restored_bytes_total", n)
 	return nil
+}
+
+// release drops every restore the plans staged and no rank has read.
+func release(plans []rankPlan) {
+	for _, p := range plans {
+		if p.restore != nil && p.restore.Release != nil {
+			p.restore.Release()
+		}
+	}
 }
 
 // report is one rank's arrival at the re-knit rendezvous.

@@ -113,9 +113,10 @@ func TestInJobRecoveryAfterNodeLoss(t *testing.T) {
 		survivorApps[r] = j.App(r)
 	}
 
-	// Pin a recovery frontier with intact node-local stages, then lose
-	// the node hosting rank 2 while the job is mid-flight.
-	if _, err := sys.Cluster().CheckpointJob(j.JobID(), snapc.Options{KeepLocal: true}); err != nil {
+	// Pin a recovery frontier (the job keeps its stages, since it has a
+	// recovery handler), then lose the node hosting rank 2 while the
+	// job is mid-flight.
+	if _, err := sys.Cluster().CheckpointJob(j.JobID(), snapc.Options{}); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	victim := j.NodeOf(2)
@@ -253,7 +254,7 @@ func TestRecoveredJobCheckpoints(t *testing.T) {
 	}
 	h := newObservedHandler(sys.Recovery())
 	j.SetRecoveryHandler(h)
-	if _, err := sys.Cluster().CheckpointJob(j.JobID(), snapc.Options{KeepLocal: true}); err != nil {
+	if _, err := sys.Cluster().CheckpointJob(j.JobID(), snapc.Options{}); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	const victim = 2
@@ -340,7 +341,7 @@ func TestStaleIncarnationCannotClearCheckpointable(t *testing.T) {
 	}
 	h := newObservedHandler(sys.Recovery())
 	j.SetRecoveryHandler(h)
-	if _, err := sys.Cluster().CheckpointJob(j.JobID(), snapc.Options{KeepLocal: true}); err != nil {
+	if _, err := sys.Cluster().CheckpointJob(j.JobID(), snapc.Options{}); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	lost := j.Proc(rank)
@@ -448,7 +449,7 @@ func TestRecoveryRetriesAlternateReplacementNode(t *testing.T) {
 	}
 	co := sys.Recovery()
 	j.SetRecoveryHandler(co)
-	if _, err := sys.Cluster().CheckpointJob(j.JobID(), snapc.Options{KeepLocal: true}); err != nil {
+	if _, err := sys.Cluster().CheckpointJob(j.JobID(), snapc.Options{}); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	if err := sys.Cluster().KillNode(j.NodeOf(0)); err != nil {
@@ -641,7 +642,7 @@ func TestNodeLossDuringQuiesceWindow(t *testing.T) {
 	}
 	co := sys.Recovery()
 	j.SetRecoveryHandler(co)
-	if _, err := sys.Cluster().CheckpointJob(j.JobID(), snapc.Options{KeepLocal: true}); err != nil {
+	if _, err := sys.Cluster().CheckpointJob(j.JobID(), snapc.Options{}); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	victim := j.NodeOf(1)
@@ -651,7 +652,7 @@ func TestNodeLossDuringQuiesceWindow(t *testing.T) {
 	// quiesce window, long before the slow ranks reach the boundary.
 	ckErr := make(chan error, 1)
 	go func() {
-		_, err := sys.Cluster().CheckpointJob(j.JobID(), snapc.Options{KeepLocal: true})
+		_, err := sys.Cluster().CheckpointJob(j.JobID(), snapc.Options{})
 		ckErr <- err
 	}()
 	waitForEvent(t, sys.Ins(), "ckpt.request", 2, 5*time.Second)
@@ -691,12 +692,12 @@ func TestNodeLossBetweenLocalCommitAndDrain(t *testing.T) {
 	co := sys.Recovery()
 	j.SetRecoveryHandler(co)
 	// Interval 0: fully committed, the guaranteed-good frontier.
-	if _, err := sys.Cluster().CheckpointJob(j.JobID(), snapc.Options{KeepLocal: true}); err != nil {
+	if _, err := sys.Cluster().CheckpointJob(j.JobID(), snapc.Options{}); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	// Interval 1: capture returns with LOCAL_COMMITTED everywhere and the
 	// drain queued; the node dies while that drain races.
-	if _, err := sys.Cluster().CheckpointJobAsync(j.JobID(), snapc.Options{KeepLocal: true}); err != nil {
+	if _, err := sys.Cluster().CheckpointJobAsync(j.JobID(), snapc.Options{}); err != nil {
 		t.Fatalf("async checkpoint: %v", err)
 	}
 	if err := sys.Cluster().KillNode(j.NodeOf(2)); err != nil {

@@ -487,6 +487,12 @@ func (c *Cluster) captureJob(id names.JobID, opts snapc.Options) (*snapc.Capture
 	j.nextInterval++
 	j.mu.Unlock()
 	globalDir := snapshot.GlobalDirName(int(id))
+	// Stage retention is the job's, decided here alone: a job with a
+	// recovery handler keeps the node-local stages of its newest
+	// committed interval, the survivors' in-place rollback source, and
+	// the commit that supersedes them drops them. A terminate checkpoint,
+	// and a job without a handler, keep none.
+	opts.KeepLocal = j.HasRecoveryHandler() && !opts.Terminate
 	// The capture gate (snapc_capture_gate) bounds how many jobs
 	// quiesce-and-capture at once, in the drain scheduler's
 	// weighted-fair order; unlimited by default.
@@ -606,15 +612,30 @@ func (c *Cluster) StageRoot(name string) string {
 // otherwise from a copy FILEM stages under root (a StageRoot) there.
 // The rank drops its staged copy once it has restored from it
 // (RestoreSpec.Release; a caller abandoning the restore calls it too).
-// Every rank of root must be staged before any releases. Returns the
-// bytes staged.
-func (c *Cluster) RestoreOn(src snapshot.Source, node, root string, rank int) (*ompi.RestoreSpec, int64, error) {
+// Every rank of root must be staged before any releases.
+//
+// A source carrying its share's digests (src.Sums, from a ShareLadder)
+// is checked where it is read, once: a copy in place is hashed on its
+// node, a staged one from the bytes FILEM reads to stage it. A damaged
+// share fails with snapshot.ErrCorrupt and leaves nothing staged. A
+// source without digests is taken as read (whole-job restart reads
+// copies the resolver verified). Returns the restore, the share's local
+// metadata as read from the copy the rank restores, and the bytes
+// staged.
+func (c *Cluster) RestoreOn(src snapshot.Source, node, root string, rank int) (*ompi.RestoreSpec, snapshot.LocalMeta, int64, error) {
+	meta := src.Meta
 	if src.Node == node || (src.Node == "" && src.FS != c.stable) {
-		return &ompi.RestoreSpec{FS: src.FS, Dir: src.Dir, Files: src.Meta.Files}, 0, nil
+		if src.Sums != nil {
+			var err error
+			if meta, err = snapshot.VerifyShare(src.FS, src.Dir, src.Sums); err != nil {
+				return nil, meta, 0, err
+			}
+		}
+		return &ompi.RestoreSpec{FS: src.FS, Dir: src.Dir, Files: meta.Files}, meta, 0, nil
 	}
 	fsys, err := c.nodeFS(node)
 	if err != nil {
-		return nil, 0, err
+		return nil, meta, 0, err
 	}
 	from := src.Node
 	if from == "" {
@@ -623,13 +644,23 @@ func (c *Cluster) RestoreOn(src snapshot.Source, node, root string, rank int) (*
 	dir := path.Join(root, snapshot.LocalDirName(rank))
 	release := func() { dropStaged(fsys, root, dir) }
 	st, err := c.filemComp.Move(c.filemEnv, []filem.Request{{
-		SrcNode: from, SrcPath: src.Dir, DstNode: node, DstPath: dir,
+		SrcNode: from, SrcPath: src.Dir, DstNode: node, DstPath: dir, Sums: src.Sums,
 	}})
+	if err == nil && src.Sums != nil {
+		// The staged metadata's bytes were checked on the way in.
+		meta, err = snapshot.ReadLocal(snapshot.LocalRef{FS: fsys, Dir: dir})
+		if err != nil {
+			err = fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
+		}
+	}
 	if err != nil {
 		release()
-		return nil, 0, err
+		if errors.Is(err, filem.ErrDigestMismatch) {
+			err = fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
+		}
+		return nil, meta, 0, err
 	}
-	return &ompi.RestoreSpec{FS: fsys, Dir: dir, Files: src.Meta.Files, Release: release}, st.Bytes, nil
+	return &ompi.RestoreSpec{FS: fsys, Dir: dir, Files: meta.Files, Release: release}, meta, st.Bytes, nil
 }
 
 // dropStaged removes one rank's staged restore copy, then its staging
@@ -660,7 +691,7 @@ func (c *Cluster) relaunch(spec JobSpec, placement map[int]string, sources []sna
 	}
 	root := c.StageRoot(fmt.Sprintf("restart/job%d-iv%d", sources[0].Meta.JobID, interval))
 	for r, src := range sources {
-		rs, n, err := c.RestoreOn(src, placement[r], root, r)
+		rs, _, n, err := c.RestoreOn(src, placement[r], root, r)
 		if err != nil {
 			abandon()
 			return nil, fmt.Errorf("runtime: preload rank %d on %q: %w", r, placement[r], err)

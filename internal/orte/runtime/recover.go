@@ -9,9 +9,7 @@ package runtime
 
 import (
 	"fmt"
-	"path"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -422,8 +420,10 @@ func (j *Job) Placement() map[int]string {
 func (j *Job) GlobalDir() string { return snapshot.GlobalDirName(int(j.id)) }
 
 // MigrateRank moves one rank of a running job to another live node: a
-// fresh KeepLocal checkpoint pins the frontier node-local (survivors
-// roll back for free), then the job's recovery handler runs the same
+// fresh checkpoint pins the frontier, and since the job has a recovery
+// handler its commit keeps the node-local stages (the one retention
+// rule, captureJob), so survivors roll back in place, each share hashed
+// once on its own node. The job's recovery handler then runs the same
 // freeze/respawn/re-knit session a failure would, minus the failure.
 func (c *Cluster) MigrateRank(id names.JobID, rank int, node string) error {
 	if err := c.headlessErr(); err != nil {
@@ -456,48 +456,8 @@ func (c *Cluster) MigrateRank(id names.JobID, rank int, node string) error {
 	if cur == node {
 		return nil // already there
 	}
-	if _, err := c.CheckpointJob(id, snapc.Options{KeepLocal: true}); err != nil {
+	if _, err := c.CheckpointJob(id, snapc.Options{}); err != nil {
 		return fmt.Errorf("runtime: migrate rank %d: pre-move checkpoint: %w", rank, err)
 	}
 	return h.HandleMigration(j, rank, node)
-}
-
-// PruneLocalStages removes a job's node-local checkpoint stages older
-// than keepFrom on every live node. Supervising with KeepLocal retention
-// accumulates one sealed stage per interval; only the newest committed
-// one is a useful in-job recovery source.
-//
-// Sub-stable intervals are exempt no matter their age: for an L1/L2
-// hold (or an interval parked through a store outage) the sealed stage
-// IS the checkpoint until a stable commit absorbs it, so a held or
-// otherwise undrained interval is never pruned — the level-aware
-// retention rule of DESIGN.md §5g.
-func (c *Cluster) PruneLocalStages(id names.JobID, keepFrom int) {
-	base, gd := snapshot.LocalStageRoot(int(id)), snapshot.GlobalDirName(int(id))
-	pinned := c.Drainer().Held(gd)
-	if und, err := c.Drainer().Journal(gd).Undrained(); err == nil {
-		for _, e := range und {
-			pinned[e.Interval] = e.Level
-		}
-	}
-	for _, node := range c.AliveNodes() {
-		fs, err := c.nodeFS(node)
-		if err != nil {
-			continue
-		}
-		entries, err := fs.ReadDir(base)
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			iv, err := strconv.Atoi(e.Name)
-			if err != nil || iv >= keepFrom {
-				continue
-			}
-			if _, held := pinned[iv]; held {
-				continue
-			}
-			_ = fs.Remove(path.Join(base, e.Name))
-		}
-	}
 }

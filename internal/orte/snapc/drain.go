@@ -58,6 +58,7 @@ import (
 	"path"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -185,6 +186,9 @@ type Drainer struct {
 	// sealed node-local but not yet stable — cadence holds and outage
 	// parks alike (levels.go).
 	sealed map[string][]*sealedInterval
+	// retained is, per lineage, the stage kept of its newest commit
+	// (Options.KeepLocal), which the lineage's next commit drops.
+	retained map[string]*retainedStage
 
 	workerWG  sync.WaitGroup
 	catchupWG sync.WaitGroup
@@ -237,6 +241,7 @@ func NewDrainer(env *Env, params *mca.Params, lock sync.Locker) *Drainer {
 		backlog:         make(map[string][]snapshot.JournalEntry),
 		stop:            make(chan struct{}),
 		sealed:          make(map[string][]*sealedInterval),
+		retained:        make(map[string]*retainedStage),
 	}
 	if d.maxQueue < 1 {
 		d.maxQueue = 1
@@ -667,7 +672,7 @@ func (d *Drainer) drainOne(cpt *Captured) (Result, error) {
 		env.Ins.Emit("snapc.drain", "drain.crash", "interval %d: %v", cpt.Interval, err)
 		return Result{}, fmt.Errorf("snapc: drain interval %d: %w", cpt.Interval, err)
 	}
-	res, err := Drain(env, cpt)
+	res, err := d.drain(cpt)
 	if err != nil {
 		if faultsim.IsOutage(err) {
 			// Transient store outage: the stages were preserved
@@ -692,6 +697,50 @@ func (d *Drainer) drainOne(cpt *Captured) (Result, error) {
 	// level now has a strictly newer verified copy.
 	d.releaseBelow(cpt.GlobalDir, cpt.Interval)
 	return res, nil
+}
+
+// drain is Drain under the lineage's stage retention rule: the commit
+// drops the stage the lineage retained of an older commit, and a
+// KeepLocal commit's own stage becomes the retained one. Only the one
+// stage a lineage keeps is ever dropped this way, so a held or
+// undrained interval's stage is never touched, and the rule costs no
+// store operation beyond the commit's own FILEM remove.
+func (d *Drainer) drain(cpt *Captured) (Result, error) {
+	gd := cpt.GlobalDir
+	d.mu.Lock()
+	cpt.superseded = nil // a parked interval drains again
+	if r := d.retained[gd]; r != nil && r.interval < cpt.Interval {
+		cpt.superseded = r
+	}
+	d.mu.Unlock()
+	res, err := Drain(d.env, cpt)
+	if err != nil {
+		return res, err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if r := d.retained[gd]; r == nil || r.interval < cpt.Interval {
+		delete(d.retained, gd)
+		if cpt.Opts.KeepLocal {
+			d.retained[gd] = &retainedStage{interval: cpt.Interval, nodes: stageNodes(cpt)}
+		}
+	}
+	return res, nil
+}
+
+// stageNodes lists the nodes holding the interval's own stage: every
+// node it drained from, bar a stage-replica holder standing in for a
+// dead origin.
+func stageNodes(cpt *Captured) []string {
+	base := snapshot.LocalStageBase(int(cpt.Job.JobID()), cpt.Interval) + "/"
+	nodes := make([]string, 0, len(cpt.ByNode))
+	for node, vpids := range cpt.ByNode {
+		if len(vpids) > 0 && strings.HasPrefix(cpt.Results[vpids[0]].Dir, base) {
+			nodes = append(nodes, node)
+		}
+	}
+	sort.Strings(nodes)
+	return nodes
 }
 
 // flushBacklog persists the buffered journal records of one lineage, in
@@ -1055,17 +1104,20 @@ type RecoverReport struct {
 // means no node survived. Must not run concurrently with an active
 // Drainer on the same lineage — flush or close it first.
 func Recover(env *Env, globalDir string, alive func(node string) bool) (RecoverReport, error) {
-	return recoverWith(env, snapshot.OpenJournal(snapshot.GlobalRef{FS: env.Stable, Dir: globalDir}), alive)
+	return recoverWith(env, snapshot.OpenJournal(snapshot.GlobalRef{FS: env.Stable, Dir: globalDir}), alive,
+		func(cpt *Captured) (Result, error) { return Drain(env, cpt) })
 }
 
 // Recover is snapc.Recover through the drainer's own journal handle, so
 // an in-process recovery does not replay the journal from scratch. The
 // drainer must be idle on the lineage — flush it first.
 func (d *Drainer) Recover(globalDir string, alive func(node string) bool) (RecoverReport, error) {
-	return recoverWith(d.env, d.Journal(globalDir), alive)
+	return recoverWith(d.env, d.Journal(globalDir), alive, d.drain)
 }
 
-func recoverWith(env *Env, j *snapshot.Journal, alive func(node string) bool) (RecoverReport, error) {
+// recoverWith is the recovery pass; drain commits a re-drained interval.
+func recoverWith(env *Env, j *snapshot.Journal, alive func(node string) bool,
+	drain func(*Captured) (Result, error)) (RecoverReport, error) {
 	var rep RecoverReport
 	globalDir := j.Dir
 	ref := snapshot.GlobalRef{FS: j.FS, Dir: globalDir}
@@ -1101,7 +1153,7 @@ func recoverWith(env *Env, j *snapshot.Journal, alive func(node string) bool) (R
 			recovered = e.Interval
 			env.Ins.Emit("snapc.drain", "recover.fast-forward", "interval %d already committed", e.Interval)
 		case planOK:
-			if err := redrain(env, j, globalDir, e, plan); err != nil {
+			if err := redrain(env, j, globalDir, e, plan, drain); err != nil {
 				rep.Discarded++
 				env.Ins.Emit("snapc.drain", "recover.redrain-failed", "interval %d: %v", e.Interval, err)
 				continue
@@ -1168,13 +1220,15 @@ func stagePlan(env *Env, e snapshot.JournalEntry, alive func(string) bool) (map[
 // journalJob stands in for the live job, the DRAINING edge re-enters
 // (legal — that's what the edge exists for), and a real failure
 // discards the entry. plan maps each origin node to where its stage
-// share actually lives (itself, or a stage-replica holder).
-func redrain(env *Env, j *snapshot.Journal, globalDir string, e snapshot.JournalEntry, plan map[string]string) error {
+// share actually lives (itself, or a stage-replica holder). drain
+// commits the rebuilt interval.
+func redrain(env *Env, j *snapshot.Journal, globalDir string, e snapshot.JournalEntry, plan map[string]string,
+	drain func(*Captured) (Result, error)) error {
 	if _, err := j.Transition(e.Interval, snapshot.StateDraining, ""); err != nil {
 		return err
 	}
 	cpt := capturedFromEntry(e, globalDir, plan)
-	if _, err := Drain(env, cpt); err != nil {
+	if _, err := drain(cpt); err != nil {
 		if _, terr := j.Transition(e.Interval, snapshot.StateDiscarded, err.Error()); terr != nil {
 			env.Ins.Emit("snapc.drain", "drain.journal-error", "interval %d: %v", e.Interval, terr)
 		}

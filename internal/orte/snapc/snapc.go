@@ -148,8 +148,11 @@ func (e *Env) fire(point string) error {
 type Options struct {
 	// Terminate requests checkpoint-and-terminate.
 	Terminate bool
-	// KeepLocal leaves the node-local snapshot copies in place instead
-	// of removing them after the gather.
+	// KeepLocal leaves the interval's node-local stages in place after
+	// its commit, as its lineage's retained stage: the Drainer's next
+	// commit of the lineage drops them (the stage it supersedes). The
+	// runtime sets it, from the job's recovery handler, for every
+	// checkpoint but a terminate one.
 	KeepLocal bool
 }
 
@@ -194,6 +197,17 @@ type Captured struct {
 	// EnqueuedAt is stamped by the Drainer when the interval enters the
 	// drain queue; the drain turns it into the DrainWaitNS phase.
 	EnqueuedAt time.Time
+
+	// superseded is the stage the lineage retained of an older commit,
+	// which this interval's commit drops (set by the Drainer).
+	superseded *retainedStage
+}
+
+// retainedStage is the node-local stage a lineage keeps of its newest
+// committed interval (Options.KeepLocal), and the nodes holding it.
+type retainedStage struct {
+	interval int
+	nodes    []string
 }
 
 // Component is a SNAPC implementation.
@@ -767,16 +781,31 @@ func finishGlobal(env *Env, cpt *Captured) (Result, error) {
 	rsp.AddBytes(repStats.Bytes)
 	rsp.End(nil)
 
-	// FILEM remove: clean temporary node-local snapshot data. The
-	// snapshot is already committed, so a cleanup failure degrades to a
-	// warning — stale temporaries are garbage, not corruption, and must
-	// not fail an otherwise-good checkpoint.
+	// FILEM remove: clean the node-local snapshot data this commit made
+	// obsolete — the interval's own stages unless its lineage keeps them
+	// (KeepLocal), and the stages the lineage kept of an older commit,
+	// which this one supersedes. The snapshot is already committed, so a
+	// cleanup failure degrades to a warning — stale temporaries are
+	// garbage, not corruption, and must not fail an otherwise-good
+	// checkpoint.
+	drop := make(map[string][]string)
 	if !opts.KeepLocal {
 		base := snapshot.LocalStageBase(int(job.JobID()), interval)
 		for node := range byNode {
-			if err := env.Filem.Remove(env.FilemEnv, node, []string{base}); err != nil {
-				log.Emit("snapc.global", "ckpt.cleanup-failed", "node %q: %v", node, err)
+			drop[node] = append(drop[node], base)
+		}
+	}
+	if old := cpt.superseded; old != nil {
+		base := snapshot.LocalStageBase(int(job.JobID()), old.interval)
+		for _, node := range old.nodes {
+			if _, err := env.NodeFS(node); err == nil { // a dead node's stage went with it
+				drop[node] = append(drop[node], base)
 			}
+		}
+	}
+	for node, paths := range drop {
+		if err := env.Filem.Remove(env.FilemEnv, node, paths); err != nil {
+			log.Emit("snapc.global", "ckpt.cleanup-failed", "node %q: %v", node, err)
 		}
 	}
 	env.Ins.Counter("ompi_snapc_intervals_committed_total").Inc()

@@ -114,8 +114,12 @@ func HashBytes(data []byte) string {
 }
 
 // HashFile returns the hex sha256 of the named file's contents along
-// with its size.
+// with its size. A Mem hashes the file where it lies instead of copying
+// it out first.
 func HashFile(fsys FS, name string) (string, int64, error) {
+	if m, ok := fsys.(*Mem); ok {
+		return m.hashFile(name)
+	}
 	data, err := fsys.ReadFile(name)
 	if err != nil {
 		return "", 0, err
@@ -342,6 +346,24 @@ func (m *Mem) ReadFile(name string) ([]byte, error) {
 	buf := make([]byte, len(data))
 	copy(buf, data)
 	return buf, nil
+}
+
+// hashFile is HashFile over the stored bytes, under the read lock.
+func (m *Mem) hashFile(name string) (string, int64, error) {
+	p, err := Clean(name)
+	if err != nil {
+		return "", 0, err
+	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if m.dirs[p] {
+		return "", 0, fmt.Errorf("vfs: read %q: %w", name, ErrIsDir)
+	}
+	data, ok := m.files[p]
+	if !ok {
+		return "", 0, fmt.Errorf("vfs: read %q: %w", name, ErrNotExist)
+	}
+	return HashBytes(data), int64(len(data)), nil
 }
 
 // Remove implements FS.
