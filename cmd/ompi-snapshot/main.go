@@ -189,16 +189,16 @@ func stats(ref snapshot.GlobalRef) error {
 	}
 	if len(phased) > 0 {
 		ms := func(ns int64) float64 { return float64(ns) / 1e6 }
-		fmt.Printf("\nphases (wall ms; quiesce/capture are the slowest rank; blocked is\napplication-stalled time, drain-wait the interval's time in the queue):\n")
-		fmt.Printf("%-8s %10s %10s %10s %10s %10s %10s %10s %10s\n",
-			"INTERVAL", "QUIESCE", "CAPTURE", "BLOCKED", "DRAIN-WAIT", "DRAIN", "GATHER", "COMMIT", "TOTAL")
+		fmt.Printf("\nphases (wall ms; frontier/quiesce/capture are the slowest rank; blocked is\napplication-stalled time, drain-wait the interval's time in the queue):\n")
+		fmt.Printf("%-8s %10s %10s %10s %10s %10s %10s %10s %10s %10s\n",
+			"INTERVAL", "FRONTIER", "QUIESCE", "CAPTURE", "BLOCKED", "DRAIN-WAIT", "DRAIN", "GATHER", "COMMIT", "TOTAL")
 		for _, iv := range ivs {
 			pb, ok := phased[iv]
 			if !ok {
 				continue
 			}
-			fmt.Printf("%-8d %10.3f %10.3f %10.3f %10.3f %10.3f %10.3f %10.3f %10.3f\n",
-				iv, ms(pb.QuiesceWallNS), ms(pb.CaptureWallNS),
+			fmt.Printf("%-8d %10.3f %10.3f %10.3f %10.3f %10.3f %10.3f %10.3f %10.3f %10.3f\n",
+				iv, ms(pb.FrontierWallNS), ms(pb.QuiesceWallNS), ms(pb.CaptureWallNS),
 				ms(pb.BlockedNS), ms(pb.DrainWaitNS), ms(pb.DrainNS),
 				ms(pb.GatherNS), ms(pb.CommitNS), ms(pb.TotalNS))
 		}

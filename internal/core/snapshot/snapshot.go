@@ -230,16 +230,21 @@ type GlobalMeta struct {
 
 // PhaseBreakdown decomposes one committed checkpoint interval into the
 // paper's cost phases: CRCP quiesce/bookmark drain, CRS capture, FILEM
-// gather, and snapshot commit, plus the post-commit replica pushes.
+// gather, and snapshot commit, plus the post-commit replica pushes,
+// after the wait for the step frontier.
 // Wall times for the rank-local phases are the maximum across ranks
 // (the critical path); the Sum variants total every rank's share.
 type PhaseBreakdown struct {
-	QuiesceWallNS int64 `json:"quiesce_wall_ns"` // slowest rank's preparation+drain
-	QuiesceSumNS  int64 `json:"quiesce_sum_ns"`  // all ranks' preparation+drain
-	CaptureWallNS int64 `json:"capture_wall_ns"` // slowest rank's CRS capture
-	CaptureSumNS  int64 `json:"capture_sum_ns"`  // all ranks' CRS capture
-	GatherNS      int64 `json:"gather_ns"`       // FILEM aggregation to stable storage
-	CommitNS      int64 `json:"commit_ns"`       // manifest check + metadata + atomic rename
+	// FrontierWallNS is the slowest rank's time from the directive's
+	// delivery to entering participation: the wait for the uniform step
+	// frontier, before any quiesce work starts.
+	FrontierWallNS int64 `json:"frontier_wall_ns,omitempty"`
+	QuiesceWallNS  int64 `json:"quiesce_wall_ns"` // slowest rank's preparation+drain
+	QuiesceSumNS   int64 `json:"quiesce_sum_ns"`  // all ranks' preparation+drain
+	CaptureWallNS  int64 `json:"capture_wall_ns"` // slowest rank's CRS capture
+	CaptureSumNS   int64 `json:"capture_sum_ns"`  // all ranks' CRS capture
+	GatherNS       int64 `json:"gather_ns"`       // FILEM aggregation to stable storage
+	CommitNS       int64 `json:"commit_ns"`       // manifest check + metadata + atomic rename
 	// ReplicaNS covers the post-commit replica pushes. It cannot appear
 	// in the persisted copy of the interval that the pushes replicate —
 	// the metadata is sealed before they run — so it is populated on the
@@ -276,6 +281,7 @@ func (p *PhaseBreakdown) Accumulate(o *PhaseBreakdown) {
 	if o == nil {
 		return
 	}
+	p.FrontierWallNS += o.FrontierWallNS
 	p.QuiesceWallNS += o.QuiesceWallNS
 	p.QuiesceSumNS += o.QuiesceSumNS
 	p.CaptureWallNS += o.CaptureWallNS

@@ -99,6 +99,8 @@ type Directive struct {
 
 	// Result carries the participation outcome back to the coordinator.
 	Result chan ParticipationResult
+
+	delivered time.Time // stamped by Deliver; FrontierNS counts from here
 }
 
 // ParticipationResult reports one process's local checkpoint.
@@ -107,12 +109,15 @@ type ParticipationResult struct {
 	Component string   // CRS component used
 	Files     []string // payload files written
 	Err       error
-	// QuiesceNS is how long this rank spent in checkpoint preparation —
-	// dominated by the CRCP quiesce/drain — and CaptureNS how long the
-	// CRS capture of the process image took. Both feed the interval's
+	// FrontierNS is how long the directive waited, from its delivery to
+	// this rank, for the step frontier the job checkpoints at. QuiesceNS
+	// is how long this rank spent in checkpoint preparation — dominated
+	// by the CRCP quiesce/drain — and CaptureNS how long the CRS capture
+	// of the process image took. All three feed the interval's
 	// PhaseBreakdown (paper §6's per-phase cost decomposition).
-	QuiesceNS int64
-	CaptureNS int64
+	FrontierNS int64
+	QuiesceNS  int64
+	CaptureNS  int64
 }
 
 // RestoreSpec tells Run to restore from a local snapshot before stepping.
@@ -564,6 +569,7 @@ func (p *Proc) Checkpoint() error {
 // answered immediately with an error instead of queueing forever: a
 // local coordinator must never hang on it.
 func (p *Proc) Deliver(d *Directive) {
+	d.delivered = time.Now()
 	for {
 		p.mu.Lock()
 		// A directive at or below the fence belongs to an interval
@@ -834,6 +840,9 @@ func (p *Proc) Checkpoints() int { return p.ckpts }
 // and reports the result on d.Result (if any).
 func (p *Proc) participate(d *Directive) {
 	res := ParticipationResult{Rank: p.cfg.Rank, Component: p.cfg.CRS.Name()}
+	if !d.delivered.IsZero() {
+		res.FrontierNS = int64(time.Since(d.delivered))
+	}
 	res.Files, res.Err = p.doCheckpoint(d, &res)
 	if res.Err == nil {
 		p.ckpts++

@@ -297,17 +297,19 @@ func heapChildren(v, n, k int) []int {
 	return out
 }
 
-// procResult is one process's outcome inside a localAck. QuiesceNS and
-// CaptureNS carry the rank's phase timing (channel quiesce, CRS capture)
+// procResult is one process's outcome inside a localAck. FrontierNS,
+// QuiesceNS and CaptureNS carry the rank's phase timing (frontier wait,
+// channel quiesce, CRS capture)
 // up to the global coordinator so the committed interval's PhaseBreakdown
 // can attribute time per phase across ranks.
 type procResult struct {
-	Vpid      int      `json:"vpid"`
-	Component string   `json:"crs_component"`
-	Files     []string `json:"files"`
-	Dir       string   `json:"dir"` // node-local snapshot dir
-	QuiesceNS int64    `json:"quiesce_ns,omitempty"`
-	CaptureNS int64    `json:"capture_ns,omitempty"`
+	Vpid       int      `json:"vpid"`
+	Component  string   `json:"crs_component"`
+	Files      []string `json:"files"`
+	Dir        string   `json:"dir"` // node-local snapshot dir
+	FrontierNS int64    `json:"frontier_ns,omitempty"`
+	QuiesceNS  int64    `json:"quiesce_ns,omitempty"`
+	CaptureNS  int64    `json:"capture_ns,omitempty"`
 	// Bytes is the staged size of the rank's local snapshot. The drain
 	// engine's staged-bytes backpressure cap counts these.
 	Bytes int64  `json:"bytes,omitempty"`
@@ -637,6 +639,7 @@ func finishGlobal(env *Env, cpt *Captured) (Result, error) {
 		pb.DrainWaitNS = int64(drainStart.Sub(cpt.EnqueuedAt))
 	}
 	for _, pr := range results {
+		pb.FrontierWallNS = max(pb.FrontierWallNS, pr.FrontierNS)
 		pb.QuiesceSumNS += pr.QuiesceNS
 		pb.CaptureSumNS += pr.CaptureNS
 		if pr.QuiesceNS > pb.QuiesceWallNS {
@@ -977,7 +980,7 @@ func (f *Full) handleLocal(env *Env, node string, req request, resolve func(name
 	for range vpids {
 		res := <-results
 		pr := procResult{Vpid: res.Rank, Component: res.Component, Files: res.Files, Dir: dirs[res.Rank],
-			QuiesceNS: res.QuiesceNS, CaptureNS: res.CaptureNS}
+			FrontierNS: res.FrontierNS, QuiesceNS: res.QuiesceNS, CaptureNS: res.CaptureNS}
 		if res.Err != nil {
 			pr.Err = res.Err.Error()
 			clean = false
