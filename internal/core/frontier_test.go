@@ -65,3 +65,31 @@ func TestFrontierWallIsAttributed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The C/R layer runs a frontier agreement only for a requested
+// checkpoint: none over a whole run without one, and exactly one per
+// checkpoint when K are requested.
+func TestFrontierAgreementsCountCheckpoints(t *testing.T) {
+	const agreements = "ompi_frontier_agreements_total"
+	ins := trace.New()
+	_, job := launchStencil(t, ins, "400")
+	if err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ins.Counter(agreements).Value(); got != 0 {
+		t.Fatalf("%d agreements over a run with no checkpoint requested, want 0", got)
+	}
+
+	const k = 4
+	ins = trace.New()
+	_, job = launchStencil(t, ins, "0")
+	for i := 1; i <= k; i++ {
+		checkpointWhenReady(t, job, i == k)
+	}
+	if err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ins.Counter(agreements).Value(); got != k {
+		t.Fatalf("%d agreements for %d checkpoints, want %d", got, k, k)
+	}
+}

@@ -10,7 +10,9 @@
 // small messages, RTS/CTS/DATA rendezvous for large ones, and CTRL
 // fragments that the CRCP coordination protocol uses for its bookmark
 // exchange (the paper's coordination services are "allowed to watch the
-// network traffic as it moves through the system").
+// network traffic as it moves through the system"), and FRONTIER
+// fragments through which ranks agree on the step boundary a pending
+// checkpoint is taken at.
 package btl
 
 import (
@@ -36,6 +38,10 @@ const (
 	// KindCtrl carries coordination-protocol control data (e.g. the
 	// bookmark exchange); it is never matched against MPI receives.
 	KindCtrl
+	// KindFrontier carries the OMPI layer's step-frontier agreement:
+	// which step boundary the ranks checkpoint at. Like KindCtrl it is
+	// never matched, counted by the CRCP protocol or held at a cut.
+	KindFrontier
 )
 
 // String implements fmt.Stringer.
@@ -51,6 +57,8 @@ func (k Kind) String() string {
 		return "DATA"
 	case KindCtrl:
 		return "CTRL"
+	case KindFrontier:
+		return "FRONTIER"
 	default:
 		return fmt.Sprintf("KIND(%d)", uint8(k))
 	}

@@ -176,7 +176,7 @@ type Config struct {
 // the application goroutine; Deliver may be called from any goroutine.
 type Proc struct {
 	cfg  Config
-	ep   btl.Port
+	ep   btl.Port // written under mu: Deliver wakes the rank through it
 	eng  *pml.Engine
 	coll *coll.Coll
 	prot crcp.Protocol
@@ -195,6 +195,8 @@ type Proc struct {
 	lastBookmarks []byte // CRCP counters at the most recent restored cut
 
 	directives chan *Directive
+	front      frontier // step-frontier agreement state (frontier.go)
+	inSync     bool     // inside Checkpoint, which takes its directive inline
 	mu         sync.Mutex
 	status     Status        // written only by transition (mu)
 	changed    chan struct{} // closed and replaced by each transition (mu)
@@ -258,6 +260,8 @@ func NewProc(cfg Config) (*Proc, error) {
 	})
 	p.prot = cfg.CRCP.Wrap(p.eng, cfg.Params, cfg.Ins)
 	p.eng.SetHooks(p.prot)
+	p.front.reset(cfg.Size)
+	p.eng.SetFrontier(p.onFrontier)
 	p.coll = coll.New(p.eng)
 
 	// Build the INC stack bottom-up: OPAL, ORTE, OMPI. The application
@@ -536,6 +540,8 @@ func (p *Proc) Checkpoint() error {
 	if p.cfg.SyncCheckpoint == nil {
 		return ErrNoRuntime
 	}
+	p.inSync = true
+	defer func() { p.inSync = false }()
 	// Collective entry: ensures all ranks are here before the request.
 	if _, err := p.Allreduce(coll.Int64sToBytes([]int64{1}), coll.SumInt64); err != nil {
 		return fmt.Errorf("ompi: synchronous checkpoint entry: %w", err)
@@ -563,11 +569,13 @@ func (p *Proc) Checkpoint() error {
 
 // --- Runtime-facing API ------------------------------------------------------
 
-// Deliver hands the process a checkpoint directive. Safe to call from
-// the application coordinator goroutine. Once the process can no longer
-// honour one (recovering, finalizing or exited), the directive is
-// answered immediately with an error instead of queueing forever: a
-// local coordinator must never hang on it.
+// Deliver hands the process a checkpoint directive: a queued directive
+// arms the process, and a wake fragment on its own port makes a rank
+// blocked in a PML wait report to the frontier agreement at once. Safe
+// to call from the application coordinator goroutine. Once the process
+// can no longer honour one (recovering, finalizing or exited), the
+// directive is answered immediately with an error instead of queueing
+// forever: a local coordinator must never hang on it.
 func (p *Proc) Deliver(d *Directive) {
 	d.delivered = time.Now()
 	for {
@@ -587,7 +595,11 @@ func (p *Proc) Deliver(d *Directive) {
 		// deadlock against a blocked sender.
 		select {
 		case p.directives <- d:
+			ep := p.ep
 			p.mu.Unlock()
+			// A failed wake only means the port is gone; the rank then
+			// leaves stepping and refuses the directive.
+			_ = ep.Send(btl.Frag{Kind: btl.KindFrontier, Dst: p.cfg.Rank, Payload: encodeFrontier(frontierWake, 0)})
 			return
 		default:
 		}
@@ -748,7 +760,9 @@ func (p *Proc) stepLoop(app App) error {
 			break
 		}
 	}
-	// MPI_FINALIZE entry: no further checkpoints of this process.
+	// MPI_FINALIZE entry: no further checkpoints of this process, and no
+	// further boundary to report to a frontier agreement.
+	p.front.next = never
 	p.transition(PhaseFinalizing, nil)
 	if !terminate {
 		// Finalize synchronizes, like MPI_Finalize commonly does.
@@ -760,70 +774,60 @@ func (p *Proc) stepLoop(app App) error {
 	return nil
 }
 
-func (p *Proc) pendingDirective() *Directive {
-	select {
-	case d := <-p.directives:
-		return d
-	default:
-		return nil
-	}
-}
-
 // boundarySync is the step-boundary checkpoint check. Because directive
 // delivery is asynchronous, ranks could otherwise drift across step
 // boundaries and deadlock (one rank quiescing at boundary k while
 // another blocks in a step-k+1 receive for a message the quiescing rank
-// will only send after the checkpoint). A small OR-allreduce of "do I
-// hold a directive?" makes the decision uniform: either every rank
-// steps on, or every rank participates at this same frontier. This is
-// the Go substitution for BLCR's ability to interrupt a process at an
-// arbitrary instruction (see DESIGN.md); it also keeps application state
-// and channel state consistent for restart.
+// will only send after the checkpoint). Arm, then agree, makes the
+// decision uniform: a queued directive arms the rank, and armed ranks
+// agree on one frontier boundary F at which every rank participates
+// (frontier.go). A rank that is neither armed nor in an agreement steps
+// on after a local test, sending nothing. A rank in an agreement waits
+// at the boundary it reported until F is known, and the PML serves the
+// agreement inside every blocking wait, so a peer blocked mid-step on
+// this rank still reports and the wait always ends. This is the Go
+// substitution for BLCR's ability to interrupt a process at an
+// arbitrary instruction (see DESIGN.md); it also keeps application
+// state and channel state consistent for restart.
 func (p *Proc) boundarySync() (terminate bool, err error) {
-	stashed := p.pendingDirective()
-	// A consumed directive must always be answered: if the sync fails
-	// (e.g. the fabric died under us), refuse it so the local coordinator
-	// collecting results is never left waiting on a directive this
-	// process silently took with it.
-	defer func() {
-		if err != nil && stashed != nil {
-			p.refuse(stashed)
+	f := &p.front
+	b := f.next
+	if !f.joined {
+		if !p.armed() {
+			f.next++
+			return false, nil
 		}
-	}()
-	flag := int64(0)
-	if stashed != nil {
-		flag = 1
+		if err := p.join(); err != nil {
+			return false, err
+		}
 	}
-	res, err := p.Allreduce(coll.Int64sToBytes([]int64{flag}), coll.MaxInt64)
-	if err != nil {
+	// A frontier no rank reaches ends the agreement undecided.
+	if err := p.eng.Await(func() bool { return f.decided || !f.joined }); err != nil {
 		return false, err
 	}
-	vals, err := coll.BytesToInt64s(res)
-	if err != nil {
-		return false, err
-	}
-	if vals[0] == 0 {
+	if !f.joined || f.at > b {
+		f.next++
 		return false, nil
 	}
-	// Someone holds a directive: everyone participates at this frontier.
-	d := stashed
-	if d == nil {
-		// ompi_directive_timeout bounds the wait for our share of the
-		// broadcast when the local coordinator died before delivering it
-		// (e.g. its node was killed mid-fan-out). The default sits far
-		// beyond any legitimate delivery delay in the simulator; fault
-		// studies that kill nodes mid-capture lower it so a torn
-		// broadcast fails the frontier at failure-detection speed
-		// instead of wedging the job.
-		timeout := 10 * time.Second
-		if p.cfg.Params != nil {
-			timeout = p.cfg.Params.Duration("ompi_directive_timeout", timeout)
-		}
-		select {
-		case d = <-p.directives:
-		case <-time.After(timeout):
-			return false, fmt.Errorf("ompi: boundary: peers report a checkpoint but no directive arrived")
-		}
+	// This is the frontier. A report made while participating names the
+	// next boundary.
+	f.joined, f.decided = false, false
+	f.next++
+	var d *Directive
+	// ompi_directive_timeout bounds the wait for our own directive when
+	// the local coordinator died before delivering it (e.g. its node was
+	// killed mid-fan-out). The default sits far beyond any legitimate
+	// delivery delay in the simulator; fault studies that kill nodes
+	// mid-capture lower it so a torn broadcast fails the frontier at
+	// failure-detection speed instead of wedging the job.
+	timeout := 10 * time.Second
+	if p.cfg.Params != nil {
+		timeout = p.cfg.Params.Duration("ompi_directive_timeout", timeout)
+	}
+	select {
+	case d = <-p.directives:
+	case <-time.After(timeout):
+		return false, fmt.Errorf("ompi: boundary: peers agreed on a checkpoint but no directive arrived")
 	}
 	p.participate(d)
 	return d.Terminate, nil

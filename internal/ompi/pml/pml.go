@@ -141,6 +141,8 @@ type Engine struct {
 	draining bool
 	holdback []btl.Frag // post-cut fragments excluded from the image
 	colour   uint8      // cut colour stamped on every outgoing fragment
+
+	frontier func(btl.Frag) error // FRONTIER fragment handler (SetFrontier)
 }
 
 // Config assembles an Engine.
@@ -208,6 +210,17 @@ func (e *Engine) send(fr btl.Frag) error {
 // SendCtrl emits a coordination-protocol control fragment to dst.
 func (e *Engine) SendCtrl(dst int, payload []byte) error {
 	return e.send(btl.Frag{Kind: btl.KindCtrl, Dst: dst, Payload: payload})
+}
+
+// SetFrontier installs the handler for FRONTIER fragments. The engine
+// runs it from whichever progress call pulls the fragment, including a
+// blocking Recv or Wait, so the step-frontier agreement advances while
+// the application is blocked mid-step.
+func (e *Engine) SetFrontier(h func(btl.Frag) error) { e.frontier = h }
+
+// SendFrontier emits a step-frontier agreement fragment to dst.
+func (e *Engine) SendFrontier(dst int, payload []byte) error {
+	return e.send(btl.Frag{Kind: btl.KindFrontier, Dst: dst, Payload: payload})
 }
 
 // newRequest allocates a request handle.
@@ -435,6 +448,16 @@ func (e *Engine) ProgressUntil(pred func() bool, timeout time.Duration) error {
 	return nil
 }
 
+// Await drives the engine, blocking for fragments, until pred holds.
+func (e *Engine) Await(pred func() bool) error {
+	for !pred() {
+		if err := e.progress(true); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // progress pulls one fragment (blocking if requested) and handles it.
 func (e *Engine) progress(block bool) error {
 	var fr btl.Frag
@@ -461,11 +484,17 @@ func (e *Engine) progress(block bool) error {
 // handleFrag dispatches one fragment through the (possibly wrapped)
 // protocol machine.
 func (e *Engine) handleFrag(fr btl.Frag) error {
-	if fr.Kind == btl.KindCtrl {
+	switch fr.Kind {
+	case btl.KindCtrl:
 		if e.hooks == nil {
 			return fmt.Errorf("pml: control fragment from rank %d with no protocol installed", fr.Src)
 		}
 		return e.hooks.CtrlFrag(fr)
+	case btl.KindFrontier:
+		if e.frontier == nil {
+			return fmt.Errorf("pml: frontier fragment from rank %d with no handler installed", fr.Src)
+		}
+		return e.frontier(fr)
 	}
 	if e.draining {
 		switch fr.Kind {

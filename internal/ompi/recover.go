@@ -110,6 +110,7 @@ func (p *Proc) restoreFrom(restore *RestoreSpec) error {
 	// CRS components (a SELF rank has no library image at all — the
 	// paper's heterogeneous scenario).
 	p.coll.SetSeq(0)
+	p.front.reset(p.cfg.Size)
 	p.restarted = true
 	if err := p.incs.Call(inc.StateRestart); err != nil {
 		return fmt.Errorf("restart INC: %w", err)
@@ -144,7 +145,9 @@ func (p *Proc) tryRecover(cause error) error {
 	}
 	// Patch the transport first: the PML must speak through the rebuilt
 	// fabric before the restore resurrects its channel state.
+	p.mu.Lock()
 	p.ep = ord.Port
+	p.mu.Unlock()
 	p.eng.Rebind(ord.Port)
 	var rerr error
 	if ord.Restore == nil {
