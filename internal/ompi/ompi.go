@@ -813,21 +813,30 @@ func (p *Proc) boundarySync() (terminate bool, err error) {
 	// next boundary.
 	f.joined, f.decided = false, false
 	f.next++
+	// Usually the directive is already queued. ompi_directive_timeout
+	// bounds the wait for it when the local coordinator died before
+	// delivering it (e.g. its node was killed mid-fan-out). The default
+	// sits far beyond any legitimate delivery delay in the simulator;
+	// fault studies that kill nodes mid-capture lower it so a torn
+	// broadcast fails the frontier at failure-detection speed instead of
+	// wedging the job.
 	var d *Directive
-	// ompi_directive_timeout bounds the wait for our own directive when
-	// the local coordinator died before delivering it (e.g. its node was
-	// killed mid-fan-out). The default sits far beyond any legitimate
-	// delivery delay in the simulator; fault studies that kill nodes
-	// mid-capture lower it so a torn broadcast fails the frontier at
-	// failure-detection speed instead of wedging the job.
-	timeout := 10 * time.Second
-	if p.cfg.Params != nil {
-		timeout = p.cfg.Params.Duration("ompi_directive_timeout", timeout)
-	}
 	select {
 	case d = <-p.directives:
-	case <-time.After(timeout):
-		return false, fmt.Errorf("ompi: boundary: peers agreed on a checkpoint but no directive arrived")
+	default:
+		timeout := 10 * time.Second
+		if p.cfg.Params != nil {
+			timeout = p.cfg.Params.Duration("ompi_directive_timeout", timeout)
+		}
+		// A stopped timer, not time.After: one per checkpoint would stay
+		// live for the whole timeout.
+		timer := time.NewTimer(timeout)
+		select {
+		case d = <-p.directives:
+			timer.Stop()
+		case <-timer.C:
+			return false, fmt.Errorf("ompi: boundary: peers agreed on a checkpoint but no directive arrived")
+		}
 	}
 	p.participate(d)
 	return d.Terminate, nil
