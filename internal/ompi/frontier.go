@@ -5,44 +5,51 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/ompi/btl"
 )
 
 // The step-frontier agreement (arm, then agree). A step boundary costs
 // one local test unless the process is armed — a checkpoint directive
-// is queued — or has joined an open agreement. An armed process joins:
-// it reports to rank 0 the next boundary it can still checkpoint at (the
-// current one at a boundary, the following one mid-step). Rank 0 asks
-// every other rank to report too, so a rank whose directive is late, or
-// that is finalizing, still answers; once all n have reported it sends
-// each rank the frontier F, the largest report. Every rank steps on to
-// boundary F and participates there. A rank that has reported does not
-// pass its reported boundary until it knows F, so no rank can be past F.
+// is queued — or has reported to an open agreement. Deliver arms the
+// process and reports for it at once: the next boundary it can still
+// checkpoint at (the one it stands at, or the next one mid-step), sent
+// to rank 0 from the delivering goroutine, so a rank asleep in its
+// step's compute still reports. Rank 0 asks every other rank to report
+// too, so a rank whose directive is late, or that is finalizing, still
+// answers; once all n have reported it sends each rank the frontier F,
+// the largest report. Every rank steps on to boundary F and
+// participates there. A rank that has reported does not pass its
+// reported boundary until it knows F, so no rank can be past F.
 //
 // The fragments travel on the job's own fabric as FRONTIER fragments,
 // which the PML hands to onFrontier from any progress call — also from
-// inside a blocking Recv or Wait — so a rank blocked mid-step reports
-// without returning to its step loop. Payload: a kind byte, then for a
-// report or a frontier one uvarint, boundary+1, or 0 for a rank that
-// will reach no further boundary (finalizing). A frontier of 0 means
-// nobody checkpoints: every rank refuses its directive.
+// inside a blocking Recv or Wait — so a rank blocked mid-step answers
+// rank 0 and learns F without returning to its step loop. Payload: a
+// kind byte, then for a report or a frontier one uvarint, boundary+1,
+// or 0 for a rank that will reach no further boundary (finalizing). A
+// frontier of 0 means nobody checkpoints: every rank refuses its
+// directive.
 const (
-	frontierWake   = 'w' // Deliver to its own rank: a directive is queued
 	frontierStart  = 's' // rank 0 to a rank: report for the open agreement
 	frontierReport = 'r' // a rank to rank 0: the next boundary it can reach
 	frontierAt     = 'f' // rank 0 to a rank: the agreed frontier
 )
 
 // never is the boundary of a process that will reach no further one.
-const never = math.MaxInt64
+const never = math.MaxInt64 >> 1
 
-// frontier is one process's side of the agreement. Like the engine
-// whose progress loop runs its handler, it is confined to the
-// application goroutine.
+// frontier is one process's side of the agreement. pos is shared with
+// Deliver; everything else, like the engine whose progress loop runs
+// the handler, is confined to the application goroutine.
 type frontier struct {
-	next    int64 // next boundary this process can still checkpoint at; never once finalizing
-	joined  bool  // reported for the open agreement
+	// pos is the next boundary the process can still checkpoint at,
+	// shifted left by one; the low bit is set while the process has
+	// reported to an open agreement. Passing a boundary and reporting
+	// are both compare-and-swaps on it, so a report always names a
+	// boundary the process has not passed.
+	pos     atomic.Int64
 	decided bool  // the open agreement's frontier is known
 	at      int64 // the decided frontier
 
@@ -54,7 +61,45 @@ type frontier struct {
 
 // reset drops every agreement in progress: a restore puts all ranks back
 // at boundary 0 of the restored cut.
-func (f *frontier) reset(n int) { *f = frontier{reported: make([]bool, n)} }
+func (f *frontier) reset(n int) {
+	f.pos.Store(0)
+	f.decided, f.at = false, 0
+	f.reported, f.count, f.max = make([]bool, n), 0, 0
+}
+
+func (f *frontier) joined() bool { return f.pos.Load()&1 != 0 }
+
+// claim marks the process as reported and returns the boundary to
+// report; false when it already has.
+func (f *frontier) claim() (int64, bool) {
+	for {
+		v := f.pos.Load()
+		if v&1 != 0 {
+			return 0, false
+		}
+		if f.pos.CompareAndSwap(v, v|1) {
+			return v >> 1, true
+		}
+	}
+}
+
+// pass moves the process past the boundary it stands at; false when a
+// report got in first.
+func (f *frontier) pass(v int64) bool { return v&1 == 0 && f.pos.CompareAndSwap(v, v+2) }
+
+// leave ends the process's part in the agreement at its current place.
+func (f *frontier) leave() {
+	for v := f.pos.Load(); !f.pos.CompareAndSwap(v, v&^1); v = f.pos.Load() {
+	}
+	f.decided = false
+}
+
+// finalize marks that no further boundary comes, keeping a report the
+// process already made.
+func (f *frontier) finalize() {
+	for v := f.pos.Load(); !f.pos.CompareAndSwap(v, never<<1|v&1); v = f.pos.Load() {
+	}
+}
 
 func encodeFrontier(kind byte, boundary int64) []byte {
 	b := []byte{kind}
@@ -75,14 +120,14 @@ func decodeFrontier(b []byte) (kind byte, boundary int64, err error) {
 	}
 	kind, b = b[0], b[1:]
 	switch kind {
-	case frontierWake, frontierStart:
+	case frontierStart:
 		if len(b) != 0 {
 			return 0, 0, fmt.Errorf("%q carries %d stray bytes", kind, len(b))
 		}
 		return kind, 0, nil
 	case frontierReport, frontierAt:
 		v, n := binary.Uvarint(b)
-		if n <= 0 || n != len(b) || v > math.MaxInt64 || len(binary.AppendUvarint(nil, v)) != n {
+		if n <= 0 || n != len(b) || v > never || len(binary.AppendUvarint(nil, v)) != n {
 			return 0, 0, fmt.Errorf("%q: bad boundary", kind)
 		}
 		if v == 0 {
@@ -93,8 +138,8 @@ func decodeFrontier(b []byte) (kind byte, boundary int64, err error) {
 	return 0, 0, fmt.Errorf("unknown kind %q", kind)
 }
 
-// armed reports whether a checkpoint directive is queued. Deliver is
-// the only sender; a length read needs no lock.
+// armed reports whether a checkpoint directive is queued. A length read
+// needs no lock.
 func (p *Proc) armed() bool { return len(p.directives) > 0 }
 
 // onFrontier is the engine's FRONTIER handler.
@@ -103,17 +148,10 @@ func (p *Proc) onFrontier(fr btl.Frag) error {
 	self := p.cfg.Rank
 	switch {
 	case err != nil:
-	case kind == frontierWake && fr.Src != self, kind != frontierWake && kind != frontierReport && fr.Src != 0:
-		err = errors.New("unexpected sender")
 	case kind == frontierReport && self != 0:
 		err = errors.New("report to a rank other than 0")
-	case kind == frontierWake:
-		// A synchronous Checkpoint takes its directive inline; its wake
-		// must not open an agreement nobody else is in.
-		if p.armed() && !p.inSync {
-			return p.join()
-		}
-		return nil
+	case kind != frontierReport && fr.Src != 0:
+		err = errors.New("unexpected sender")
 	case kind == frontierStart:
 		return p.join()
 	case kind == frontierReport:
@@ -124,17 +162,17 @@ func (p *Proc) onFrontier(fr btl.Frag) error {
 	return fmt.Errorf("ompi: rank %d: bad frontier fragment from rank %d: %w", self, fr.Src, err)
 }
 
-// join reports this process's next boundary for the open agreement.
+// join reports this process's next boundary for the open agreement,
+// unless it (or Deliver, for it) already has.
 func (p *Proc) join() error {
-	f := &p.front
-	if f.joined {
+	b, ok := p.front.claim()
+	switch {
+	case !ok:
 		return nil
+	case p.cfg.Rank == 0:
+		return p.collect(0, b)
 	}
-	f.joined = true
-	if p.cfg.Rank == 0 {
-		return p.collect(0, f.next)
-	}
-	return p.eng.SendFrontier(0, encodeFrontier(frontierReport, f.next))
+	return p.eng.SendFrontier(0, encodeFrontier(frontierReport, b))
 }
 
 // collect takes one report at rank 0. The first report of an agreement
@@ -156,7 +194,7 @@ func (p *Proc) collect(r int, boundary int64) error {
 			}
 		}
 	}
-	if !f.joined {
+	if !f.reported[0] {
 		return p.join()
 	}
 	if f.count < p.cfg.Size {
@@ -174,23 +212,26 @@ func (p *Proc) collect(r int, boundary int64) error {
 	return p.decide(at)
 }
 
-// decide takes the agreed frontier. A frontier no rank reaches answers
-// every queued directive with a refusal, so no coordinator waits on one.
+// decide takes the agreed frontier. A frontier this process will not
+// reach answers every queued directive with a refusal, so no
+// coordinator waits on one.
 func (p *Proc) decide(at int64) error {
 	f := &p.front
-	if !f.joined {
+	v := f.pos.Load()
+	switch next := v >> 1; {
+	case v&1 == 0:
 		return fmt.Errorf("ompi: rank %d: frontier for an agreement it never joined", p.cfg.Rank)
-	}
-	if at == never || f.next == never {
-		f.joined = false
+	case at == never || next == never:
+		// Refuse before leaving: a directive Deliver queues from here on
+		// opens the next agreement.
 		p.mu.Lock()
 		p.refuseQueued()
+		f.leave()
 		p.mu.Unlock()
-		return nil
+	case at < next:
+		return fmt.Errorf("ompi: rank %d: frontier %d is behind boundary %d", p.cfg.Rank, at, next)
+	default:
+		f.decided, f.at = true, at
 	}
-	if at < f.next {
-		return fmt.Errorf("ompi: rank %d: frontier %d is behind boundary %d", p.cfg.Rank, at, f.next)
-	}
-	f.decided, f.at = true, at
 	return nil
 }

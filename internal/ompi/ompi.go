@@ -196,8 +196,8 @@ type Proc struct {
 
 	directives chan *Directive
 	front      frontier // step-frontier agreement state (frontier.go)
-	inSync     bool     // inside Checkpoint, which takes its directive inline
 	mu         sync.Mutex
+	inSync     bool          // inside Checkpoint, which takes its directive inline (mu)
 	status     Status        // written only by transition (mu)
 	changed    chan struct{} // closed and replaced by each transition (mu)
 	fence      int64         // directives with Interval <= fence are refused (mu)
@@ -540,8 +540,8 @@ func (p *Proc) Checkpoint() error {
 	if p.cfg.SyncCheckpoint == nil {
 		return ErrNoRuntime
 	}
-	p.inSync = true
-	defer func() { p.inSync = false }()
+	p.setInSync(true)
+	defer p.setInSync(false)
 	// Collective entry: ensures all ranks are here before the request.
 	if _, err := p.Allreduce(coll.Int64sToBytes([]int64{1}), coll.SumInt64); err != nil {
 		return fmt.Errorf("ompi: synchronous checkpoint entry: %w", err)
@@ -569,13 +569,20 @@ func (p *Proc) Checkpoint() error {
 
 // --- Runtime-facing API ------------------------------------------------------
 
-// Deliver hands the process a checkpoint directive: a queued directive
-// arms the process, and a wake fragment on its own port makes a rank
-// blocked in a PML wait report to the frontier agreement at once. Safe
-// to call from the application coordinator goroutine. Once the process
-// can no longer honour one (recovering, finalizing or exited), the
-// directive is answered immediately with an error instead of queueing
-// forever: a local coordinator must never hang on it.
+func (p *Proc) setInSync(on bool) {
+	p.mu.Lock()
+	p.inSync = on
+	p.mu.Unlock()
+}
+
+// Deliver hands the process a checkpoint directive: the queued directive
+// arms the process, and Deliver reports the process's next boundary to
+// the frontier agreement on its behalf, whatever the application
+// goroutine is doing. Safe to call from the application coordinator
+// goroutine. Once the process can no longer honour one (recovering,
+// finalizing or exited), the directive is answered immediately with an
+// error instead of queueing forever: a local coordinator must never hang
+// on it.
 func (p *Proc) Deliver(d *Directive) {
 	d.delivered = time.Now()
 	for {
@@ -595,11 +602,20 @@ func (p *Proc) Deliver(d *Directive) {
 		// deadlock against a blocked sender.
 		select {
 		case p.directives <- d:
+			// A synchronous Checkpoint takes its directive inline; no
+			// agreement is opened for it.
+			var b int64
+			report := !p.inSync
+			if report {
+				b, report = p.front.claim()
+			}
 			ep := p.ep
 			p.mu.Unlock()
-			// A failed wake only means the port is gone; the rank then
-			// leaves stepping and refuses the directive.
-			_ = ep.Send(btl.Frag{Kind: btl.KindFrontier, Dst: p.cfg.Rank, Payload: encodeFrontier(frontierWake, 0)})
+			if report {
+				// A failed send only means the port is gone; the rank then
+				// leaves stepping and refuses the directive.
+				_ = ep.Send(btl.Frag{Kind: btl.KindFrontier, Dst: 0, Payload: encodeFrontier(frontierReport, b)})
+			}
 			return
 		default:
 		}
@@ -762,7 +778,7 @@ func (p *Proc) stepLoop(app App) error {
 	}
 	// MPI_FINALIZE entry: no further checkpoints of this process, and no
 	// further boundary to report to a frontier agreement.
-	p.front.next = never
+	p.front.finalize()
 	p.transition(PhaseFinalizing, nil)
 	if !terminate {
 		// Finalize synchronizes, like MPI_Finalize commonly does.
@@ -779,40 +795,50 @@ func (p *Proc) stepLoop(app App) error {
 // boundaries and deadlock (one rank quiescing at boundary k while
 // another blocks in a step-k+1 receive for a message the quiescing rank
 // will only send after the checkpoint). Arm, then agree, makes the
-// decision uniform: a queued directive arms the rank, and armed ranks
-// agree on one frontier boundary F at which every rank participates
-// (frontier.go). A rank that is neither armed nor in an agreement steps
-// on after a local test, sending nothing. A rank in an agreement waits
-// at the boundary it reported until F is known, and the PML serves the
-// agreement inside every blocking wait, so a peer blocked mid-step on
-// this rank still reports and the wait always ends. This is the Go
+// decision uniform: a delivered directive arms the rank and reports it
+// to one frontier agreement, and every rank participates at the agreed
+// boundary F (frontier.go). A rank that is neither armed nor in an
+// agreement steps on after a local test, sending nothing. A rank in an
+// agreement waits at the boundary it reported until F is known; the PML
+// serves the agreement inside every blocking wait, so a peer blocked
+// mid-step on this rank still answers rank 0, and the wait always ends.
+// This is the Go
 // substitution for BLCR's ability to interrupt a process at an
 // arbitrary instruction (see DESIGN.md); it also keeps application
 // state and channel state consistent for restart.
 func (p *Proc) boundarySync() (terminate bool, err error) {
 	f := &p.front
-	b := f.next
-	if !f.joined {
-		if !p.armed() {
-			f.next++
-			return false, nil
+	for {
+		v := f.pos.Load()
+		b := v >> 1
+		if v&1 == 0 {
+			if !p.armed() {
+				if f.pass(v) {
+					return false, nil
+				}
+				continue // Deliver reported meanwhile
+			}
+			if err := p.join(); err != nil {
+				return false, err
+			}
+			continue
 		}
-		if err := p.join(); err != nil {
+		if err := p.eng.Await(func() bool { return f.decided || !f.joined() }); err != nil {
 			return false, err
 		}
+		if !f.decided {
+			continue // a frontier nobody reaches ended the agreement
+		}
+		if f.at > b {
+			f.pos.Add(2) // still in the agreement
+			return false, nil
+		}
+		break
 	}
-	// A frontier no rank reaches ends the agreement undecided.
-	if err := p.eng.Await(func() bool { return f.decided || !f.joined }); err != nil {
-		return false, err
-	}
-	if !f.joined || f.at > b {
-		f.next++
-		return false, nil
-	}
-	// This is the frontier. A report made while participating names the
-	// next boundary.
-	f.joined, f.decided = false, false
-	f.next++
+	// This is the frontier. Leave the agreement past it: a report made
+	// while participating names the next boundary.
+	f.decided = false
+	f.pos.Store((f.at + 1) << 1)
 	// Usually the directive is already queued. ompi_directive_timeout
 	// bounds the wait for it when the local coordinator died before
 	// delivering it (e.g. its node was killed mid-fan-out). The default
