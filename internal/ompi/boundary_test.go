@@ -1,6 +1,7 @@
 package ompi
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -209,4 +210,58 @@ func TestMissingDirectiveFailsAtTheFrontier(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no directive arrived") {
 		t.Fatalf("first rank to stop: %v, want a missing-directive failure", err)
 	}
+}
+
+// A rank asked to report before its own directive arrives reaches the
+// frontier and waits there for it. That directive belongs to the
+// agreement the rank is in: its delivery must not open another one.
+func TestLateDirectiveOpensNoAgreement(t *testing.T) {
+	params := mca.NewParams()
+	params.Set("ompi_directive_timeout", "2s")
+	procs, disks := testWorld(t, 3, params, nil)
+	res := make(chan ParticipationResult, 3)
+	deliver := func(r int) {
+		procs[r].Deliver(&Directive{Interval: 1, FS: disks[r], Dir: "snap", Result: res})
+	}
+	deliver(0)
+	deliver(1)
+	errs := make(chan error, len(procs))
+	for _, p := range procs {
+		go func(p *Proc) { errs <- p.Run(&ringApp{afterCkpt: 20}, nil) }(p)
+	}
+	time.Sleep(20 * time.Millisecond) // rank 2 reaches the frontier first
+	deliver(2)
+	for range procs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range procs {
+		if r := <-res; r.Err != nil {
+			t.Errorf("rank %d: %v", r.Rank, r.Err)
+		}
+	}
+	if got := procs[0].ins.Counter("ompi_frontier_agreements_total").Value(); got != 1 {
+		t.Errorf("%d agreements for one checkpoint", got)
+	}
+}
+
+// FuzzFrontierDecode: the agreement's payload decoder accepts exactly
+// what the encoder writes, and never panics.
+func FuzzFrontierDecode(f *testing.F) {
+	for _, b := range [][]byte{
+		encodeFrontier(frontierStart, 0), encodeFrontier(frontierReport, 0), encodeFrontier(frontierReport, 41),
+		encodeFrontier(frontierAt, never), encodeFrontier(frontierAt, 1<<40), {}, {'x'}, {frontierAt, 0x80, 0x00},
+	} {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		kind, boundary, err := decodeFrontier(data)
+		if err != nil {
+			return
+		}
+		if enc := encodeFrontier(kind, boundary); !bytes.Equal(enc, data) {
+			t.Fatalf("%x decodes to (%q, %d), which encodes as %x", data, kind, boundary, enc)
+		}
+	})
 }

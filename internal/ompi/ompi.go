@@ -835,10 +835,11 @@ func (p *Proc) boundarySync() (terminate bool, err error) {
 		}
 		break
 	}
-	// This is the frontier. Leave the agreement past it: a report made
-	// while participating names the next boundary.
+	// This is the frontier. The process stays in the agreement until it
+	// holds its directive, so a late directive's delivery opens no new
+	// agreement; it leaves past the frontier, so a report made while
+	// participating names the next boundary.
 	f.decided = false
-	f.pos.Store((f.at + 1) << 1)
 	// Usually the directive is already queued. ompi_directive_timeout
 	// bounds the wait for it when the local coordinator died before
 	// delivering it (e.g. its node was killed mid-fan-out). The default
@@ -864,6 +865,7 @@ func (p *Proc) boundarySync() (terminate bool, err error) {
 			return false, fmt.Errorf("ompi: boundary: peers agreed on a checkpoint but no directive arrived")
 		}
 	}
+	f.pos.Store((f.at + 1) << 1)
 	p.participate(d)
 	return d.Terminate, nil
 }

@@ -108,7 +108,8 @@ func (p *Proc) restoreFrom(restore *RestoreSpec) error {
 	// completed on every rank: restarting the collective tag namespace
 	// at zero is consistent even when ranks restored through different
 	// CRS components (a SELF rank has no library image at all — the
-	// paper's heterogeneous scenario).
+	// paper's heterogeneous scenario). For the same reason every rank
+	// counts step boundaries from zero again, with no agreement open.
 	p.coll.SetSeq(0)
 	p.front.reset(p.cfg.Size)
 	p.restarted = true

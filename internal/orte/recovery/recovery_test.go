@@ -750,8 +750,8 @@ func waitForCounter(t *testing.T, ins *trace.Instrumentation, name string, want 
 
 // TestStagedRestoreCopiesAreRemoved: every copy FILEM stages for a
 // restore is dropped once its rank has restored from it, and an
-// abandoned recovery attempt drops what it staged. The first attempt
-// stages the survivors from stable storage (no KeepLocal), then fails
+// abandoned recovery attempt drops what it staged. Survivors restore in
+// place from the stages their nodes kept; the first attempt fails
 // staging the lost rank onto its first-choice replacement; the retry
 // converges (the fault fires exactly FILEM's four tries). A whole-job
 // restart then preloads every rank again.

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -466,4 +468,54 @@ func TestControlJobsAndSchedOps(t *testing.T) {
 	if !resp.OK || len(resp.Sched.Flows) != 1 || resp.Sched.Flows[0].Weight != 7 {
 		t.Fatalf("weight update not applied: %+v", resp.Sched)
 	}
+}
+
+// fuzzConn is one tool connection's worth of bytes: serveConn reads the
+// request from in and writes its reply to out.
+type fuzzConn struct {
+	net.Conn // the methods serveConn does not call stay nil
+	in       *bytes.Reader
+	out      bytes.Buffer
+}
+
+func (c *fuzzConn) Read(b []byte) (int, error)       { return c.in.Read(b) }
+func (c *fuzzConn) Write(b []byte) (int, error)      { return c.out.Write(b) }
+func (c *fuzzConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *fuzzConn) SetWriteDeadline(time.Time) error { return nil }
+
+// FuzzControlEnvelope feeds arbitrary bytes to serveConn as a tool's
+// request, against a cluster with no job. No input may panic or hang,
+// and every reply is one versioned frame: OK, or an error that says
+// why not.
+func FuzzControlEnvelope(f *testing.F) {
+	for _, op := range []string{"ping", "ps", "jobs", "ranks", "migrate", "metrics", "health", "tuner", "sched", "checkpoint"} {
+		req := ControlRequest{Op: op, Job: 1, Rank: 2, Node: "n1", Weight: 3, Terminate: op == "checkpoint", Async: true, Wait: true}
+		args, _ := json.Marshal(req)
+		env, _ := json.Marshal(controlEnvelope{V: ControlVersion, Op: op, Args: args})
+		f.Add(env)
+	}
+	for _, s := range []string{
+		``, `{}`, `null`, `{"v":2,"op":"ping"}`, `{"v":0,"op":"ping"}`, `{"v":1}`,
+		`{"v":1,"op":"ps","args":"x"}`, `{"v":1,"op":"jobs","args":{"job":-1}}`,
+		`{"v":1,"op":"sched","args":{"weight":-5}}`, `{"v":1,"op":"ping"`, `[1,2]`,
+	} {
+		f.Add([]byte(s))
+	}
+	c, err := New(Config{Nodes: []plm.NodeSpec{{Name: "n0", Slots: 2}, {Name: "n1", Slots: 2}}, Ins: trace.New()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(c.Close)
+	srv := &ControlServer{cluster: c, timeout: time.Second}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		conn := &fuzzConn{in: bytes.NewReader(data)}
+		srv.serveConn(conn)
+		var reply controlReply
+		if err := json.Unmarshal(conn.out.Bytes(), &reply); err != nil {
+			t.Fatalf("reply %q: %v", conn.out.Bytes(), err)
+		}
+		if reply.V != ControlVersion || reply.OK == (reply.Err != "") {
+			t.Fatalf("reply frame %+v", reply)
+		}
+	})
 }
