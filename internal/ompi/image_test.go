@@ -396,3 +396,49 @@ func corpusEntry(name string) ([]byte, error) {
 	q, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
 	return []byte(q), err
 }
+
+// The app-state table a checkpoint encodes beside the quiesce makes
+// the same image as an encoding at capture time: the image each of 2
+// ranks wrote at its checkpoint equals, byte for byte, the one Image
+// builds inline at the next boundary, where nothing has moved since.
+func TestImageEncodedAheadMatchesInline(t *testing.T) {
+	procs, disks := testWorld(t, 2, nil, nil)
+	inline := make([][]byte, 2)
+	apps := make([]App, 2)
+	for r := range procs {
+		apps[r] = FuncApp{
+			SetupFn: func(p *Proc) error {
+				st, _ := register(t, p)
+				st.Cells = make([]float64, 4096)
+				for i := range st.Cells {
+					st.Cells[i] = float64(i) / 7
+				}
+				return nil
+			},
+			StepFn: func(p *Proc) (bool, error) {
+				if p.Checkpoints() == 0 {
+					time.Sleep(time.Millisecond)
+					return false, nil
+				}
+				img, err := p.Image()
+				inline[p.Rank()] = img
+				return true, err
+			},
+		}
+	}
+	go deliverCheckpoint(procs, disks, 0, false)
+	for r, err := range runWorld(t, procs, apps, nil) {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	for r, disk := range disks {
+		framed, err := disk.ReadFile("snap/process_image.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(framed) < 16 || !bytes.Equal(framed[16:], inline[r]) {
+			t.Fatalf("rank %d: the checkpoint's image (%d framed bytes) differs from the inline one (%d bytes)", r, len(framed), len(inline[r]))
+		}
+	}
+}

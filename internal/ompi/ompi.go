@@ -176,7 +176,7 @@ type Config struct {
 // the application goroutine; Deliver may be called from any goroutine.
 type Proc struct {
 	cfg  Config
-	ep   btl.Port // written under mu: Deliver wakes the rank through it
+	ep   btl.Port // written under mu: Deliver reports for the rank through it
 	eng  *pml.Engine
 	coll *coll.Coll
 	prot crcp.Protocol
@@ -186,7 +186,9 @@ type Proc struct {
 	log  *trace.Log // ins's event sink, kept handy for Emit call sites
 
 	states        map[string]*appState
-	imageSize     int // length of the last image, to size the next one
+	imageSize     int             // length of the last image's library part, to size the next one
+	stateSize     int             // length of the last app-state table
+	ahead         chan stateTable // the app-state table encodeAhead is encoding, or nil
 	selfCbs       *crs.SelfCallbacks
 	restarted     bool
 	ckpts         int  // completed checkpoint participations this run
@@ -267,10 +269,11 @@ func NewProc(cfg Config) (*Proc, error) {
 	// Build the INC stack bottom-up: OPAL, ORTE, OMPI. The application
 	// may push its own on top via RegisterINC. Within the OMPI layer the
 	// coordination protocol is notified before any MPI subsystem
-	// (paper §5.3 ordering requirement).
+	// (paper §5.3 ordering requirement); only the app-state encoding is
+	// started ahead of it, to run beside the quiesce.
 	p.incs.Register(inc.LayerCallback("opal", []inc.FTEventer{p.ftLogger("opal")}, nil))
 	p.pushLayer("orte", []inc.FTEventer{p.ftLogger("orte")})
-	p.pushLayer("ompi", []inc.FTEventer{p.prot, p.pmlFT(), p.collFT()})
+	p.pushLayer("ompi", []inc.FTEventer{p.encodeAhead(), p.prot, p.pmlFT(), p.collFT()})
 	return p, nil
 }
 
@@ -381,6 +384,10 @@ func (p *Proc) RegisterSelfCallbacks(cbs *crs.SelfCallbacks) { p.selfCbs = cbs }
 // RegisterINC pushes an application interlayer notification callback,
 // returning the previously registered one. Per the paper's contract the
 // new INC must invoke the previous callback from within its own body.
+// Registered state is captured as it stands when that call reaches the
+// OMPI layer (its encoding starts there, beside the quiesce), so an INC
+// prepares its state for a checkpoint before calling down and leaves
+// it alone until the call returns.
 func (p *Proc) RegisterINC(cb inc.Callback) inc.Callback {
 	return p.incs.Register(cb)
 }
@@ -908,6 +915,7 @@ func (p *Proc) doCheckpoint(d *Directive, res *ParticipationResult) ([]string, e
 		return nil, fmt.Errorf("ompi: checkpoint gate: %w", err)
 	}
 	defer p.gate.End()
+	defer p.settleAhead()
 	root := p.ins.Span("ckpt.participate",
 		trace.WithRank(p.cfg.Rank), trace.WithInterval(d.Interval), trace.WithSource(p.source()))
 	// Downward notification: prepare every layer (application INC
@@ -966,6 +974,10 @@ const (
 // Image implements crs.Process: serialize MPI library state plus all
 // registered application state.
 func (p *Proc) Image() ([]byte, error) {
+	states, err := p.takeStates()
+	if err != nil {
+		return nil, fmt.Errorf("ompi: image: %w", err)
+	}
 	st, err := p.eng.SaveState()
 	if err != nil {
 		return nil, fmt.Errorf("ompi: image: %w", err)
@@ -974,12 +986,18 @@ func (p *Proc) Image() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ompi: image: %w", err)
 	}
-	// One buffer, sized from the last image: state sizes change slowly.
-	b := append(make([]byte, 0, p.imageSize+p.imageSize/8+256), imageMagic...)
+	// One buffer, sized from the last image: library state changes slowly.
+	b := append(make([]byte, 0, p.imageSize+p.imageSize/8+256+len(states)), imageMagic...)
 	b = append(b, imageVersion)
 	b = wire.AppendInt(wire.AppendInt(wire.AppendInt(b, p.cfg.JobID), p.cfg.Rank), p.cfg.Size)
 	b = binary.AppendUvarint(b, p.coll.Seq())
 	b = wire.AppendBytes(pml.AppendState(b, st), bm)
+	p.imageSize = len(b)
+	return append(b, states...), nil
+}
+
+// appendStates appends the image's app-state table.
+func (p *Proc) appendStates(b []byte) ([]byte, error) {
 	names := make([]string, 0, len(p.states))
 	for name, s := range p.states {
 		if !s.exclude { // exclusion hint: scratch state stays out of the image
@@ -991,12 +1009,63 @@ func (p *Proc) Image() ([]byte, error) {
 	for _, name := range names {
 		s := p.states[name]
 		b = append(binary.AppendUvarint(b, uint64(len(name))), name...)
+		var err error
 		if b, err = s.codec.Append(b, s.ptr.Elem()); err != nil {
-			return nil, fmt.Errorf("ompi: image: encode state %q: %w", name, err)
+			return nil, fmt.Errorf("encode state %q: %w", name, err)
 		}
 	}
-	p.imageSize = len(b)
 	return b, nil
+}
+
+// stateTable is an app-state table encoded ahead of the capture.
+type stateTable struct {
+	b   []byte
+	err error
+}
+
+// encodeAhead is the OMPI layer's first ft_event. Entering a checkpoint
+// for a CRS that captures the image, it starts encoding the app-state
+// table on another goroutine: the application's own INC has run, and
+// the application goroutine leaves the state alone until the
+// participation ends, so the encoding overlaps the quiesce — most of
+// all the wait at the frontier for ranks still a step behind.
+func (p *Proc) encodeAhead() inc.FTEventer {
+	return inc.FTEventFunc(func(s inc.State) error {
+		if _, image := p.cfg.CRS.(*crs.SimCR); s != inc.StateCheckpoint || !image || p.ahead != nil {
+			return nil
+		}
+		ch := make(chan stateTable, 1)
+		p.ahead = ch
+		size := p.stateSize + p.stateSize/8 + 64
+		go func() {
+			b, err := p.appendStates(make([]byte, 0, size))
+			ch <- stateTable{b, err}
+		}()
+		return nil
+	})
+}
+
+// takeStates returns the app-state table: the one encodeAhead started,
+// or a fresh encoding.
+func (p *Proc) takeStates() ([]byte, error) {
+	if p.ahead == nil {
+		return p.appendStates(nil)
+	}
+	t := <-p.ahead
+	p.ahead = nil
+	if t.err == nil {
+		p.stateSize = len(t.b)
+	}
+	return t.b, t.err
+}
+
+// settleAhead waits out an encoding no capture took, so the application
+// never resumes while it still reads the state.
+func (p *Proc) settleAhead() {
+	if p.ahead != nil {
+		<-p.ahead
+		p.ahead = nil
+	}
 }
 
 // RestoreImage implements crs.Process: re-instate library and
