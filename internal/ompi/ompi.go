@@ -809,10 +809,9 @@ func (p *Proc) stepLoop(app App) error {
 // agreement waits at the boundary it reported until F is known; the PML
 // serves the agreement inside every blocking wait, so a peer blocked
 // mid-step on this rank still answers rank 0, and the wait always ends.
-// This is the Go
-// substitution for BLCR's ability to interrupt a process at an
-// arbitrary instruction (see DESIGN.md); it also keeps application
-// state and channel state consistent for restart.
+// This is the Go substitution for BLCR's ability to interrupt a process
+// at an arbitrary instruction (see DESIGN.md); it also keeps
+// application state and channel state consistent for restart.
 func (p *Proc) boundarySync() (terminate bool, err error) {
 	f := &p.front
 	for {
@@ -1031,7 +1030,7 @@ type stateTable struct {
 // all the wait at the frontier for ranks still a step behind.
 func (p *Proc) encodeAhead() inc.FTEventer {
 	return inc.FTEventFunc(func(s inc.State) error {
-		if _, image := p.cfg.CRS.(*crs.SimCR); s != inc.StateCheckpoint || !image || p.ahead != nil {
+		if _, image := p.cfg.CRS.(*crs.SimCR); s != inc.StateCheckpoint || !image {
 			return nil
 		}
 		ch := make(chan stateTable, 1)
@@ -1048,14 +1047,13 @@ func (p *Proc) encodeAhead() inc.FTEventer {
 // takeStates returns the app-state table: the one encodeAhead started,
 // or a fresh encoding.
 func (p *Proc) takeStates() ([]byte, error) {
+	var t stateTable
 	if p.ahead == nil {
-		return p.appendStates(nil)
+		t.b, t.err = p.appendStates(nil)
+	} else {
+		t, p.ahead = <-p.ahead, nil
 	}
-	t := <-p.ahead
-	p.ahead = nil
-	if t.err == nil {
-		p.stateSize = len(t.b)
-	}
+	p.stateSize = len(t.b)
 	return t.b, t.err
 }
 
