@@ -186,8 +186,8 @@ type Proc struct {
 	log  *trace.Log // ins's event sink, kept handy for Emit call sites
 
 	states        map[string]*appState
-	imageSize     int             // length of the last image's library part, to size the next one
-	stateSize     int             // length of the last app-state table
+	imageSize     int             // length of the last image, to size the next one
+	spare         []byte          // the last app-state table's buffer, reused by the next
 	ahead         chan stateTable // the app-state table encodeAhead is encoding, or nil
 	selfCbs       *crs.SelfCallbacks
 	restarted     bool
@@ -973,9 +973,14 @@ const (
 // Image implements crs.Process: serialize MPI library state plus all
 // registered application state.
 func (p *Proc) Image() ([]byte, error) {
-	states, err := p.takeStates()
-	if err != nil {
-		return nil, fmt.Errorf("ompi: image: %w", err)
+	var states []byte // the app-state table encodeAhead encoded, if any
+	if p.ahead != nil {
+		t := <-p.ahead
+		p.ahead = nil
+		if t.err != nil {
+			return nil, fmt.Errorf("ompi: image: %w", t.err)
+		}
+		states = t.b
 	}
 	st, err := p.eng.SaveState()
 	if err != nil {
@@ -985,14 +990,20 @@ func (p *Proc) Image() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ompi: image: %w", err)
 	}
-	// One buffer, sized from the last image: library state changes slowly.
-	b := append(make([]byte, 0, p.imageSize+p.imageSize/8+256+len(states)), imageMagic...)
+	// One buffer, sized from the last image: state sizes change slowly.
+	b := append(make([]byte, 0, p.imageSize+p.imageSize/8+256), imageMagic...)
 	b = append(b, imageVersion)
 	b = wire.AppendInt(wire.AppendInt(wire.AppendInt(b, p.cfg.JobID), p.cfg.Rank), p.cfg.Size)
 	b = binary.AppendUvarint(b, p.coll.Seq())
 	b = wire.AppendBytes(pml.AppendState(b, st), bm)
+	if states != nil {
+		b = append(b, states...)
+		p.spare = states
+	} else if b, err = p.appendStates(b); err != nil {
+		return nil, fmt.Errorf("ompi: image: %w", err)
+	}
 	p.imageSize = len(b)
-	return append(b, states...), nil
+	return b, nil
 }
 
 // appendStates appends the image's app-state table.
@@ -1024,7 +1035,7 @@ type stateTable struct {
 
 // encodeAhead is the OMPI layer's first ft_event. Entering a checkpoint
 // for a CRS that captures the image, it starts encoding the app-state
-// table on another goroutine: the application's own INC has run, and
+// table on another goroutine, for Image to append: the application's own INC has run, and
 // the application goroutine leaves the state alone until the
 // participation ends, so the encoding overlaps the quiesce — most of
 // all the wait at the frontier for ranks still a step behind.
@@ -1035,33 +1046,28 @@ func (p *Proc) encodeAhead() inc.FTEventer {
 		}
 		ch := make(chan stateTable, 1)
 		p.ahead = ch
-		size := p.stateSize + p.stateSize/8 + 64
+		buf := p.stateBuf()
 		go func() {
-			b, err := p.appendStates(make([]byte, 0, size))
+			b, err := p.appendStates(buf)
 			ch <- stateTable{b, err}
 		}()
 		return nil
 	})
 }
 
-// takeStates returns the app-state table: the one encodeAhead started,
-// or a fresh encoding.
-func (p *Proc) takeStates() ([]byte, error) {
-	var t stateTable
-	if p.ahead == nil {
-		t.b, t.err = p.appendStates(nil)
-	} else {
-		t, p.ahead = <-p.ahead, nil
-	}
-	p.stateSize = len(t.b)
-	return t.b, t.err
+// stateBuf hands out the last app-state table's buffer, emptied: the
+// image holds a copy, and state sizes change slowly.
+func (p *Proc) stateBuf() []byte {
+	b := p.spare[:0]
+	p.spare = nil
+	return b
 }
 
 // settleAhead waits out an encoding no capture took, so the application
 // never resumes while it still reads the state.
 func (p *Proc) settleAhead() {
 	if p.ahead != nil {
-		<-p.ahead
+		p.spare = (<-p.ahead).b
 		p.ahead = nil
 	}
 }
