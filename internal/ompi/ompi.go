@@ -1035,10 +1035,10 @@ type stateTable struct {
 
 // encodeAhead is the OMPI layer's first ft_event. Entering a checkpoint
 // for a CRS that captures the image, it starts encoding the app-state
-// table on another goroutine, for Image to append: the application's own INC has run, and
-// the application goroutine leaves the state alone until the
-// participation ends, so the encoding overlaps the quiesce — most of
-// all the wait at the frontier for ranks still a step behind.
+// table on another goroutine, for Image to append: the application's
+// own INC has run, and the application goroutine leaves the state alone
+// until the participation ends, so the encoding overlaps the quiesce —
+// most of all the wait at the frontier for ranks still a step behind.
 func (p *Proc) encodeAhead() inc.FTEventer {
 	return inc.FTEventFunc(func(s inc.State) error {
 		if _, image := p.cfg.CRS.(*crs.SimCR); s != inc.StateCheckpoint || !image {
