@@ -187,7 +187,7 @@ type Proc struct {
 
 	states        map[string]*appState
 	imageSize     int             // length of the last image, to size the next one
-	spare         []byte          // the last app-state table's buffer, reused by the next
+	stateSize     int             // length of the last app-state table, to size the next one
 	ahead         chan stateTable // the app-state table encodeAhead is encoding, or nil
 	selfCbs       *crs.SelfCallbacks
 	restarted     bool
@@ -998,7 +998,7 @@ func (p *Proc) Image() ([]byte, error) {
 	b = wire.AppendBytes(pml.AppendState(b, st), bm)
 	if states != nil {
 		b = append(b, states...)
-		p.spare = states
+		p.stateSize = len(states)
 	} else if b, err = p.appendStates(b); err != nil {
 		return nil, fmt.Errorf("ompi: image: %w", err)
 	}
@@ -1046,28 +1046,20 @@ func (p *Proc) encodeAhead() inc.FTEventer {
 		}
 		ch := make(chan stateTable, 1)
 		p.ahead = ch
-		buf := p.stateBuf()
+		size := p.stateSize + p.stateSize/8 + 64
 		go func() {
-			b, err := p.appendStates(buf)
+			b, err := p.appendStates(make([]byte, 0, size))
 			ch <- stateTable{b, err}
 		}()
 		return nil
 	})
 }
 
-// stateBuf hands out the last app-state table's buffer, emptied: the
-// image holds a copy, and state sizes change slowly.
-func (p *Proc) stateBuf() []byte {
-	b := p.spare[:0]
-	p.spare = nil
-	return b
-}
-
 // settleAhead waits out an encoding no capture took, so the application
 // never resumes while it still reads the state.
 func (p *Proc) settleAhead() {
 	if p.ahead != nil {
-		p.spare = (<-p.ahead).b
+		<-p.ahead
 		p.ahead = nil
 	}
 }
