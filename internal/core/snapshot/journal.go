@@ -25,6 +25,15 @@
 // every record wholly before it, and the LOCAL_COMMITTED markers on the
 // nodes stay the ground truth for the rest (snapc.RebuildJournal
 // re-records a sealed interval the journal lost).
+//
+// Through a store outage the journal follows the record log's one
+// write-behind rule, as the HNP ledger does: a coordinator log keeps
+// what it cannot land, and lands it with the next compaction. An edit
+// that fails to land stays applied in the handle, Lag counts it, and
+// the handle's readers see it; the next edit that lands, or Flush,
+// lands it. A handle that has never read the file keeps its edits
+// until the first read that succeeds, and its readers get the read
+// error: reading an unread journal as empty would lose every entry.
 package snapshot
 
 import (
@@ -368,8 +377,9 @@ func (st *journalState) fold() (json.RawMessage, error) {
 }
 
 // Journal is the drain journal of one global snapshot lineage. A handle
-// holds the journal as it last replayed or wrote it; see the package
-// comment for when it reads the file again.
+// holds the journal as it last replayed or wrote it, plus the edits
+// that have not landed; see the package comment for when it reads the
+// file again.
 type Journal struct {
 	FS  vfs.FS
 	Dir string // the global snapshot lineage directory
@@ -395,42 +405,71 @@ func (e JournalEntry) clone() JournalEntry {
 	return e
 }
 
-// load brings the handle up to date with the journal file. Only a
-// journal that is not there is an empty one: any other Stat or read
-// failure (an unreachable store) is surfaced, because reading it as
-// empty would lose every entry.
+// load brings the handle up to date with the journal file. A handle
+// that cannot read the file keeps the view it has. Only one that has
+// never read it has no view, and then the failure is surfaced: only a
+// journal that is not there is an empty one.
 func (j *Journal) load() error {
 	if j.log == nil {
 		j.log = reclog.New(j.FS, path.Join(j.Dir, JournalFile))
 	}
-	if _, err := j.log.Refresh(func() { j.st = journalState{} }, j.st.apply); err != nil {
+	if _, err := j.log.Refresh(func() { j.st = journalState{} }, j.st.apply); err != nil && !j.log.Loaded() {
 		return fmt.Errorf("snapshot: read drain journal: %w", err)
 	}
 	return nil
 }
 
 // land applies one record to the handle's state and lands it, and
-// returns the entry it left. The state keeps the record only once it
-// landed. The caller has loaded.
-func (j *Journal) land(typ string, payload any) (JournalEntry, error) {
+// returns the entry it left. A record that applies stays in the state
+// whether or not it lands. lerr is the caller's load error: when the
+// handle has no view, a record that does not apply to its edits alone
+// fails with it.
+func (j *Journal) land(typ string, payload any, lerr error) (JournalEntry, error) {
 	data, err := json.Marshal(payload)
 	if err != nil {
 		return JournalEntry{}, fmt.Errorf("snapshot: marshal drain journal record: %w", err)
 	}
 	r := j.log.Issue(typ, 0, data)
-	next := j.st
-	e, err := next.edit(r)
+	e, err := j.st.edit(r)
 	if err != nil {
+		if lerr != nil {
+			return JournalEntry{}, lerr
+		}
 		return JournalEntry{}, err
 	}
-	if err := j.log.Land(r, next.fold); err != nil {
-		return JournalEntry{}, fmt.Errorf("snapshot: write drain journal: %w", err)
+	if err := j.log.Land(r, j.st.fold); err != nil {
+		return e.clone(), fmt.Errorf("snapshot: write drain journal: %w", err)
 	}
-	j.st = next
 	return e.clone(), nil
 }
 
-// entries runs fn over the current entries, intervals ascending.
+// Lag reports how many of the handle's edits have not landed.
+func (j *Journal) Lag() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.log == nil {
+		return 0
+	}
+	return j.log.Lag()
+}
+
+// Flush lands the handle's pending edits as one compaction.
+func (j *Journal) Flush() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.log == nil || j.log.Lag() == 0 {
+		return nil
+	}
+	if err := j.load(); err != nil {
+		return err
+	}
+	if err := j.log.Flush(j.st.fold); err != nil {
+		return fmt.Errorf("snapshot: write drain journal: %w", err)
+	}
+	return nil
+}
+
+// entries runs fn over the handle's view, intervals ascending.
 func (j *Journal) entries(fn func(JournalEntry)) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -476,14 +515,12 @@ func (j *Journal) Record(e JournalEntry) error {
 		e.CapturedAt = now
 	}
 	e.UpdatedAt = now
-	if err := j.load(); err != nil {
-		return err
-	}
+	lerr := j.load()
 	c := captureOf(e)
 	if lin := lineageOf(e); lin.key() != j.st.lin.key() {
 		c.Lineage = &lin
 	}
-	_, err := j.land(recCapture, c)
+	_, err := j.land(recCapture, c, lerr)
 	return err
 }
 
@@ -509,10 +546,7 @@ func (j *Journal) amend(a amend) (JournalEntry, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	a.At = time.Now()
-	if err := j.load(); err != nil {
-		return JournalEntry{}, err
-	}
-	return j.land(recAmend, a)
+	return j.land(recAmend, a, j.load())
 }
 
 // SetLevel records an interval's held checkpoint level (1 or 2) — the

@@ -645,22 +645,23 @@ func TestJournalSeesOtherHandlesWrites(t *testing.T) {
 	}
 }
 
-// A landing that fails leaves the handle's state as it was before the
-// failed edit, which is what the file then replays to; a landing that
-// succeeds but cannot be stamped is read back. A failed append makes
-// the next landing a compaction; its temp write, rename and stamp fail
-// the same way.
+// A landing that fails keeps the edit: the handle's view has it and Lag
+// counts it, while the file still replays to the state before it, and
+// the next landing lands it. A landing that succeeds but cannot be
+// stamped is read back. A failed append makes the next landing a
+// compaction; its temp write, rename and stamp fail the same way.
 func TestJournalStoreFailureDropsCopy(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		compact bool
 		after   int // store operations of the Transition let through
 		landed  bool
+		lag     int
 	}{
-		{"append", false, 1, false},
-		{"temp write", true, 1, false},
-		{"rename", true, 2, false},
-		{"stamp", true, 3, true},
+		{"append", false, 1, false, 1},
+		{"temp write", true, 1, false, 2},
+		{"rename", true, 2, false, 2},
+		{"stamp", true, 3, true, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			inj := faultsim.New(1)
@@ -694,23 +695,121 @@ func TestJournalStoreFailureDropsCopy(t *testing.T) {
 			if wantReads := map[bool]int{false: 0, true: 1}[c.landed]; rc.reads-before != wantReads {
 				t.Fatalf("Entry after outage read the file %d times, want %d", rc.reads-before, wantReads)
 			}
+			if e.State != StateDraining || j.Lag() != c.lag {
+				t.Fatalf("after the outage the handle sees interval 1 %s with lag %d, want DRAINING with lag %d",
+					e.State, j.Lag(), c.lag)
+			}
 			want := StateCaptured
 			if c.landed {
 				want = StateDraining
 			}
-			if e.State != want {
-				t.Fatalf("interval 1 is %s after the outage, want %s", e.State, want)
-			}
 			if disk, _, err := OpenJournal(ref).Entry(1); err != nil || disk.State != want {
 				t.Fatalf("the file replays interval 1 as %s (%v), want %s", disk.State, err, want)
 			}
-			if _, err := j.Transition(1, StateDraining, ""); err != nil {
-				t.Fatalf("Transition after the outage: %v", err)
+			if _, err := j.Transition(1, StateDraining, ""); err != nil || j.Lag() != 0 {
+				t.Fatalf("Transition after the outage: %v, lag %d", err, j.Lag())
 			}
 			if disk, _, err := OpenJournal(ref).Entry(1); err != nil || disk.State != StateDraining {
 				t.Fatalf("after recovery the file replays interval 1 as %s (%v)", disk.State, err)
 			}
 		})
+	}
+}
+
+// outageFS fails every operation while out, leaving the store untouched.
+type outageFS struct {
+	vfs.FS
+	out bool
+}
+
+func (o *outageFS) gate(op string) error {
+	if o.out {
+		return fmt.Errorf("outageFS: %s: %w", op, faultsim.ErrOutage)
+	}
+	return nil
+}
+
+func (o *outageFS) Stat(name string) (vfs.FileInfo, error) {
+	if err := o.gate("stat"); err != nil {
+		return vfs.FileInfo{}, err
+	}
+	return o.FS.Stat(name)
+}
+
+func (o *outageFS) ReadFile(name string) ([]byte, error) {
+	if err := o.gate("read"); err != nil {
+		return nil, err
+	}
+	return o.FS.ReadFile(name)
+}
+
+func (o *outageFS) Append(name string, data []byte) error {
+	if err := o.gate("append"); err != nil {
+		return err
+	}
+	return o.FS.Append(name, data)
+}
+
+func (o *outageFS) WriteFile(name string, data []byte) error {
+	if err := o.gate("write"); err != nil {
+		return err
+	}
+	return o.FS.WriteFile(name, data)
+}
+
+func (o *outageFS) Rename(oldName, newName string) error {
+	if err := o.gate("rename"); err != nil {
+		return err
+	}
+	return o.FS.Rename(oldName, newName)
+}
+
+// A handle that has never read the journal keeps its edits through an
+// outage, and its readers get the read error rather than an empty
+// journal. Once the store is back the next edit lands them after the
+// file's records: interval 1, parked, before interval 2 — the parked
+// flag set while the capture record itself was still unlanded is not
+// lost.
+func TestJournalKeepsEditsOfAnUnreadHandle(t *testing.T) {
+	ofs := &outageFS{FS: vfs.NewMem()}
+	ref := GlobalRef{FS: ofs, Dir: "lineage"}
+	if err := OpenJournal(ref).Record(captured(0)); err != nil {
+		t.Fatal(err)
+	}
+	j := OpenJournal(ref)
+	ofs.out = true
+	if err := j.Record(captured(1)); !faultsim.IsOutage(err) {
+		t.Fatalf("Record in an outage: %v", err)
+	}
+	if e, err := j.SetParked(1, true); !faultsim.IsOutage(err) || !e.Parked {
+		t.Fatalf("SetParked in an outage: %+v, %v", e, err)
+	}
+	if _, err := j.Transition(0, StateDraining, ""); !faultsim.IsOutage(err) {
+		t.Fatalf("an edit of an entry only the file holds: %v", err)
+	}
+	if j.Lag() != 2 {
+		t.Fatalf("lag = %d, want 2", j.Lag())
+	}
+	if entries, err := j.Load(); !faultsim.IsOutage(err) {
+		t.Fatalf("an unread handle read %d entries in an outage (%v)", len(entries), err)
+	}
+	ofs.out = false
+	if err := j.Record(captured(2)); err != nil {
+		t.Fatal(err)
+	}
+	if j.Lag() != 0 {
+		t.Fatalf("lag = %d after the store returned", j.Lag())
+	}
+	entries, err := OpenJournal(ref).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, fmt.Sprintf("%d:%s", e.Interval, e.LevelLabel()))
+	}
+	if want := []string{"0:L1", "1:parked", "2:L1"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("the file holds %v, want %v", got, want)
 	}
 }
 

@@ -16,12 +16,14 @@
 // not fold, and keeps the intact prefix; the log compacts to a single
 // folded-state record by the record log's derived rule.
 //
-// Stable storage can itself be out (the fs.outage fault class): an
-// append that cannot reach the store stays applied in memory and the
-// ledger reports a non-zero Lag until a later append or explicit Flush
-// lands the backlog as a compaction. The in-memory view is always
-// authoritative for a live HNP; durability lags at most Lag() records
-// behind.
+// Stable storage can itself be out (the fs.outage fault class). The
+// ledger follows the record log's one write-behind rule, as the drain
+// journal does: a coordinator log keeps what it cannot land, and lands
+// it with the next compaction. An append that cannot reach the store
+// stays applied in memory, Lag counts it, and a later Append or Flush
+// lands it (the runtime flushes on its heartbeat tick). The in-memory
+// view is always authoritative for a live HNP; durability lags at most
+// Lag() records behind.
 package ledger
 
 import (
@@ -241,12 +243,9 @@ func (s *State) apply(r Record) error {
 // write-through with a single nil check at construction
 // (`hnp_ledger=off`).
 type Ledger struct {
-	mu    sync.Mutex
-	log   *reclog.Log
-	state *State
-	// lag is how many applied records have not landed on stable
-	// storage: the ledger lag surfaced by the health op.
-	lag           int
+	mu            sync.Mutex
+	log           *reclog.Log
+	state         *State
 	flushErrs     int
 	droppedOnLoad int
 }
@@ -292,7 +291,7 @@ func Replay(fsys vfs.FS, dir string) (*State, int, error) {
 // Append folds a record into the ledger and attempts to land it on
 // stable storage. When the store is unreachable the record stays
 // applied in memory (Lag grows) and the error is returned so callers
-// can count it; a later Append or Flush lands the backlog.
+// can count it; a later Append or Flush lands it.
 func (l *Ledger) Append(typ string, job int, payload any) error {
 	if l == nil {
 		return nil
@@ -311,12 +310,10 @@ func (l *Ledger) Append(typ string, job int, payload any) error {
 	if err := l.state.apply(r); err != nil {
 		return fmt.Errorf("ledger: %s record: %w", typ, err)
 	}
-	l.lag++
 	if err := l.log.Land(r, l.fold); err != nil {
 		l.flushErrs++
 		return fmt.Errorf("ledger: append %s buffered (store unreachable): %w", typ, err)
 	}
-	l.lag = 0
 	return nil
 }
 
@@ -330,14 +327,10 @@ func (l *Ledger) Flush() error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.lag == 0 {
-		return nil
-	}
-	if err := l.log.Compact(l.fold); err != nil {
+	if err := l.log.Flush(l.fold); err != nil {
 		l.flushErrs++
 		return err
 	}
-	l.lag = 0
 	return nil
 }
 
@@ -349,7 +342,7 @@ func (l *Ledger) Lag() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.lag
+	return l.log.Lag()
 }
 
 // Seq reports the highest sequence number applied.

@@ -1,13 +1,18 @@
 package runtime
 
 import (
+	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/faultsim"
 	"repro/internal/mca"
+	"repro/internal/orte/ledger"
 	"repro/internal/orte/plm"
 	"repro/internal/trace"
+	"repro/internal/vfs"
 )
 
 // TestHeartbeatToleratesTransientSendFailures is the regression test for
@@ -186,5 +191,75 @@ func TestDetectorRule(t *testing.T) {
 	d.beat([]string{"n0", "n1"}, t0.Add(grace+cutoff+interval))
 	if got := d.lost(); len(got) != 1 || got[0] != "n2" {
 		t.Fatalf("past grace+cutoff: lost = %v, want [n2]", got)
+	}
+}
+
+// writeGateFS fails every write with an outage-class error while out.
+type writeGateFS struct {
+	vfs.FS
+	out atomic.Bool
+}
+
+func (g *writeGateFS) gate(op, name string) error {
+	if g.out.Load() {
+		return fmt.Errorf("%s %q: %w", op, name, faultsim.ErrOutage)
+	}
+	return nil
+}
+
+func (g *writeGateFS) WriteFile(name string, data []byte) error {
+	if err := g.gate("write", name); err != nil {
+		return err
+	}
+	return g.FS.WriteFile(name, data)
+}
+
+func (g *writeGateFS) Append(name string, data []byte) error {
+	if err := g.gate("append", name); err != nil {
+		return err
+	}
+	return g.FS.Append(name, data)
+}
+
+func (g *writeGateFS) Rename(oldName, newName string) error {
+	if err := g.gate("rename", oldName); err != nil {
+		return err
+	}
+	return g.FS.Rename(oldName, newName)
+}
+
+// A ledger record that an outage kept unlanded lands on a heartbeat
+// tick once the store is back, with no further append: a quiet HNP
+// must not leave it to be lost in a crash.
+func TestHeartbeatFlushesLedgerAfterOutage(t *testing.T) {
+	stable := &writeGateFS{FS: vfs.NewMem()}
+	p := mca.NewParams()
+	p.Set("orted_heartbeat_interval", "2ms")
+	c, err := New(Config{
+		Nodes:  []plm.NodeSpec{{Name: "n0", Slots: 1}, {Name: "n1", Slots: 1}},
+		Stable: stable,
+		Params: p,
+		Ins:    trace.New(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	stable.out.Store(true)
+	c.ledgerAppend(ledger.TypeNodeDead, 7, ledger.NodeDead{Node: "n1"})
+	// The append failed once; a second failure is a tick's flush.
+	waitUntil(t, 5*time.Second, "a heartbeat flush in the outage", func() bool { return c.Ledger().FlushErrors() > 1 })
+	if lag := c.Ledger().Lag(); lag != 1 {
+		t.Fatalf("ledger lag during the outage = %d, want 1", lag)
+	}
+	stable.out.Store(false)
+	waitUntil(t, 5*time.Second, "the ledger lag to reach 0", func() bool { return c.Ledger().Lag() == 0 })
+	st, _, err := ledger.Replay(stable, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js := st.Jobs[7]; js == nil || !slices.Contains(js.DeadNodes, "n1") {
+		t.Fatalf("replayed ledger misses the outage record: %+v", js)
 	}
 }

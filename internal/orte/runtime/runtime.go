@@ -348,6 +348,11 @@ func (c *Cluster) Ledger() *ledger.Ledger { return c.led }
 // daemons really keep open. A failed send is not a death: outside a
 // headless window it is reported as heartbeat.miss and the pump beats
 // again next tick. The HNP's detector owns the death declarations.
+//
+// The tick also lands what the ledger kept through a store outage: a
+// quiet HNP appends nothing, and a record left unlanded is lost to an
+// HNP crash. A flush that fails is counted by the ledger and retried
+// on the next tick.
 func (c *Cluster) heartbeatPump(interval time.Duration) {
 	defer c.wg.Done()
 	tick := time.NewTicker(interval)
@@ -357,6 +362,9 @@ func (c *Cluster) heartbeatPump(interval time.Duration) {
 		case <-c.pumpStop:
 			return
 		case <-tick.C:
+		}
+		if c.led.Lag() > 0 && c.headlessErr() == nil {
+			_ = c.led.Flush()
 		}
 		var live []string
 		for _, node := range c.AliveNodes() {

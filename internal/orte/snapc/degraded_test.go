@@ -8,6 +8,8 @@ package snapc
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -354,5 +356,72 @@ func TestCommitSupersedesOlderParkedInterval(t *testing.T) {
 	}
 	if n := h.env.Ins.Log.Count("drain.catchup-failed"); n != 0 {
 		t.Errorf("%d drain.catchup-failed events, want none", n)
+	}
+}
+
+// drainerFrames returns the goroutine stacks of every process goroutine
+// running a drain worker or a catch-up pass.
+func drainerFrames() []string {
+	buf := make([]byte, 1<<16)
+	for n := runtime.Stack(buf, true); ; n = runtime.Stack(buf, true) {
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var out []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "(*Drainer).worker(") || strings.Contains(g, "(*Drainer).catchup(") {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// awaitFrames polls drainerFrames until ok accepts them.
+func awaitFrames(t *testing.T, what string, ok func(frames []string) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for frames := drainerFrames(); !ok(frames); frames = drainerFrames() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s:\n%s", what, strings.Join(frames, "\n\n"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// Neither Close alone nor Crash then Close leaves a drain worker or a
+// catch-up pass behind, even while the catch-up pass is backing off
+// through a store outage.
+func TestDrainerStopLeavesNoGoroutines(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		t.Run(map[bool]string{false: "close", true: "crash-then-close"}[crash], func(t *testing.T) {
+			h := newHarness(t, 4)
+			gate := gateStable(h)
+			d := NewDrainer(h.env, drainParams(
+				"snapc_drain_workers", "2",
+				"snapc_store_outage_threshold", "1",
+				"snapc_store_retry_backoff", "1ms",
+				"snapc_store_retry_max", "2ms",
+			), nil)
+			defer d.Close()
+			gate.setOut(true)
+			p, err := d.Enqueue(captureInterval(t, h, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Wait(); !errors.Is(err, ErrStoreDegraded) {
+				t.Fatalf("ticket error = %v, want ErrStoreDegraded", err)
+			}
+			awaitFrames(t, "no catch-up pass runs through the outage", func(frames []string) bool {
+				return slices.ContainsFunc(frames, func(g string) bool { return strings.Contains(g, "(*Drainer).catchup(") })
+			})
+			if crash {
+				d.Crash(errors.New("test crash"))
+			}
+			d.Close()
+			awaitFrames(t, "drain goroutines left after stopping", func(frames []string) bool { return len(frames) == 0 })
+		})
 	}
 }

@@ -42,15 +42,16 @@
 // and after snapc_store_outage_threshold consecutive outages the store
 // is marked DEGRADED (ompi_store_degraded gauge). Checkpoints keep
 // succeeding at the local-stage level: tickets resolve with
-// ErrStoreDegraded, journal records the store cannot hold are buffered
-// in memory in capture order, and snapc_stage_replicas pushes each
-// parked stage to a second node so a parked interval survives a single
-// node loss. A catch-up pass retries with exponential backoff
-// (snapc_store_retry_backoff) and reconciles — flush buffered journal
-// records, re-drain the outage seals oldest-first — when the store
-// returns. A newer stable commit supersedes an older parked interval
-// under the sealed set's one retention rule, exactly as it does a
-// cadence hold.
+// ErrStoreDegraded, the journal keeps the records it cannot land and
+// lands them with its next compaction (the one write-behind rule of the
+// coordinator logs), and snapc_stage_replicas pushes each parked stage
+// to a second node so a parked interval survives a single node loss. A
+// catch-up pass retries with exponential backoff
+// (snapc_store_retry_backoff) and reconciles — flush the lagging
+// journal handles, re-drain the outage seals oldest-first — when the
+// store returns. A newer stable commit supersedes an older parked
+// interval under the sealed set's one retention rule, exactly as it
+// does a cadence hold.
 package snapc
 
 import (
@@ -174,9 +175,8 @@ type Drainer struct {
 	crashed   bool        // the HNP died; see Crash
 	crashHook func(error) // invoked when an hnp.crash fault fires mid-drain
 
-	degraded    bool                               // store marked DEGRADED (outageScore hit the threshold)
-	outageScore int                                // consecutive outage-classified failures
-	backlog     map[string][]snapshot.JournalEntry // journal records the store couldn't hold
+	degraded    bool // store marked DEGRADED (outageScore hit the threshold)
+	outageScore int  // consecutive outage-classified failures
 	catchupOn   bool
 	// stop is closed by Close or Crash; it wakes a backing-off catch-up
 	// pass so neither waits out the backoff.
@@ -192,7 +192,6 @@ type Drainer struct {
 
 	workerWG  sync.WaitGroup
 	catchupWG sync.WaitGroup
-	fmu       sync.Mutex // serializes backlog flushes (worker vs catch-up)
 
 	jmu      sync.Mutex
 	journals map[string]*snapshot.Journal
@@ -238,7 +237,6 @@ func NewDrainer(env *Env, params *mca.Params, lock sync.Locker) *Drainer {
 		perJobQ:         make(map[string]int),
 		weights:         make(map[string]int),
 		journals:        make(map[string]*snapshot.Journal),
-		backlog:         make(map[string][]snapshot.JournalEntry),
 		stop:            make(chan struct{}),
 		sealed:          make(map[string][]*sealedInterval),
 		retained:        make(map[string]*retainedStage),
@@ -442,38 +440,23 @@ func journalEntry(cpt *Captured) snapshot.JournalEntry {
 	return e
 }
 
-// record journals a CAPTURED entry for the lineage, buffering it in
-// the in-memory backlog through a store outage — the capture itself is
-// sealed node-local, so the checkpoint must not fail just because the
-// store cannot hold the record right now. While the lineage has
-// buffered records the new one queues behind them, so records reach
-// the journal in capture order (the journal only accepts newer
-// intervals). The catch-up pass (or drainOne, whichever reaches the
-// store first) persists the backlog.
+// record journals a CAPTURED entry for the lineage. Through a store
+// outage the journal keeps the record and lands it with its next
+// compaction — the capture itself is sealed node-local, so the
+// checkpoint must not fail just because the store cannot hold the
+// record right now.
 func (d *Drainer) record(globalDir string, entry snapshot.JournalEntry) error {
-	d.mu.Lock()
-	queued := len(d.backlog[globalDir]) > 0
-	d.mu.Unlock()
-	cause := "behind older buffered records"
-	var err error
-	if !queued {
-		if err = d.Journal(globalDir).Record(entry); err == nil {
-			return nil
-		}
-		if !faultsim.IsOutage(err) {
-			return fmt.Errorf("snapc: journal capture of interval %d: %w", entry.Interval, err)
-		}
-		cause = fmt.Sprintf("store outage: %v", err)
+	err := d.Journal(globalDir).Record(entry)
+	if err == nil {
+		return nil
 	}
-	d.mu.Lock()
-	d.backlog[globalDir] = append(d.backlog[globalDir], entry)
-	d.mu.Unlock()
+	if !faultsim.IsOutage(err) {
+		return fmt.Errorf("snapc: journal capture of interval %d: %w", entry.Interval, err)
+	}
 	d.env.Ins.Counter("ompi_snapc_journal_backlogged_total").Inc()
 	d.env.Ins.Emit("snapc.drain", "drain.journal-backlogged",
-		"interval %d CAPTURED record buffered (%s)", entry.Interval, cause)
-	if err != nil {
-		d.noteOutage(err)
-	}
+		"interval %d CAPTURED record buffered (store outage: %v)", entry.Interval, err)
+	d.noteOutage(err)
 	return nil
 }
 
@@ -640,12 +623,6 @@ func (d *Drainer) drainOne(cpt *Captured) (Result, error) {
 		defer d.lock.Unlock()
 	}
 	env := d.env
-	// Buffered journal records must land before any transition of this
-	// lineage: the CAPTURED record for this very interval may still be
-	// in the backlog. An outage here parks the interval.
-	if err := d.flushBacklog(cpt.GlobalDir); err != nil {
-		return Result{}, err
-	}
 	j := d.Journal(cpt.GlobalDir)
 	if err := env.fire(InjectPreDrain); err != nil {
 		env.Ins.Emit("snapc.drain", "drain.crash", "interval %d: %v", cpt.Interval, err)
@@ -743,46 +720,6 @@ func stageNodes(cpt *Captured) []string {
 	return nodes
 }
 
-// flushBacklog persists the buffered journal records of one lineage, in
-// capture order. Returns the outage error if the store is still out;
-// records that can never land (non-outage failures) are dropped with a
-// log rather than wedging the backlog forever.
-func (d *Drainer) flushBacklog(globalDir string) error {
-	d.fmu.Lock()
-	defer d.fmu.Unlock()
-	for {
-		d.mu.Lock()
-		entries := d.backlog[globalDir]
-		if len(entries) == 0 {
-			d.mu.Unlock()
-			return nil
-		}
-		e := entries[0]
-		d.mu.Unlock()
-		err := d.Journal(globalDir).Record(e)
-		if err != nil && faultsim.IsOutage(err) {
-			return err
-		}
-		if err != nil {
-			d.env.Ins.Emit("snapc.drain", "drain.journal-error",
-				"dropping buffered CAPTURED record for interval %d: %v", e.Interval, err)
-		}
-		d.mu.Lock()
-		d.setBacklogLocked(globalDir, d.backlog[globalDir][1:])
-		d.mu.Unlock()
-	}
-}
-
-// setBacklogLocked stores a lineage's buffered journal records (with
-// d.mu held), dropping the lineage when none are left.
-func (d *Drainer) setBacklogLocked(globalDir string, entries []snapshot.JournalEntry) {
-	if len(entries) == 0 {
-		delete(d.backlog, globalDir)
-	} else {
-		d.backlog[globalDir] = entries
-	}
-}
-
 // noteOutage counts one outage-classified failure; at the threshold the
 // store is marked DEGRADED. Either way the catch-up pass is (re)armed.
 func (d *Drainer) noteOutage(err error) {
@@ -802,13 +739,13 @@ func (d *Drainer) noteOutage(err error) {
 }
 
 // resetOutage clears the consecutive-failure score after a successful
-// drain; DEGRADED itself only clears once the catch-up pass reconciles
-// every parked interval and buffered journal record.
+// drain; DEGRADED itself only clears once nothing is parked and no
+// journal handle lags.
 func (d *Drainer) resetOutage() {
 	d.mu.Lock()
 	d.outageScore = 0
 	_, parked := d.sealedCountsLocked()
-	clear := d.degraded && parked == 0 && len(d.backlog) == 0
+	clear := d.degraded && parked == 0 && d.journalLag() == 0
 	if clear {
 		d.degraded = false
 	}
@@ -833,9 +770,10 @@ func (d *Drainer) ensureCatchup() {
 }
 
 // catchup is the degraded-mode reconciler: retry with exponential
-// backoff until the store takes writes again, then flush the buffered
-// journal records and drain the outage seals oldest-first. Exits when
-// everything is reconciled (clearing DEGRADED) or the drainer stops.
+// backoff until the store takes writes again, then flush the lagging
+// journal handles and drain the outage seals oldest-first. Exits when
+// nothing is parked and no handle lags (clearing DEGRADED) or the
+// drainer stops.
 func (d *Drainer) catchup() {
 	defer d.catchupWG.Done()
 	backoff := d.retryBackoff
@@ -850,21 +788,8 @@ func (d *Drainer) catchup() {
 			d.mu.Unlock()
 			return
 		}
-		dirs := make([]string, 0, len(d.backlog))
-		for dir := range d.backlog {
-			dirs = append(dirs, dir)
-		}
-		sort.Strings(dirs)
 		next := d.oldestParkedLocked()
-		var unmarked []*sealedInterval
-		for _, ss := range d.sealed {
-			for _, si := range ss {
-				if !si.marked {
-					unmarked = append(unmarked, si)
-				}
-			}
-		}
-		if next == nil && len(dirs) == 0 {
+		if next == nil && d.journalLag() == 0 {
 			// Everything reconciled: clear DEGRADED and stand down.
 			wasDegraded := d.degraded
 			d.degraded = false
@@ -880,18 +805,7 @@ func (d *Drainer) catchup() {
 		}
 		d.mu.Unlock()
 
-		progress := true
-		for _, dir := range dirs {
-			if err := d.flushBacklog(dir); err != nil {
-				progress = false
-				break
-			}
-		}
-		// Retry the journal marks an outage defeated — stats must not
-		// misread a parked interval as an L1 hold, nor an L2 one as L1.
-		for _, si := range unmarked {
-			d.mark(si)
-		}
+		progress := d.flushJournals() == nil
 		if progress && next != nil {
 			progress = d.catchupOne(next)
 		}
@@ -901,6 +815,35 @@ func (d *Drainer) catchup() {
 			backoff = d.retryMax
 		}
 	}
+}
+
+// journalLag sums the journal handles' Lag: the edits the store has not
+// taken yet.
+func (d *Drainer) journalLag() int {
+	d.jmu.Lock()
+	defer d.jmu.Unlock()
+	n := 0
+	for _, j := range d.journals {
+		n += j.Lag()
+	}
+	return n
+}
+
+// flushJournals lands what each lagging journal handle keeps, stopping
+// at the first that cannot land.
+func (d *Drainer) flushJournals() error {
+	d.jmu.Lock()
+	js := make([]*snapshot.Journal, 0, len(d.journals))
+	for _, j := range d.journals {
+		js = append(js, j)
+	}
+	d.jmu.Unlock()
+	for _, j := range js {
+		if err := j.Flush(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // oldestParkedLocked returns the outage seal captured first across all
@@ -961,10 +904,10 @@ func (d *Drainer) catchupOne(si *sealedInterval) bool {
 
 // Crash fails the drain engine the way a dead HNP would: queued tickets
 // fail with ErrHNPDown, the worker and catch-up pass stop, and sealed
-// or backlogged work stays exactly where it is — node-local stages and
-// stage replicas sealed, journal records buffered — for the reattach
-// to rebuild from the stage markers. Safe to call more than once; does
-// not block on the in-flight drain.
+// work stays exactly where it is — node-local stages and stage replicas
+// sealed, journal edits the store could not take unlanded — for the
+// reattach to rebuild from the stage markers. Safe to call more than
+// once; does not block on the in-flight drain.
 func (d *Drainer) Crash(cause error) {
 	d.mu.Lock()
 	if d.crashed || d.closed {
@@ -1004,8 +947,8 @@ type StoreHealth struct {
 	// Held counts the sealed intervals held at a sub-stable checkpoint
 	// level (L1/L2) by the cadence, across all lineages.
 	Held int
-	// JournalBacklog counts buffered journal records the store has not
-	// yet accepted.
+	// JournalBacklog sums the journal handles' Lag: the edits the store
+	// has not taken yet.
 	JournalBacklog int
 	// QueueDepth is the in-flight drain queue depth.
 	QueueDepth int
@@ -1013,18 +956,16 @@ type StoreHealth struct {
 
 // Health reports the drain engine's degraded-mode state.
 func (d *Drainer) Health() StoreHealth {
+	lag := d.journalLag()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	h := StoreHealth{Degraded: d.degraded, OutageScore: d.outageScore, QueueDepth: d.inflight}
-	for _, entries := range d.backlog {
-		h.JournalBacklog += len(entries)
-	}
+	h := StoreHealth{Degraded: d.degraded, OutageScore: d.outageScore, QueueDepth: d.inflight, JournalBacklog: lag}
 	h.Held, h.Parked = d.sealedCountsLocked()
 	return h
 }
 
-// AwaitCatchup blocks until no work is parked or backlogged and the
-// DEGRADED window has closed, or the timeout expires.
+// AwaitCatchup blocks until nothing is parked, no journal handle lags
+// and the DEGRADED window has closed, or the timeout expires.
 func (d *Drainer) AwaitCatchup(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {

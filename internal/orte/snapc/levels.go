@@ -59,10 +59,6 @@ type sealedInterval struct {
 	// replicas maps an origin node to the holder of its stage replica.
 	replicas map[string]string
 	reason   sealReason
-	// marked reports the journal entry carries the reason's mark (the
-	// level, or the Parked flag). A store outage usually defeats the
-	// write; the catch-up pass retries it until it lands.
-	marked bool
 }
 
 // Seal journals a captured interval (CAPTURED, with its level) and
@@ -90,7 +86,7 @@ func (d *Drainer) Seal(cpt *Captured, level int) error {
 	case closed:
 		return fmt.Errorf("snapc: drainer closed; interval %d not held", cpt.Interval)
 	}
-	d.seal(&sealedInterval{cpt: cpt, level: level, marked: true}, sealCadence)
+	d.seal(&sealedInterval{cpt: cpt, level: level}, sealCadence)
 	ins := d.env.Ins
 	ins.Counter(fmt.Sprintf("ompi_ckpt_level%d_captured_total", level)).Inc()
 	// The application-blocked share of a held interval is capture only —
@@ -192,26 +188,13 @@ func (d *Drainer) newestCadenceLocked(globalDir string, keep func(*sealedInterva
 // mark writes the sealed interval's reason into its journal record: the
 // Parked flag for an outage seal — so the stats table never renders a
 // parked interval as a cadence-held L1 one (they share the CAPTURED
-// state and the stage markers) — or the level for a cadence seal. The
-// record may still sit in the outage backlog: amend that copy so the
-// eventual Record carries the mark; otherwise amend the journal.
-// si.marked reports whether the mark landed.
+// state and the stage markers) — or the level for a cadence seal. A
+// mark the store cannot take stays in the journal handle, which the
+// catch-up pass flushes.
 func (d *Drainer) mark(si *sealedInterval) {
 	dir, iv := si.cpt.GlobalDir, si.cpt.Interval
 	d.mu.Lock()
 	outage, level := si.reason == sealOutage, si.level
-	for i := range d.backlog[dir] {
-		if e := &d.backlog[dir][i]; e.Interval == iv {
-			if outage {
-				e.Parked = true
-			} else {
-				e.Level = level
-			}
-			si.marked = true
-			d.mu.Unlock()
-			return
-		}
-	}
 	d.mu.Unlock()
 	var err error
 	if outage {
@@ -219,12 +202,12 @@ func (d *Drainer) mark(si *sealedInterval) {
 	} else {
 		_, err = d.Journal(dir).SetLevel(iv, level)
 	}
-	if err != nil && !faultsim.IsOutage(err) {
+	switch {
+	case faultsim.IsOutage(err):
+		d.ensureCatchup()
+	case err != nil:
 		d.env.Ins.Emit("snapc.drain", "drain.journal-error", "marking interval %d: %v", iv, err)
 	}
-	d.mu.Lock()
-	si.marked = err == nil
-	d.mu.Unlock()
 }
 
 // pushStageReplicas copies each origin node's share of a sealed
@@ -350,9 +333,8 @@ func (d *Drainer) PromoteStable(globalDir string) (*Pending, bool, error) {
 // commit of interval below supersedes every sealed interval of the
 // lineage older than it — cadence hold or outage park alike — because a
 // higher level now has a strictly newer verified copy. Each is
-// discarded: its journal entry (or its still-buffered CAPTURED record)
-// and its stages and stage replicas. The newest seal, and anything
-// captured after the commit, stays.
+// discarded: its journal entry and its stages and stage replicas. The
+// newest seal, and anything captured after the commit, stays.
 func (d *Drainer) releaseBelow(globalDir string, below int) {
 	d.mu.Lock()
 	ss := d.sealed[globalDir]
@@ -369,19 +351,11 @@ func (d *Drainer) releaseBelow(globalDir string, below int) {
 	cause := fmt.Sprintf("superseded by stable commit of interval %d", below)
 	for _, si := range drop {
 		iv := si.cpt.Interval
-		// The CAPTURED record may still sit in the outage backlog — drop
-		// it there so the flush never resurrects a superseded interval.
-		d.mu.Lock()
-		bl := d.backlog[globalDir]
-		if i := slices.IndexFunc(bl, func(e snapshot.JournalEntry) bool { return e.Interval == iv }); i >= 0 {
-			d.setBacklogLocked(globalDir, slices.Delete(bl, i, i+1))
-		}
-		d.mu.Unlock()
 		if e, ok, err := j.Entry(iv); err == nil && ok && !e.State.Terminal() {
 			discardEntry(d.env, ref, j, e, nil, cause)
 		} else {
-			// Never journaled durably (backlogged through an outage):
-			// sweep the stages from the rebuilt entry alone.
+			// The journal holds no live entry for it: sweep the stages
+			// from the rebuilt entry alone.
 			sweepEntry(d.env, ref, journalEntry(si.cpt), nil)
 		}
 		d.env.Ins.Counter("ompi_ckpt_superseded_total").Inc()

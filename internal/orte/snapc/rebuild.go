@@ -4,7 +4,7 @@
 // payload survives: an HNP crash inside the quiesce window (the orteds
 // seal their LOCAL_COMMITTED stages autonomously, but the coordinator
 // died before Enqueue could journal the interval — or with the record
-// still in the degraded-mode backlog), and a damaged journal whose
+// still unlanded in its journal handle), and a damaged journal whose
 // replay cut the records (a journal from before the record log replays
 // as one damaged line). In both cases the sealed node-local stages are the
 // ground truth: each carries a LOCAL_COMMITTED marker and per-rank

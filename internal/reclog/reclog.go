@@ -16,9 +16,13 @@
 // record lands as a compaction instead of an append once the bytes
 // appended since the last fold would exceed that fold's size plus
 // Floor, so a fresh handle replays at most about twice the folded state
-// plus Floor. A handle whose append failed compacts on its next landing
-// too: the failed append may have left a torn prefix, and a record
-// appended after it would sit behind damage that replay cuts.
+// plus Floor.
+//
+// One write-behind rule serves both owners: a log keeps what it cannot
+// land, and lands it with the next compaction. A handle's state is the
+// file plus the records it issued that have not landed (Lag), and while
+// any is pending the next landing, or Flush, is one compaction, which
+// also overwrites whatever torn prefix a failed append left.
 package reclog
 
 import (
@@ -79,34 +83,42 @@ func (r Record) line() ([]byte, error) {
 	return fmt.Appendf(b, `,"sum":%q}`+"\n", r.checksum()), nil
 }
 
-// Log is one handle on a log file. Its owner serializes calls.
+// Log is one handle on a log file: the file, plus the records this
+// handle issued that have not landed. Its owner serializes calls.
 type Log struct {
 	fs   vfs.FS
 	name string
 
-	loaded bool
-	stamp  *vfs.FileInfo // the file as this handle last left it; nil: none
-	seq    int           // the last sequence number replayed or issued
-	base   int64         // size of the last fold line; 0 when there is none
-	since  int64         // bytes appended after it
-	dirty  bool          // the next landing compacts
-	torn   []byte        // bytes replay cut, set aside by the next compaction
+	loaded  bool
+	err     error         // why the last Refresh failed; landings wait for one that succeeds
+	stamp   *vfs.FileInfo // the file as this handle last left it; nil: none
+	seq     int           // the last sequence number replayed or issued
+	base    int64         // size of the last fold line; 0 when there is none
+	since   int64         // bytes appended after it
+	torn    []byte        // bytes replay cut, set aside by the next compaction
+	pending []Record      // issued and applied by the owner, not landed
 }
+
+var errNotLoaded = errors.New("reclog: log not read yet")
 
 // New returns a handle on the log file name. Nothing is read until the
 // first Refresh.
 func New(fsys vfs.FS, name string) *Log {
-	return &Log{fs: fsys, name: name}
+	return &Log{fs: fsys, name: name, err: errNotLoaded}
 }
 
 // Refresh brings the owner's state up to date with the file. When Stat
 // shows the file as this handle last left it, nothing is read.
 // Otherwise (first use, or another handle wrote, replaced or damaged
-// the file) reset clears the state and apply is called on every intact
-// record in order. apply must leave the state untouched when it fails;
-// the record and all after it are then cut like damage. Returns the
-// number of lines cut. A missing file is an empty log.
+// the file) reset clears the state, apply is called on every intact
+// record in order, and then on each pending record, renumbered after
+// the file's. apply must leave the state untouched when it fails; a
+// file record that fails is cut with all after it, like damage, and a
+// pending one is dropped. Returns the number of lines cut plus pending
+// records dropped. A missing file is an empty log. A failed Refresh
+// leaves the state as it was.
 func (l *Log) Refresh(reset func(), apply func(Record) error) (dropped int, err error) {
+	defer func() { l.err = err }()
 	fi, err := l.fs.Stat(l.name)
 	missing := errors.Is(err, vfs.ErrNotExist)
 	if err != nil && !missing {
@@ -116,16 +128,15 @@ func (l *Log) Refresh(reset func(), apply func(Record) error) (dropped int, err 
 		!missing && l.stamp != nil && fi.Size == l.stamp.Size && fi.ModTime.Equal(l.stamp.ModTime)) {
 		return 0, nil
 	}
-	*l = Log{fs: l.fs, name: l.name}
+	var data []byte
+	if !missing {
+		if data, err = l.fs.ReadFile(l.name); err != nil {
+			return 0, err
+		}
+	}
+	pending := l.pending
+	*l = Log{fs: l.fs, name: l.name, loaded: true}
 	reset()
-	if missing {
-		l.loaded = true
-		return 0, nil
-	}
-	data, err := l.fs.ReadFile(l.name)
-	if err != nil {
-		return 0, err
-	}
 	off := 0
 	for {
 		end := bytes.IndexByte(data[off:], '\n')
@@ -145,17 +156,32 @@ func (l *Log) Refresh(reset func(), apply func(Record) error) (dropped int, err 
 		off += end + 1
 	}
 	if off < len(data) {
-		l.torn, l.dirty = data[off:], true
+		l.torn = data[off:]
 		dropped = bytes.Count(l.torn, []byte{'\n'})
 		if l.torn[len(l.torn)-1] != '\n' {
 			dropped++
 		}
 	}
+	for _, r := range pending {
+		r.Seq = l.seq + 1
+		if apply(r) != nil {
+			dropped++
+			continue
+		}
+		l.seq = r.Seq
+		l.pending = append(l.pending, r)
+	}
 	// Stamped with the Stat taken before the read: if another handle
 	// wrote in between, the next Refresh reads the file again.
-	l.loaded, l.stamp = true, &fi
+	if !missing {
+		l.stamp = &fi
+	}
 	return dropped, nil
 }
+
+// Loaded reports whether a Refresh has ever succeeded: whether the
+// owner's state holds the file's records.
+func (l *Log) Loaded() bool { return l.loaded }
 
 // Issue seals the next record of the log. The owner applies it to its
 // state and then lands it.
@@ -164,32 +190,51 @@ func (l *Log) Issue(typ string, job int, data json.RawMessage) Record {
 	return Record{Seq: l.seq, Type: typ, Job: job, Data: data}
 }
 
-// Land writes an issued record: one Append, or a compaction to fold
-// (the owner's state with r applied) when the handle is dirty or the
-// compaction rule calls for one. After a failed landing the handle is
-// dirty.
+// Land writes an issued record, which the owner has applied: one
+// Append, or a compaction to fold (the owner's state) when records are
+// pending, replay cut damage, or the rule calls for one. A record that
+// does not land stays pending. While the last Refresh failed, or none
+// has run, Land returns that failure and touches no store.
 func (l *Log) Land(r Record, fold func() (json.RawMessage, error)) error {
 	line, err := r.line()
 	if err != nil {
 		return err
 	}
-	if l.dirty || l.since+int64(len(line)) > l.base+Floor {
+	l.pending = append(l.pending, r)
+	if l.err != nil {
+		return l.err
+	}
+	if len(l.pending) > 1 || l.torn != nil || l.since+int64(len(line)) > l.base+Floor {
 		return l.Compact(fold)
 	}
 	if err := l.fs.Append(l.name, line); err != nil {
-		l.dirty = true
 		return err
 	}
+	l.pending = nil
 	l.since += int64(len(line))
 	l.restamp()
 	return nil
 }
 
+// Flush lands every pending record as one compaction to fold.
+func (l *Log) Flush(fold func() (json.RawMessage, error)) error {
+	if len(l.pending) == 0 {
+		return nil
+	}
+	if l.err != nil {
+		return l.err
+	}
+	return l.Compact(fold)
+}
+
+// Lag reports how many issued records have not landed.
+func (l *Log) Lag() int { return len(l.pending) }
+
 // Compact rewrites the file to one fold record of the owner's state,
-// under the last issued sequence number. Bytes the last replay cut are
-// first set aside beside the log, for post-mortem.
+// under the last issued sequence number, which lands every pending
+// record. Bytes the last replay cut are first set aside beside the log,
+// for post-mortem.
 func (l *Log) Compact(fold func() (json.RawMessage, error)) error {
-	l.dirty = true
 	data, err := fold()
 	if err != nil {
 		return err
@@ -212,7 +257,7 @@ func (l *Log) Compact(fold func() (json.RawMessage, error)) error {
 	if err := l.fs.Rename(tmp, l.name); err != nil {
 		return err
 	}
-	l.base, l.since, l.dirty = int64(len(line)), 0, false
+	l.base, l.since, l.pending = int64(len(line)), 0, nil
 	l.restamp()
 	return nil
 }

@@ -12,7 +12,8 @@ import (
 	"repro/internal/vfs"
 )
 
-// owner is a minimal log owner: its state is the list of values added.
+// owner is a minimal log owner: its state is the list of values added,
+// each beyond the last (as the drain journal's intervals are).
 type owner struct {
 	log  *Log
 	vals []int
@@ -32,6 +33,9 @@ func (o *owner) apply(r Record) error {
 		v, err := strconv.Atoi(string(r.Data))
 		if err != nil {
 			return err
+		}
+		if n := len(o.vals); n > 0 && v <= o.vals[n-1] {
+			return fmt.Errorf("value %d not beyond %d", v, o.vals[n-1])
 		}
 		o.vals = append(o.vals, v)
 	}
@@ -53,6 +57,58 @@ func (o *owner) add(v int) error {
 		return err
 	}
 	return o.log.Land(r, func() (json.RawMessage, error) { return json.Marshal(o.vals) })
+}
+
+func (o *owner) flush() error {
+	return o.log.Flush(func() (json.RawMessage, error) { return json.Marshal(o.vals) })
+}
+
+// gateFS fails every operation while out, leaving the store untouched.
+type gateFS struct {
+	vfs.FS
+	out bool
+}
+
+func (g *gateFS) err(op string) error {
+	if g.out {
+		return fmt.Errorf("gate: %s: %w", op, faultsim.ErrOutage)
+	}
+	return nil
+}
+
+func (g *gateFS) Stat(name string) (vfs.FileInfo, error) {
+	if err := g.err("stat"); err != nil {
+		return vfs.FileInfo{}, err
+	}
+	return g.FS.Stat(name)
+}
+
+func (g *gateFS) ReadFile(name string) ([]byte, error) {
+	if err := g.err("read"); err != nil {
+		return nil, err
+	}
+	return g.FS.ReadFile(name)
+}
+
+func (g *gateFS) Append(name string, data []byte) error {
+	if err := g.err("append"); err != nil {
+		return err
+	}
+	return g.FS.Append(name, data)
+}
+
+func (g *gateFS) WriteFile(name string, data []byte) error {
+	if err := g.err("write"); err != nil {
+		return err
+	}
+	return g.FS.WriteFile(name, data)
+}
+
+func (g *gateFS) Rename(oldName, newName string) error {
+	if err := g.err("rename"); err != nil {
+		return err
+	}
+	return g.FS.Rename(oldName, newName)
 }
 
 // countFS counts Append, WriteFile and Rename calls.
@@ -233,5 +289,124 @@ func TestRefreshReplaysOnlyWhatAnotherHandleWrote(t *testing.T) {
 	count(a)
 	if len(a.vals) != 0 {
 		t.Fatalf("a removed log replays as %v", a.vals)
+	}
+}
+
+// A record that fails to land stays pending and counts in Lag, and so
+// does every record issued after a failed Refresh, which touches no
+// store. Flush then lands them all as one compaction.
+func TestFailedLandStaysPendingAndFlushCompacts(t *testing.T) {
+	g := &gateFS{FS: vfs.NewMem()}
+	cfs := &countFS{FS: g}
+	o := newOwner(cfs)
+	o.refresh(t)
+	if err := o.add(1); err != nil {
+		t.Fatal(err)
+	}
+	g.out = true
+	if err := o.add(2); !faultsim.IsOutage(err) {
+		t.Fatalf("landing in an outage: %v", err)
+	}
+	if _, err := o.log.Refresh(func() { o.vals = nil }, o.apply); !faultsim.IsOutage(err) {
+		t.Fatalf("Refresh in an outage: %v", err)
+	}
+	a := cfs.appends
+	if err := o.add(3); !faultsim.IsOutage(err) || cfs.appends != a {
+		t.Fatalf("landing after a failed Refresh: %v, %d appends", err, cfs.appends-a)
+	}
+	if o.log.Lag() != 2 || !reflect.DeepEqual(o.vals, []int{1, 2, 3}) {
+		t.Fatalf("lag %d, values %v; want 2 pending and every value applied", o.log.Lag(), o.vals)
+	}
+	g.out = false
+	o.refresh(t)
+	a, w, r := cfs.appends, cfs.writes, cfs.renames
+	if err := o.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if cfs.appends != a || cfs.writes != w+1 || cfs.renames != r+1 || o.log.Lag() != 0 {
+		t.Fatalf("Flush: %d appends, %d writes, %d renames, lag %d", cfs.appends-a, cfs.writes-w, cfs.renames-r, o.log.Lag())
+	}
+	fresh := newOwner(cfs)
+	if fresh.refresh(t) != 0 || !reflect.DeepEqual(fresh.vals, []int{1, 2, 3}) {
+		t.Fatalf("fresh replay holds %v", fresh.vals)
+	}
+	if err := o.flush(); err != nil || cfs.writes != w+1 {
+		t.Fatalf("Flush with nothing pending: %v, %d writes", err, cfs.writes-w)
+	}
+}
+
+// A Refresh that reads the file again applies the pending records after
+// another writer's, renumbered, and the next landing keeps that order.
+// A pending record that no longer applies is dropped and counted.
+func TestRefreshPutsPendingAfterAnotherWriters(t *testing.T) {
+	mem := vfs.NewMem()
+	g := &gateFS{FS: mem}
+	a, b := newOwner(g), newOwner(mem)
+	a.refresh(t)
+	if err := a.add(1); err != nil {
+		t.Fatal(err)
+	}
+	g.out = true
+	if err := a.add(5); err == nil {
+		t.Fatal("landing in an outage succeeded")
+	}
+	b.refresh(t)
+	if err := b.add(3); err != nil {
+		t.Fatal(err)
+	}
+	g.out = false
+	if dropped := a.refresh(t); dropped != 0 || !reflect.DeepEqual(a.vals, []int{1, 3, 5}) || a.log.Lag() != 1 {
+		t.Fatalf("after the other writer: values %v, %d dropped, lag %d", a.vals, dropped, a.log.Lag())
+	}
+	if err := a.add(6); err != nil {
+		t.Fatal(err)
+	}
+	fresh := newOwner(mem)
+	if fresh.refresh(t) != 0 || !reflect.DeepEqual(fresh.vals, []int{1, 3, 5, 6}) {
+		t.Fatalf("fresh replay holds %v", fresh.vals)
+	}
+
+	g.out = true
+	if err := a.add(7); err == nil {
+		t.Fatal("landing in an outage succeeded")
+	}
+	b.refresh(t)
+	if err := b.add(9); err != nil {
+		t.Fatal(err)
+	}
+	g.out = false
+	if dropped := a.refresh(t); dropped != 1 || !reflect.DeepEqual(a.vals, []int{1, 3, 5, 6, 9}) || a.log.Lag() != 0 {
+		t.Fatalf("a pending record that no longer applies: values %v, %d dropped, lag %d", a.vals, dropped, a.log.Lag())
+	}
+}
+
+// Records issued on a handle that has never read the file wait for the
+// first Refresh that succeeds, and then follow the file's records.
+func TestRecordsBeforeTheFirstLoadWait(t *testing.T) {
+	mem := vfs.NewMem()
+	b := newOwner(mem)
+	b.refresh(t)
+	if err := b.add(1); err != nil {
+		t.Fatal(err)
+	}
+	g := &gateFS{FS: mem, out: true}
+	a := newOwner(g)
+	if _, err := a.log.Refresh(func() { a.vals = nil }, a.apply); err == nil || a.log.Loaded() {
+		t.Fatalf("Refresh in an outage: %v, loaded %v", err, a.log.Loaded())
+	}
+	if err := a.add(2); err == nil {
+		t.Fatal("a never-loaded handle landed")
+	}
+	g.out = false
+	if err := a.add(3); err == nil || a.log.Lag() != 2 {
+		t.Fatalf("landing before a Refresh succeeded: %v, lag %d", err, a.log.Lag())
+	}
+	a.refresh(t)
+	if err := a.flush(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := newOwner(mem)
+	if fresh.refresh(t) != 0 || !reflect.DeepEqual(fresh.vals, []int{1, 2, 3}) {
+		t.Fatalf("fresh replay holds %v", fresh.vals)
 	}
 }
