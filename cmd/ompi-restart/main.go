@@ -71,23 +71,13 @@ func run() error {
 	// to any intact replica on a live node, and repair the primary from
 	// it before the relaunch — the restart path always reads a verified
 	// primary.
-	res := sys.Resolver(refDir)
-	iv := *interval
-	var meta snapshot.GlobalMeta
-	var cp snapshot.Copy
-	if iv < 0 {
-		iv, meta, cp, err = res.LatestValid()
-	} else {
-		meta, cp, err = res.Resolve(iv)
-	}
+	src, meta, err := sys.ResolveRestart(refDir, *interval)
 	if err != nil {
 		return err
 	}
-	if !cp.Primary() {
-		fmt.Printf("ompi-restart: primary copy of interval %d unusable; repairing from %s\n", iv, cp)
-		if err := res.Repair(iv, cp); err != nil {
-			return err
-		}
+	iv := src.Interval
+	if src.Repaired {
+		fmt.Printf("ompi-restart: primary copy of interval %d was unusable; repaired from %s\n", iv, src.Copy)
 	}
 	factory, err := apps.Lookup(meta.AppName, meta.AppArgs)
 	if err != nil {

@@ -331,18 +331,14 @@ func runReattach(stable string, nodes, slots int, params *mca.Params, sopts core
 		} else if n > 0 {
 			fmt.Printf("ompi-run: job %d: discarded %d captured-but-undrained interval(s)\n", id, n)
 		}
-		res := sys.Resolver(dir)
-		iv, meta, cp, err := res.LatestValid()
+		src, meta, err := sys.ResolveRestart(dir, -1)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ompi-run: job %d has no valid snapshot interval: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "ompi-run: job %d cannot be restarted: %v\n", id, err)
 			continue
 		}
-		if !cp.Primary() {
-			fmt.Printf("ompi-run: job %d interval %d primary unusable; repairing from %s\n", id, iv, cp)
-			if err := res.Repair(iv, cp); err != nil {
-				fmt.Fprintf(os.Stderr, "ompi-run: job %d repair: %v\n", id, err)
-				continue
-			}
+		iv := src.Interval
+		if src.Repaired {
+			fmt.Printf("ompi-run: job %d interval %d primary was unusable; repaired from %s\n", id, iv, src.Copy)
 		}
 		factory, err := apps.Lookup(meta.AppName, meta.AppArgs)
 		if err != nil {

@@ -307,6 +307,33 @@ func (s *System) RestartLatest(ref snapshot.GlobalRef, appFactory func(rank int)
 	return s.Restart(ref, iv, appFactory)
 }
 
+// ResolveRestart is the one resolve-and-repair step before a restart
+// of the lineage in dir. It picks the interval — the newest with an
+// intact copy anywhere when interval is negative, else the one asked
+// for — and, when the copy that verified is not the primary, rebuilds
+// the primary from it, so the relaunch reads a verified primary.
+// Returns where the restart reads and the interval's metadata. A
+// failed repair returns the resolved source with its error.
+func (s *System) ResolveRestart(dir string, interval int) (RestartSource, snapshot.GlobalMeta, error) {
+	res := s.Resolver(dir)
+	var meta snapshot.GlobalMeta
+	var cp snapshot.Copy
+	var err error
+	if interval < 0 {
+		interval, meta, cp, err = res.LatestValid()
+	} else {
+		meta, cp, err = res.Resolve(interval)
+	}
+	if err != nil {
+		return RestartSource{}, meta, err
+	}
+	src := RestartSource{Dir: dir, Interval: interval, Copy: cp.String(), Repaired: !cp.Primary()}
+	if err := res.Repair(interval, cp); err != nil {
+		return src, meta, fmt.Errorf("core: repair primary from %s: %w", cp, err)
+	}
+	return src, meta, nil
+}
+
 // OpenGlobalSnapshot builds a reference to an existing global snapshot
 // directory on this system's stable storage.
 func (s *System) OpenGlobalSnapshot(dir string) (snapshot.GlobalRef, error) {
@@ -751,22 +778,19 @@ func (s *System) lineageRestart(dirs []string, appFactory func(rank int) ompi.Ap
 	// Scan the lineage newest-incarnation-first.
 	lastErr := fmt.Errorf("core: no snapshots were taken")
 	for i := len(dirs) - 1; i >= 0; i-- {
-		res := s.Resolver(dirs[i])
-		interval, _, cp, err := res.LatestValid()
-		if err != nil {
+		src, _, err := s.ResolveRestart(dirs[i], -1)
+		if err != nil && src.Dir == "" {
 			lastErr = err
 			continue
 		}
-		if !cp.Primary() {
-			if err := res.Repair(interval, cp); err != nil {
-				return nil, RestartSource{}, fmt.Errorf("core: repair primary from %s: %w", cp, err)
-			}
+		if err != nil {
+			return nil, RestartSource{}, err
 		}
-		next, err := s.Restart(res.Ref, interval, appFactory)
+		next, err := s.Restart(snapshot.GlobalRef{FS: s.cluster.Stable(), Dir: src.Dir}, src.Interval, appFactory)
 		if err != nil {
 			return nil, RestartSource{}, fmt.Errorf("core: auto-restart: %w", err)
 		}
-		return next, RestartSource{Dir: res.Ref.Dir, Interval: interval, Copy: cp.String(), Repaired: !cp.Primary()}, nil
+		return next, src, nil
 	}
 	return nil, RestartSource{}, fmt.Errorf("core: no valid snapshot to restart from: %w", lastErr)
 }

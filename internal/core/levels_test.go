@@ -338,8 +338,13 @@ func TestLevelRetentionInvariantUnderRandomOps(t *testing.T) {
 				if err != nil {
 					t.Fatalf("after %s: journal: %v", op, err)
 				}
-				iv, _, err := sys.Resolver(dir).LatestValidAny(int(id), entries)
-				if err != nil {
+				iv := -1
+				for _, info := range sys.Resolver(dir).SurveyLevels(int(id), entries) {
+					if info.Best > 0 {
+						iv = info.Interval
+					}
+				}
+				if iv < 0 {
 					if best > 0 {
 						t.Fatalf("after %s: no restorable interval at any level, previously %d", op, best)
 					}

@@ -38,6 +38,7 @@ package snapshot
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"maps"
 	"path"
@@ -376,6 +377,11 @@ func (st *journalState) fold() (json.RawMessage, error) {
 	return json.Marshal(caps)
 }
 
+// ErrUnlanded marks a journal edit the handle applied and keeps but
+// could not land: the handle lands it with its next compaction, so the
+// edit is made, only not yet on the store.
+var ErrUnlanded = errors.New("edit kept, lands with the next compaction")
+
 // Journal is the drain journal of one global snapshot lineage. A handle
 // holds the journal as it last replayed or wrote it, plus the edits
 // that have not landed; see the package comment for when it reads the
@@ -421,7 +427,8 @@ func (j *Journal) load() error {
 
 // land applies one record to the handle's state and lands it, and
 // returns the entry it left. A record that applies stays in the state
-// whether or not it lands. lerr is the caller's load error: when the
+// whether or not it lands; one that does not land fails wrapping
+// ErrUnlanded. lerr is the caller's load error: when the
 // handle has no view, a record that does not apply to its edits alone
 // fails with it.
 func (j *Journal) land(typ string, payload any, lerr error) (JournalEntry, error) {
@@ -438,7 +445,7 @@ func (j *Journal) land(typ string, payload any, lerr error) (JournalEntry, error
 		return JournalEntry{}, err
 	}
 	if err := j.log.Land(r, j.st.fold); err != nil {
-		return e.clone(), fmt.Errorf("snapshot: write drain journal: %w", err)
+		return e.clone(), fmt.Errorf("snapshot: write drain journal: %w (%w)", err, ErrUnlanded)
 	}
 	return e.clone(), nil
 }

@@ -11,15 +11,16 @@
 //  3. the committed copy the resolver verified: the stable primary, or
 //     the intact alternate standing in for a damaged primary.
 //
-// Every rung reads the rank's LocalMeta and checks that it names the
-// interval's job, the interval and the rank; a copy that does not is
-// skipped and the walk goes on.
+// The walk (Walk) hands every candidate copy to the caller, who makes
+// it readable on the rank's node and returns the rank's LocalMeta as
+// read there; the ladder checks that it names the interval's job, the
+// interval and the rank. A copy that does not is skipped and the walk
+// goes on.
 //
 // A ShareLadder trusts no copy the resolver did not verify: it carries
-// each rank's slice of the committed manifest (Source.Sums), and its
-// walk (Walk) hands every candidate copy to the caller, who checks the
-// share's bytes where it reads them. A copy that fails the check is
-// skipped like one that names the wrong share.
+// each rank's slice of the committed manifest (Source.Sums), and the
+// caller checks the share's bytes where it reads them. A copy that
+// fails the check is skipped like one that names the wrong share.
 package snapshot
 
 import (
@@ -50,6 +51,12 @@ const (
 	FromStable
 )
 
+var sourceKinds = [...]string{FromStage: "local", FromStageReplica: "stage-replica", FromReplica: "replica", FromStable: "stable"}
+
+// String names the rung: "local", "stage-replica", "replica" or
+// "stable".
+func (k SourceKind) String() string { return sourceKinds[k] }
+
 // Source is one rank's surviving copy of an interval.
 type Source struct {
 	Kind SourceKind
@@ -62,6 +69,15 @@ type Source struct {
 	// path relative to Dir, when the ladder checks shares (ShareLadder);
 	// nil otherwise.
 	Sums map[string]string
+}
+
+// Label names the source as the rank table shows it: the rung, and for
+// a replica the node holding it ("replica:n3").
+func (s Source) Label() string {
+	if s.Kind == FromReplica || s.Kind == FromStageReplica {
+		return s.Kind.String() + ":" + s.Node
+	}
+	return s.Kind.String()
 }
 
 // ProbeShare is the per-node share probe: own reports origin's stage of
@@ -171,74 +187,57 @@ func (r *Resolver) HeldLadder(e JournalEntry) *Ladder {
 	return &Ladder{res: r, jobID: e.JobID, interval: e.Interval, base: e.LocalBase, held: true}
 }
 
-// Source returns the first surviving copy of rank's share, for a rank
-// captured on origin that restarts on target.
-func (l *Ladder) Source(rank int, origin, target string) (Source, error) {
-	return l.Walk(rank, origin, target, nil)
-}
-
-// Walk is Source with the caller in the loop. Given use, it hands each
-// candidate copy, in rung order, to use instead of reading the copy's
-// identity itself: use makes the copy readable on target (in place, or
-// staged there), checks the share's bytes against src.Sums, and returns
-// the local metadata it read. A copy use rejects with ErrCorrupt, or
-// whose metadata names another share, is skipped like a missing one;
-// any other error from use ends the walk. When every rung fails the
-// error wraps ErrNoCopy.
+// Walk returns the first surviving copy of rank's share, for a rank
+// captured on origin that restarts on target. It hands each candidate
+// copy, in rung order, to use: use makes the copy readable on target
+// (in place, or staged there), checks the share's bytes against
+// src.Sums when it carries them, and returns the local metadata it
+// read. A copy use rejects with ErrCorrupt, or whose metadata names
+// another share, is skipped like a missing one; any other error from
+// use ends the walk. When every rung fails the error wraps ErrNoCopy.
 func (l *Ladder) Walk(rank int, origin, target string, use func(Source) (LocalMeta, error)) (Source, error) {
-	var skipped error // why the last rung was passed over
-	try := func(src Source) (Source, bool, error) {
-		if src.FS == nil {
-			fsys, err := l.res.nodeFS(src.Node)
-			if err != nil {
-				skipped = err
-				return Source{}, false, nil
-			}
-			src.FS = fsys
-		}
-		src.Sums = l.sums[rank]
-		var err error
-		if use == nil {
-			src.Meta, err = ReadLocal(LocalRef{FS: src.FS, Dir: src.Dir})
-		} else if src.Meta, err = use(src); err != nil && !errors.Is(err, ErrCorrupt) {
-			return Source{}, false, err
-		}
-		if err == nil {
-			err = l.check(src.Meta, src.Dir, rank)
-		}
-		if err != nil {
-			skipped = err
-			return Source{}, false, nil
-		}
-		return src, true, nil
-	}
-
+	var rungs []Source
 	if origin == target && l.res.sealed(origin, l.base) {
-		if src, ok, err := try(Source{Kind: FromStage, Node: origin, Dir: path.Join(l.base, LocalDirName(rank))}); ok || err != nil {
-			return src, err
-		}
-	}
-	if l.held {
-		if h := l.res.stageHolder(l.jobID, l.interval, origin); h != "" {
-			dir := path.Join(StageReplicaBase(l.jobID, l.interval, origin), LocalDirName(rank))
-			if src, ok, err := try(Source{Kind: FromStageReplica, Node: h, Dir: dir}); ok || err != nil {
-				return src, err
-			}
-		}
-		return Source{}, fmt.Errorf("%w: held interval %d: rank %d has no surviving share of node %q",
-			ErrNoCopy, l.interval, rank, origin)
+		rungs = append(rungs, Source{Kind: FromStage, Node: origin, Dir: path.Join(l.base, LocalDirName(rank))})
 	}
 	rel, ok := l.localDir[rank]
-	if !ok {
-		return Source{}, fmt.Errorf("snapshot: interval %d metadata has no entry for rank %d", l.interval, rank)
-	}
-	for _, h := range l.replicaOrder(target) {
-		if src, ok, err := try(Source{Kind: FromReplica, Node: h, Dir: path.Join(ReplicaDir(l.res.Ref.Dir, l.interval), rel)}); ok || err != nil {
-			return src, err
+	switch {
+	case l.held:
+		if h := l.res.stageHolder(l.jobID, l.interval, origin); h != "" {
+			dir := path.Join(StageReplicaBase(l.jobID, l.interval, origin), LocalDirName(rank))
+			rungs = append(rungs, Source{Kind: FromStageReplica, Node: h, Dir: dir})
 		}
+	case !ok:
+		return Source{}, fmt.Errorf("snapshot: interval %d metadata has no entry for rank %d", l.interval, rank)
+	default:
+		for _, h := range l.replicaOrder(target) {
+			rungs = append(rungs, Source{Kind: FromReplica, Node: h, Dir: path.Join(ReplicaDir(l.res.Ref.Dir, l.interval), rel)})
+		}
+		rungs = append(rungs, Source{Kind: FromStable, Node: l.stable.Node, FS: l.stable.FS, Dir: path.Join(l.stable.Dir, rel)})
 	}
-	if src, ok, err := try(Source{Kind: FromStable, Node: l.stable.Node, FS: l.stable.FS, Dir: path.Join(l.stable.Dir, rel)}); ok || err != nil {
-		return src, err
+
+	var skipped error // why the last rung was passed over
+	for _, src := range rungs {
+		var err error
+		if src.FS == nil {
+			src.FS, err = l.res.nodeFS(src.Node)
+		}
+		if err == nil {
+			src.Sums = l.sums[rank]
+			if src.Meta, err = use(src); err != nil && !errors.Is(err, ErrCorrupt) {
+				return Source{}, err
+			}
+		}
+		if err == nil {
+			if err = l.check(src.Meta, src.Dir, rank); err == nil {
+				return src, nil
+			}
+		}
+		skipped = err
+	}
+	if l.held {
+		return Source{}, fmt.Errorf("%w: held interval %d: rank %d has no surviving share of node %q",
+			ErrNoCopy, l.interval, rank, origin)
 	}
 	return Source{}, fmt.Errorf("%w: rank %d has no restorable copy at interval %d: %w", ErrNoCopy, rank, l.interval, skipped)
 }

@@ -223,7 +223,9 @@ func TestLadderRungs(t *testing.T) {
 				}
 				ladder = res.CommittedLadder(meta, stable)
 			}
-			src, err := ladder.Source(rank, origin, row.target)
+			src, err := ladder.Walk(rank, origin, row.target, func(src Source) (LocalMeta, error) {
+				return ReadLocal(LocalRef{FS: src.FS, Dir: src.Dir})
+			})
 			if row.wantErr {
 				if err == nil {
 					t.Fatalf("Source = %+v, want an error", src)

@@ -157,19 +157,3 @@ func (r *Resolver) SurveyLevels(jobID int, entries []JournalEntry) []LevelInfo {
 	sort.Slice(out, func(a, b int) bool { return out[a].Interval < out[b].Interval })
 	return out
 }
-
-// LatestValidAny returns the newest interval restorable from any level,
-// and the level it resolves at. This is the multilevel restart rule:
-// an interval still held at L1/L2 (sealed stages, possibly replica-
-// promoted) beats an older stable commit — the drain-recovery pass
-// turns the held stages into a stable commit before relaunch, exactly
-// as the per-rank fast path already prefers an in-place local stage.
-func (r *Resolver) LatestValidAny(jobID int, entries []JournalEntry) (int, int, error) {
-	infos := r.SurveyLevels(jobID, entries)
-	for i := len(infos) - 1; i >= 0; i-- {
-		if infos[i].Best > 0 {
-			return infos[i].Interval, infos[i].Best, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("snapshot: %q has no restorable interval at any level", r.Ref.Dir)
-}

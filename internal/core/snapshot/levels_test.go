@@ -95,10 +95,20 @@ func TestSurveyLevels(t *testing.T) {
 	// The multilevel restart rule: the newest restorable interval wins
 	// whatever rung holds it — here the L2-held interval 2, beating the
 	// older stable commit.
-	iv, level, err := res.LatestValidAny(jobID, entries)
-	if err != nil || iv != 2 || level != LevelReplica {
-		t.Fatalf("LatestValidAny = (%d, %d, %v), want (2, L2, nil)", iv, level, err)
+	if iv, level := newestRestorable(infos); iv != 2 || level != LevelReplica {
+		t.Fatalf("newest restorable = (%d, %d), want (2, L2)", iv, level)
 	}
+}
+
+// newestRestorable returns the newest surveyed interval some level can
+// restore, and that level; (-1, 0) when there is none.
+func newestRestorable(infos []LevelInfo) (int, int) {
+	for i := len(infos) - 1; i >= 0; i-- {
+		if infos[i].Best > 0 {
+			return infos[i].Interval, infos[i].Best
+		}
+	}
+	return -1, 0
 }
 
 // Terminal journal entries drop out of the survey; a parked entry keeps
@@ -126,10 +136,11 @@ func TestSurveyLevelsLabelsAndTerminals(t *testing.T) {
 	}
 }
 
-func TestLatestValidAnyEmpty(t *testing.T) {
+// An empty lineage has nothing to restore at any level.
+func TestSurveyLevelsEmpty(t *testing.T) {
 	res := &Resolver{Ref: GlobalRef{FS: vfs.NewMem(), Dir: "g.ckpt"}}
-	if _, _, err := res.LatestValidAny(1, nil); err == nil {
-		t.Fatal("LatestValidAny on an empty lineage succeeded")
+	if infos := res.SurveyLevels(1, nil); len(infos) != 0 {
+		t.Fatalf("survey of an empty lineage = %+v, want none", infos)
 	}
 }
 

@@ -45,7 +45,8 @@ type Stats struct {
 	// Migrations counts completed planned single-rank moves.
 	Migrations int
 	// RestoredBytes is the payload staged over FILEM across all
-	// sessions (in-place local restores contribute zero).
+	// sessions, for the frontier each attempt restored from (in-place
+	// local restores contribute zero).
 	RestoredBytes int64
 }
 
@@ -89,37 +90,6 @@ type stageError struct {
 
 func (e *stageError) Error() string { return fmt.Sprintf("replacement node %q: %v", e.node, e.err) }
 func (e *stageError) Unwrap() error { return e.err }
-
-// rankPlan is one rank's recovery assignment: where it runs, the
-// ladder source it restores from, and the restore built on its node.
-type rankPlan struct {
-	rank    int
-	origin  string // the node the rank ran on at the frontier
-	node    string
-	src     snapshot.Source
-	restore *ompi.RestoreSpec
-}
-
-// kind names the plan's rung as recovery counts it: "local",
-// "replica" or "stable".
-func (p rankPlan) kind() string {
-	switch p.src.Kind {
-	case snapshot.FromStage:
-		return "local"
-	case snapshot.FromReplica, snapshot.FromStageReplica:
-		return "replica"
-	}
-	return "stable"
-}
-
-// label names the plan's source in the per-rank view: "local",
-// "replica:<node>" or "stable".
-func (p rankPlan) label() string {
-	if k := p.kind(); k != "replica" {
-		return k
-	}
-	return "replica:" + p.src.Node
-}
 
 // HandleFailure implements runtime.RecoveryHandler: the runtime has
 // frozen the job (lost incarnations detached, fabric closed) and this
@@ -258,22 +228,25 @@ func (co *Coordinator) runSession(j *runtime.Job, s *runtime.RecoverySession, at
 	// share where it reads it, and when some rank has no intact copy
 	// left the walk moves on to the next older interval.
 	resolver := c.Resolver(j.GlobalDir())
-	var plans []rankPlan
+	var plans []runtime.RestorePlan
 	// An abandoned attempt drops whatever it staged; a rank that
 	// restored has dropped its own copy already.
 	defer func() {
 		if err != nil {
-			release(plans)
+			runtime.ReleaseRestores(plans)
 		}
 	}()
 	interval, _, _, err := resolver.LatestRestorable(func(meta snapshot.GlobalMeta, cp snapshot.Copy) error {
-		release(plans)
 		var err error
-		plans, err = co.buildPlans(j, meta, j.Placement(), lostSet, forced, exclude)
-		if err == nil {
-			err = co.stagePlans(j, s, attempt, resolver.ShareLadder(meta, cp), meta, plans)
+		if plans, err = co.buildPlans(j, meta, j.Placement(), lostSet, forced, exclude); err != nil {
+			return err
 		}
-		return err
+		root := c.StageRoot(fmt.Sprintf("recover/job%d-iv%d-a%d", j.JobID(), meta.Interval, attempt))
+		errs := c.StageRestores(resolver.ShareLadder(meta, cp), root, plans, s.Aborted())
+		if errs != nil && s.AbortErr() != nil {
+			return s.AbortErr()
+		}
+		return nodeFaults(plans, errs)
 	})
 	co.ins.Counter("ompi_recovery_resolve_ns_total").Add(time.Since(start).Nanoseconds())
 	resolveSp.End(err)
@@ -283,6 +256,10 @@ func (co *Coordinator) runSession(j *runtime.Job, s *runtime.RecoverySession, at
 			err = fmt.Errorf("recovery: no recovery frontier: %w", err)
 		}
 		return err
+	}
+	for _, p := range plans {
+		co.ins.Counter("ompi_recovery_source_" + p.Src.Kind.String() + "_total").Inc()
+		note(co, &co.stats.RestoredBytes, "ompi_recovery_restored_bytes_total", p.Bytes)
 	}
 
 	rv := newRendezvous(np)
@@ -313,7 +290,7 @@ func (co *Coordinator) runSession(j *runtime.Job, s *runtime.RecoverySession, at
 
 // buildPlans assigns every rank a node at the recovery frontier:
 // survivors stay in place, lost ranks go to replacement nodes.
-func (co *Coordinator) buildPlans(j *runtime.Job, meta snapshot.GlobalMeta, placement map[int]string, lostSet map[int]bool, forced map[int]string, exclude map[string]bool) ([]rankPlan, error) {
+func (co *Coordinator) buildPlans(j *runtime.Job, meta snapshot.GlobalMeta, placement map[int]string, lostSet map[int]bool, forced map[int]string, exclude map[string]bool) ([]runtime.RestorePlan, error) {
 	np := j.NumProcs()
 	origin := make(map[int]string, len(meta.Procs))
 	for _, pe := range meta.Procs {
@@ -327,7 +304,7 @@ func (co *Coordinator) buildPlans(j *runtime.Job, meta snapshot.GlobalMeta, plac
 		}
 	}
 
-	plans := make([]rankPlan, 0, np)
+	plans := make([]runtime.RestorePlan, 0, np)
 	for r := 0; r < np; r++ {
 		if _, ok := origin[r]; !ok {
 			return nil, fmt.Errorf("recovery: interval %d metadata has no entry for rank %d", meta.Interval, r)
@@ -345,7 +322,7 @@ func (co *Coordinator) buildPlans(j *runtime.Job, meta snapshot.GlobalMeta, plac
 			}
 			load[node]++
 		}
-		plans = append(plans, rankPlan{rank: r, origin: origin[r], node: node})
+		plans = append(plans, runtime.RestorePlan{Rank: r, Origin: origin[r], Node: node})
 	}
 	return plans, nil
 }
@@ -373,82 +350,17 @@ func (co *Coordinator) pickReplacement(load map[string]int, exclude map[string]b
 	return best, nil
 }
 
-// stagePlans builds each plan's restore through the runtime's shared
-// restore tail, walking the rank's ladder: a copy on the rank's own
-// node is hashed and read in place, any other is checked from the
-// bytes FILEM reads as it stages the copy onto the rank's node. A
-// damaged copy is skipped for the next rung. The nodes stage
-// concurrently, each its own ranks in rank order, so every node's
-// operations run in the same order on every run.
-func (co *Coordinator) stagePlans(j *runtime.Job, s *runtime.RecoverySession, attempt int, ladder *snapshot.Ladder, meta snapshot.GlobalMeta, plans []rankPlan) error {
-	root := co.cluster.StageRoot(fmt.Sprintf("recover/job%d-iv%d-a%d", j.JobID(), meta.Interval, attempt))
-	byNode := make(map[string][]int) // node -> its plans, in rank order
-	for i, p := range plans {
-		byNode[p.node] = append(byNode[p.node], i)
+// nodeFaults classifies a staging attempt's per-rank failures (nil
+// when every rank staged). A failure to reach or write the rank's node
+// is the node's: it wraps a stageError, and the next attempt excludes
+// the node. A damaged or unreadable source is not.
+func nodeFaults(plans []runtime.RestorePlan, errs []error) error {
+	for i, err := range errs {
+		if err != nil && !errors.Is(err, snapshot.ErrCorrupt) && !errors.Is(err, snapshot.ErrNoCopy) && !errors.Is(err, filem.ErrSourceRead) {
+			errs[i] = &stageError{node: plans[i].Node, err: err}
+		}
 	}
-	errs := make([]error, len(plans))
-	var wg sync.WaitGroup
-	for _, idx := range byNode {
-		wg.Add(1)
-		go func(idx []int) {
-			defer wg.Done()
-			for _, i := range idx {
-				select {
-				case <-s.Aborted():
-					errs[i] = s.AbortErr()
-					return
-				default:
-				}
-				if errs[i] = co.stage(ladder, root, &plans[i]); errs[i] != nil {
-					return
-				}
-			}
-		}(idx)
-	}
-	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// stage restores one rank from the first rung of the ladder whose copy
-// checks out, recording the source and the restore in p. A failure to
-// reach or write the rank's node is the node's: it wraps a stageError,
-// and the next attempt excludes the node. A damaged or unreadable
-// source is not.
-func (co *Coordinator) stage(ladder *snapshot.Ladder, root string, p *rankPlan) error {
-	var n int64
-	src, err := ladder.Walk(p.rank, p.origin, p.node, func(src snapshot.Source) (snapshot.LocalMeta, error) {
-		if p.restore != nil && p.restore.Release != nil {
-			p.restore.Release() // an earlier rung's copy, staged but not this rank's share
-		}
-		var meta snapshot.LocalMeta
-		var err error
-		p.restore, meta, n, err = co.cluster.RestoreOn(src, p.node, root, p.rank)
-		return meta, err
-	})
-	if err != nil {
-		if p.restore != nil && p.restore.Release != nil {
-			p.restore.Release()
-		}
-		p.restore = nil
-		err = fmt.Errorf("stage rank %d on %q: %w", p.rank, p.node, err)
-		if errors.Is(err, snapshot.ErrCorrupt) || errors.Is(err, snapshot.ErrNoCopy) || errors.Is(err, filem.ErrSourceRead) {
-			return err
-		}
-		return &stageError{node: p.node, err: err}
-	}
-	p.src = src
-	co.ins.Counter("ompi_recovery_source_" + p.kind() + "_total").Inc()
-	note(co, &co.stats.RestoredBytes, "ompi_recovery_restored_bytes_total", n)
-	return nil
-}
-
-// release drops every restore the plans staged and no rank has read.
-func release(plans []rankPlan) {
-	for _, p := range plans {
-		if p.restore != nil && p.restore.Release != nil {
-			p.restore.Release()
-		}
-	}
 }
 
 // report is one rank's arrival at the re-knit rendezvous.
@@ -495,31 +407,31 @@ func (co *Coordinator) gateFn(s *runtime.RecoverySession, rv *rendezvous, rank i
 // respawn rebuilds the job fabric, pre-attaches the surviving ranks
 // (their ports travel in the recovery orders), and relaunches each lost
 // rank on its replacement node, gated on the session rendezvous.
-func (co *Coordinator) respawn(j *runtime.Job, s *runtime.RecoverySession, rv *rendezvous, plans []rankPlan, lostSet map[int]bool) (btl.JobFabric, map[int]btl.Port, error) {
+func (co *Coordinator) respawn(j *runtime.Job, s *runtime.RecoverySession, rv *rendezvous, plans []runtime.RestorePlan, lostSet map[int]bool) (btl.JobFabric, map[int]btl.Port, error) {
 	fab, err := j.RebuildFabric()
 	if err != nil {
 		return nil, nil, fmt.Errorf("recovery: rebuild fabric: %w", err)
 	}
 	ports := make(map[int]btl.Port)
 	for _, p := range plans {
-		if lostSet[p.rank] {
+		if lostSet[p.Rank] {
 			continue
 		}
-		port, err := fab.Attach(p.rank)
+		port, err := fab.Attach(p.Rank)
 		if err != nil {
-			return fab, nil, fmt.Errorf("recovery: attach survivor %d: %w", p.rank, err)
+			return fab, nil, fmt.Errorf("recovery: attach survivor %d: %w", p.Rank, err)
 		}
-		ports[p.rank] = port
+		ports[p.Rank] = port
 	}
 	for _, p := range plans {
-		if !lostSet[p.rank] {
+		if !lostSet[p.Rank] {
 			continue
 		}
-		if err := j.RespawnRank(p.rank, p.node, fab, p.restore, co.gateFn(s, rv, p.rank)); err != nil {
-			return fab, nil, &stageError{node: p.node, err: fmt.Errorf("respawn rank %d: %w", p.rank, err)}
+		if err := j.RespawnRank(p.Rank, p.Node, fab, p.Restore, co.gateFn(s, rv, p.Rank)); err != nil {
+			return fab, nil, &stageError{node: p.Node, err: fmt.Errorf("respawn rank %d: %w", p.Rank, err)}
 		}
 		co.ins.Emit("recovery", "recovery.respawn",
-			"job %d rank %d on %q from %s", j.JobID(), p.rank, p.node, p.label())
+			"job %d rank %d on %q from %s", j.JobID(), p.Rank, p.Node, p.Src.Label())
 	}
 	return fab, ports, nil
 }
@@ -528,19 +440,19 @@ func (co *Coordinator) respawn(j *runtime.Job, s *runtime.RecoverySession, rv *r
 // all np ranks (survivors and respawns) to report their restored
 // bookmark state, verifies the pairwise channel counts, completes the
 // session, and releases everyone.
-func (co *Coordinator) reknit(j *runtime.Job, s *runtime.RecoverySession, rv *rendezvous, plans []rankPlan, lostSet map[int]bool, interval int, fab btl.JobFabric, ports map[int]btl.Port) error {
+func (co *Coordinator) reknit(j *runtime.Job, s *runtime.RecoverySession, rv *rendezvous, plans []runtime.RestorePlan, lostSet map[int]bool, interval int, fab btl.JobFabric, ports map[int]btl.Port) error {
 	np := j.NumProcs()
 	failed := &ompi.RankFailedError{Ranks: s.Lost(), Node: s.Node(), Planned: s.Planned()}
 	for _, p := range plans {
-		if lostSet[p.rank] {
+		if lostSet[p.Rank] {
 			continue
 		}
-		s.Deliver(p.rank, &ompi.RecoverOrder{
+		s.Deliver(p.Rank, &ompi.RecoverOrder{
 			Interval: interval,
-			Port:     ports[p.rank],
-			Restore:  p.restore,
+			Port:     ports[p.Rank],
+			Restore:  p.Restore,
 			Failed:   failed,
-			Report:   co.gateFn(s, rv, p.rank),
+			Report:   co.gateFn(s, rv, p.Rank),
 		})
 	}
 
@@ -567,11 +479,11 @@ func (co *Coordinator) reknit(j *runtime.Job, s *runtime.RecoverySession, rv *re
 
 	sources := make(map[int]string, np)
 	for _, p := range plans {
-		label := "recovered:" + p.label()
-		if s.Planned() && lostSet[p.rank] {
-			label = runtime.MigratedSource + p.label()
+		label := "recovered:" + p.Src.Label()
+		if s.Planned() && lostSet[p.Rank] {
+			label = runtime.MigratedSource + p.Src.Label()
 		}
-		sources[p.rank] = label
+		sources[p.Rank] = label
 	}
 	// Complete before releasing: when the first released rank resumes
 	// stepping, the job's fabric, placement and rank states must already

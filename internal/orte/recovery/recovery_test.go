@@ -796,6 +796,41 @@ func TestStagedRestoreCopiesAreRemoved(t *testing.T) {
 	assertNoStagedCopies(t, sys)
 }
 
+// TestPartlyStagedRestartCleansUp: a whole-job restart that fails part
+// way through staging drops what it staged. One rank per node; every
+// transfer from stable storage onto node3 fails more often than FILEM
+// retries, so the ranks on the other nodes stage and node3's cannot.
+func TestPartlyStagedRestartCleansUp(t *testing.T) {
+	const np = 4
+	inj := faultsim.New(3)
+	sys := newSystem(t, np, 1, nil, inj)
+	factory := slowStencil(t, 200, 0)
+	j, err := sys.Launch(core.JobSpec{Name: "stencil", NP: np, AppFactory: factory})
+	if err != nil {
+		t.Fatalf("Launch: %v", err)
+	}
+	res, err := j.Checkpoint(true)
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if err := j.Wait(); err != nil {
+		t.Fatalf("job: %v", err)
+	}
+	inj.AddRule(faultsim.Rule{Point: "filem.transfer:#stable>node3", Times: 100, Prob: 1})
+	staged := sys.Ins().Counter("ompi_filem_bytes_gathered_total")
+	before := staged.Value()
+	if _, err := sys.Restart(res.Ref, res.Interval, factory); err == nil {
+		t.Fatal("Restart succeeded with node3 unreachable from stable storage")
+	}
+	if inj.Fired("filem.transfer:#stable>node3") == 0 {
+		t.Fatal("the transfer fault never fired")
+	}
+	if staged.Value() == before {
+		t.Fatal("no rank staged before the failure")
+	}
+	assertNoStagedCopies(t, sys)
+}
+
 // assertNoStagedCopies fails when any live node still holds a staging
 // root under tmp/restart or tmp/recover.
 func assertNoStagedCopies(t *testing.T, sys *core.System) {

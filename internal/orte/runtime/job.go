@@ -562,20 +562,9 @@ func (c *Cluster) Restart(ref snapshot.GlobalRef, interval int, appFactory func(
 	if ref.FS != c.stable {
 		res = &snapshot.Resolver{Ref: ref, Ins: c.ins}
 	}
-	ladder := res.CommittedLadder(meta, snapshot.Copy{FS: ref.FS, Dir: ref.IntervalDir(interval)})
-	sources := make([]snapshot.Source, meta.NumProcs)
+	plans := make([]RestorePlan, meta.NumProcs) // the metadata lists every rank once
 	for _, pe := range meta.Procs {
-		node := placement[pe.Vpid]
-		src, err := ladder.Source(pe.Vpid, pe.Node, node)
-		if err != nil {
-			return nil, fmt.Errorf("runtime: restart rank %d: %w", pe.Vpid, err)
-		}
-		if src.Kind == snapshot.FromStage {
-			c.ins.Counter("ompi_restart_local_fast_path_total").Inc()
-			c.ins.Emit("hnp", "restart.local-fast-path",
-				"rank %d restored from node %q local stage (interval %d)", pe.Vpid, node, interval)
-		}
-		sources[pe.Vpid] = src
+		plans[pe.Vpid] = RestorePlan{Rank: pe.Vpid, Origin: pe.Node, Node: placement[pe.Vpid]}
 	}
 	spec := JobSpec{
 		Name:       meta.AppName,
@@ -585,7 +574,19 @@ func (c *Cluster) Restart(ref snapshot.GlobalRef, interval int, appFactory func(
 		Params:     params,
 	}
 	c.ins.Emit("hnp", "job.restart", "from %s interval %d np=%d", ref.Dir, interval, meta.NumProcs)
-	return c.relaunch(spec, placement, sources, interval)
+	ladder := res.CommittedLadder(meta, snapshot.Copy{FS: ref.FS, Dir: ref.IntervalDir(interval)})
+	j, err := c.relaunch(spec, ladder, plans, meta.JobID, interval)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range plans {
+		if p.Src.Kind == snapshot.FromStage {
+			c.ins.Counter("ompi_restart_local_fast_path_total").Inc()
+			c.ins.Emit("hnp", "restart.local-fast-path",
+				"rank %d restored from node %q local stage (interval %d)", p.Rank, p.Node, interval)
+		}
+	}
+	return j, nil
 }
 
 // Resolver builds the replica-aware resolver of one snapshot lineage
@@ -606,61 +607,151 @@ func (c *Cluster) StageRoot(name string) string {
 	return fmt.Sprintf("tmp/%s-%d", name, c.stageSeq.Add(1))
 }
 
-// RestoreOn is the restore tail every restart path shares: a rank on
-// node restores from src in place when the copy lives on node (or on a
-// store FILEM does not serve: another cluster's stable storage), and
-// otherwise from a copy FILEM stages under root (a StageRoot) there.
-// The rank drops its staged copy once it has restored from it
-// (RestoreSpec.Release; a caller abandoning the restore calls it too).
-// Every rank of root must be staged before any releases.
+// RestorePlan is one rank's restore: the node the rank ran on at the
+// interval (Origin) and the node it restores on (Node). StageRestores
+// fills in the source it restores from, the restore built on Node, and
+// the bytes FILEM staged for it.
+type RestorePlan struct {
+	Rank    int
+	Origin  string
+	Node    string
+	Src     snapshot.Source
+	Restore *ompi.RestoreSpec
+	Bytes   int64
+}
+
+// ReleaseRestores drops every copy the plans staged that no rank has
+// restored from (a rank that restored has dropped its own already).
+func ReleaseRestores(plans []RestorePlan) {
+	for i := range plans {
+		plans[i].release()
+	}
+}
+
+func (p *RestorePlan) release() {
+	if p.Restore != nil {
+		p.Restore.Release()
+	}
+	p.Restore = nil
+}
+
+// errStagingAborted reports a StageRestores stopped by its abort
+// channel.
+var errStagingAborted = errors.New("runtime: restore staging aborted")
+
+// StageRestores is the restore tail every restart path shares: each
+// plan's rank walks the ladder, and the first copy that checks out is
+// made readable on the rank's node (restoreOn), staged under root (a
+// StageRoot) when it lives elsewhere. The nodes stage concurrently,
+// each its own ranks in rank order, so every node's operations run in
+// the same order on every run. A closed abort (nil: never) stops the
+// staging before the next rank. Returns nil when every plan staged;
+// otherwise one error per plan (nil for those that staged), having
+// released everything it staged. Every plan of root must be staged
+// before any rank restores from it.
+func (c *Cluster) StageRestores(ladder *snapshot.Ladder, root string, plans []RestorePlan, abort <-chan struct{}) []error {
+	byNode := make(map[string][]int) // node -> its plans, in rank order
+	for i, p := range plans {
+		byNode[p.Node] = append(byNode[p.Node], i)
+	}
+	errs := make([]error, len(plans))
+	var wg sync.WaitGroup
+	for _, idx := range byNode {
+		wg.Add(1)
+		go func(idx []int) {
+			defer wg.Done()
+			for _, i := range idx {
+				select {
+				case <-abort:
+					errs[i] = errStagingAborted
+					return
+				default:
+				}
+				if errs[i] = c.stageRestore(ladder, root, &plans[i]); errs[i] != nil {
+					return
+				}
+			}
+		}(idx)
+	}
+	wg.Wait()
+	if errors.Join(errs...) == nil {
+		return nil
+	}
+	ReleaseRestores(plans)
+	return errs
+}
+
+// stageRestore restores one plan's rank from the first rung of the
+// ladder whose copy checks out on the plan's node.
+func (c *Cluster) stageRestore(ladder *snapshot.Ladder, root string, p *RestorePlan) error {
+	src, err := ladder.Walk(p.Rank, p.Origin, p.Node, func(src snapshot.Source) (snapshot.LocalMeta, error) {
+		p.release() // an earlier rung's copy, staged but not this rank's share
+		var meta snapshot.LocalMeta
+		var err error
+		p.Restore, meta, p.Bytes, err = c.restoreOn(src, p.Node, root, p.Rank)
+		return meta, err
+	})
+	if err != nil {
+		p.release()
+		return fmt.Errorf("runtime: restore rank %d on %q: %w", p.Rank, p.Node, err)
+	}
+	p.Src = src
+	return nil
+}
+
+// restoreOn builds one rank's restore on node from src: in place when
+// the copy lives on node (or on a store FILEM does not serve: another
+// cluster's stable storage), and otherwise from a copy FILEM stages
+// under root there, which the rank drops once it has restored from it
+// (RestoreSpec.Release).
 //
 // A source carrying its share's digests (src.Sums, from a ShareLadder)
 // is checked where it is read, once: a copy in place is hashed on its
-// node, a staged one from the bytes FILEM reads to stage it. A damaged
-// share fails with snapshot.ErrCorrupt and leaves nothing staged. A
-// source without digests is taken as read (whole-job restart reads
-// copies the resolver verified). Returns the restore, the share's local
-// metadata as read from the copy the rank restores, and the bytes
-// staged.
-func (c *Cluster) RestoreOn(src snapshot.Source, node, root string, rank int) (*ompi.RestoreSpec, snapshot.LocalMeta, int64, error) {
-	meta := src.Meta
-	if src.Node == node || (src.Node == "" && src.FS != c.stable) {
-		if src.Sums != nil {
-			var err error
-			if meta, err = snapshot.VerifyShare(src.FS, src.Dir, src.Sums); err != nil {
-				return nil, meta, 0, err
-			}
-		}
-		return &ompi.RestoreSpec{FS: src.FS, Dir: src.Dir, Files: meta.Files}, meta, 0, nil
-	}
-	fsys, err := c.nodeFS(node)
-	if err != nil {
-		return nil, meta, 0, err
-	}
-	from := src.Node
-	if from == "" {
-		from = filem.StableNode
-	}
-	dir := path.Join(root, snapshot.LocalDirName(rank))
-	release := func() { dropStaged(fsys, root, dir) }
-	st, err := c.filemComp.Move(c.filemEnv, []filem.Request{{
-		SrcNode: from, SrcPath: src.Dir, DstNode: node, DstPath: dir, Sums: src.Sums,
-	}})
-	if err == nil && src.Sums != nil {
-		// The staged metadata's bytes were checked on the way in.
-		meta, err = snapshot.ReadLocal(snapshot.LocalRef{FS: fsys, Dir: dir})
+// node, a staged one from the bytes FILEM reads to stage it. A source
+// without digests is taken as read (whole-job restart reads copies the
+// resolver verified). A share that does not check out, or whose local
+// metadata does not read, fails with snapshot.ErrCorrupt and leaves
+// nothing staged. Returns the restore, the share's local metadata as
+// read from the copy the rank restores, and the bytes staged.
+func (c *Cluster) restoreOn(src snapshot.Source, node, root string, rank int) (*ompi.RestoreSpec, snapshot.LocalMeta, int64, error) {
+	var meta snapshot.LocalMeta
+	rs := &ompi.RestoreSpec{FS: src.FS, Dir: src.Dir, Release: func() {}} // in place: nothing to drop
+	sums, staged := src.Sums, int64(0)
+	if src.Node != node && (src.Node != "" || src.FS == c.stable) {
+		fsys, err := c.nodeFS(node)
 		if err != nil {
-			err = fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
+			return nil, meta, 0, err
 		}
+		from := src.Node
+		if from == "" {
+			from = filem.StableNode
+		}
+		dir := path.Join(root, snapshot.LocalDirName(rank))
+		rs = &ompi.RestoreSpec{FS: fsys, Dir: dir, Release: func() { dropStaged(fsys, root, dir) }}
+		st, err := c.filemComp.Move(c.filemEnv, []filem.Request{{
+			SrcNode: from, SrcPath: src.Dir, DstNode: node, DstPath: dir, Sums: src.Sums,
+		}})
+		if err != nil {
+			rs.Release()
+			if errors.Is(err, filem.ErrDigestMismatch) {
+				err = fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
+			}
+			return nil, meta, 0, err
+		}
+		sums, staged = nil, st.Bytes // the staged bytes were checked on the way in
+	}
+	var err error
+	if sums != nil {
+		meta, err = snapshot.VerifyShare(rs.FS, rs.Dir, sums)
+	} else if meta, err = snapshot.ReadLocal(snapshot.LocalRef{FS: rs.FS, Dir: rs.Dir}); err != nil {
+		err = fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
 	}
 	if err != nil {
-		release()
-		if errors.Is(err, filem.ErrDigestMismatch) {
-			err = fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
-		}
+		rs.Release()
 		return nil, meta, 0, err
 	}
-	return &ompi.RestoreSpec{FS: fsys, Dir: dir, Files: meta.Files, Release: release}, meta, st.Bytes, nil
+	rs.Files = meta.Files
+	return rs, meta, staged, nil
 }
 
 // dropStaged removes one rank's staged restore copy, then its staging
@@ -677,55 +768,34 @@ func dropStaged(fsys vfs.FS, root, dir string) {
 }
 
 // relaunch is the tail whole-job and hold-direct restart share: every
-// rank restores from its ladder source on its placed node (staged under
-// tmp/restart/ when the copy lives elsewhere), the job launches, and
-// the rank table records each source.
-func (c *Cluster) relaunch(spec JobSpec, placement map[int]string, sources []snapshot.Source, interval int) (*Job, error) {
-	restores := make([]*ompi.RestoreSpec, spec.NP)
-	abandon := func() {
-		for _, rs := range restores {
-			if rs != nil && rs.Release != nil {
-				rs.Release()
-			}
-		}
+// plan's rank restores on its node (StageRestores, staging under
+// tmp/restart/ what lives elsewhere), the job launches, and the rank
+// table records each source. plans are in rank order.
+func (c *Cluster) relaunch(spec JobSpec, ladder *snapshot.Ladder, plans []RestorePlan, jobID, interval int) (*Job, error) {
+	root := c.StageRoot(fmt.Sprintf("restart/job%d-iv%d", jobID, interval))
+	if err := errors.Join(c.StageRestores(ladder, root, plans, nil)...); err != nil {
+		return nil, err
 	}
-	root := c.StageRoot(fmt.Sprintf("restart/job%d-iv%d", sources[0].Meta.JobID, interval))
-	for r, src := range sources {
-		rs, _, n, err := c.RestoreOn(src, placement[r], root, r)
-		if err != nil {
-			abandon()
-			return nil, fmt.Errorf("runtime: preload rank %d on %q: %w", r, placement[r], err)
-		}
-		c.ins.Counter("ompi_restart_restored_bytes_total").Add(n)
-		restores[r] = rs
+	placement := make(map[int]string, len(plans))
+	restores := make([]*ompi.RestoreSpec, len(plans))
+	for _, p := range plans {
+		placement[p.Rank], restores[p.Rank] = p.Node, p.Restore
+		c.ins.Counter("ompi_restart_restored_bytes_total").Add(p.Bytes)
 	}
 	// Per-process CRS components may differ (heterogeneous snapshots):
 	// each local snapshot's metadata records the checkpointer that
 	// produced it, and the restarted rank must use the same one.
-	spec.CRSByRank = func(rank int) string { return sources[rank].Meta.Component }
+	spec.CRSByRank = func(rank int) string { return plans[rank].Src.Meta.Component }
 	j, err := c.launch(spec, placement, restores)
 	if err != nil {
-		abandon()
+		ReleaseRestores(plans)
 		return nil, err
 	}
 	j.mu.Lock()
-	for r, src := range sources {
-		j.slots[r].source = restoredLabel(src)
-		j.slots[r].interval = interval
+	for _, p := range plans {
+		j.slots[p.Rank].source = "restored:" + p.Src.Label()
+		j.slots[p.Rank].interval = interval
 	}
 	j.mu.Unlock()
 	return j, nil
-}
-
-// restoredLabel names a restarted rank's source in the rank table.
-func restoredLabel(src snapshot.Source) string {
-	switch src.Kind {
-	case snapshot.FromStage:
-		return "restored:local-stage"
-	case snapshot.FromStageReplica:
-		return "restored:stage-replica"
-	case snapshot.FromReplica:
-		return "restored:replica:" + src.Node
-	}
-	return "restored:stable"
 }

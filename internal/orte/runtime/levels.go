@@ -10,6 +10,7 @@
 package runtime
 
 import (
+	"errors"
 	"sort"
 
 	"repro/internal/core/snapshot"
@@ -94,11 +95,11 @@ func (c *Cluster) TunerState(id names.JobID) (cadence.State, bool) {
 
 // RestartFromHold relaunches a failed job straight from its newest held
 // interval that every rank can restore from and that is newer than
-// anything committed to stable storage. Each rank walks the held rungs
-// of the restore-source ladder from its original node and is placed
-// where its surviving copy lives: nothing crosses stable storage (the
-// L1/L2 restart path). Flush the drain queue first. Reports false, with
-// nothing changed, when no hold qualifies.
+// anything committed to stable storage. Each rank is placed where its
+// surviving copy lives — its own node's sealed stage, else a peer's
+// stage replica — and restores from it in place: nothing crosses stable
+// storage (the L1/L2 restart path). Flush the drain queue first.
+// Reports false, with nothing changed, when no hold qualifies.
 func (c *Cluster) RestartFromHold(j *Job, appFactory func(rank int) ompi.App) (*Job, snapshot.JournalEntry, bool, error) {
 	var none snapshot.JournalEntry
 	if err := c.headlessErr(); err != nil {
@@ -118,23 +119,26 @@ func (c *Cluster) RestartFromHold(j *Job, appFactory func(rank int) ompi.App) (*
 	res := c.Resolver(gd)
 next:
 	for _, e := range und {
-		ladder := res.HeldLadder(e)
-		sources := make([]snapshot.Source, spec.NP)
-		placement := make(map[int]string, spec.NP)
-		for r := 0; r < spec.NP; r++ {
-			src, err := ladder.Source(r, origins[r], origins[r])
-			if err != nil {
+		plans := make([]RestorePlan, spec.NP)
+		for r := range plans {
+			own, node := res.ProbeShare(e.JobID, e.Interval, e.LocalBase, origins[r])
+			if own {
+				node = origins[r]
+			}
+			if node == "" {
 				continue next
 			}
-			sources[r], placement[r] = src, src.Node // restart where the surviving copy lives
+			plans[r] = RestorePlan{Rank: r, Origin: origins[r], Node: node}
 		}
 		if iv, _, _, verr := res.LatestValid(); verr == nil && iv >= e.Interval {
 			return nil, none, false, nil // a stable commit dominates every older hold
 		}
-		c.ins.Counter("ompi_restart_from_hold_total").Inc()
 		c.ins.Emit("hnp", "job.restart-held", "from %s held interval %d (%s) np=%d",
 			gd, e.Interval, e.LevelLabel(), spec.NP)
-		next, err := c.relaunch(spec, placement, sources, e.Interval)
+		next, err := c.relaunch(spec, res.HeldLadder(e), plans, e.JobID, e.Interval)
+		if errors.Is(err, snapshot.ErrNoCopy) {
+			continue // a sealed share that names another rank: try an older hold
+		}
 		if err != nil {
 			return nil, none, false, err
 		}
@@ -142,6 +146,7 @@ next:
 		// lineage's in-memory holds (the on-disk stages the restores read
 		// are untouched — only the accounting is dropped).
 		c.Drainer().DropHeld(gd)
+		c.ins.Counter("ompi_restart_from_hold_total").Inc()
 		return next, e, true, nil
 	}
 	return nil, none, false, nil

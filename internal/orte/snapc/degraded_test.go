@@ -425,3 +425,57 @@ func TestDrainerStopLeavesNoGoroutines(t *testing.T) {
 		})
 	}
 }
+
+// A CAPTURED record whose journal write fails outright (no outage) is
+// kept by the journal, so Enqueue goes on and the interval drains: it
+// never sits CAPTURED behind a newer commit as an undrained L1 hold.
+func TestFailedRecordWriteStillDrains(t *testing.T) {
+	h := newHarness(t, 4)
+	h.env.Ins = trace.New()
+	inj := faultsim.New(1)
+	h.env.Stable = faultsim.WrapFS(h.stable, inj, "stable")
+	d := NewDrainer(h.env, drainParams(), nil)
+	defer d.Close()
+
+	commit := func(iv int) {
+		t.Helper()
+		p, err := d.Enqueue(captureInterval(t, h, iv))
+		if err != nil {
+			t.Fatalf("Enqueue %d: %v", iv, err)
+		}
+		if _, err := p.Wait(); err != nil {
+			t.Fatalf("interval %d: %v", iv, err)
+		}
+	}
+	commit(0)
+	cpt := captureInterval(t, h, 1)
+	inj.AddRule(faultsim.Rule{Point: "vfs.write:stable", Times: 1})
+	p, err := d.Enqueue(cpt)
+	if err != nil {
+		t.Fatalf("Enqueue 1 under a failed journal write: %v", err)
+	}
+	if _, err := p.Wait(); err != nil {
+		t.Fatalf("interval 1: %v", err)
+	}
+	if n := inj.Fired("vfs.write:stable"); n != 1 {
+		t.Fatalf("the journal write fault fired %d times, want 1", n)
+	}
+	if n := h.env.Ins.Counter("ompi_snapc_journal_backlogged_total").Value(); n != 1 {
+		t.Fatalf("%d CAPTURED records kept unlanded, want 1", n)
+	}
+	commit(2)
+	entries, err := snapshot.OpenJournal(globalRef(h)).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var states []string
+	for _, e := range entries {
+		states = append(states, fmt.Sprintf("%d %s", e.Interval, e.State))
+		if e.State != snapshot.StateCommitted {
+			t.Errorf("interval %d is %s, want COMMITTED", e.Interval, e.State)
+		}
+	}
+	if len(entries) != 3 {
+		t.Errorf("journal holds %v, want intervals 0, 1 and 2", states)
+	}
+}

@@ -55,6 +55,7 @@
 package snapc
 
 import (
+	"errors"
 	"fmt"
 	"path"
 	"slices"
@@ -440,23 +441,26 @@ func journalEntry(cpt *Captured) snapshot.JournalEntry {
 	return e
 }
 
-// record journals a CAPTURED entry for the lineage. Through a store
-// outage the journal keeps the record and lands it with its next
-// compaction — the capture itself is sealed node-local, so the
-// checkpoint must not fail just because the store cannot hold the
-// record right now.
+// record journals a CAPTURED entry for the lineage. A record the store
+// cannot take (an outage, or a failed write) the journal keeps and
+// lands with its next compaction — the capture itself is sealed
+// node-local, so the checkpoint must not fail just because the store
+// cannot hold the record right now. Only an outage counts toward the
+// outage score.
 func (d *Drainer) record(globalDir string, entry snapshot.JournalEntry) error {
 	err := d.Journal(globalDir).Record(entry)
 	if err == nil {
 		return nil
 	}
-	if !faultsim.IsOutage(err) {
+	if !errors.Is(err, snapshot.ErrUnlanded) {
 		return fmt.Errorf("snapc: journal capture of interval %d: %w", entry.Interval, err)
 	}
 	d.env.Ins.Counter("ompi_snapc_journal_backlogged_total").Inc()
 	d.env.Ins.Emit("snapc.drain", "drain.journal-backlogged",
-		"interval %d CAPTURED record buffered (store outage: %v)", entry.Interval, err)
-	d.noteOutage(err)
+		"interval %d CAPTURED record kept (%v)", entry.Interval, err)
+	if faultsim.IsOutage(err) {
+		d.noteOutage(err)
+	}
 	return nil
 }
 
