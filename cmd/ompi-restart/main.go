@@ -86,18 +86,19 @@ func run() error {
 	fmt.Printf("ompi-restart: %s interval %d: app %q np %d (originally on %v)\n",
 		refDir, iv, meta.AppName, meta.NumProcs, meta.Nodes)
 
-	// The restarted job is itself checkpointable again: serve control.
+	job, err := sys.Restart(ref, iv, factory)
+	if err != nil {
+		return err
+	}
+	// The restarted job is itself checkpointable again: serve control,
+	// once the job is registered, so a request that finds the session
+	// also finds the job.
 	ctl, err := sys.Cluster().ServeControl("", true)
 	if err != nil {
 		return err
 	}
 	defer ctl.Close()
 	fmt.Printf("ompi-restart: pid %d, control %s\n", os.Getpid(), ctl.Addr())
-
-	job, err := sys.Restart(ref, iv, factory)
-	if err != nil {
-		return err
-	}
 	err = job.Wait()
 	if *verbose {
 		fmt.Println("trace:", ins.Log.Summary())

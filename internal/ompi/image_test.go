@@ -3,9 +3,11 @@ package ompi
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,7 +15,9 @@ import (
 	"time"
 
 	"repro/internal/ompi/pml"
+	"repro/internal/opal/crs"
 	"repro/internal/opal/wire"
+	"repro/internal/vfs"
 )
 
 // imageState is registered application state for the image tests.
@@ -81,7 +85,7 @@ func randomImage(t *testing.T, rng *rand.Rand, procs []*Proc) [][]byte {
 	drainPort(t, procs[0])
 	imgs := make([][]byte, len(procs))
 	for r, p := range procs {
-		img, err := p.Image()
+		img, err := p.Image(0)
 		if err != nil {
 			t.Fatalf("rank %d Image: %v", r, err)
 		}
@@ -104,7 +108,7 @@ func TestQuickImageRoundTrip(t *testing.T) {
 				t.Logf("seed %d rank %d: %v", seed, r, err)
 				return false
 			}
-			again, err := fresh[r].Image()
+			again, err := fresh[r].Image(0)
 			if err != nil || !bytes.Equal(again, img) {
 				t.Logf("seed %d rank %d: re-encoded image differs (%v)", seed, r, err)
 				return false
@@ -211,7 +215,7 @@ func TestRestoreIsExact(t *testing.T) {
 	if err := procs[0].RegisterState("s", st); err != nil {
 		t.Fatal(err)
 	}
-	img, err := procs[0].Image()
+	img, err := procs[0].Image(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +241,7 @@ func TestCorruptImageChangesNothing(t *testing.T) {
 
 	live, _ := testWorld(t, 2, nil, nil)
 	randomImage(t, rand.New(rand.NewSource(6)), live)
-	before, err := live[0].Image()
+	before, err := live[0].Image(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +252,7 @@ func TestCorruptImageChangesNothing(t *testing.T) {
 	if err := live[0].RestoreImage(bad); err == nil {
 		t.Fatal("corrupt image restored")
 	}
-	after, err := live[0].Image()
+	after, err := live[0].Image(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,12 +277,12 @@ func TestImageDeterministic(t *testing.T) {
 	if err := procs[0].RegisterState("grid", st); err != nil {
 		t.Fatal(err)
 	}
-	first, err := procs[0].Image()
+	first, err := procs[0].Image(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		again, err := procs[0].Image()
+		again, err := procs[0].Image(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +301,7 @@ func FuzzImageDecode(f *testing.F) {
 		if procs[0].RestoreImage(data) != nil {
 			return
 		}
-		img, err := procs[0].Image()
+		img, err := procs[0].Image(0)
 		if err != nil {
 			t.Fatalf("accepted image does not re-capture: %v", err)
 		}
@@ -309,39 +313,58 @@ func FuzzImageDecode(f *testing.F) {
 	})
 }
 
+// stencilState is one stencil rank's registered state.
+type stencilState struct {
+	Iter int
+	Cell []float64
+}
+
+// newStencilState returns a stencil rank's 131,072 float64 cells (1 MiB)
+// from a Jacobi-smoothed ramp, after 8 steps.
+func newStencilState() *stencilState {
+	st := &stencilState{Iter: 8, Cell: make([]float64, 1<<17)}
+	for i := range st.Cell {
+		st.Cell[i] = float64(i)
+	}
+	next := make([]float64, len(st.Cell))
+	for step := 0; step < st.Iter; step++ { // periodic, like one stencil rank
+		n := len(st.Cell)
+		for i := range next {
+			next[i] = (st.Cell[(i+n-1)%n] + st.Cell[i] + st.Cell[(i+1)%n]) / 3
+		}
+		st.Cell, next = next, st.Cell
+	}
+	return st
+}
+
+// captureAhead checkpoints a rank of a 1-rank world into dir on disk the
+// way a directive does: the INC preparation starts the app-state table
+// encoding ahead, then SimCR captures and frames the image. A 1-rank
+// world needs no peer in the quiesce.
+func captureAhead(t testing.TB, p *Proc, disk vfs.FS, dir string) {
+	t.Helper()
+	p.gate.Enable()
+	if _, err := p.doCheckpoint(&Directive{FS: disk, Dir: dir}, &ParticipationResult{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // BenchmarkImageRoundTrip times the capture and the restore of a rank
 // holding a few unexpected messages and posted receives plus registered
-// state: 512 B or 1 MiB of bytes, or a stencil rank's 131,072 float64
-// cells (1 MiB) from a Jacobi-smoothed ramp, which takes the per-element
-// path. It reports the image size as image-B.
+// state: 512 B or 1 MiB of bytes, or a stencil rank's cells
+// (newStencilState), which take the per-element path. The checkpoint
+// case is the whole SimCR capture of the same state in a 1-rank world,
+// table encoded ahead, framed and stored in a vfs.Mem (whose copy its
+// B/op includes). Each case reports the image size as image-B.
 func BenchmarkImageRoundTrip(b *testing.B) {
 	type bytesState struct{ Cells []byte }
-	type stencilState struct {
-		Iter int
-		Cell []float64
-	}
-	stencil := func() any {
-		st := &stencilState{Iter: 8, Cell: make([]float64, 1<<17)}
-		for i := range st.Cell {
-			st.Cell[i] = float64(i)
-		}
-		next := make([]float64, len(st.Cell))
-		for step := 0; step < st.Iter; step++ { // periodic, like one stencil rank
-			n := len(st.Cell)
-			for i := range next {
-				next[i] = (st.Cell[(i+n-1)%n] + st.Cell[i] + st.Cell[(i+1)%n]) / 3
-			}
-			st.Cell, next = next, st.Cell
-		}
-		return st
-	}
 	for _, tc := range []struct {
 		name  string
 		state func() any
 	}{
 		{"512B", func() any { return &bytesState{make([]byte, 512)} }},
 		{"1MiB", func() any { return &bytesState{make([]byte, 1<<20)} }},
-		{"stencil", stencil},
+		{"stencil", func() any { return newStencilState() }},
 	} {
 		procs, _ := testWorld(b, 2, nil, nil)
 		fresh, _ := testWorld(b, 2, nil, nil)
@@ -361,14 +384,14 @@ func BenchmarkImageRoundTrip(b *testing.B) {
 		if err := procs[0].Engine().ProgressUntil(func() bool { return procs[0].ep.Pending() == 0 }, time.Second); err != nil {
 			b.Fatal(err)
 		}
-		img, err := procs[0].Image()
+		img, err := procs[0].Image(0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(tc.name+"/capture", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if img, err = procs[0].Image(); err != nil {
+				if img, err = procs[0].Image(0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -382,6 +405,24 @@ func BenchmarkImageRoundTrip(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(len(img)), "image-B")
+		})
+		b.Run(tc.name+"/checkpoint", func(b *testing.B) {
+			solo, disks := testWorld(b, 1, nil, nil)
+			if err := solo[0].RegisterState("cells", tc.state()); err != nil {
+				b.Fatal(err)
+			}
+			captureAhead(b, solo[0], disks[0], "snap") // sizes the reserve and the table
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				captureAhead(b, solo[0], disks[0], "snap")
+			}
+			b.StopTimer()
+			framed, err := disks[0].ReadFile("snap/" + crs.ImageFile)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(len(framed)-16), "image-B")
 		})
 	}
 }
@@ -420,7 +461,7 @@ func TestImageEncodedAheadMatchesInline(t *testing.T) {
 					time.Sleep(time.Millisecond)
 					return false, nil
 				}
-				img, err := p.Image()
+				img, err := p.Image(0)
 				inline[p.Rank()] = img
 				return true, err
 			},
@@ -440,5 +481,111 @@ func TestImageEncodedAheadMatchesInline(t *testing.T) {
 		if len(framed) < 16 || !bytes.Equal(framed[16:], inline[r]) {
 			t.Fatalf("rank %d: the checkpoint's image (%d framed bytes) differs from the inline one (%d bytes)", r, len(framed), len(inline[r]))
 		}
+	}
+}
+
+// simcrFrame is the file SimCR writes for img: magic "SCR1" | uint32
+// crc32(img) | uint64 len(img) | img, big-endian.
+func simcrFrame(img []byte) []byte {
+	b := binary.BigEndian.AppendUint32([]byte("SCR1"), crc32.ChecksumIEEE(img))
+	return append(binary.BigEndian.AppendUint64(b, uint64(len(img))), img...)
+}
+
+// TestSimCRFramesInPlace: the file SimCR writes is byte for byte the
+// framed image, whether the header went into the reserve before a table
+// encoded ahead, outgrew that reserve (40 unexpected messages posted
+// since the last capture), or no table was encoded ahead; and each file
+// restores into a fresh process with equal state.
+func TestSimCRFramesInPlace(t *testing.T) {
+	procs, disks := testWorld(t, 1, nil, nil)
+	p := procs[0]
+	st, xs := register(t, p)
+	st.Iter, st.Cells, st.Tags, *xs = 7, make([]float64, 4096), map[string]int{"a": 1}, []int{3, 1, 2}
+	for i := range st.Cells {
+		st.Cells[i] = float64(i) / 7
+	}
+	captureAhead(t, p, disks[0], "warm") // sizes the reserve from this header
+	for _, tc := range []struct {
+		name    string
+		prepare func()
+		capture func(dir string)
+		ahead   bool // the table is encoded ahead
+		fits    bool // the header fits the reserve
+	}{
+		{"header-fits-reserve", func() {}, func(dir string) { captureAhead(t, p, disks[0], dir) }, true, true},
+		{"header-outgrows-reserve", func() {
+			for i := 0; i < 40; i++ {
+				if _, err := p.Isend(0, i, make([]byte, 48)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			drainPort(t, p)
+		}, func(dir string) { captureAhead(t, p, disks[0], dir) }, true, false},
+		{"no-ahead-encoding", func() {}, func(dir string) {
+			if _, err := (&crs.SimCR{}).Checkpoint(p, disks[0], dir); err != nil {
+				t.Fatal(err)
+			}
+		}, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.prepare()
+			reserve := p.reserve()
+			tc.capture(tc.name)
+			if fits := p.headSize <= reserve; tc.ahead && fits != tc.fits {
+				t.Fatalf("head room plus header %d B against a %d B reserve: fits = %v, want %v", p.headSize, reserve, fits, tc.fits)
+			}
+			framed, err := disks[0].ReadFile(tc.name + "/" + crs.ImageFile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, err := p.Image(0) // nothing moved since the capture
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(framed, simcrFrame(img)) {
+				t.Fatalf("stored file (%d B) is not magic | crc32 | len | image (%d B)", len(framed), len(img))
+			}
+			fresh, _ := testWorld(t, 1, nil, nil)
+			fst, fxs := register(t, fresh[0])
+			if err := fresh[0].RestoreImage(framed[16:]); err != nil {
+				t.Fatal(err)
+			}
+			again, err := fresh[0].Image(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, img) || !reflect.DeepEqual(fst, st) || !reflect.DeepEqual(fxs, xs) {
+				t.Error("the restored process differs from the captured one")
+			}
+		})
+	}
+}
+
+// TestCaptureAllocatesOneImage gates the capture's memory traffic on a
+// count: one SimCR capture of a 1-rank stencil state (2^17 cells) into a
+// vfs.Mem allocates at most 2.5× the framed image, the store's copy
+// included — the table is encoded once, into the buffer that is framed
+// and stored. TotalAlloc is summed over 20 captures.
+func TestCaptureAllocatesOneImage(t *testing.T) {
+	procs, disks := testWorld(t, 1, nil, nil)
+	if err := procs[0].RegisterState("cells", newStencilState()); err != nil {
+		t.Fatal(err)
+	}
+	captureAhead(t, procs[0], disks[0], "snap") // sizes the reserve and the table
+	const captures = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < captures; i++ {
+		captureAhead(t, procs[0], disks[0], "snap")
+	}
+	runtime.ReadMemStats(&after)
+	framed, err := disks[0].ReadFile("snap/" + crs.ImageFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / captures / float64(len(framed))
+	t.Logf("%.2f× the %d B framed image allocated per capture", ratio, len(framed))
+	if ratio > 2.5 {
+		t.Errorf("a capture allocates %.2f× its %d B framed image, want ≤ 2.5×", ratio, len(framed))
 	}
 }

@@ -186,14 +186,13 @@ type Proc struct {
 	log  *trace.Log // ins's event sink, kept handy for Emit call sites
 
 	states        map[string]*appState
-	imageSize     int             // length of the last image, to size the next one
+	headSize      int             // head room plus library header of the last image, to size the next reserve
 	stateSize     int             // length of the last app-state table, to size the next one
 	ahead         chan stateTable // the app-state table encodeAhead is encoding, or nil
 	selfCbs       *crs.SelfCallbacks
 	restarted     bool
-	ckpts         int  // completed checkpoint participations this run
-	termRequested bool // a terminate directive was honored mid-step
-	errhandler    func(*RankFailedError)
+	ckpts         int    // completed checkpoint participations this run
+	termRequested bool   // a terminate directive was honored mid-step
 	lastBookmarks []byte // CRCP counters at the most recent restored cut
 
 	directives chan *Directive
@@ -971,39 +970,57 @@ const (
 )
 
 // Image implements crs.Process: serialize MPI library state plus all
-// registered application state.
-func (p *Proc) Image() ([]byte, error) {
-	var states []byte // the app-state table encodeAhead encoded, if any
-	if p.ahead != nil {
-		t := <-p.ahead
+// registered application state into one buffer, after head free bytes.
+// When encodeAhead encoded the app-state table behind a reserve, the
+// library header goes right-aligned into that reserve and the table's
+// buffer becomes the image, so the table is never copied. A header that
+// outgrew its reserve, or a capture with no table encoded ahead, gets a
+// buffer whose reserve fits it exactly.
+func (p *Proc) Image(head int) ([]byte, error) {
+	var t stateTable // the app-state table encodeAhead encoded, if any
+	ahead := p.ahead != nil
+	if ahead {
+		t = <-p.ahead
 		p.ahead = nil
 		if t.err != nil {
 			return nil, fmt.Errorf("ompi: image: %w", t.err)
 		}
-		states = t.b
 	}
-	st, err := p.eng.SaveState()
+	hdr, err := p.appendHeader(make([]byte, 0, p.headSize+64))
 	if err != nil {
 		return nil, fmt.Errorf("ompi: image: %w", err)
+	}
+	p.headSize = head + len(hdr)
+	if !ahead {
+		t.reserve = p.headSize
+		if t.b, err = p.appendStates(make([]byte, t.reserve, t.reserve+p.stateSize+p.stateSize/8+64)); err != nil {
+			return nil, fmt.Errorf("ompi: image: %w", err)
+		}
+	} else if p.headSize > t.reserve { // the header outgrew its reserve
+		table := t.b[t.reserve:]
+		t.b, t.reserve = append(make([]byte, p.headSize, p.headSize+len(table)), table...), p.headSize
+	}
+	at := t.reserve - p.headSize
+	copy(t.b[at+head:], hdr)
+	p.stateSize = len(t.b) - t.reserve
+	return t.b[at:], nil
+}
+
+// appendHeader appends the image's library header: everything before
+// the app-state table.
+func (p *Proc) appendHeader(b []byte) ([]byte, error) {
+	st, err := p.eng.SaveState()
+	if err != nil {
+		return nil, err
 	}
 	bm, err := p.prot.Save()
 	if err != nil {
-		return nil, fmt.Errorf("ompi: image: %w", err)
+		return nil, err
 	}
-	// One buffer, sized from the last image: state sizes change slowly.
-	b := append(make([]byte, 0, p.imageSize+p.imageSize/8+256), imageMagic...)
-	b = append(b, imageVersion)
+	b = append(append(b, imageMagic...), imageVersion)
 	b = wire.AppendInt(wire.AppendInt(wire.AppendInt(b, p.cfg.JobID), p.cfg.Rank), p.cfg.Size)
 	b = binary.AppendUvarint(b, p.coll.Seq())
-	b = wire.AppendBytes(pml.AppendState(b, st), bm)
-	if states != nil {
-		b = append(b, states...)
-		p.stateSize = len(states)
-	} else if b, err = p.appendStates(b); err != nil {
-		return nil, fmt.Errorf("ompi: image: %w", err)
-	}
-	p.imageSize = len(b)
-	return b, nil
+	return wire.AppendBytes(pml.AppendState(b, st), bm), nil
 }
 
 // appendStates appends the image's app-state table.
@@ -1027,18 +1044,26 @@ func (p *Proc) appendStates(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// stateTable is an app-state table encoded ahead of the capture.
+// stateTable is an app-state table encoded ahead of the capture, in b
+// after reserve bytes left for the image's head room and header.
 type stateTable struct {
-	b   []byte
-	err error
+	b       []byte
+	reserve int
+	err     error
 }
+
+// reserve is the room encodeAhead leaves before the table: the last
+// image's head room and library header, plus slack for a header that
+// grew a little (the PML's unexpected messages vary between captures).
+func (p *Proc) reserve() int { return p.headSize + p.headSize/8 + 256 }
 
 // encodeAhead is the OMPI layer's first ft_event. Entering a checkpoint
 // for a CRS that captures the image, it starts encoding the app-state
-// table on another goroutine, for Image to append: the application's
-// own INC has run, and the application goroutine leaves the state alone
-// until the participation ends, so the encoding overlaps the quiesce —
-// most of all the wait at the frontier for ranks still a step behind.
+// table on another goroutine, behind a reserve for Image to write the
+// library header into: the application's own INC has run, and the
+// application goroutine leaves the state alone until the participation
+// ends, so the encoding overlaps the quiesce — most of all the wait at
+// the frontier for ranks still a step behind.
 func (p *Proc) encodeAhead() inc.FTEventer {
 	return inc.FTEventFunc(func(s inc.State) error {
 		if _, image := p.cfg.CRS.(*crs.SimCR); s != inc.StateCheckpoint || !image {
@@ -1046,10 +1071,11 @@ func (p *Proc) encodeAhead() inc.FTEventer {
 		}
 		ch := make(chan stateTable, 1)
 		p.ahead = ch
-		size := p.stateSize + p.stateSize/8 + 64
+		reserve := p.reserve()
+		size := reserve + p.stateSize + p.stateSize/8 + 64
 		go func() {
-			b, err := p.appendStates(make([]byte, 0, size))
-			ch <- stateTable{b, err}
+			b, err := p.appendStates(make([]byte, reserve, size))
+			ch <- stateTable{b, reserve, err}
 		}()
 		return nil
 	})

@@ -662,7 +662,7 @@ func TestImageRestoreValidation(t *testing.T) {
 	if err := procs[0].RegisterState("v", &v); err != nil {
 		t.Fatal(err)
 	}
-	img, err := procs[0].Image()
+	img, err := procs[0].Image(0)
 	if err != nil {
 		t.Fatalf("Image: %v", err)
 	}

@@ -1,8 +1,7 @@
 // In-job rank recovery: the OMPI-layer half of the ULFM-style fault
 // handling added on top of the paper's whole-job restart. When a node
-// dies, surviving processes do not tear down — the communication layers
-// surface the failure as a typed RankFailedError to the application's
-// errhandler (the MPI_ERRORS_RETURN posture), and the process asks the
+// dies, surviving processes do not tear down: a communication failure
+// (IsCommFailure) stops the step loop, and the process asks the
 // runtime, via Config.Recover, for a recovery order: a port on the
 // rebuilt fabric plus a restore source at the job's newest committed
 // checkpoint frontier. The process rolls itself back in place, reports
@@ -19,9 +18,9 @@ import (
 	"repro/internal/opal/inc"
 )
 
-// RankFailedError is the typed failure an application's errhandler
-// receives when peer ranks are lost: which ranks died, on which node,
-// and whether the "failure" is a planned migration rather than a fault.
+// RankFailedError is the typed failure the runtime reports when peer
+// ranks are lost: which ranks died, on which node, and whether the
+// "failure" is a planned migration rather than a fault.
 type RankFailedError struct {
 	Ranks   []int  // the lost ranks
 	Node    string // the dead node; "" for a planned migration
@@ -57,19 +56,11 @@ type RecoverOrder struct {
 	Port btl.Port
 	// Restore is the local snapshot to roll back to; never nil.
 	Restore *RestoreSpec
-	// Failed describes the failure for the application's errhandler.
-	Failed *RankFailedError
 	// Report delivers the restored CRCP bookmark bytes (nil when the
 	// protocol keeps no channel state) and the local restore outcome,
 	// then blocks for the session verdict.
 	Report func(bookmarks []byte, restoreErr error) error
 }
-
-// SetErrhandler installs an observational error handler, the analogue of
-// MPI_Comm_set_errhandler(MPI_ERRORS_RETURN) plus an error callback: it
-// is invoked on the application goroutine with the typed RankFailedError
-// whenever peer loss interrupts this process, before recovery proceeds.
-func (p *Proc) SetErrhandler(fn func(*RankFailedError)) { p.errhandler = fn }
 
 // IsCommFailure reports whether err is the local symptom of lost peers:
 // the transport endpoint detached under us or a peer vanished. Only such
@@ -133,16 +124,7 @@ func (p *Proc) tryRecover(cause error) error {
 	p.transition(PhaseRecovering, nil)
 	ord, err := p.cfg.Recover(cause)
 	if err != nil {
-		if p.errhandler != nil {
-			var rf *RankFailedError
-			if errors.As(err, &rf) {
-				p.errhandler(rf)
-			}
-		}
 		return fmt.Errorf("ompi: rank %d unrecoverable: %w", p.cfg.Rank, err)
-	}
-	if p.errhandler != nil && ord.Failed != nil {
-		p.errhandler(ord.Failed)
 	}
 	// Patch the transport first: the PML must speak through the rebuilt
 	// fabric before the restore resurrects its channel state.

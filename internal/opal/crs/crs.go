@@ -56,8 +56,9 @@ type Process interface {
 	PID() int
 	// Image serializes the complete process image: MPI library state,
 	// in-flight message queues, and all registered application state.
-	// Used by system-level checkpointers.
-	Image() ([]byte, error)
+	// It returns the image after head free bytes, so a system-level
+	// checkpointer can frame it in place.
+	Image(head int) ([]byte, error)
 	// RestoreImage re-instates a previously captured image.
 	RestoreImage(data []byte) error
 	// Self returns the application's SELF callbacks, or nil if the

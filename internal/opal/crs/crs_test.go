@@ -24,13 +24,19 @@ type fakeProc struct {
 
 func (p *fakeProc) PID() int { return p.pid }
 
-func (p *fakeProc) Image() ([]byte, error) {
+func (p *fakeProc) Image(head int) ([]byte, error) {
 	if p.imageErr != nil {
 		return nil, p.imageErr
 	}
-	out := make([]byte, len(p.state))
-	copy(out, p.state)
-	return out, nil
+	return append(make([]byte, head, head+len(p.state)), p.state...), nil
+}
+
+// frameImage wraps img as SimCR stores it: magic | uint32 crc | uint64
+// len | img.
+func frameImage(img []byte) []byte {
+	framed := append(make([]byte, frameHead, frameHead+len(img)), img...)
+	sealFrame(framed)
+	return framed
 }
 
 func (p *fakeProc) RestoreImage(data []byte) error {
@@ -128,6 +134,26 @@ func TestQuickFrameUnframe(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzSimCRFrame: unframeImage never panics, and every container it
+// accepts re-frames to the very bytes it was given.
+func FuzzSimCRFrame(f *testing.F) {
+	for _, img := range [][]byte{nil, []byte("x"), []byte("iteration=12345;sum=6.75")} {
+		framed := frameImage(img)
+		f.Add(framed)
+		f.Add(framed[:len(framed)-1])                          // truncated
+		f.Add(append([]byte("SCR0"), framed[len("SCR1"):]...)) // bad magic
+	}
+	f.Fuzz(func(t *testing.T, framed []byte) {
+		img, err := unframeImage(framed)
+		if err != nil {
+			return
+		}
+		if again := frameImage(img); !bytes.Equal(again, framed) {
+			t.Fatalf("accepted %d B container re-frames to %d different bytes", len(framed), len(again))
+		}
+	})
 }
 
 func TestSelfComponentRoundTrip(t *testing.T) {

@@ -32,13 +32,18 @@ func (*SimCR) Name() string { return "simcr" }
 // the paper's implementation.
 func (*SimCR) Priority() int { return 20 }
 
-// Checkpoint implements Component: serialize the full process image.
+// frameHead is the length of the container header: magic | uint32 crc |
+// uint64 len.
+const frameHead = 16
+
+// Checkpoint implements Component: serialize the full process image,
+// framed in place in the buffer the process returns.
 func (*SimCR) Checkpoint(proc Process, fsys vfs.FS, dir string) ([]string, error) {
-	img, err := proc.Image()
+	framed, err := proc.Image(frameHead)
 	if err != nil {
 		return nil, fmt.Errorf("crs simcr: capture image of pid %d: %w", proc.PID(), err)
 	}
-	framed := frameImage(img)
+	sealFrame(framed)
 	if err := fsys.WriteFile(path.Join(dir, ImageFile), framed); err != nil {
 		return nil, fmt.Errorf("crs simcr: store image: %w", err)
 	}
@@ -70,19 +75,18 @@ func (*SimCR) Restart(proc Process, fsys vfs.FS, dir string, files []string) err
 // Continue implements Component; SimCR holds no per-checkpoint state.
 func (*SimCR) Continue(Process) error { return nil }
 
-// frameImage wraps img as: magic | uint32 crc | uint64 len | payload.
-func frameImage(img []byte) []byte {
-	out := make([]byte, 0, len(img)+16)
-	out = append(out, simcrMagic[:]...)
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(img))
-	out = binary.BigEndian.AppendUint64(out, uint64(len(img)))
-	out = append(out, img...)
-	return out
+// sealFrame writes the container header into the first frameHead bytes
+// of framed, for the image that follows them.
+func sealFrame(framed []byte) {
+	img := framed[frameHead:]
+	copy(framed, simcrMagic[:])
+	binary.BigEndian.PutUint32(framed[4:], crc32.ChecksumIEEE(img))
+	binary.BigEndian.PutUint64(framed[8:], uint64(len(img)))
 }
 
 // unframeImage validates and unwraps a framed image.
 func unframeImage(framed []byte) ([]byte, error) {
-	if len(framed) < 16 {
+	if len(framed) < frameHead {
 		return nil, fmt.Errorf("image truncated: %d bytes", len(framed))
 	}
 	if [4]byte(framed[:4]) != simcrMagic {
@@ -90,7 +94,7 @@ func unframeImage(framed []byte) ([]byte, error) {
 	}
 	wantCRC := binary.BigEndian.Uint32(framed[4:8])
 	n := binary.BigEndian.Uint64(framed[8:16])
-	payload := framed[16:]
+	payload := framed[frameHead:]
 	if uint64(len(payload)) != n {
 		return nil, fmt.Errorf("image length mismatch: header %d, payload %d", n, len(payload))
 	}

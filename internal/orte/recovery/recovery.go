@@ -442,7 +442,6 @@ func (co *Coordinator) respawn(j *runtime.Job, s *runtime.RecoverySession, rv *r
 // session, and releases everyone.
 func (co *Coordinator) reknit(j *runtime.Job, s *runtime.RecoverySession, rv *rendezvous, plans []runtime.RestorePlan, lostSet map[int]bool, interval int, fab btl.JobFabric, ports map[int]btl.Port) error {
 	np := j.NumProcs()
-	failed := &ompi.RankFailedError{Ranks: s.Lost(), Node: s.Node(), Planned: s.Planned()}
 	for _, p := range plans {
 		if lostSet[p.Rank] {
 			continue
@@ -451,7 +450,6 @@ func (co *Coordinator) reknit(j *runtime.Job, s *runtime.RecoverySession, rv *re
 			Interval: interval,
 			Port:     ports[p.Rank],
 			Restore:  p.Restore,
-			Failed:   failed,
 			Report:   co.gateFn(s, rv, p.Rank),
 		})
 	}

@@ -448,18 +448,6 @@ func (e *Endpoint) RecvJSON(tag Tag, v any) (names.Name, error) {
 	return m.From, nil
 }
 
-// RecvJSONTimeout is RecvJSON with an upper bound on the wait.
-func (e *Endpoint) RecvJSONTimeout(tag Tag, v any, timeout time.Duration) (names.Name, error) {
-	m, err := e.RecvTimeout(tag, timeout)
-	if err != nil {
-		return names.Name{}, err
-	}
-	if err := json.Unmarshal(m.Data, v); err != nil {
-		return m.From, fmt.Errorf("rml: unmarshal tag %d from %v: %w", tag, m.From, err)
-	}
-	return m.From, nil
-}
-
 // Pending returns the number of queued, unreceived messages.
 func (e *Endpoint) Pending() int {
 	e.mu.Lock()
